@@ -5,8 +5,7 @@
 //! being timed are inspectable (`hotspots spec bench-slammer`) and stay
 //! in lockstep with what `hotspots run` executes. Besides the usual
 //! Criterion groups, the custom `main` times a fixed Slammer outbreak
-//! at each thread count (serial only unless built with `--features
-//! parallel`) and writes the scaling curve to `BENCH_engine.json` at
+//! at each thread count and writes the scaling curve to `BENCH_engine.json` at
 //! the repository root, in the same [`BenchSummary`] schema the
 //! `hotspots profile --scaling` harness writes, plus a memory block
 //! recording the `bench-million` compressed store against its
@@ -124,36 +123,31 @@ fn main() {
         "slammer_throughput/serial              {:>12.0} probes/sec",
         serial.probes_per_sec
     );
-    #[cfg_attr(not(feature = "parallel"), allow(unused_variables))]
     let serial_rate = serial.probes_per_sec;
-    #[cfg_attr(not(feature = "parallel"), allow(unused_mut))]
     let mut points = vec![serial];
 
-    #[cfg(feature = "parallel")]
-    {
-        let counts: Vec<usize> = match std::env::var("HOTSPOTS_BENCH_THREADS") {
-            Ok(list) => list
-                .split(',')
-                .filter_map(|part| part.trim().parse().ok())
-                .filter(|&n| n > 1)
-                .collect(),
-            Err(_) => {
-                let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
-                [2usize, 4, 8, 16]
-                    .into_iter()
-                    .filter(|&n| n <= (2 * cores).max(2))
-                    .collect()
-            }
-        };
-        for threads in counts {
-            let point = slammer_run(threads);
-            println!(
-                "slammer_throughput/parallel x{threads:<2}         {:>12.0} probes/sec (speedup {:.2}x)",
-                point.probes_per_sec,
-                point.probes_per_sec / serial_rate
-            );
-            points.push(point);
+    let counts: Vec<usize> = match std::env::var("HOTSPOTS_BENCH_THREADS") {
+        Ok(list) => list
+            .split(',')
+            .filter_map(|part| part.trim().parse().ok())
+            .filter(|&n| n > 1)
+            .collect(),
+        Err(_) => {
+            let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
+            [2usize, 4, 8, 16]
+                .into_iter()
+                .filter(|&n| n <= (2 * cores).max(2))
+                .collect()
         }
+    };
+    for threads in counts {
+        let point = slammer_run(threads);
+        println!(
+            "slammer_throughput/parallel x{threads:<2}         {:>12.0} probes/sec (speedup {:.2}x)",
+            point.probes_per_sec,
+            point.probes_per_sec / serial_rate
+        );
+        points.push(point);
     }
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");

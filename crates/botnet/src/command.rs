@@ -12,7 +12,6 @@ use crate::pattern::{looks_like_pattern, ScanPattern};
 
 /// Which command family a parsed command belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CommandKind {
     /// `advscan <module> [threads [delay [count]]] [pattern] [-flags]`
     /// (Agobot/rbot style).
@@ -67,7 +66,6 @@ impl std::error::Error for ParseCommandError {}
 /// assert!(cmd.flags().contains(&'b'));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BotCommand {
     kind: CommandKind,
     module: ExploitModule,

@@ -21,7 +21,6 @@ use hotspots_netmodel::Service;
 /// assert_eq!(m.name(), "dcom2");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExploitModule {
     name: String,
     service: Service,

@@ -8,7 +8,6 @@ use hotspots_prng::Prng32;
 
 /// One octet position of a [`ScanPattern`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum OctetSpec {
     /// A literal octet value (`192`).
     Literal(u8),
@@ -85,7 +84,6 @@ impl std::error::Error for ResolveError {}
 /// assert_eq!(p.reachable_addresses(), 1 << 24); // all of 194/8
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScanPattern {
     octets: Vec<OctetSpec>,
 }

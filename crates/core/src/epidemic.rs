@@ -21,7 +21,6 @@
 
 /// The susceptible–infected logistic model of a uniform-scanning worm.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SiModel {
     population: f64,
     scan_rate: f64,

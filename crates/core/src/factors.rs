@@ -4,7 +4,6 @@ use std::fmt;
 
 /// Host-centric, programmatic influences on propagation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AlgorithmicFactor {
     /// Pre-programmed target address lists (bot `advscan`/`ipscan`
     /// ranges, flash-worm lists).
@@ -61,7 +60,6 @@ impl fmt::Display for AlgorithmicFactor {
 
 /// External, network-level influences on propagation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EnvironmentalFactor {
     /// Routing and filtering policy: enterprise egress filters, upstream
     /// provider blocks.
@@ -112,7 +110,6 @@ impl fmt::Display for EnvironmentalFactor {
 /// hotspot is designed, Slammer's cycles are a bug, and both classes mix
 /// intended and accidental members.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum HotspotFactor {
     /// Host-level, programmatic.
     Algorithmic(AlgorithmicFactor),

@@ -26,7 +26,6 @@ use hotspots_stats::uniformity::{
 /// assert!(report.gini > 0.8);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HotspotReport {
     /// Number of cells.
     pub cells: usize,

@@ -17,7 +17,6 @@ use crate::seed_inference::scan_covers;
 
 /// Configuration for the Blaster measurement study.
 #[derive(Debug, Clone, Copy)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlasterStudy {
     /// Number of persistently infected Blaster hosts.
     pub hosts: usize,

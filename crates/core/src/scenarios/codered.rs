@@ -14,7 +14,6 @@ use crate::scenarios::{figure_buckets, CoverageRow};
 
 /// Configuration for the CodeRedII measurement study.
 #[derive(Debug, Clone, Copy)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CodeRedStudy {
     /// Number of persistently infected hosts.
     pub hosts: usize,

@@ -17,7 +17,6 @@ use rand::SeedableRng;
 /// 134,586 vulnerable hosts in 47 /8s, 25 seeds, 10 probes/s, alert
 /// threshold 5.
 #[derive(Debug, Clone, Copy)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DetectionStudy {
     /// Vulnerable population size (ignored when `paper_profile` is set).
     pub population: usize,
@@ -168,7 +167,6 @@ pub fn hitlist_runs(study: &DetectionStudy, sizes: &[Option<usize>]) -> Vec<HitL
 
 /// Sensor placement strategies compared in Figure 5(c).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Placement {
     /// `n` /24 sensors uniformly random in routable space.
     Random {
@@ -225,7 +223,6 @@ pub struct NatRun {
 
 /// How NATed hosts are wired into the topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NatTopology {
     /// All NATed hosts share one `192.168/16` private space (the paper's
     /// Figure 5(c) semantics: the private cluster can ignite).

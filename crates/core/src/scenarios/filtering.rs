@@ -15,7 +15,6 @@ use crate::seed_inference::scan_covers;
 
 /// Configuration for the Table 2 study.
 #[derive(Debug, Clone, Copy)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FilteringStudy {
     /// Internally infected hosts per enterprise (the paper's premise:
     /// large networks inevitably harbor infections).

@@ -30,7 +30,6 @@ use hotspots_ipspace::Prefix;
 /// (usually a /24, or a /16 for the Z/8 block) and the number of unique
 /// worm sources it observed, tagged with its sensor block label.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CoverageRow {
     /// The sensor block label (`"A"`, `"H"`, …).
     pub block: String,

@@ -53,7 +53,6 @@ pub fn scan_covers(start: Ip, len: u64, block: Prefix) -> bool {
 /// One inferred seed: the tick count, the start address it implies, and
 /// the boot time it corresponds to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InferredSeed {
     /// The candidate `GetTickCount()` value.
     pub tick: u32,

@@ -451,12 +451,6 @@ fn cmd_profile(parsed: &ParsedArgs, scale: Scale, threads: Option<usize>) {
         },
         None => vec![threads.unwrap_or_else(|| spec.sim.threads.max(1) as usize)],
     };
-    if counts.iter().any(|&t| t > 1) && !cfg!(feature = "parallel") {
-        eprintln!(
-            "note: built without the `parallel` feature — thread counts > 1 run serially \
-             (rebuild with `--features parallel` for a real scaling curve)"
-        );
-    }
     let out_dir = parsed.value("out").unwrap_or(".").to_owned();
     if let Err(source) = std::fs::create_dir_all(&out_dir) {
         fail(&HotspotsError::Io {

@@ -8,7 +8,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use hotspots_telemetry::{json, BenchSummary};
+use hotspots_telemetry::{json, BenchSummary, RunReport};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_hotspots")
@@ -211,4 +211,59 @@ fn scaling_writes_bench_summary_with_merge_phase() {
         point.phase_breakdown
     );
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Runs `hotspots profile bench-slammer --quick --threads N` and returns
+/// (stdout, canonical run-report bytes).
+fn profile_threads(threads: &str, label: &str) -> (String, String) {
+    let dir = scratch(label);
+    let out = Command::new(bin())
+        .args([
+            "profile",
+            "bench-slammer",
+            "--quick",
+            "--threads",
+            threads,
+            "--out",
+            dir.to_str().expect("utf-8 path"),
+        ])
+        .env_remove("HOTSPOTS_RUN_REPORT")
+        .output()
+        .expect("spawn hotspots");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert!(
+        out.status.success(),
+        "exited with {}:\n{stderr}",
+        out.status
+    );
+    let report = stdout
+        .lines()
+        .find(|l| l.starts_with("{\"kind\":\"run_report\""))
+        .expect("run report line");
+    let canonical = RunReport::from_jsonl(report)
+        .expect("parse run report")
+        .canonicalized()
+        .to_jsonl();
+    let _ = fs::remove_dir_all(&dir);
+    (stdout, canonical)
+}
+
+/// The default build shards: a 2-thread profile dispatches work to the
+/// pool (so the pool-only `park`/`wake` phases appear) and still
+/// reports exactly the serial run's canonical bytes.
+#[test]
+fn two_thread_profile_runs_on_the_pool_and_matches_serial() {
+    let (_, serial) = profile_threads("1", "pool-1t");
+    let (stdout, pooled) = profile_threads("2", "pool-2t");
+    let has_phase = |name: &str| {
+        stdout
+            .lines()
+            .any(|l| l.split_whitespace().next() == Some(name))
+    };
+    assert!(
+        has_phase("park") && has_phase("wake"),
+        "2-thread phase table lacks park/wake:\n{stdout}"
+    );
+    assert_eq!(pooled, serial, "2-thread report differs from serial");
 }

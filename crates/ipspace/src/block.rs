@@ -36,7 +36,6 @@ use crate::prefix::Prefix;
 /// assert_eq!(h.to_string(), "H=128.84.192.0/18");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AddressBlock {
     label: String,
     prefix: Prefix,

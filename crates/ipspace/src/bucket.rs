@@ -14,8 +14,6 @@ macro_rules! bucket_type {
     ($(#[$doc:meta])* $name:ident, bits = $bits:expr) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-        #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-        #[cfg_attr(feature = "serde", serde(transparent))]
         pub struct $name(u32);
 
         impl $name {

@@ -26,8 +26,6 @@ use crate::error::ParseIpError;
 /// assert_eq!(ip.octets(), [10, 0, 0, 1]);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
 pub struct Ip(u32);
 
 impl Ip {

@@ -24,7 +24,6 @@ use crate::prefix::Prefix;
 /// assert_eq!(r.to_prefixes().len(), 4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IpRange {
     start: Ip,
     end: Ip,

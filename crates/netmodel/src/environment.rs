@@ -15,7 +15,6 @@ use crate::service::Service;
 /// Where a host sits in the topology: directly on the public Internet, or
 /// inside a NAT realm with a private address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Locus {
     /// A host with a globally routable address.
     Public(Ip),
@@ -60,7 +59,6 @@ impl fmt::Display for Locus {
 /// `Ord` so drop tallies can live in ordered maps (report output must
 /// iterate deterministically — lint rule D2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DropReason {
     /// Destination not routable from the source (private space from
     /// outside its realm, loopback, multicast, reserved, 0/8).
@@ -141,7 +139,6 @@ impl fmt::Display for DropReason {
 
 /// The outcome of routing one probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Delivery {
     /// Delivered to a public destination address.
     Public(Ip),

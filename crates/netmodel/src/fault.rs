@@ -52,7 +52,6 @@ use crate::service::Service;
 
 /// A half-open activity window `[t0, t1)` in simulation seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultWindow {
     /// Start of the window (inclusive).
     pub t0: f64,
@@ -81,7 +80,6 @@ impl fmt::Display for FaultWindow {
 
 /// What kind of environmental failure an event injects.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FaultKind {
     /// A sensor/telescope block goes dark: probes *toward* `block` are
     /// consumed (the ledger files them as `sensor_outage`) but never
@@ -124,7 +122,6 @@ pub enum FaultKind {
 
 /// One scheduled fault: a kind plus its activity window.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultEvent {
     /// What fails.
     pub kind: FaultKind,
@@ -166,7 +163,6 @@ impl FaultEvent {
 /// decides a probe's verdict (degraded-loss events are the exception —
 /// they stack an extra loss draw rather than short-circuiting).
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }

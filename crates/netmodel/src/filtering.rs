@@ -20,7 +20,6 @@ use crate::service::Service;
 /// default-allow policy, like a typical border ACL distilled to the parts
 /// that matter for worm traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FilterRule {
     /// Match on source prefix (`None` = any source).
     pub src: Option<Prefix>,
@@ -108,7 +107,6 @@ impl fmt::Display for FilterRule {
 /// assert_eq!(verdict, None);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FilterTable {
     rules: Vec<FilterRule>,
 }

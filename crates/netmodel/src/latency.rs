@@ -22,7 +22,6 @@ use rand::Rng;
 /// assert_eq!(LatencyModel::NONE.sample(&mut rng), 0.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LatencyModel {
     base_secs: f64,
     jitter_secs: f64,

@@ -24,7 +24,6 @@ use crate::environment::{Delivery, DropReason};
 /// assert_eq!(ledger.dropped(DropReason::PacketLoss), 1);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeliveryLedger {
     probes: u64,
     delivered_public: u64,

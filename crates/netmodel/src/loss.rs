@@ -23,7 +23,6 @@ use rand::Rng;
 /// assert!(lossy.drops(&mut rng));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LossModel {
     rate: f64,
 }

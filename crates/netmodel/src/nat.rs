@@ -12,7 +12,6 @@ use hotspots_ipspace::{special, Ip, Prefix};
 
 /// Identifier of a NAT realm within an [`Environment`](crate::Environment).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RealmId(pub u32);
 
 impl fmt::Display for RealmId {
@@ -35,7 +34,6 @@ impl fmt::Display for RealmId {
 /// assert_eq!(realm.gateway(), Ip::from_octets(203, 0, 113, 1));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NatRealm {
     private_prefix: Prefix,
     gateway: Ip,

@@ -16,7 +16,6 @@ use crate::filtering::{FilterRule, FilterTable};
 /// The kind of organization, which determines its default filtering
 /// posture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum OrgKind {
     /// A large enterprise (Fortune-100 style): egress-filtered border.
     Enterprise,
@@ -38,7 +37,6 @@ impl fmt::Display for OrgKind {
 
 /// An organization and its address allocations.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Organization {
     name: String,
     kind: OrgKind,
@@ -133,7 +131,6 @@ impl fmt::Display for Organization {
 /// assert_eq!(owner.name(), "ISP-A");
 /// ```
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OrgRegistry {
     orgs: Vec<Organization>,
 }

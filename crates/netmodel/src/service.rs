@@ -4,7 +4,6 @@ use std::fmt;
 
 /// Transport protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Proto {
     /// Transmission Control Protocol.
     Tcp,
@@ -33,7 +32,6 @@ impl fmt::Display for Proto {
 /// assert_eq!(Service::BLASTER_RPC.port(), 135);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Service {
     proto: Proto,
     port: u16,

@@ -102,7 +102,6 @@ impl std::error::Error for CycleError {}
 /// reserved for the fixed point itself) and `sign_class` distinguishes the
 /// two orbits (`u ≡ 1` vs `u ≡ 3 (mod 4)`) within a valuation band.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CycleId {
     /// 2-adic valuation band (0..=n; `n` means the fixed point `y = 0`).
     pub valuation: u8,
@@ -126,7 +125,6 @@ impl fmt::Display for CycleId {
 /// One band of the cycle decomposition: all cycles whose elements share a
 /// 2-adic valuation, which forces them to share a length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CycleBand {
     /// The shared 2-adic valuation of `state − fixed_point`.
     pub valuation: u8,
@@ -151,7 +149,6 @@ pub struct CycleBand {
 /// assert_eq!(algebraic, iterated);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AffineMap {
     a: u32,
     b: u32,

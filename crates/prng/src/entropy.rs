@@ -33,8 +33,6 @@ use rand::Rng;
 /// A `GetTickCount()` value: milliseconds since boot, truncated to 32 bits
 /// exactly like the Windows API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
 pub struct TickCount(u32);
 
 impl TickCount {
@@ -93,7 +91,6 @@ impl From<TickCount> for u32 {
 /// The hardware generations the paper instrumented with its reboot-loop
 /// tick-count logger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum HardwareGeneration {
     /// Intel Pentium II era machines (slowest boots).
     PentiumIi,
@@ -135,7 +132,6 @@ impl fmt::Display for HardwareGeneration {
 /// A truncated-normal model of the time from power-on to the worm's
 /// `srand(GetTickCount())` call on a freshly rebooted machine.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BootTimeModel {
     mean_secs: f64,
     std_secs: f64,
@@ -182,7 +178,6 @@ impl BootTimeModel {
 /// on 4–5 minutes, which a log-normal with median ≈ 4.5 min and
 /// σ(log) ≈ 0.75 matches well.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LaunchDelayModel {
     median_secs: f64,
     log_sigma: f64,
@@ -237,7 +232,6 @@ impl LaunchDelayModel {
 /// assert!(seeds.iter().all(|&s| s < 10_000_000));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SeedModel {
     boot: BootTimeModel,
     delay: Option<LaunchDelayModel>,

@@ -57,7 +57,6 @@ pub trait Prng32 {
 /// assert_eq!(s1, s0.wrapping_mul(214013).wrapping_add(0xffd9613c));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Lcg32 {
     mul: u32,
     inc: u32,

@@ -28,7 +28,6 @@ pub(crate) const MSVCRT_INC: u32 = 2531011;
 /// assert_eq!(first, [41, 18467, 6334, 26500, 19169]);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MsvcrtRand {
     lcg: Lcg32,
 }

@@ -29,7 +29,6 @@ pub const SLAMMER_SEED_XOR: u32 = 0xffd9613c;
 /// assert_eq!(SqlsortDll::ALL.len(), 3);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SqlsortDll {
     /// IAT entry `0x77f8313c` (widely reported; e.g. unpatched SQL 2000).
     Gold,
@@ -102,7 +101,6 @@ impl fmt::Display for SqlsortDll {
 /// assert_ne!(t0, t1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SlammerPrng {
     dll: SqlsortDll,
     lcg: Lcg32,

@@ -22,7 +22,6 @@ use crate::lcg::Prng32;
 /// assert_eq!(a.next_u32(), b.next_u32());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SplitMix {
     state: u64,
 }

@@ -29,7 +29,6 @@ use crate::msvcrt::{MSVCRT_INC, MSVCRT_MUL};
 /// assert_eq!(a.next_target(), b.next_target());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WittyPrng {
     lcg: Lcg32,
 }

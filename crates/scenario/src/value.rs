@@ -1,10 +1,9 @@
 //! The dynamic value tree behind spec (de)serialization.
 //!
 //! Hand-rolled on purpose, like the telemetry crate's JSON: the build
-//! environment has no registry access, so the vendored `serde` is a
-//! marker-trait stub. [`Value`] is the small common model both the TOML
-//! and JSON codecs target; [`ScenarioSpec`](crate::ScenarioSpec)
-//! converts itself to and from it.
+//! environment has no registry access, so there is no serde. [`Value`]
+//! is the small common model both the TOML and JSON codecs target;
+//! [`ScenarioSpec`](crate::ScenarioSpec) converts itself to and from it.
 //!
 //! The TOML dialect is the subset the spec schema needs — `[section]`
 //! and `[section.sub]` headers, `key = value` pairs, strings, integers,

@@ -6,10 +6,6 @@
 //! Each mode is an `xmode-*` registry preset, so the exact scenarios the
 //! suite pins are runnable by hand (`hotspots run xmode-slammer`) and
 //! serialize to TOML like any other spec.
-//!
-//! Without the `parallel` cargo feature, `threads > 1` falls back to the
-//! serial path and these tests pass trivially; the CI `parallel` job
-//! compiles the real sharded path and re-runs them.
 
 use hotspots_ipspace::Ip;
 use hotspots_netmodel::{Delivery, DeliveryLedger, Locus};

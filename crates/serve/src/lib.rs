@@ -43,5 +43,5 @@ pub mod net;
 
 pub use pool::{RunPool, RunSlot};
 pub use protocol::{ErrorKind, Request, SpecFormat};
-pub use server::{check, CheckOutcome, ServeConfig, Server};
+pub use server::{check, CheckOutcome, ServeConfig, Server, MAX_REQUEST_BYTES};
 pub use store::ResultStore;

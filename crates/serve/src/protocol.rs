@@ -51,8 +51,13 @@ pub enum SpecFormat {
 /// The failure class of an error response, in the `kind` field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorKind {
-    /// The request line itself was malformed.
+    /// The request line itself was malformed (including bytes that are
+    /// not UTF-8).
     Protocol,
+    /// The request line exceeded
+    /// [`MAX_REQUEST_BYTES`](crate::server::MAX_REQUEST_BYTES); it was
+    /// discarded unread.
+    RequestTooLarge,
     /// The spec failed to parse or validate.
     Spec,
     /// The worker queue is full; the client should back off and retry.
@@ -67,6 +72,7 @@ impl ErrorKind {
     pub fn as_str(self) -> &'static str {
         match self {
             ErrorKind::Protocol => "protocol",
+            ErrorKind::RequestTooLarge => "request-too-large",
             ErrorKind::Spec => "spec",
             ErrorKind::QueueFull => "queue-full",
             ErrorKind::Runtime => "runtime",

@@ -1,7 +1,7 @@
 //! The server: protocol dispatch, memoization, and cache verification.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -12,6 +12,12 @@ use hotspots_telemetry::hash::format_hash;
 use crate::pool::{RunJob, RunPool, RunSlot};
 use crate::protocol::{self, ErrorKind, Request, SpecFormat};
 use crate::store::ResultStore;
+
+/// Longest request line [`Server::serve`] accepts, in bytes, not
+/// counting the newline. The largest `hotspots spec <preset>` output is
+/// under 1 KiB, so this leaves about a thousandfold headroom for real
+/// specs while bounding what one client can make the server buffer.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
@@ -180,19 +186,51 @@ impl Server {
     /// Drives a JSONL session: one response line per non-empty request
     /// line, flushed as it goes, until EOF.
     ///
+    /// A line longer than [`MAX_REQUEST_BYTES`] is answered with a
+    /// `request-too-large` error and skipped through its newline without
+    /// being buffered; a line that is not UTF-8 gets a `protocol` error.
+    /// Either way the session continues with the next line.
+    ///
     /// # Errors
     ///
     /// I/O failure on either side of the session.
-    pub fn serve<R: BufRead, W: Write>(&self, input: R, mut output: W) -> std::io::Result<()> {
-        for line in input.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
+    pub fn serve<R: BufRead, W: Write>(&self, mut input: R, mut output: W) -> std::io::Result<()> {
+        // room for the content plus a `\r\n` terminator
+        let limit = MAX_REQUEST_BYTES as u64 + 2;
+        let mut line = Vec::new();
+        loop {
+            line.clear();
+            if input.by_ref().take(limit).read_until(b'\n', &mut line)? == 0 {
+                return Ok(());
             }
-            writeln!(output, "{}", self.handle_line(&line))?;
+            let terminated = line.last() == Some(&b'\n');
+            if terminated {
+                line.pop();
+                if line.last() == Some(&b'\r') {
+                    line.pop();
+                }
+            }
+            let response = if line.len() > MAX_REQUEST_BYTES {
+                if !terminated {
+                    input.skip_until(b'\n')?;
+                }
+                protocol::error(
+                    ErrorKind::RequestTooLarge,
+                    &format!("request line exceeds {MAX_REQUEST_BYTES} bytes"),
+                )
+            } else {
+                match std::str::from_utf8(&line) {
+                    Ok(text) if text.trim().is_empty() => continue,
+                    Ok(text) => self.handle_line(text),
+                    Err(e) => protocol::error(
+                        ErrorKind::Protocol,
+                        &format!("request line is not UTF-8: {e}"),
+                    ),
+                }
+            };
+            writeln!(output, "{response}")?;
             output.flush()?;
         }
-        Ok(())
     }
 }
 

@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread;
 
-use hotspots_serve::{ServeConfig, Server};
+use hotspots_serve::{ServeConfig, Server, MAX_REQUEST_BYTES};
 
 /// A tiny engine-path spec (64 hosts, 5 simulated seconds) that runs
 /// in milliseconds; `n` differentiates specs when a test needs
@@ -45,7 +45,11 @@ fn cleanup(config: &ServeConfig) {
 
 /// Drives one stdio session and returns the response lines.
 fn session(server: &Server, requests: &[String]) -> Vec<String> {
-    let input = requests.join("\n");
+    raw_session(server, requests.join("\n").into_bytes())
+}
+
+/// Drives one stdio session over arbitrary input bytes.
+fn raw_session(server: &Server, input: Vec<u8>) -> Vec<String> {
     let mut output = Vec::new();
     server
         .serve(Cursor::new(input), &mut output)
@@ -279,5 +283,97 @@ fn check_verifies_and_detects_tampering() {
     let outcomes = hotspots_serve::check(&config).expect("check");
     let failure = outcomes[0].failure.as_deref().expect("tampering detected");
     assert!(failure.contains("diverges"), "{failure}");
+    cleanup(&config);
+}
+
+#[test]
+fn oversize_request_line_is_rejected_and_the_session_continues() {
+    let config = temp_config("oversize");
+    let server = Server::open(&config).expect("open");
+    let oversize = submit_line(&"#".repeat(MAX_REQUEST_BYTES));
+    let responses = session(
+        &server,
+        &[
+            oversize,
+            submit_line(&tiny_spec(10)),
+            "{\"op\":\"stats\"}".to_owned(),
+        ],
+    );
+    assert_eq!(responses.len(), 3, "{responses:?}");
+    assert_eq!(
+        responses[0],
+        format!(
+            "{{\"ok\":false,\"kind\":\"request-too-large\",\"error\":\"request line exceeds {MAX_REQUEST_BYTES} bytes\"}}"
+        )
+    );
+    // the rest of the oversize line was discarded, not parsed as a request
+    assert!(
+        responses[1].starts_with("{\"ok\":true,\"hash\":\""),
+        "{}",
+        responses[1]
+    );
+    assert_eq!(
+        responses[2],
+        "{\"ok\":true,\"entries\":1,\"hits\":0,\"misses\":1,\"runs\":1,\"rejected\":0,\"evictions\":0}"
+    );
+    cleanup(&config);
+}
+
+/// A `stats` request padded with trailing spaces to exactly `len` bytes.
+fn padded_stats(len: usize) -> Vec<u8> {
+    let mut line = b"{\"op\":\"stats\"}".to_vec();
+    line.resize(len, b' ');
+    line
+}
+
+#[test]
+fn request_limit_excludes_the_line_terminator() {
+    let config = temp_config("boundary");
+    let server = Server::open(&config).expect("open");
+    let stats = "{\"ok\":true,\"entries\":0,\"hits\":0,\"misses\":0,\"runs\":0,\"rejected\":0,\"evictions\":0}";
+    let too_large = format!(
+        "{{\"ok\":false,\"kind\":\"request-too-large\",\"error\":\"request line exceeds {MAX_REQUEST_BYTES} bytes\"}}"
+    );
+    let mut input = Vec::new();
+    for (len, terminator) in [
+        (MAX_REQUEST_BYTES, &b"\n"[..]),
+        (MAX_REQUEST_BYTES, b"\r\n"),
+        (MAX_REQUEST_BYTES + 1, b"\n"),
+        (MAX_REQUEST_BYTES + 1, b"\r\n"),
+    ] {
+        input.extend(padded_stats(len));
+        input.extend_from_slice(terminator);
+        input.extend_from_slice(b"{\"op\":\"stats\"}\n");
+    }
+    let responses = raw_session(&server, input);
+    // each oversize line costs exactly itself: the request after it is
+    // still answered
+    let expected = [
+        stats, stats, stats, stats, &too_large, stats, &too_large, stats,
+    ];
+    assert_eq!(responses, expected);
+    cleanup(&config);
+}
+
+#[test]
+fn non_utf8_request_line_is_a_protocol_error_and_the_session_continues() {
+    let config = temp_config("non-utf8");
+    let server = Server::open(&config).expect("open");
+    let mut input = b"{\"op\":\"st\xffats\"}\n".to_vec();
+    input.extend_from_slice(submit_line(&tiny_spec(11)).as_bytes());
+    let responses = raw_session(&server, input);
+    assert_eq!(responses.len(), 2, "{responses:?}");
+    assert!(
+        responses[0].starts_with(
+            "{\"ok\":false,\"kind\":\"protocol\",\"error\":\"request line is not UTF-8"
+        ),
+        "{}",
+        responses[0]
+    );
+    assert!(
+        responses[1].starts_with("{\"ok\":true,\"hash\":\""),
+        "{}",
+        responses[1]
+    );
     cleanup(&config);
 }

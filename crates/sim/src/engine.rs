@@ -26,7 +26,6 @@ use crate::worms::WormModel;
 /// 10 probes/second per infected host, 25 seed hosts, no removal, no
 /// rate dispersion.
 #[derive(Debug, Clone, Copy)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimConfig {
     /// Mean probes per second per infected host.
     pub scan_rate: f64,
@@ -53,11 +52,9 @@ pub struct SimConfig {
     pub rng_seed: u64,
     /// Worker threads for the probe phase. `1` (the default) runs the
     /// staged pipeline serially; larger values shard active hosts across
-    /// a persistent [`ShardExecutor`] pool when the `parallel` cargo
-    /// feature is enabled (without it, any value runs serially). Every
-    /// RNG stream is keyed by host id and shard results merge in fixed
-    /// order, so this is a pure throughput knob: results are
-    /// bit-identical at any setting.
+    /// a persistent [`ShardExecutor`] pool. Every RNG stream is keyed by
+    /// host id and shard results merge in fixed order, so this is a pure
+    /// throughput knob: results are bit-identical at any setting.
     pub threads: usize,
     /// Record a span trace of the run (run → step → phase spans with
     /// per-shard attribution) into [`EngineTelemetry::trace`]. Without
@@ -115,12 +112,12 @@ pub struct EngineTelemetry {
     /// (observer dispatch), `merge` (the serial tail of every step:
     /// ledger merge, infection bookkeeping, and host spawning — the
     /// prime suspect for parallel slowdown). Together they cover the
-    /// whole probe path. With the `parallel` feature and `threads > 1`,
-    /// the first three sum across worker threads (CPU time, not wall
-    /// time); `observe` and `merge` are always serial wall time. Runs
-    /// that actually dispatched shards to pool workers also report
-    /// `park` (worker idle time between jobs) and `wake`
-    /// (dispatch-to-pickup latency); effectively serial runs omit both.
+    /// whole probe path. With `threads > 1`, the first three sum across
+    /// worker threads (CPU time, not wall time); `observe` and `merge`
+    /// are always serial wall time. Runs that actually dispatched shards
+    /// to pool workers also report `park` (worker idle time between
+    /// jobs) and `wake` (dispatch-to-pickup latency); effectively serial
+    /// runs omit both.
     pub phases: PhaseTimes,
     /// Per-step wall time in microseconds, log-bucketed.
     pub step_micros: Histogram,
@@ -312,11 +309,11 @@ impl Engine {
     /// environment verdicts the whole slice
     /// ([`Environment::route_batch`]), victims are resolved, and the
     /// batch reaches the observer via [`SimObserver::on_probe_batch`].
-    /// With the `parallel` cargo feature and [`SimConfig::threads`] > 1,
-    /// active hosts are sharded across `executor`'s persistent workers
-    /// and results merge in fixed shard order; because every RNG stream
-    /// is keyed by host id, the run is bit-identical to a serial one
-    /// (only observer batch boundaries vary with thread count).
+    /// With [`SimConfig::threads`] > 1, active hosts are sharded across
+    /// `executor`'s persistent workers and results merge in fixed shard
+    /// order; because every RNG stream is keyed by host id, the run is
+    /// bit-identical to a serial one (only observer batch boundaries
+    /// vary with thread count).
     ///
     /// The executor holds no simulation state — reusing one across runs
     /// is bit-identical to building a fresh engine and pool per run.
@@ -457,8 +454,8 @@ impl Engine {
             }
 
             // Stages 1–3 (target-gen / routing / victim lookup), sharded
-            // across the persistent pool when parallel. The ctx and all
-            // its Arc clones are consumed inside `run_step`, so the
+            // across the persistent pool when `threads > 1`. The ctx and
+            // all its Arc clones are consumed inside `run_step`, so the
             // flag Arcs are unique again when the merge below mutates
             // them.
             let shard_count = {
@@ -1122,7 +1119,7 @@ mod tests {
         assert_eq!(shape(ta), shape(tb));
     }
 
-    #[cfg(all(feature = "telemetry", feature = "parallel"))]
+    #[cfg(feature = "telemetry")]
     #[test]
     fn trace_attributes_shards_in_parallel_runs() {
         let mut engine = Engine::new(

@@ -24,10 +24,8 @@
 //! none (no work stealing, no completion-order effects: results land in
 //! per-shard slots and are consumed in index order).
 
-use std::sync::Arc;
-
-#[cfg(feature = "parallel")]
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 
 #[cfg(feature = "telemetry")]
 use std::time::Duration;
@@ -180,7 +178,6 @@ pub(crate) fn drive_shard(ctx: &StepCtx, hosts: &mut [InfectedHost], batch: &mut
 }
 
 /// One shard's payload, shipped to a pool worker by ownership transfer.
-#[cfg(feature = "parallel")]
 struct ShardJob {
     shard: usize,
     hosts: Vec<InfectedHost>,
@@ -194,7 +191,6 @@ struct ShardJob {
 
 /// A finished shard, returned to the driving thread with its payload so
 /// the carrier buffers are reused and the merge stays allocation-free.
-#[cfg(feature = "parallel")]
 struct ShardDone {
     shard: usize,
     hosts: Vec<InfectedHost>,
@@ -216,7 +212,6 @@ struct ShardDone {
 /// sender. Panics inside the shard are caught and shipped back so the
 /// driving thread can re-raise them instead of deadlocking at the
 /// barrier.
-#[cfg(feature = "parallel")]
 fn worker_loop(jobs: Receiver<ShardJob>, done: Sender<ShardDone>) {
     loop {
         #[cfg(feature = "telemetry")]
@@ -266,7 +261,6 @@ fn worker_loop(jobs: Receiver<ShardJob>, done: Sender<ShardDone>) {
     }
 }
 
-#[cfg(feature = "parallel")]
 struct WorkerHandle {
     jobs: Sender<ShardJob>,
     thread: std::thread::JoinHandle<()>,
@@ -280,10 +274,6 @@ struct WorkerHandle {
 /// jobs. The executor holds no simulation state, so reusing one is
 /// bit-identical to building a fresh engine per run (pinned by test).
 ///
-/// Without the `parallel` cargo feature the pool is empty and every
-/// shard runs on the calling thread; the type still exists so callers
-/// can be feature-agnostic.
-///
 /// # Examples
 ///
 /// ```
@@ -293,9 +283,7 @@ struct WorkerHandle {
 /// assert!(pool.parallelism() >= 1);
 /// ```
 pub struct ShardExecutor {
-    #[cfg(feature = "parallel")]
     workers: Vec<WorkerHandle>,
-    #[cfg(feature = "parallel")]
     done_rx: Receiver<ShardDone>,
 }
 
@@ -314,53 +302,37 @@ impl ShardExecutor {
     /// time to the pool) drive the rest. `0` and `1` both mean "no
     /// workers".
     pub fn new(parallelism: usize) -> ShardExecutor {
-        #[cfg(feature = "parallel")]
-        {
-            let wanted = parallelism.saturating_sub(1);
-            let (done_tx, done_rx) = channel();
-            let mut workers = Vec::with_capacity(wanted);
-            for i in 0..wanted {
-                let (jobs_tx, jobs_rx) = channel();
-                let done = done_tx.clone();
-                // A spawn failure (resource exhaustion) degrades
-                // parallelism instead of failing the run: the pipeline
-                // caps its shard count at `parallelism()`.
-                if let Ok(thread) = std::thread::Builder::new()
-                    .name(format!("hotspots-worker-{}", i + 1))
-                    .spawn(move || worker_loop(jobs_rx, done))
-                {
-                    workers.push(WorkerHandle {
-                        jobs: jobs_tx,
-                        thread,
-                    });
-                }
+        let wanted = parallelism.saturating_sub(1);
+        let (done_tx, done_rx) = channel();
+        let mut workers = Vec::with_capacity(wanted);
+        for i in 0..wanted {
+            let (jobs_tx, jobs_rx) = channel();
+            let done = done_tx.clone();
+            // A spawn failure (resource exhaustion) degrades
+            // parallelism instead of failing the run: the pipeline
+            // caps its shard count at `parallelism()`.
+            if let Ok(thread) = std::thread::Builder::new()
+                .name(format!("hotspots-worker-{}", i + 1))
+                .spawn(move || worker_loop(jobs_rx, done))
+            {
+                workers.push(WorkerHandle {
+                    jobs: jobs_tx,
+                    thread,
+                });
             }
-            ShardExecutor { workers, done_rx }
         }
-        #[cfg(not(feature = "parallel"))]
-        {
-            let _ = parallelism;
-            ShardExecutor {}
-        }
+        ShardExecutor { workers, done_rx }
     }
 
     /// How many shards can execute concurrently (the calling thread
     /// plus the pool workers). Always at least 1.
     pub fn parallelism(&self) -> usize {
-        #[cfg(feature = "parallel")]
-        {
-            self.workers.len() + 1
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            1
-        }
+        self.workers.len() + 1
     }
 }
 
 impl Drop for ShardExecutor {
     fn drop(&mut self) {
-        #[cfg(feature = "parallel")]
         for w in std::mem::take(&mut self.workers) {
             // Closing the job channel wakes the parked worker into its
             // exit path; join so no worker outlives the pool.
@@ -378,41 +350,33 @@ pub(crate) struct StepPipeline {
     /// Per-shard scratch, index 0 = the driving thread's shard. The
     /// merge loop walks `batches[..shard_count]` in index order.
     batches: Vec<ProbeBatch>,
-    #[cfg(feature = "parallel")]
     carriers: Vec<Vec<InfectedHost>>,
-    #[cfg(feature = "parallel")]
     slots: Vec<Option<(Vec<InfectedHost>, ProbeBatch)>>,
     /// Cumulative worker park time (blocked on the job channel).
-    #[cfg(all(feature = "telemetry", feature = "parallel"))]
+    #[cfg(feature = "telemetry")]
     park: Duration,
     /// Cumulative dispatch-to-pickup latency.
-    #[cfg(all(feature = "telemetry", feature = "parallel"))]
+    #[cfg(feature = "telemetry")]
     wake: Duration,
     /// Jobs actually shipped to pool workers (0 = the run was
     /// effectively serial and no park/wake phases are reported).
-    #[cfg(all(feature = "telemetry", feature = "parallel"))]
+    #[cfg(feature = "telemetry")]
     dispatched: u64,
 }
 
 impl StepPipeline {
     /// A pipeline sized for `shards` concurrent shards (at least 1).
     pub(crate) fn new(shards: usize) -> StepPipeline {
-        let shards = if cfg!(feature = "parallel") {
-            shards.max(1)
-        } else {
-            1
-        };
+        let shards = shards.max(1);
         StepPipeline {
             batches: (0..shards).map(|_| ProbeBatch::new()).collect(),
-            #[cfg(feature = "parallel")]
             carriers: (0..shards).map(|_| Vec::new()).collect(),
-            #[cfg(feature = "parallel")]
             slots: (0..shards).map(|_| None).collect(),
-            #[cfg(all(feature = "telemetry", feature = "parallel"))]
+            #[cfg(feature = "telemetry")]
             park: Duration::ZERO,
-            #[cfg(all(feature = "telemetry", feature = "parallel"))]
+            #[cfg(feature = "telemetry")]
             wake: Duration::ZERO,
-            #[cfg(all(feature = "telemetry", feature = "parallel"))]
+            #[cfg(feature = "telemetry")]
             dispatched: 0,
         }
     }
@@ -425,14 +389,7 @@ impl StepPipeline {
     /// Total (park, wake) pool time, if any shard ran on a pool worker.
     #[cfg(feature = "telemetry")]
     pub(crate) fn pool_phases(&self) -> Option<(Duration, Duration)> {
-        #[cfg(feature = "parallel")]
-        {
-            (self.dispatched > 0).then_some((self.park, self.wake))
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            None
-        }
+        (self.dispatched > 0).then_some((self.park, self.wake))
     }
 
     /// Runs the probe stages (target_gen → routing → lookup) over all
@@ -444,9 +401,6 @@ impl StepPipeline {
     /// every per-host RNG stream — is exactly what a serial pass over
     /// the same vector would see. `ctx` and every clone of it are
     /// consumed before this returns.
-    // without `parallel` only slice ops remain, but the pooled path
-    // drains/appends, so the signature stays `&mut Vec`
-    #[cfg_attr(not(feature = "parallel"), allow(clippy::ptr_arg))]
     pub(crate) fn run_step(
         &mut self,
         executor: &mut ShardExecutor,
@@ -458,11 +412,9 @@ impl StepPipeline {
             .len()
             .min(executor.parallelism())
             .min(active.len());
-        #[cfg(feature = "parallel")]
         if shards > 1 {
             return self.run_step_pooled(executor, ctx, active, shards);
         }
-        let _ = shards;
         drive_shard(&ctx, active, &mut self.batches[0]);
         1
     }
@@ -471,7 +423,6 @@ impl StepPipeline {
     /// first, so each drain is a pure truncation), dispatch shards
     /// `1..used` to workers in fixed shard→worker order, drive shard 0
     /// inline, then collect and splice back in shard order.
-    #[cfg(feature = "parallel")]
     fn run_step_pooled(
         &mut self,
         executor: &mut ShardExecutor,
@@ -569,7 +520,6 @@ mod tests {
         assert_eq!(pool.parallelism(), 1);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn pool_spawns_and_joins_workers() {
         let pool = ShardExecutor::new(4);

@@ -22,7 +22,6 @@ use std::fmt;
 /// assert_eq!(h.distinct(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CountHistogram<K: Ord> {
     counts: BTreeMap<K, u64>,
     total: u64,

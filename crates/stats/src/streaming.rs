@@ -24,7 +24,6 @@ use std::fmt;
 /// assert_eq!(w.population_std(), 2.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Welford {
     count: u64,
     mean: f64,
@@ -149,7 +148,6 @@ impl fmt::Display for Welford {
 /// assert_eq!(e.quantile(0.5), 2.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }

@@ -15,7 +15,6 @@ use std::fmt;
 /// assert_eq!(s.quantile(0.5), 2.0); // nearest-rank median of even-length sample
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     n: usize,
     mean: f64,

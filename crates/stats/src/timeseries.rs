@@ -19,7 +19,6 @@ use std::fmt;
 /// assert_eq!(ts.value_at(15.0), 0.4); // step interpolation
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimeSeries {
     name: String,
     times: Vec<f64>,

@@ -87,7 +87,6 @@ pub fn normalized_entropy(counts: &[u64]) -> f64 {
 
 /// Result of a χ² goodness-of-fit test against the uniform distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChiSquare {
     /// The χ² statistic.
     pub statistic: f64,

@@ -36,7 +36,6 @@ use crate::TargetGenerator;
 /// assert_eq!(second, first.wrapping_add(1)); // strictly sequential
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlasterScanner {
     start: Ip,
     cursor: Ip,

@@ -23,7 +23,6 @@ use crate::TargetGenerator;
 /// assert_eq!(anywhere.next_target(), elsewhere.next_target());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CodeRed1Scanner {
     prng: MsvcrtRand,
 }

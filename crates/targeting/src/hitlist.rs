@@ -59,7 +59,6 @@ impl std::error::Error for HitListError {}
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HitList {
     prefixes: Vec<Prefix>,
     /// cumulative[i] = number of addresses in prefixes[..i]

@@ -11,7 +11,6 @@ use crate::TargetGenerator;
 /// `mask = 0` means "completely random"; `mask = 0xffff_0000` means "stay
 /// in my /16".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PreferenceEntry {
     /// Bits of the source address to preserve.
     pub mask: u32,

@@ -25,7 +25,6 @@ use crate::TargetGenerator;
 /// assert_eq!(worm.strategy(), "slammer");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SlammerScanner {
     prng: SlammerPrng,
 }

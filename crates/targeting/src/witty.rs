@@ -23,7 +23,6 @@ use crate::TargetGenerator;
 /// assert!(hotspots_prng::WittyPrng::can_generate(t));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WittyScanner {
     prng: WittyPrng,
 }

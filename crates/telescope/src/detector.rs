@@ -13,7 +13,6 @@ use crate::index::BlockIndex;
 /// never sees a TCP payload — it can only identify threats whose first
 /// packet already carries the payload (UDP worms like Slammer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SensorMode {
     /// SYN-ACK responder: payloads of both TCP and UDP threats are
     /// captured and identifiable.
@@ -26,7 +25,6 @@ pub enum SensorMode {
 /// A global alerting policy over a field of sensors: alert when at least
 /// `quorum` fraction of sensors have individually alerted.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QuorumPolicy {
     /// Required alerted fraction in `(0.0, 1.0]`.
     pub quorum: f64,

@@ -20,7 +20,6 @@ use hotspots_ipspace::{Ip, Prefix};
 /// assert_eq!(idx.find(Ip::from_octets(10, 0, 1, 0)), None);
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockIndex {
     /// (start, end-inclusive, original position), sorted by start.
     spans: Vec<(u32, u32, u32)>,
