@@ -45,7 +45,9 @@
 //! The scanner is a small hand-rolled lexer ([`lexer`]), not a parser:
 //! token-level checks plus bracket-depth region recovery ([`regions`])
 //! and the single-pass item parser are enough for these rules and keep
-//! the tool dependency-free.
+//! the tool free of external dependencies. Its one workspace dependency
+//! is the dependency-free `hotspots-telemetry`, whose JSON string
+//! writer quotes the `--json` and `--sarif` output.
 
 #![forbid(unsafe_code)]
 

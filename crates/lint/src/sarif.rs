@@ -1,5 +1,5 @@
-//! SARIF 2.1.0 export, hand-assembled like the JSON report (no serde
-//! offline).
+//! SARIF 2.1.0 export, hand-assembled like the JSON report (strings
+//! escape through `hotspots_telemetry::json::write_str`).
 //!
 //! CI uploads this file as an artifact so code-scanning UIs can
 //! annotate PRs with the findings. One run, one driver
@@ -7,8 +7,10 @@
 //! same table `--explain` and the DESIGN.md §6 drift test read, so the
 //! three can never disagree.
 
+use hotspots_telemetry::json::write_str;
+
 use crate::rules::RULE_DOCS;
-use crate::scan::{json_str, WorkspaceReport};
+use crate::scan::WorkspaceReport;
 
 /// The schema/version header every SARIF consumer checks first.
 const SARIF_VERSION: &str = "2.1.0";
@@ -17,9 +19,9 @@ const SARIF_SCHEMA: &str = "https://json.schemastore.org/sarif-2.1.0.json";
 /// Renders the report as one SARIF log with a single run.
 pub fn render(report: &WorkspaceReport) -> String {
     let mut out = String::from("{\"version\":");
-    out.push_str(&json_str(SARIF_VERSION));
+    write_str(&mut out, SARIF_VERSION);
     out.push_str(",\"$schema\":");
-    out.push_str(&json_str(SARIF_SCHEMA));
+    write_str(&mut out, SARIF_SCHEMA);
     out.push_str(",\"runs\":[{\"tool\":{\"driver\":{\"name\":\"hotspots-lint\"");
     out.push_str(",\"informationUri\":\"https://github.com/hotspots/hotspots\"");
     out.push_str(",\"rules\":[");
@@ -27,31 +29,33 @@ pub fn render(report: &WorkspaceReport) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
-            "{{\"id\":{},\"name\":{},\"shortDescription\":{{\"text\":{}}},\
-             \"help\":{{\"text\":{}}}}}",
-            json_str(doc.rule.id()),
-            json_str(doc.rule.name()),
-            json_str(doc.guarantee),
-            json_str(&format!(
-                "example violation: {}\nwaiver: {}",
-                doc.example, doc.waiver
-            )),
-        ));
+        out.push_str("{\"id\":");
+        write_str(&mut out, doc.rule.id());
+        out.push_str(",\"name\":");
+        write_str(&mut out, doc.rule.name());
+        out.push_str(",\"shortDescription\":{\"text\":");
+        write_str(&mut out, doc.guarantee);
+        out.push_str("},\"help\":{\"text\":");
+        write_str(
+            &mut out,
+            &format!("example violation: {}\nwaiver: {}", doc.example, doc.waiver),
+        );
+        out.push_str("}}");
     }
     out.push_str("]}},\"results\":[");
     for (i, d) in report.diagnostics.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
+        out.push_str("{\"ruleId\":");
+        write_str(&mut out, d.rule.id());
+        out.push_str(",\"level\":\"error\",\"message\":{\"text\":");
+        write_str(&mut out, &d.message);
+        out.push_str("},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":");
+        write_str(&mut out, &d.path);
         out.push_str(&format!(
-            "{{\"ruleId\":{},\"level\":\"error\",\"message\":{{\"text\":{}}},\
-             \"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":\
-             {{\"uri\":{}}},\"region\":{{\"startLine\":{}}}}}}}]}}",
-            json_str(d.rule.id()),
-            json_str(&d.message),
-            json_str(&d.path),
-            d.line.max(1),
+            "}},\"region\":{{\"startLine\":{}}}}}}}]}}",
+            d.line.max(1)
         ));
     }
     out.push_str("]}]}");

@@ -14,6 +14,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use hotspots_telemetry::json::write_str;
+
 use crate::graph::CallGraph;
 use crate::items::{self, ItemSet};
 use crate::lexer::{self, Lexed};
@@ -309,8 +311,8 @@ impl WorkspaceReport {
     }
 
     /// The machine-readable report: one JSON object with `violations`,
-    /// `waivers`, and `certifications` arrays. Hand-assembled (no serde
-    /// offline), with full string escaping.
+    /// `waivers`, and `certifications` arrays, hand-assembled; strings
+    /// escape through the workspace's one JSON string writer.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\"files_scanned\":");
         out.push_str(&self.files_scanned.to_string());
@@ -319,14 +321,15 @@ impl WorkspaceReport {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "{{\"rule\":{},\"name\":{},\"file\":{},\"line\":{},\"message\":{}}}",
-                json_str(d.rule.id()),
-                json_str(d.rule.name()),
-                json_str(&d.path),
-                d.line,
-                json_str(&d.message)
-            ));
+            out.push_str("{\"rule\":");
+            write_str(&mut out, d.rule.id());
+            out.push_str(",\"name\":");
+            write_str(&mut out, d.rule.name());
+            out.push_str(",\"file\":");
+            write_str(&mut out, &d.path);
+            out.push_str(&format!(",\"line\":{},\"message\":", d.line));
+            write_str(&mut out, &d.message);
+            out.push('}');
         }
         out.push_str("],\"waivers\":[");
         for (i, (p, path, n)) in self.used_pragmas.iter().enumerate() {
@@ -334,26 +337,26 @@ impl WorkspaceReport {
                 out.push(',');
             }
             let rule = p.rule().unwrap_or(RuleId::BadPragma);
-            out.push_str(&format!(
-                "{{\"rule\":{},\"file\":{},\"line\":{},\"waived\":{n},\"reason\":{}}}",
-                json_str(rule.id()),
-                json_str(path),
-                p.line,
-                json_str(&p.reason)
-            ));
+            out.push_str("{\"rule\":");
+            write_str(&mut out, rule.id());
+            out.push_str(",\"file\":");
+            write_str(&mut out, path);
+            out.push_str(&format!(",\"line\":{},\"waived\":{n},\"reason\":", p.line));
+            write_str(&mut out, &p.reason);
+            out.push('}');
         }
         out.push_str("],\"certifications\":[");
         for (i, (p, path, fn_name, n)) in self.certifications.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "{{\"file\":{},\"line\":{},\"fn\":{},\"suppressed\":{n},\"reason\":{}}}",
-                json_str(path),
-                p.line,
-                json_str(fn_name),
-                json_str(&p.reason)
-            ));
+            out.push_str("{\"file\":");
+            write_str(&mut out, path);
+            out.push_str(&format!(",\"line\":{},\"fn\":", p.line));
+            write_str(&mut out, fn_name);
+            out.push_str(&format!(",\"suppressed\":{n},\"reason\":"));
+            write_str(&mut out, &p.reason);
+            out.push('}');
         }
         out.push_str("]}");
         out
@@ -368,24 +371,6 @@ impl WorkspaceReport {
     pub fn is_clean(&self) -> bool {
         self.diagnostics.is_empty()
     }
-}
-
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Finds the workspace root by walking up from `start` to the first

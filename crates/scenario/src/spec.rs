@@ -2205,6 +2205,38 @@ mod tests {
     }
 
     #[test]
+    fn spec_json_is_strict() {
+        // each is one defect in an otherwise valid document
+        let good = ScenarioSpec::from_json(&engine_spec().to_json());
+        assert!(good.is_ok());
+        for bad in [
+            r#"{"x": nan}"#,
+            r#"{"x": -inf}"#,
+            r#"{"a":1 "b":2}"#,
+            r#"{"x": [1,,2]}"#,
+            r#"{"a":1,}"#,
+            r#"{"a":1 "b":[1,,2,],}"#,
+            r#"{"meta": {"title": null}}"#,
+        ] {
+            let err = ScenarioSpec::from_json(bad).unwrap_err();
+            assert_eq!(err.field, "(json line 1)", "{bad}: {err}");
+        }
+        let err = ScenarioSpec::from_json("{\n  \"meta\": {},\n  \"sim\": [1,,2]\n}").unwrap_err();
+        assert_eq!(err.field, "(json line 3)", "{err}");
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_spec_error() {
+        let deep = "[".repeat(200_000);
+        let err = ScenarioSpec::from_toml(&format!("x = {deep}")).unwrap_err();
+        assert_eq!(err.field, "(toml line 1)");
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+        let err = ScenarioSpec::from_json(&format!("{{\"x\": {deep}")).unwrap_err();
+        assert_eq!(err.field, "(json line 1)");
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+    }
+
+    #[test]
     fn unknown_keys_are_named() {
         let mut toml = engine_spec().to_toml();
         toml.push_str("\n[sim]\nscna_rate = 3.0\n");

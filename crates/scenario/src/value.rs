@@ -1,17 +1,26 @@
 //! The dynamic value tree behind spec (de)serialization.
 //!
-//! Hand-rolled on purpose, like the telemetry crate's JSON: the build
-//! environment has no registry access, so there is no serde. [`Value`]
-//! is the small common model both the TOML and JSON codecs target;
+//! Hand-rolled on purpose: the build environment has no registry
+//! access, so there is no serde. [`Value`] is the small common model
+//! spec TOML and spec JSON both map onto;
 //! [`ScenarioSpec`](crate::ScenarioSpec) converts itself to and from it.
 //!
-//! The TOML dialect is the subset the spec schema needs — `[section]`
-//! and `[section.sub]` headers, `key = value` pairs, strings, integers,
+//! There is one codec underneath, `hotspots_telemetry::json`: JSON
+//! reads through its strict parser ([`from_json`] only maps the parsed
+//! tree onto a `Value`), and both writers and the TOML scanner quote
+//! strings with its `write_str`/`read_str`, so the canonical spec text
+//! and every wire format share one escape set. This module keeps only
+//! the TOML layout: the subset the spec schema needs — `[section]` and
+//! `[section.sub]` headers, `key = value` pairs, strings, integers,
 //! floats, booleans, and single-line arrays — with `#` comments.
 //! Emission is deterministic (insertion order), so spec → TOML → spec
 //! round-trips byte-stably.
 
 use std::fmt;
+
+use hotspots_telemetry::json::{self, Json, MAX_DEPTH};
+
+pub use hotspots_telemetry::json::ParseError;
 
 /// A dynamically typed configuration value.
 #[derive(Debug, Clone, PartialEq)]
@@ -176,38 +185,9 @@ fn write_float(out: &mut String, f: f64) {
     }
 }
 
-/// Emits `s` as a quoted string literal in the escape set shared by
-/// the TOML and JSON writers: `"`/`\` and the C0 controls
-/// (U+0000–U+001F, covering newline/tab in `meta` descriptions) can
-/// never reach the output raw, and scalars above the Basic
-/// Multilingual Plane emit as UTF-16 surrogate pairs — so writer
-/// output always re-parses, byte-identically, through
-/// [`Scanner::parse_string`] on both the TOML and JSON paths.
-fn write_toml_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04X}", c as u32)),
-            c if (c as u32) > 0xFFFF => {
-                let mut units = [0u16; 2];
-                for unit in c.encode_utf16(&mut units) {
-                    out.push_str(&format!("\\u{unit:04X}"));
-                }
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn write_inline(out: &mut String, value: &Value) {
     match value {
-        Value::Str(s) => write_toml_str(out, s),
+        Value::Str(s) => json::write_str(out, s),
         Value::Int(i) => out.push_str(&i.to_string()),
         Value::Float(f) => write_float(out, *f),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -275,23 +255,6 @@ pub fn to_toml(value: &Value) -> String {
     out
 }
 
-/// A TOML parse error with a line number.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// 1-based source line.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
 fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
     Err(ParseError {
         line,
@@ -326,84 +289,19 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    fn parse_string(&mut self) -> Result<String, ParseError> {
-        let line = self.line;
-        self.bump(); // opening quote
-        let mut s = String::new();
-        loop {
-            match self.bump() {
-                None | Some('\n') => return err(line, "unterminated string"),
-                Some('"') => return Ok(s),
-                Some('\\') => match self.bump() {
-                    Some('"') => s.push('"'),
-                    Some('\\') => s.push('\\'),
-                    Some('/') => s.push('/'),
-                    Some('n') => s.push('\n'),
-                    Some('t') => s.push('\t'),
-                    Some('r') => s.push('\r'),
-                    Some('b') => s.push('\u{8}'),
-                    Some('f') => s.push('\u{c}'),
-                    Some('u') => s.push(self.unicode_escape(line)?),
-                    _ => return err(line, "unknown escape"),
-                },
-                Some(c) => s.push(c),
-            }
-        }
-    }
-
-    /// Four hex digits of a `\u` escape, as a UTF-16 code unit.
-    fn hex4(&mut self, line: usize) -> Result<u32, ParseError> {
-        let mut code = 0u32;
-        for _ in 0..4 {
-            match self.bump().and_then(|c| c.to_digit(16)) {
-                Some(d) => code = code * 16 + d,
-                None => return err(line, "bad \\u escape (expected 4 hex digits)"),
-            }
-        }
-        Ok(code)
-    }
-
-    /// Decodes one `\u` escape (the `\u` itself already consumed).
-    /// A BMP scalar stands alone; a lead surrogate must be followed by
-    /// a `\u`-escaped trail surrogate (UTF-16 pair decoding); a lone
-    /// surrogate of either kind is an error, never a mangled char.
-    fn unicode_escape(&mut self, line: usize) -> Result<char, ParseError> {
-        let hi = self.hex4(line)?;
-        if (0xDC00..=0xDFFF).contains(&hi) {
-            return err(line, format!("lone trail surrogate \\u{hi:04X}"));
-        }
-        let code = if (0xD800..=0xDBFF).contains(&hi) {
-            if !(self.bump() == Some('\\') && self.bump() == Some('u')) {
-                return err(
-                    line,
-                    format!(
-                        "lone lead surrogate \\u{hi:04X} \
-                         (expected a \\u-escaped trail surrogate)"
-                    ),
-                );
-            }
-            let lo = self.hex4(line)?;
-            if !(0xDC00..=0xDFFF).contains(&lo) {
-                return err(
-                    line,
-                    format!("bad surrogate pair \\u{hi:04X}\\u{lo:04X} (trail not in DC00-DFFF)"),
-                );
-            }
-            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-        } else {
-            hi
-        };
-        match char::from_u32(code) {
-            Some(c) => Ok(c),
-            None => err(line, format!("bad codepoint {code:#x} in \\u escape")),
-        }
-    }
-
-    fn parse_scalar(&mut self) -> Result<Value, ParseError> {
+    /// One value; `depth` counts the arrays already open around it.
+    fn parse_scalar(&mut self, depth: usize) -> Result<Value, ParseError> {
         let line = self.line;
         self.skip_ws();
         match self.peek() {
-            Some('"') => Ok(Value::Str(self.parse_string()?)),
+            Some('"') => Ok(Value::Str(json::read_str(
+                self.text,
+                &mut self.pos,
+                self.line,
+            )?)),
+            Some('[') if depth == MAX_DEPTH => {
+                err(line, format!("nesting deeper than {MAX_DEPTH} levels"))
+            }
             Some('[') => {
                 self.bump();
                 let mut items = Vec::new();
@@ -418,7 +316,7 @@ impl<'a> Scanner<'a> {
                             self.bump();
                         }
                         None | Some('\n') => return err(line, "unterminated array"),
-                        _ => items.push(self.parse_scalar()?),
+                        _ => items.push(self.parse_scalar(depth + 1)?),
                     }
                 }
             }
@@ -512,7 +410,7 @@ pub fn from_toml(text: &str) -> Result<Value, ParseError> {
                     return err(line, format!("expected '=' after key {key:?}"));
                 }
                 scanner.bump();
-                let value = scanner.parse_scalar()?;
+                let value = scanner.parse_scalar(0)?;
                 scanner.skip_ws();
                 if let Some('#') = scanner.peek() {
                     while !matches!(scanner.peek(), None | Some('\n')) {
@@ -544,7 +442,7 @@ pub fn to_json(value: &Value) -> String {
 
 fn write_json(out: &mut String, value: &Value) {
     match value {
-        Value::Str(s) => write_toml_str(out, s), // same escape set
+        Value::Str(s) => json::write_str(out, s),
         Value::Int(i) => out.push_str(&i.to_string()),
         Value::Float(f) => write_float(out, *f),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -564,7 +462,7 @@ fn write_json(out: &mut String, value: &Value) {
                 if i > 0 {
                     out.push(',');
                 }
-                write_toml_str(out, key);
+                json::write_str(out, key);
                 out.push(':');
                 write_json(out, v);
             }
@@ -573,101 +471,49 @@ fn write_json(out: &mut String, value: &Value) {
     }
 }
 
-/// Parses JSON into a [`Value`] (objects become tables).
+/// Parses JSON into a [`Value`]: objects become tables, numbers
+/// `Int` when they parse as `i64` and `Float` otherwise. `null` has no
+/// `Value` form; it is rejected naming its dotted path, on line 1 (the
+/// parsed tree carries no source lines).
 pub fn from_json(text: &str) -> Result<Value, ParseError> {
-    let mut scanner = Scanner {
-        text,
-        pos: 0,
+    from_tree(json::parse(text)?).map_err(|path| ParseError {
         line: 1,
-    };
-    let value = parse_json_value(&mut scanner)?;
-    skip_json_ws(&mut scanner);
-    if scanner.peek().is_some() {
-        return err(scanner.line, "trailing input after JSON value");
-    }
-    Ok(value)
+        message: format!(
+            "null is not a spec value (at {})",
+            path.trim_start_matches('.')
+        ),
+    })
 }
 
-fn skip_json_ws(s: &mut Scanner<'_>) {
-    while matches!(s.peek(), Some(' ' | '\t' | '\n' | '\r')) {
-        s.bump();
-    }
-}
-
-fn parse_json_value(s: &mut Scanner<'_>) -> Result<Value, ParseError> {
-    skip_json_ws(s);
-    let line = s.line;
-    match s.peek() {
-        Some('"') => Ok(Value::Str(s.parse_string()?)),
-        Some('{') => {
-            s.bump();
-            let mut entries = Vec::new();
-            loop {
-                skip_json_ws(s);
-                match s.peek() {
-                    Some('}') => {
-                        s.bump();
-                        return Ok(Value::Table(entries));
-                    }
-                    Some(',') => {
-                        s.bump();
-                    }
-                    Some('"') => {
-                        let key = s.parse_string()?;
-                        skip_json_ws(s);
-                        if s.peek() != Some(':') {
-                            return err(s.line, format!("expected ':' after key {key:?}"));
-                        }
-                        s.bump();
-                        entries.push((key, parse_json_value(s)?));
-                    }
-                    _ => return err(line, "bad object member"),
-                }
-            }
-        }
-        Some('[') => {
-            s.bump();
-            let mut items = Vec::new();
-            loop {
-                skip_json_ws(s);
-                match s.peek() {
-                    Some(']') => {
-                        s.bump();
-                        return Ok(Value::Array(items));
-                    }
-                    Some(',') => {
-                        s.bump();
-                    }
-                    None => return err(line, "unterminated array"),
-                    _ => items.push(parse_json_value(s)?),
-                }
-            }
-        }
-        Some(c) if c == 't' || c == 'f' || c == 'n' || c == '-' || c.is_ascii_digit() => {
-            let start = s.pos;
-            while matches!(
-                s.peek(),
-                Some(c) if c.is_ascii_alphanumeric() || "+-.".contains(c)
-            ) {
-                s.bump();
-            }
-            match &s.text[start..s.pos] {
-                "true" => Ok(Value::Bool(true)),
-                "false" => Ok(Value::Bool(false)),
-                "null" => err(line, "null is not a spec value"),
-                word => {
-                    if let Ok(i) = word.parse::<i64>() {
-                        Ok(Value::Int(i))
-                    } else if let Ok(f) = word.parse::<f64>() {
-                        Ok(Value::Float(f))
-                    } else {
-                        err(line, format!("cannot parse {word:?}"))
-                    }
-                }
-            }
-        }
-        other => err(line, format!("unexpected {other:?}")),
-    }
+/// Maps a parsed JSON tree onto a [`Value`]; `Err` holds the path of
+/// the first `null`.
+fn from_tree(doc: Json) -> Result<Value, String> {
+    Ok(match doc {
+        Json::Null => return Err(String::new()),
+        Json::Bool(b) => Value::Bool(b),
+        // an RFC 8259 number always parses as f64 (huge ones as inf)
+        Json::Num(raw) => match raw.parse() {
+            Ok(i) => Value::Int(i),
+            Err(_) => Value::Float(raw.parse().unwrap_or(f64::NAN)),
+        },
+        Json::Str(s) => Value::Str(s),
+        Json::Arr(items) => Value::Array(
+            items
+                .into_iter()
+                .enumerate()
+                .map(|(i, item)| from_tree(item).map_err(|path| format!("[{i}]{path}")))
+                .collect::<Result<_, _>>()?,
+        ),
+        Json::Obj(members) => Value::Table(
+            members
+                .into_iter()
+                .map(|(key, v)| match from_tree(v) {
+                    Ok(v) => Ok((key, v)),
+                    Err(path) => Err(format!(".{key}{path}")),
+                })
+                .collect::<Result<_, _>>()?,
+        ),
+    })
 }
 
 #[cfg(test)]

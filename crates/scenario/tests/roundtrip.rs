@@ -475,3 +475,58 @@ fn every_preset_round_trips_at_both_scales() {
         }
     }
 }
+
+/// `content_hash()` of every preset at (quick, paper) scale. The hash
+/// is the serve cache's content address, so a codec change that moves
+/// one byte of canonical TOML orphans every stored entry; these values
+/// pin the address across such changes.
+const PRESET_CONTENT_HASHES: &[(&str, u64, u64)] = &[
+    ("fig1", 0x21c7663c3bbf4489, 0x95f3b2e5a59b4add),
+    ("fig2", 0xa728f98294fbc761, 0xd8f2f32af79eb460),
+    ("fig3", 0xfa6549563cb63efd, 0x63dcd023131160da),
+    ("fig4", 0x2258e3b9778fe26c, 0x9e2550f60c3b2f6f),
+    ("fig5a", 0xa26a0c8696479d42, 0x11b2352451715976),
+    ("fig5b", 0xf99ea2365ff782f3, 0xa58b98cee3666291),
+    ("fig5c", 0x56614f7e354612b0, 0x8ca9adfca950d886),
+    ("table1", 0xe8c948cec8946ffc, 0xab85ce1c113572cb),
+    ("table2", 0x14403f7f9c10625d, 0x1f8db48301520c17),
+    ("ablations", 0x1b84e68b3e798e0d, 0xbcd52b54b6423a07),
+    ("sensitivity", 0x9b5807f5105a08c4, 0x346750d6585d150a),
+    ("fig5-outage", 0xf3e037ddd1806dfa, 0x4b078184d87f72a6),
+    ("xmode-uniform", 0x91c735494a8841d6, 0x0733cbed17a42927),
+    ("xmode-blaster", 0x2a43b6b0ef82b34c, 0x62d8fb7b2da91a3b),
+    ("xmode-slammer", 0x7d564f7dd6133a9a, 0xcb1825911b15b3f5),
+    ("xmode-codered2-nat", 0xf747d2be4ff9e246, 0x1c3f7811d46e6189),
+    ("xmode-hitlist", 0x374adf6a6b3641c5, 0xef4fec0905b0f518),
+    (
+        "xmode-hitlist-latency",
+        0x4b3095a16e9380b6,
+        0x7a6dd845ff5f5d09,
+    ),
+    ("xmode-outage", 0x85eef58948058cdd, 0xcdbc69a85def44ca),
+    ("xmode-blackhole", 0xf3dc5a414421747e, 0x4a0c3e15908c6757),
+    ("fig2-million", 0x9573ad7b0051eeec, 0xfe3fee5431c0c548),
+    ("bench-hitlist", 0x5e50d8e75d56bee6, 0x6f7c143b6423f4cb),
+    ("bench-slammer", 0x91a88e9cef636e5e, 0x07e296469b764e62),
+    ("bench-million", 0x0f566a0536462f5e, 0xf1e140e566a6e709),
+];
+
+#[test]
+fn preset_content_hashes_are_pinned() {
+    let names: Vec<_> = presets().iter().map(|p| p.name).collect();
+    let pinned: Vec<_> = PRESET_CONTENT_HASHES.iter().map(|(n, _, _)| *n).collect();
+    assert_eq!(
+        names, pinned,
+        "the table must list every preset, in registry order"
+    );
+    for &(name, quick, paper) in PRESET_CONTENT_HASHES {
+        let preset = presets()
+            .iter()
+            .find(|p| p.name == name)
+            .expect("listed above");
+        for (scale, want) in [(Scale::Quick, quick), (Scale::Paper, paper)] {
+            let got = preset.spec(scale).content_hash();
+            assert_eq!(got, want, "{name} at {scale:?}: {got:#018x}");
+        }
+    }
+}

@@ -146,6 +146,11 @@ impl Server {
             if let Some(slot) = inflight.get(&hash) {
                 Arc::clone(slot)
             } else {
+                // a run that finished since the miss above persisted
+                // before it left `inflight`: serve it, don't rerun it
+                if let Ok(Some(report)) = lock(&self.store).get(hash) {
+                    return protocol::ok_submit(&hash_text, report.trim_end());
+                }
                 let slot = Arc::new(RunSlot::new());
                 let job = RunJob {
                     hash,
@@ -165,22 +170,26 @@ impl Server {
             }
         };
 
-        let result = slot.wait();
-        lock(&self.inflight).remove(&hash);
-        match result {
+        let response = match slot.wait() {
             Ok(report) => {
                 // first finisher persists; duplicates are no-ops with
                 // identical bytes either way
                 let mut store = lock(&self.store);
-                if !store.contains(hash) {
-                    if let Err(e) = store.insert(hash, &name, &canonical, &report) {
-                        return protocol::error(ErrorKind::Runtime, &e.to_string());
-                    }
+                let persisted = if store.contains(hash) {
+                    Ok(())
+                } else {
+                    store.insert(hash, &name, &canonical, &report)
+                };
+                match persisted {
+                    Ok(()) => protocol::ok_submit(&hash_text, report.trim_end()),
+                    Err(e) => protocol::error(ErrorKind::Runtime, &e.to_string()),
                 }
-                protocol::ok_submit(&hash_text, report.trim_end())
             }
             Err(message) => protocol::error(ErrorKind::Runtime, &message),
-        }
+        };
+        // leave `inflight` only once the result is in the store
+        lock(&self.inflight).remove(&hash);
+        response
     }
 
     /// Drives a JSONL session: one response line per non-empty request

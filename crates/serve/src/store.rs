@@ -104,7 +104,7 @@ impl ResultStore {
         let header = lines
             .next()
             .ok_or_else(|| data_err(context(), "empty manifest"))?;
-        let doc = json::parse(header).map_err(|e| data_err(context(), e))?;
+        let doc = json::parse(header).map_err(|e| data_err(context(), e.to_string()))?;
         if doc.get("kind").and_then(Json::as_str) != Some("serve_manifest") {
             return Err(data_err(
                 context(),
@@ -122,7 +122,7 @@ impl ResultStore {
             None => return Err(data_err(context(), "header has no version field")),
         }
         for line in lines {
-            let doc = json::parse(line).map_err(|e| data_err(context(), e))?;
+            let doc = json::parse(line).map_err(|e| data_err(context(), e.to_string()))?;
             let hash = doc
                 .get("hash")
                 .and_then(Json::as_str)

@@ -377,3 +377,85 @@ fn non_utf8_request_line_is_a_protocol_error_and_the_session_continues() {
     );
     cleanup(&config);
 }
+
+#[test]
+fn deeply_nested_request_line_is_a_protocol_error_and_the_session_continues() {
+    let config = temp_config("nested");
+    let server = Server::open(&config).expect("open");
+    // ~200 KB: far under the request limit, far past the parser's
+    // nesting bound — a typed error, not a stack overflow
+    let nested = "[".repeat(200_000);
+    let mut nested_spec = String::from("{\"op\":\"submit\",\"format\":\"json\",\"spec\":");
+    hotspots_telemetry::json::write_str(&mut nested_spec, &format!("{{\"meta\":{nested}"));
+    nested_spec.push('}');
+    let responses = session(&server, &[nested, nested_spec, submit_line(&tiny_spec(12))]);
+    assert_eq!(responses.len(), 3, "{responses:?}");
+    assert!(
+        responses[0]
+            .starts_with("{\"ok\":false,\"kind\":\"protocol\",\"error\":\"bad request JSON")
+            && responses[0].contains("nesting deeper than"),
+        "{}",
+        responses[0]
+    );
+    assert!(
+        responses[1].starts_with("{\"ok\":false,\"kind\":\"spec\",\"error\":\"(json line 1)")
+            && responses[1].contains("nesting deeper than"),
+        "{}",
+        responses[1]
+    );
+    assert!(
+        responses[2].starts_with("{\"ok\":true,\"hash\":\""),
+        "{}",
+        responses[2]
+    );
+    cleanup(&config);
+}
+
+/// One escaper serves every format: a meta string with a non-BMP
+/// scalar and a C0 control reads the same in canonical TOML, spec
+/// JSON, the run-report line, and a serve error message.
+#[test]
+fn meta_strings_escape_identically_in_every_format() {
+    use hotspots_scenario::{value, ScenarioSpec};
+
+    let title = "smile \u{1F600} bell \u{1}";
+    let escaped = "smile \\uD83D\\uDE00 bell \\u0001";
+    let mut spec = ScenarioSpec::from_toml(&tiny_spec(13)).expect("spec");
+    spec.meta.title = Some(title.to_owned());
+    spec.meta.scenario = Some(title.to_owned()); // the report's `scenario`
+
+    assert!(
+        spec.canonical_toml()
+            .contains(&format!("title = \"{escaped}\"")),
+        "{}",
+        spec.canonical_toml()
+    );
+    assert!(
+        spec.to_json().contains(&format!("\"title\":\"{escaped}\"")),
+        "{}",
+        spec.to_json()
+    );
+
+    // the same string as an unknown meta key makes the spec error
+    // message echo it
+    let mut tree = spec.to_value();
+    tree.set_path(&format!("meta.{title}"), value::Value::Int(1))
+        .expect("meta is a table");
+    let mut bad_submit = String::from("{\"op\":\"submit\",\"format\":\"json\",\"spec\":");
+    hotspots_telemetry::json::write_str(&mut bad_submit, &value::to_json(&tree));
+    bad_submit.push('}');
+
+    let config = temp_config("escapes");
+    let server = Server::open(&config).expect("open");
+    let responses = session(&server, &[submit_line(&spec.canonical_toml()), bad_submit]);
+    assert!(
+        responses[0].contains(&format!("\"scenario\":\"{escaped}\"")),
+        "{}",
+        responses[0]
+    );
+    assert_eq!(
+        responses[1],
+        format!("{{\"ok\":false,\"kind\":\"spec\",\"error\":\"meta.{escaped}: unknown field\"}}")
+    );
+    cleanup(&config);
+}

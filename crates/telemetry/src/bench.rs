@@ -171,7 +171,7 @@ impl BenchSummary {
     ///
     /// Returns a description of the first malformed field.
     pub fn from_json(text: &str) -> Result<BenchSummary, String> {
-        let root = json::parse(text)?;
+        let root = json::parse(text).map_err(|e| e.to_string())?;
         let benchmark = root
             .get("benchmark")
             .and_then(Json::as_str)

@@ -1,13 +1,21 @@
-//! Minimal JSON emission and parsing for run reports and event lines.
+//! The workspace's one JSON codec and string-literal codec.
 //!
 //! Hand-rolled on purpose: the telemetry crate is dependency-free, and
 //! emission preserves *insertion order* of object fields so two runs of
-//! the same binary produce byte-diffable output. The parser accepts
-//! standard JSON (it does not require any field order) and is used by
-//! round-trip tests and report-consuming tools.
+//! the same binary produce byte-diffable output. Every JSON reader in
+//! the workspace goes through [`parse`] — run reports, bench files,
+//! serve requests and store entries, and spec JSON (which
+//! `hotspots-scenario` maps onto its `Value` tree). The spec TOML
+//! scanner shares the string half: [`read_str`] decodes its quoted
+//! strings and [`write_str`] writes them, so one escape set covers
+//! every wire format and the canonical spec text.
+//!
+//! The parser is strict RFC 8259 over a byte cursor: no trailing or
+//! doubled commas, no `NaN`/`Infinity`, no leading zeros, and nesting
+//! bounded by [`MAX_DEPTH`]. Errors are one [`ParseError`] type with a
+//! 1-based line number.
 
-use std::collections::VecDeque;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value. Numbers keep their source text so `u64` counts
 /// round-trip without `f64` precision loss.
@@ -69,13 +77,39 @@ impl Json {
     }
 }
 
-/// Appends `s` to `out` as a JSON string literal.
+/// The deepest array/object nesting [`parse`] and the spec TOML
+/// scanner accept. The deepest any writer in this workspace emits is
+/// the lint SARIF log at 8 levels (`runs[].results[].locations[]
+/// .physicalLocation.region`); specs, Chrome traces and bench files
+/// reach 4, serve responses 3, run reports 2. Past the bound, parsing
+/// stops with a typed [`ParseError`] instead of recursing until the
+/// stack overflows.
+pub const MAX_DEPTH: usize = 64;
+
+/// A parse error with a 1-based line number (JSON and spec TOML).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseError {
+    /// 1-based source line.
+    pub line: usize,
+    /// What went wrong.
+    pub message: String,
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "line {}: {}", self.line, self.message)
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+/// Appends `s` to `out` as a string literal, the one escaper for JSON
+/// and spec TOML alike.
 ///
 /// Control characters escape as `\u00XX`; scalars above the Basic
 /// Multilingual Plane escape as UTF-16 surrogate pairs (U+1F600
-/// becomes backslash-uD83D backslash-uDE00)
-/// so the emitted line is plain ASCII-compatible JSON that any
-/// conforming parser — including [`parse`] — reassembles to the
+/// becomes backslash-uD83D backslash-uDE00), hex in upper case, so
+/// the output is ASCII-compatible and [`read_str`] reassembles the
 /// original string.
 pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
@@ -87,12 +121,12 @@ pub fn write_str(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+                let _ = write!(out, "\\u{:04X}", c as u32);
             }
             c if (c as u32) > 0xFFFF => {
                 let mut units = [0u16; 2];
                 for unit in c.encode_utf16(&mut units) {
-                    let _ = write!(out, "\\u{unit:04x}");
+                    let _ = write!(out, "\\u{unit:04X}");
                 }
             }
             c => out.push(c),
@@ -110,209 +144,266 @@ pub fn write_f64(out: &mut String, v: f64) {
     }
 }
 
+/// Decodes the string literal whose opening `"` is at byte `*pos` of
+/// `text`, leaving `*pos` just past the closing quote.
+///
+/// Accepts the JSON escape set; a `\u` lead surrogate must be followed
+/// by a `\u`-escaped trail surrogate (RFC 8259 §7), and a lone
+/// surrogate of either kind is an error, never a replacement
+/// character. A raw line feed ends the literal with an error, so a
+/// string never spans lines and `line` tags every error.
+///
+/// # Errors
+///
+/// Unterminated literals, unknown escapes, and bad `\u` escapes.
+pub fn read_str(text: &str, pos: &mut usize, line: usize) -> Result<String, ParseError> {
+    let bytes = text.as_bytes();
+    let at_line = |message: String| ParseError { line, message };
+    let mut out = String::new();
+    let mut i = *pos + 1;
+    let mut run = i;
+    loop {
+        match bytes.get(i) {
+            None | Some(b'\n') => return Err(at_line("unterminated string".into())),
+            Some(b'"') => {
+                out.push_str(&text[run..i]);
+                *pos = i + 1;
+                return Ok(out);
+            }
+            Some(b'\\') => {
+                out.push_str(&text[run..i]);
+                let escape = bytes.get(i + 1).copied();
+                i += 2;
+                out.push(match escape {
+                    Some(b'"') => '"',
+                    Some(b'\\') => '\\',
+                    Some(b'/') => '/',
+                    Some(b'n') => '\n',
+                    Some(b'r') => '\r',
+                    Some(b't') => '\t',
+                    Some(b'b') => '\u{8}',
+                    Some(b'f') => '\u{c}',
+                    Some(b'u') => unicode_escape(bytes, &mut i).map_err(at_line)?,
+                    _ => return Err(at_line("unknown escape".into())),
+                });
+                run = i;
+            }
+            Some(_) => i += 1,
+        }
+    }
+}
+
+/// Four hex digits at `bytes[*i..]`, as a UTF-16 code unit.
+fn hex4(bytes: &[u8], i: &mut usize) -> Result<u32, String> {
+    let mut code = 0;
+    for _ in 0..4 {
+        let digit = bytes
+            .get(*i)
+            .and_then(|&b| char::from(b).to_digit(16))
+            .ok_or("bad \\u escape (expected 4 hex digits)")?;
+        code = code * 16 + digit;
+        *i += 1;
+    }
+    Ok(code)
+}
+
+/// Decodes one `\u` escape (the `\u` itself already consumed): a BMP
+/// scalar stands alone, a lead surrogate pairs with an escaped trail.
+fn unicode_escape(bytes: &[u8], i: &mut usize) -> Result<char, String> {
+    let hi = hex4(bytes, i)?;
+    if (0xDC00..=0xDFFF).contains(&hi) {
+        return Err(format!("lone trail surrogate \\u{hi:04X}"));
+    }
+    let code = if (0xD800..=0xDBFF).contains(&hi) {
+        if bytes.get(*i..*i + 2) != Some(b"\\u".as_slice()) {
+            return Err(format!(
+                "lone lead surrogate \\u{hi:04X} (expected a \\u-escaped trail surrogate)"
+            ));
+        }
+        *i += 2;
+        let lo = hex4(bytes, i)?;
+        if !(0xDC00..=0xDFFF).contains(&lo) {
+            return Err(format!(
+                "bad surrogate pair \\u{hi:04X}\\u{lo:04X} (trail not in DC00-DFFF)"
+            ));
+        }
+        0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+    } else {
+        hi
+    };
+    char::from_u32(code).ok_or_else(|| format!("bad codepoint {code:#x}"))
+}
+
 /// Parses one JSON document (object, array, or scalar).
 ///
 /// # Errors
 ///
-/// Returns a position-tagged message on malformed input or trailing
-/// garbage.
-pub fn parse(input: &str) -> Result<Json, String> {
+/// Returns a line-tagged [`ParseError`] on malformed input, nesting
+/// past [`MAX_DEPTH`], or trailing garbage.
+pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
-        chars: input.chars().collect(),
+        text: input,
         pos: 0,
+        line: 1,
     };
-    let value = p.value()?;
+    let value = p.value(0)?;
     p.skip_ws();
-    if p.chars.is_empty() {
-        Ok(value)
-    } else {
-        Err(format!("trailing input at {}", p.pos))
+    if p.pos < input.len() {
+        return p.fail("trailing input after JSON value");
     }
+    Ok(value)
 }
 
-struct Parser {
-    chars: VecDeque<char>,
+struct Parser<'a> {
+    text: &'a str,
     pos: usize,
+    line: usize,
 }
 
-impl Parser {
-    fn skip_ws(&mut self) {
-        while matches!(self.chars.front(), Some(' ' | '\t' | '\n' | '\r')) {
-            self.bump();
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn fail<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
+        Err(ParseError {
+            line: self.line,
+            message: message.into(),
+        })
+    }
+
+    /// Fails naming the character at the cursor.
+    fn unexpected<T>(&self, wanted: &str) -> Result<T, ParseError> {
+        match self.text[self.pos..].chars().next() {
+            Some(c) => self.fail(format!("expected {wanted}, found {c:?}")),
+            None => self.fail(format!("expected {wanted}, found end of input")),
         }
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let c = self.chars.pop_front();
-        if c.is_some() {
+    fn skip_ws(&mut self) {
+        while let Some(b) = self.peek() {
+            match b {
+                b'\n' => self.line += 1,
+                b' ' | b'\t' | b'\r' => {}
+                _ => return,
+            }
             self.pos += 1;
         }
-        c
     }
 
-    fn eat(&mut self, want: char) -> Result<(), String> {
-        match self.bump() {
-            Some(c) if c == want => Ok(()),
-            got => Err(format!("expected '{want}' at {} (got {got:?})", self.pos)),
+    /// Consumes `byte` if it is next.
+    fn eat(&mut self, byte: u8) -> bool {
+        let hit = self.peek() == Some(byte);
+        if hit {
+            self.pos += 1;
         }
+        hit
     }
 
-    fn literal(&mut self, rest: &str, value: Json) -> Result<Json, String> {
-        for want in rest.chars() {
-            self.eat(want)?;
-        }
-        Ok(value)
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
         self.skip_ws();
-        match self.chars.front().copied() {
-            Some('{') => self.object(),
-            Some('[') => self.array(),
-            Some('"') => Ok(Json::Str(self.string()?)),
-            Some('t') => {
-                self.bump();
-                self.literal("rue", Json::Bool(true))
+        match self.peek() {
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                self.fail(format!("nesting deeper than {MAX_DEPTH} levels"))
             }
-            Some('f') => {
-                self.bump();
-                self.literal("alse", Json::Bool(false))
-            }
-            Some('n') => {
-                self.bump();
-                self.literal("ull", Json::Null)
-            }
-            Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at {}", self.pos)),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'"') => read_str(self.text, &mut self.pos, self.line).map(Json::Str),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ => self.unexpected("a value"),
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat('{')?;
+    /// After a member or element: `true` on `,` (another follows),
+    /// `false` on `close`.
+    fn more(&mut self, close: u8) -> Result<bool, ParseError> {
+        self.skip_ws();
+        if self.eat(b',') {
+            Ok(true)
+        } else if self.eat(close) {
+            Ok(false)
+        } else {
+            self.unexpected(&format!("',' or '{}'", char::from(close)))
+        }
+    }
+
+    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
+        self.pos += 1; // '{'
         let mut members = Vec::new();
         self.skip_ws();
-        if self.chars.front() == Some(&'}') {
-            self.bump();
+        if self.eat(b'}') {
             return Ok(Json::Obj(members));
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            if self.peek() != Some(b'"') {
+                return self.unexpected("a string key");
+            }
+            let key = read_str(self.text, &mut self.pos, self.line)?;
             self.skip_ws();
-            self.eat(':')?;
-            members.push((key, self.value()?));
-            self.skip_ws();
-            match self.bump() {
-                Some(',') => continue,
-                Some('}') => return Ok(Json::Obj(members)),
-                got => {
-                    return Err(format!(
-                        "expected ',' or '}}' at {} (got {got:?})",
-                        self.pos
-                    ))
-                }
+            if !self.eat(b':') {
+                return self.unexpected("':'");
+            }
+            members.push((key, self.value(depth)?));
+            if !self.more(b'}')? {
+                return Ok(Json::Obj(members));
             }
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat('[')?;
+    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
+        self.pos += 1; // '['
         let mut items = Vec::new();
         self.skip_ws();
-        if self.chars.front() == Some(&']') {
-            self.bump();
+        if self.eat(b']') {
             return Ok(Json::Arr(items));
         }
         loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(',') => continue,
-                Some(']') => return Ok(Json::Arr(items)),
-                got => return Err(format!("expected ',' or ']' at {} (got {got:?})", self.pos)),
+            items.push(self.value(depth)?);
+            if !self.more(b']')? {
+                return Ok(Json::Arr(items));
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
-        self.eat('"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err("unterminated string".into()),
-                Some('"') => return Ok(out),
-                Some('\\') => match self.bump() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('b') => out.push('\u{8}'),
-                    Some('f') => out.push('\u{c}'),
-                    Some('u') => out.push(self.unicode_escape()?),
-                    got => return Err(format!("bad escape {got:?} at {}", self.pos)),
-                },
-                Some(c) => out.push(c),
-            }
-        }
-    }
-
-    /// Four hex digits of a `\u` escape, as a UTF-16 code unit.
-    fn hex4(&mut self) -> Result<u32, String> {
-        let mut code = 0u32;
-        for _ in 0..4 {
-            let c = self.bump().ok_or("truncated \\u escape")?;
-            code = code * 16
-                + c.to_digit(16)
-                    .ok_or_else(|| format!("bad \\u digit '{c}'"))?;
-        }
-        Ok(code)
-    }
-
-    /// Decodes one `\u` escape (the `\u` itself already consumed):
-    /// a BMP scalar stands alone, a lead surrogate must be followed by
-    /// a `\u`-escaped trail surrogate (UTF-16 pair decoding per RFC
-    /// 8259 §7), and a lone surrogate of either kind is an error — not
-    /// a mangled replacement character.
-    fn unicode_escape(&mut self) -> Result<char, String> {
-        let hi = self.hex4()?;
-        if (0xDC00..=0xDFFF).contains(&hi) {
-            return Err(format!("lone trail surrogate \\u{hi:04x}"));
-        }
-        let code = if (0xD800..=0xDBFF).contains(&hi) {
-            if !(self.bump() == Some('\\') && self.bump() == Some('u')) {
-                return Err(format!(
-                    "lone lead surrogate \\u{hi:04x} (expected a \\u-escaped trail surrogate)"
-                ));
-            }
-            let lo = self.hex4()?;
-            if !(0xDC00..=0xDFFF).contains(&lo) {
-                return Err(format!(
-                    "bad surrogate pair \\u{hi:04x}\\u{lo:04x} (trail not in DC00-DFFF)"
-                ));
-            }
-            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
+        if self.text[self.pos..].starts_with(word) {
+            self.pos += word.len();
+            Ok(value)
         } else {
-            hi
-        };
-        char::from_u32(code).ok_or_else(|| format!("bad codepoint {code:#x}"))
+            self.unexpected(word)
+        }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
-        let mut raw = String::new();
-        if self.chars.front() == Some(&'-') {
-            raw.extend(self.bump());
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`
+    fn number(&mut self) -> Result<Json, ParseError> {
+        let start = self.pos;
+        self.eat(b'-');
+        if !self.eat(b'0') {
+            self.digits()?;
         }
-        while matches!(
-            self.chars.front(),
-            Some(c) if c.is_ascii_digit() || matches!(c, '.' | 'e' | 'E' | '+' | '-')
-        ) {
-            raw.extend(self.bump());
+        if self.eat(b'.') {
+            self.digits()?;
         }
-        raw.parse::<f64>()
-            .map_err(|e| format!("bad number '{raw}': {e}"))?;
-        Ok(Json::Num(raw))
+        if self.eat(b'e') || self.eat(b'E') {
+            let _ = self.eat(b'+') || self.eat(b'-');
+            self.digits()?;
+        }
+        Ok(Json::Num(self.text[start..self.pos].to_owned()))
+    }
+
+    fn digits(&mut self) -> Result<(), ParseError> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return self.unexpected("a digit");
+        }
+        Ok(())
     }
 }
 
@@ -327,6 +418,8 @@ mod tests {
         assert_eq!(parse(" false ").unwrap(), Json::Bool(false));
         assert_eq!(parse("42").unwrap().as_u64(), Some(42));
         assert_eq!(parse("-1.5e3").unwrap().as_f64(), Some(-1500.0));
+        assert_eq!(parse("-0").unwrap().as_f64(), Some(0.0));
+        assert_eq!(parse("2E+2").unwrap().as_f64(), Some(200.0));
         assert_eq!(parse("\"a\\nb\"").unwrap().as_str(), Some("a\nb"));
     }
 
@@ -370,7 +463,7 @@ mod tests {
         let mut out = String::new();
         write_str(&mut out, s);
         assert!(out.is_ascii(), "non-BMP must escape to ASCII: {out}");
-        assert!(out.contains("\\ud83d\\ude00"), "got: {out}");
+        assert!(out.contains("\\uD83D\\uDE00"), "got: {out}");
         assert_eq!(parse(&out).unwrap().as_str(), Some(s));
     }
 
@@ -387,14 +480,17 @@ mod tests {
     #[test]
     fn lone_surrogates_are_typed_errors() {
         let lead = parse("\"\\uD800\"").unwrap_err();
-        assert!(lead.contains("lone lead surrogate"), "got: {lead}");
+        assert!(lead.message.contains("lone lead surrogate"), "got: {lead}");
         let trail = parse("\"\\uDC00x\"").unwrap_err();
-        assert!(trail.contains("lone trail surrogate"), "got: {trail}");
+        assert!(
+            trail.message.contains("lone trail surrogate"),
+            "got: {trail}"
+        );
         let pair = parse("\"\\uD800\\u0041\"").unwrap_err();
-        assert!(pair.contains("bad surrogate pair"), "got: {pair}");
+        assert!(pair.message.contains("bad surrogate pair"), "got: {pair}");
         // a lead surrogate followed by a raw (unescaped) char
         let raw = parse("\"\\uD800A\"").unwrap_err();
-        assert!(raw.contains("lone lead surrogate"), "got: {raw}");
+        assert!(raw.message.contains("lone lead surrogate"), "got: {raw}");
     }
 
     #[test]
@@ -409,8 +505,51 @@ mod tests {
 
     #[test]
     fn malformed_inputs_error() {
-        for bad in ["{", "[1,", "\"open", "{\"a\" 1}", "12x", "{} {}"] {
-            assert!(parse(bad).is_err(), "{bad} should fail");
+        for bad in [
+            "{",
+            "[1,",
+            "\"open",
+            "{\"a\" 1}",
+            "12x",
+            "{} {}",
+            // RFC 8259 strictness
+            "nan",
+            "-inf",
+            "01",
+            "1.",
+            ".5",
+            "+1",
+            "1e",
+            "[1,,2]",
+            "[1,]",
+            "{\"a\":1,}",
+            "{\"a\":1 \"b\":2}",
+            "\"raw\nline feed\"",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn errors_carry_line_numbers() {
+        let e = parse("{\n  \"a\": 1,\n  \"b\": nan\n}").unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        assert_eq!(parse("[\n\n1 2]").unwrap_err().line, 3);
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        let e = parse(&deep).unwrap_err();
+        assert!(e.message.contains("nesting deeper than"), "{e}");
+        // exactly MAX_DEPTH levels still parse, one more does not
+        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_bound).is_ok());
+        let past = format!(
+            "{{\"a\":{}1{}}}",
+            "[".repeat(MAX_DEPTH),
+            "]".repeat(MAX_DEPTH)
+        );
+        assert!(parse(&past).is_err());
     }
 }

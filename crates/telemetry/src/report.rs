@@ -154,7 +154,7 @@ impl RunReport {
     /// Returns a message if the line is not valid JSON or not a
     /// `run_report`.
     pub fn from_jsonl(line: &str) -> Result<RunReport, String> {
-        let doc = json::parse(line)?;
+        let doc = json::parse(line).map_err(|e| e.to_string())?;
         if doc.get("kind").and_then(Json::as_str) != Some("run_report") {
             return Err("not a run_report line".into());
         }
