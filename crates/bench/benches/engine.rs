@@ -18,9 +18,8 @@ use criterion::{black_box, criterion_group, BatchSize, Criterion};
 use hotspots_ipspace::Ip;
 use hotspots_scenario::{find_preset, Built, Scale};
 use hotspots_sim::{Engine, FieldObserver, NullObserver};
-use hotspots_telemetry::{BenchSummary, MemoryStats, ScalingPoint};
+use hotspots_telemetry::{BenchSummary, MemoryStats, ScalingPoint, Timer};
 use hotspots_telescope::DetectorField;
-use std::time::Instant;
 
 /// Builds a bench preset fresh (engines are consumed per run).
 fn built(preset: &str) -> Built {
@@ -74,8 +73,7 @@ criterion_group!(benches, outbreak);
 /// Infections are rare (the population is a ~1e-6 sliver of the scanned
 /// space), so the measurement is dominated by the probe pipeline —
 /// exactly the path the batched engine restructures. Best of three;
-/// with the `telemetry` feature the best run's phase breakdown rides
-/// along.
+/// the best run's phase breakdown rides along.
 fn slammer_run(threads: usize) -> ScalingPoint {
     let mut point = ScalingPoint {
         threads: threads as u64,
@@ -87,22 +85,18 @@ fn slammer_run(threads: usize) -> ScalingPoint {
         let mut b = built("bench-slammer");
         b.config.threads = threads;
         let mut engine = engine_from(b);
-        #[allow(clippy::disallowed_methods)] // benches measure wall time by design
-        let start = Instant::now();
+        let start = Timer::start();
         let result = black_box(engine.run(&mut NullObserver));
         let secs = start.elapsed().as_secs_f64();
         let rate = result.probes_sent as f64 / secs;
         if rate > point.probes_per_sec {
             point.probes_per_sec = rate;
-            #[cfg(feature = "telemetry")]
-            {
-                point.phase_breakdown = result
-                    .telemetry
-                    .phases
-                    .iter()
-                    .map(|(name, total, _)| (name.to_owned(), total.as_secs_f64()))
-                    .collect();
-            }
+            point.phase_breakdown = result
+                .telemetry
+                .phases
+                .iter()
+                .map(|(name, total, _)| (name.to_owned(), total.as_secs_f64()))
+                .collect();
         }
     }
     point

@@ -1,9 +1,9 @@
 //! Figure 4: CodeRedII, NATs, and the 192/8 hotspot.
 
 use hotspots_ipspace::{ims_deployment, special, AddressBlock, Deployment, Ip};
-use hotspots_netmodel::{Delivery, DeliveryLedger, Environment, Service};
+use hotspots_netmodel::{Delivery, DeliveryLedger, Environment, Locus, Service};
 use hotspots_prng::SplitMix;
-use hotspots_sim::apply_nat;
+use hotspots_sim::{apply_nat, PopulationError};
 use hotspots_stats::CountHistogram;
 use hotspots_targeting::{CodeRed2Scanner, TargetGenerator};
 use hotspots_telescope::Observatory;
@@ -37,28 +37,17 @@ impl Default for CodeRedStudy {
     }
 }
 
-/// Runs the study: a mixed public/NATed CodeRedII population scans
-/// through the environment into the IMS observatory; returns the
-/// Figure 4(a) rows (unique sources per monitored /24, /16 for Z).
-pub fn sources_by_block_with(study: &CodeRedStudy, blocks: &[AddressBlock]) -> Vec<CoverageRow> {
-    sources_by_block_accounted(study, blocks).0
-}
-
-/// [`sources_by_block_with`], also returning the verdict ledger over
-/// every probe the population routed (NAT-leaked local deliveries and
-/// unroutable private-space drops included).
-pub fn sources_by_block_accounted(
+/// Draws the study's public host addresses and moves `nat_fraction` of
+/// them behind home NATs. Returns the environment holding the realms,
+/// the hosts' loci, and the stream positioned after the draw.
+///
+/// Every drawn address is globally routable, so the NAT deployment's
+/// gateway check cannot fail here; its error is passed on, not assumed
+/// away.
+fn natted_hosts(
     study: &CodeRedStudy,
-    blocks: &[AddressBlock],
-) -> (Vec<CoverageRow>, DeliveryLedger) {
-    let mut ledger = DeliveryLedger::new();
-    assert!(
-        (0.0..=1.0).contains(&study.nat_fraction),
-        "NAT fraction out of range"
-    );
+) -> Result<(Environment, Vec<Locus>, StdRng), PopulationError> {
     let mut rng = StdRng::seed_from_u64(study.rng_seed);
-
-    // Draw public source addresses, then NAT a fraction of them.
     let mut addrs = Vec::with_capacity(study.hosts);
     while addrs.len() < study.hosts {
         let ip = Ip::new(rng.gen());
@@ -67,7 +56,41 @@ pub fn sources_by_block_accounted(
         }
     }
     let mut env = Environment::new();
-    let loci = apply_nat(&mut env, &addrs, study.nat_fraction, &mut rng);
+    let loci = apply_nat(&mut env, &addrs, study.nat_fraction, &mut rng)?;
+    Ok((env, loci, rng))
+}
+
+/// Runs the study: a mixed public/NATed CodeRedII population scans
+/// through the environment into the IMS observatory; returns the
+/// Figure 4(a) rows (unique sources per monitored /24, /16 for Z).
+///
+/// # Errors
+///
+/// The NAT deployment's [`PopulationError`] (see [`apply_nat`]).
+pub fn sources_by_block_with(
+    study: &CodeRedStudy,
+    blocks: &[AddressBlock],
+) -> Result<Vec<CoverageRow>, PopulationError> {
+    Ok(sources_by_block_accounted(study, blocks)?.0)
+}
+
+/// [`sources_by_block_with`], also returning the verdict ledger over
+/// every probe the population routed (NAT-leaked local deliveries and
+/// unroutable private-space drops included).
+///
+/// # Errors
+///
+/// As [`sources_by_block_with`].
+pub fn sources_by_block_accounted(
+    study: &CodeRedStudy,
+    blocks: &[AddressBlock],
+) -> Result<(Vec<CoverageRow>, DeliveryLedger), PopulationError> {
+    let mut ledger = DeliveryLedger::new();
+    assert!(
+        (0.0..=1.0).contains(&study.nat_fraction),
+        "NAT fraction out of range"
+    );
+    let (env, loci, mut rng) = natted_hosts(study)?;
 
     let mut observatory = Observatory::new(blocks.to_vec());
     let mut mix = SplitMix::new(study.rng_seed ^ 0xfeed);
@@ -110,11 +133,15 @@ pub fn sources_by_block_accounted(
             }
         })
         .collect();
-    (rows, ledger)
+    Ok((rows, ledger))
 }
 
 /// [`sources_by_block_with`] on the IMS deployment (Figure 4a).
-pub fn sources_by_block(study: &CodeRedStudy) -> Vec<CoverageRow> {
+///
+/// # Errors
+///
+/// As [`sources_by_block_with`].
+pub fn sources_by_block(study: &CodeRedStudy) -> Result<Vec<CoverageRow>, PopulationError> {
     sources_by_block_with(study, &ims_deployment())
 }
 
@@ -165,7 +192,14 @@ impl BehaviorClassification {
 ///
 /// Only sources with at least 5 telescope hits are classified (the paper
 /// could not classify barely-seen hosts either).
-pub fn classify_sources(study: &CodeRedStudy, m_share_threshold: f64) -> BehaviorClassification {
+///
+/// # Errors
+///
+/// As [`sources_by_block_with`].
+pub fn classify_sources(
+    study: &CodeRedStudy,
+    m_share_threshold: f64,
+) -> Result<BehaviorClassification, PopulationError> {
     assert!(
         (0.0..1.0).contains(&m_share_threshold),
         "threshold out of range"
@@ -175,19 +209,10 @@ pub fn classify_sources(study: &CodeRedStudy, m_share_threshold: f64) -> Behavio
         .by_label("M")
         .expect("IMS deployment has an M block") // hotspots-lint: allow(panic-path) reason="IMS deployment has an M block"
         .prefix();
-    let mut rng = StdRng::seed_from_u64(study.rng_seed);
-    let mut addrs = Vec::with_capacity(study.hosts);
-    while addrs.len() < study.hosts {
-        let ip = Ip::new(rng.gen());
-        if special::is_globally_routable(ip) {
-            addrs.push(ip);
-        }
-    }
-    let mut env = Environment::new();
-    let loci = apply_nat(&mut env, &addrs, study.nat_fraction, &mut rng);
+    let (env, loci, mut rng) = natted_hosts(study)?;
     let truly_natted: std::collections::HashSet<Ip> = loci
         .iter()
-        .filter(|l| matches!(l, hotspots_netmodel::Locus::Private { .. }))
+        .filter(|l| matches!(l, Locus::Private { .. }))
         .map(|l| l.public_source(&env))
         .collect();
 
@@ -225,11 +250,11 @@ pub fn classify_sources(study: &CodeRedStudy, m_share_threshold: f64) -> Behavio
             uniformish.push(source);
         }
     }
-    BehaviorClassification {
+    Ok(BehaviorClassification {
         m_biased,
         uniformish,
         truly_natted,
-    }
+    })
 }
 
 /// Figure 4(b)/(c): the quarantine experiment — one captured CodeRedII
@@ -273,7 +298,7 @@ mod tests {
     #[test]
     fn accounted_ledger_balances_and_sees_nat_leakage() {
         let study = small_study();
-        let (_, ledger) = sources_by_block_accounted(&study, &ims_deployment());
+        let (_, ledger) = sources_by_block_accounted(&study, &ims_deployment()).unwrap();
         assert_eq!(ledger.probes(), study.hosts as u64 * study.probes_per_host);
         assert_eq!(ledger.delivered() + ledger.dropped_total(), ledger.probes());
         // NATed hosts' /8-preferring probes hit their own private realm
@@ -287,7 +312,7 @@ mod tests {
         // Figure 4a: the M block (inside 192/8) sees far more unique
         // sources per monitored /24 than comparable blocks, because
         // NATed hosts' /8-preference probes leak into public 192/8.
-        let rows = sources_by_block(&small_study());
+        let rows = sources_by_block(&small_study()).unwrap();
         let totals: std::collections::HashMap<String, u64> =
             totals_by_block(&rows).into_iter().collect();
         // per-/24 normalization (M is a /22 = 4 /24s)
@@ -306,7 +331,8 @@ mod tests {
         let rows = sources_by_block(&CodeRedStudy {
             nat_fraction: 0.0,
             ..small_study()
-        });
+        })
+        .unwrap();
         let totals: std::collections::HashMap<String, u64> =
             totals_by_block(&rows).into_iter().collect();
         let m = totals["M"] as f64 / 4.0;
@@ -360,7 +386,7 @@ mod tests {
             probes_per_host: 150_000,
             rng_seed: 77,
         };
-        let classes = classify_sources(&study, 0.02);
+        let classes = classify_sources(&study, 0.02).unwrap();
         assert!(!classes.m_biased.is_empty(), "no biased class found");
         assert!(!classes.uniformish.is_empty(), "no uniform class found");
         let acc = classes.accuracy();
@@ -379,8 +405,8 @@ mod tests {
 
     #[test]
     fn study_is_deterministic() {
-        let a = sources_by_block(&small_study());
-        let b = sources_by_block(&small_study());
+        let a = sources_by_block(&small_study()).unwrap();
+        let b = sources_by_block(&small_study()).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -5,7 +5,7 @@ use hotspots_netmodel::{DeliveryLedger, Environment};
 use hotspots_sim::{
     apply_nat, apply_nat_shared, occupied_slash16s, paper_codered_population,
     synthetic_codered_population, CodeRed2Worm, Engine, FieldObserver, HitListWorm, Population,
-    SimConfig,
+    PopulationError, SimConfig,
 };
 use hotspots_stats::TimeSeries;
 use hotspots_targeting::HitList;
@@ -236,17 +236,31 @@ pub enum NatTopology {
 /// Runs the Figure 5(c) experiment: a CodeRedII-type worm over a
 /// population with `nat_fraction` of hosts NATed into `192.168/16`,
 /// detected by a field placed per `placement`.
-pub fn nat_run(study: &DetectionStudy, nat_fraction: f64, placement_kind: Placement) -> NatRun {
+///
+/// # Errors
+///
+/// Returns the [`PopulationError`] of the NAT deployment: more NATed
+/// hosts than the shared `192.168/16` realm holds.
+pub fn nat_run(
+    study: &DetectionStudy,
+    nat_fraction: f64,
+    placement_kind: Placement,
+) -> Result<NatRun, PopulationError> {
     nat_run_with_topology(study, nat_fraction, placement_kind, NatTopology::Shared)
 }
 
 /// [`nat_run`] with an explicit NAT wiring (the topology ablation).
+///
+/// # Errors
+///
+/// As [`nat_run`]; the isolated topology also fails if a drawn host
+/// address cannot be a NAT gateway.
 pub fn nat_run_with_topology(
     study: &DetectionStudy,
     nat_fraction: f64,
     placement_kind: Placement,
     topology: NatTopology,
-) -> NatRun {
+) -> Result<NatRun, PopulationError> {
     let population_addrs = study.draw_population();
     let mut rng = StdRng::seed_from_u64(study.rng_seed ^ 0xa117);
     let mut env = Environment::new();
@@ -255,7 +269,7 @@ pub fn nat_run_with_topology(
             apply_nat_shared(&mut env, &population_addrs, nat_fraction, &mut rng)
         }
         NatTopology::Isolated => apply_nat(&mut env, &population_addrs, nat_fraction, &mut rng),
-    };
+    }?;
     let sensors = placement_kind.build(&population_addrs, &mut rng);
     let field = DetectorField::new(sensors, study.alert_threshold);
     let mut observer = FieldObserver::new(field);
@@ -270,7 +284,7 @@ pub fn nat_run_with_topology(
     let alert_curve = field.alert_curve(format!("{placement_kind:?} alerts"));
     let t20 = result.infection_curve.time_to_reach(0.2);
     let alerted_at_20pct_infected = t20.map_or(0.0, |t| alert_curve.value_at(t));
-    NatRun {
+    Ok(NatRun {
         placement: placement_kind,
         infection_curve: result.infection_curve,
         sensors: field.len(),
@@ -280,7 +294,7 @@ pub fn nat_run_with_topology(
         infected_hosts: result.infected as u64,
         ledger: result.ledger,
         sim_seconds: result.elapsed,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -349,8 +363,8 @@ mod tests {
         // Figure 5c: 255 sensors inside the hotspot /8 alert faster than
         // 10k (here: fewer) random sensors.
         let study = small_study();
-        let random = nat_run(&study, 0.25, Placement::Random { sensors: 300 });
-        let hotspot = nat_run(&study, 0.25, Placement::Inside192);
+        let random = nat_run(&study, 0.25, Placement::Random { sensors: 300 }).unwrap();
+        let hotspot = nat_run(&study, 0.25, Placement::Inside192).unwrap();
         assert!(
             hotspot.alerted_at_20pct_infected > random.alerted_at_20pct_infected,
             "hotspot placement {} not better than random {}",
@@ -365,9 +379,11 @@ mod tests {
         // the ablation: with per-home NATs the 192.168 cluster can never
         // ignite, so the Inside192 placement loses its magic
         let study = small_study();
-        let shared = nat_run_with_topology(&study, 0.25, Placement::Inside192, NatTopology::Shared);
+        let shared =
+            nat_run_with_topology(&study, 0.25, Placement::Inside192, NatTopology::Shared).unwrap();
         let isolated =
-            nat_run_with_topology(&study, 0.25, Placement::Inside192, NatTopology::Isolated);
+            nat_run_with_topology(&study, 0.25, Placement::Inside192, NatTopology::Isolated)
+                .unwrap();
         assert!(
             shared.sensors_alerted > 4 * (isolated.sensors_alerted + 1),
             "shared {} vs isolated {}",
@@ -388,7 +404,7 @@ mod tests {
         assert!(hit.sim_seconds > 0.0);
         assert!(hit.infected_hosts >= study.seeds as u64);
 
-        let nat = nat_run(&study, 0.25, Placement::Inside192);
+        let nat = nat_run(&study, 0.25, Placement::Inside192).unwrap();
         assert_eq!(
             nat.ledger.delivered() + nat.ledger.dropped_total(),
             nat.ledger.probes()
@@ -402,8 +418,8 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         let study = small_study();
-        let a = nat_run(&study, 0.15, Placement::Random { sensors: 100 });
-        let b = nat_run(&study, 0.15, Placement::Random { sensors: 100 });
+        let a = nat_run(&study, 0.15, Placement::Random { sensors: 100 }).unwrap();
+        let b = nat_run(&study, 0.15, Placement::Random { sensors: 100 }).unwrap();
         assert_eq!(a.sensors_alerted, b.sensors_alerted);
         assert_eq!(
             a.infection_curve.last_value(),

@@ -339,7 +339,7 @@ fn profile_once(spec: &ScenarioSpec, threads: usize) -> ProfilePoint {
         };
         let tel = &result.telemetry;
         let Some(trace) = tel.trace.as_ref() else {
-            die("engine returned no trace (built without the telemetry feature?)");
+            die("engine returned no trace (trace not requested)");
         };
         let run_seconds = trace
             .spans()

@@ -1,4 +1,4 @@
-//! The call-graph and workspace-level rule families R6–R9.
+//! The call-graph and workspace-level rule families R6–R8.
 //!
 //! The token rules (D1–D5) judge each line in isolation; the rules here
 //! need the structure the [item parser](crate::items) and the
@@ -20,10 +20,6 @@
 //!   merging happens on the coordinator after `ShardDone`. Every
 //!   channel `Sender<T>` needs a type-paired `Receiver<T>` in the same
 //!   crate.
-//! * **R9 `gate-consistency`** — items defined only under
-//!   `#[cfg(feature = "telemetry")]` may be referenced only from
-//!   equally gated (or test) code, so every feature combination
-//!   compiles.
 //!
 //! All passes are deterministic: files are visited in analysis order,
 //! and every set/map used is ordered (`BTreeMap`/`BTreeSet`).
@@ -507,120 +503,4 @@ pub fn check_executor_isolation(files: &[FileAnalysis], graph: &CallGraph) -> Ve
         }
     }
     out
-}
-
-// ---------------------------------------------------------------------
-// R9 gate-consistency (workspace)
-// ---------------------------------------------------------------------
-
-/// Runs R9: names defined *only* under `#[cfg(feature = "telemetry")]`
-/// may be referenced only from equally gated (or test) code.
-pub fn check_gate_consistency(files: &[FileAnalysis]) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-
-    // whole-file gates: `#[cfg(feature = "telemetry")] mod x;` gates
-    // every item in x.rs / x/mod.rs
-    let mut gated_mods: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new(); // crate → mod names
-    for f in files {
-        let Some(ctx) = &f.ctx else { continue };
-        for (name, line) in &f.items.mod_decls {
-            if f.regions.in_telemetry(*line) {
-                gated_mods
-                    .entry(ctx.crate_name.as_str())
-                    .or_default()
-                    .insert(name.clone());
-            }
-        }
-    }
-    let file_gated: Vec<bool> = files
-        .iter()
-        .map(|f| {
-            let Some(ctx) = &f.ctx else { return false };
-            let Some(mods) = gated_mods.get(ctx.crate_name.as_str()) else {
-                return false;
-            };
-            module_stems(&f.rel_path).iter().any(|s| mods.contains(s))
-        })
-        .collect();
-
-    // gated iff *every* definition of the name is telemetry-gated
-    let mut gated_defs: BTreeMap<String, bool> = BTreeMap::new();
-    let mut def_sites: BTreeMap<(usize, String), BTreeSet<u32>> = BTreeMap::new();
-    for (fi, f) in files.iter().enumerate() {
-        let Some(ctx) = &f.ctx else { continue };
-        if ctx.role != FileRole::Lib {
-            continue;
-        }
-        let defs = f
-            .items
-            .fns
-            .iter()
-            .map(|x| (x.name.clone(), x.line))
-            .chain(f.items.types.iter().map(|x| (x.name.clone(), x.line)));
-        for (name, line) in defs {
-            if f.regions.in_test(line) {
-                continue;
-            }
-            let gated = file_gated[fi] || f.regions.in_telemetry(line);
-            gated_defs
-                .entry(name.clone())
-                .and_modify(|g| *g &= gated)
-                .or_insert(gated);
-            def_sites.entry((fi, name)).or_default().insert(line);
-        }
-    }
-
-    for (fi, f) in files.iter().enumerate() {
-        let Some(ctx) = &f.ctx else { continue };
-        if ctx.role == FileRole::Support || file_gated[fi] {
-            continue;
-        }
-        for t in &f.lexed.tokens {
-            if t.kind != TokenKind::Ident
-                || !gated_defs.get(&t.text).copied().unwrap_or(false)
-                || f.regions.in_telemetry(t.line)
-                || f.regions.in_test(t.line)
-            {
-                continue;
-            }
-            // the definition itself is not a reference
-            if def_sites
-                .get(&(fi, t.text.clone()))
-                .is_some_and(|lines| lines.contains(&t.line))
-            {
-                continue;
-            }
-            out.push(Diagnostic {
-                rule: RuleId::GateConsistency,
-                path: f.rel_path.clone(),
-                line: t.line,
-                message: format!(
-                    "`{}` is defined only under `#[cfg(feature = \"telemetry\")]` but \
-                     referenced from ungated code: this fails to compile without the \
-                     feature — gate the reference identically",
-                    t.text
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// The module names a file path can satisfy: `…/foo.rs` → `foo`,
-/// `…/foo/mod.rs` → `foo` (and the directory chain for nested mods).
-fn module_stems(rel_path: &str) -> Vec<String> {
-    let mut stems = Vec::new();
-    let parts: Vec<&str> = rel_path.split('/').collect();
-    if let Some(last) = parts.last() {
-        if let Some(stem) = last.strip_suffix(".rs") {
-            if stem == "mod" {
-                if parts.len() >= 2 {
-                    stems.push(parts[parts.len() - 2].to_owned());
-                }
-            } else {
-                stems.push(stem.to_owned());
-            }
-        }
-    }
-    stems
 }

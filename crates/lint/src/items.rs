@@ -1,10 +1,10 @@
 //! A hand-rolled item parser on top of the lexer.
 //!
 //! The call-graph rules (R6 `panic-reachability`, R8
-//! `executor-isolation`) and the gate rule (R9 `gate-consistency`) need
-//! more structure than a flat token stream: which `fn` a token belongs
-//! to, where each item's body starts and ends, and which items carry a
-//! `#[cfg(...)]` gate. This module recovers exactly that — fn / struct /
+//! `executor-isolation`) and the RNG rule (R7 `rng-stream-discipline`)
+//! need more structure than a flat token stream: which `fn` a token
+//! belongs to, and where each item's body starts and ends. This module
+//! recovers exactly that — fn / struct /
 //! enum / trait / mod boundaries with body token spans — from the token
 //! stream with a single bracket-depth pass. It is *not* a Rust parser:
 //! expressions are never interpreted, and malformed input degrades to
@@ -52,7 +52,7 @@ impl FnItem {
 }
 
 /// One non-fn item definition (only the name and line matter to the
-/// rules: R9 checks reference gating, R7 checks shard-payload structs).
+/// rules: R7 checks shard-payload structs).
 #[derive(Debug, Clone)]
 pub struct TypeItem {
     pub kind: ItemKind,
@@ -70,10 +70,6 @@ pub struct TypeItem {
 pub struct ItemSet {
     pub fns: Vec<FnItem>,
     pub types: Vec<TypeItem>,
-    /// Names declared by `mod <name>;` (out-of-line modules), with the
-    /// declaration line — used to propagate `#[cfg]` gates to whole
-    /// files.
-    pub mod_decls: Vec<(String, u32)>,
 }
 
 impl ItemSet {
@@ -434,7 +430,7 @@ fn parse_type_item(
     tokens.len()
 }
 
-/// Parses `mod NAME;` (recorded as an out-of-line declaration) or
+/// Skips `mod NAME;` (an out-of-line declaration) or parses
 /// `mod NAME { ... }` (scope push).
 fn parse_mod(tokens: &[Token], at: usize, out: &mut ItemSet, scopes: &mut Vec<Scope>) -> usize {
     let Some(name_tok) = tokens.get(at + 1) else {
@@ -444,10 +440,7 @@ fn parse_mod(tokens: &[Token], at: usize, out: &mut ItemSet, scopes: &mut Vec<Sc
         return at + 1;
     }
     match tokens.get(at + 2) {
-        Some(t) if t.is_punct(';') => {
-            out.mod_decls.push((name_tok.text.clone(), tokens[at].line));
-            at + 3
-        }
+        Some(t) if t.is_punct(';') => at + 3,
         Some(t) if t.is_punct('{') => {
             let idx = out.types.len();
             out.types.push(TypeItem {
@@ -576,7 +569,7 @@ mod tests {
         assert!(type_names.contains(&"SALT"));
         assert!(type_names.contains(&"X"));
         assert!(type_names.contains(&"Alias"));
-        assert_eq!(set.mod_decls, vec![("telemetry".to_owned(), 3)]);
+        assert!(!type_names.contains(&"telemetry"), "`mod x;` is no item");
         assert_eq!(set.fns.len(), 1);
         assert_eq!(set.fns[0].qualified, "inline::f");
     }

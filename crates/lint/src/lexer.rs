@@ -10,7 +10,7 @@
 //! disambiguation — to make token-level rules trustworthy.
 
 /// What a token is. Literal payloads keep their full source text so
-/// rules can inspect e.g. `cfg(feature = "telemetry")` predicates.
+/// rules can inspect e.g. `cfg(feature = "…")` predicates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
     /// Identifier or keyword.

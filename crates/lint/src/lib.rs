@@ -2,14 +2,14 @@
 //!
 //! The reproduction's scientific claims rest on invariants that code
 //! review alone cannot hold forever: bit-identical serial/parallel
-//! runs, no clock reads in the default hot loop, stable-order JSONL
+//! runs, clock reads only through the timing crate, stable-order JSONL
 //! reports, and randomness that flows only from the id-keyed SplitMix64
 //! streams. The paper itself is a catalogue of what tiny violations do
 //! at scale — Blaster's seed, Slammer's broken LCG increment — so this
 //! tool machine-checks *our* equivalents on every CI run:
 //!
 //! * **D1 `no-clock`** — no `Instant::now`/`SystemTime` in hot-path
-//!   crates outside `#[cfg(feature = "telemetry")]` regions.
+//!   crates; their timing goes through `hotspots-telemetry`.
 //! * **D2 `unordered-iteration`** — no `HashMap`/`HashSet` in code
 //!   that feeds reports, JSONL, or rendered output.
 //! * **D3 `ambient-entropy`** — no `thread_rng`/`OsRng`/`RandomState`
@@ -19,7 +19,7 @@
 //! * **D5 `panic-path`** — no `unwrap`/`expect`/`panic!` in library
 //!   code without a justified waiver.
 //!
-//! On top of the token rules sit four call-graph-driven families, fed
+//! On top of the token rules sit three call-graph-driven families, fed
 //! by a hand-rolled item parser ([`items`]) and a conservative
 //! name-resolved call graph ([`graph`]):
 //!
@@ -32,8 +32,6 @@
 //! * **R8 `executor-isolation`** — nothing reachable from
 //!   `drive_shard`/`worker_loop` mutates observers or shared engine
 //!   flags; every channel `Sender<T>` pairs with a `Receiver<T>`.
-//! * **R9 `gate-consistency`** — telemetry-gated items are referenced
-//!   only from equally gated code.
 //!
 //! Run it as `cargo run -p hotspots-lint -- --workspace` (exit nonzero
 //! on violations; `--json` or `--sarif` for machine-readable output,

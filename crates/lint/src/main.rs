@@ -35,7 +35,7 @@ OPTIONS:
 
 Rules: D1 no-clock, D2 unordered-iteration, D3 ambient-entropy,
 D4 forbid-unsafe, D5 panic-path, R6 panic-reachability,
-R7 rng-stream-discipline, R8 executor-isolation, R9 gate-consistency.
+R7 rng-stream-discipline, R8 executor-isolation.
 Waive a violation in place with
 `// hotspots-lint: allow(<rule>) reason=\"…\"` (reason mandatory), or
 certify a whole fn with

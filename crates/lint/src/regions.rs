@@ -1,5 +1,4 @@
-//! Attribute-scoped regions: which lines are `#[cfg(test)]` code, and
-//! which are `#[cfg(feature = "telemetry")]`-gated.
+//! Attribute-scoped regions: which lines are `#[cfg(test)]` code.
 //!
 //! The lexer produces a flat token stream, so regions are recovered
 //! with a bracket-depth heuristic: an attribute's target runs to the
@@ -32,9 +31,6 @@ pub struct Regions {
     /// `#[cfg(test)]` / `#[cfg(any(test, …))]` targets, plus whole
     /// files gated with an inner `#![cfg(test)]`.
     pub test: Vec<LineRange>,
-    /// `#[cfg(feature = "telemetry")]` targets (any predicate that
-    /// names the `telemetry` feature).
-    pub telemetry: Vec<LineRange>,
 }
 
 impl Regions {
@@ -42,15 +38,10 @@ impl Regions {
     pub fn in_test(&self, line: u32) -> bool {
         self.test.iter().any(|r| r.contains(line))
     }
-
-    /// True if `line` is inside telemetry-gated code.
-    pub fn in_telemetry(&self, line: u32) -> bool {
-        self.telemetry.iter().any(|r| r.contains(line))
-    }
 }
 
-/// Scans the token stream for cfg attributes and computes their target
-/// line ranges.
+/// Scans the token stream for test-gating cfg attributes and computes
+/// their target line ranges.
 pub fn analyze(tokens: &[Token]) -> Regions {
     let mut regions = Regions::default();
     let mut i = 0;
@@ -82,14 +73,9 @@ pub fn analyze(tokens: &[Token]) -> Regions {
         }
         let attr = &tokens[attr_start..k.saturating_sub(1).max(attr_start)];
         let after = k; // first token past `]`
-        let is_cfg = attr.first().is_some_and(|t| t.is_ident("cfg"));
-        let gates_test = is_cfg && attr.iter().any(|t| t.is_ident("test"));
-        let gates_telemetry = is_cfg
-            && attr.iter().any(|t| t.is_ident("feature"))
-            && attr
-                .iter()
-                .any(|t| t.kind == TokenKind::Str && t.text.contains("telemetry"));
-        if !gates_test && !gates_telemetry {
+        let gates_test = attr.first().is_some_and(|t| t.is_ident("cfg"))
+            && attr.iter().any(|t| t.is_ident("test"));
+        if !gates_test {
             i = after;
             continue;
         }
@@ -102,12 +88,7 @@ pub fn analyze(tokens: &[Token]) -> Regions {
         } else {
             target_range(tokens, after)
         };
-        if gates_test {
-            regions.test.push(range);
-        }
-        if gates_telemetry {
-            regions.telemetry.push(range);
-        }
+        regions.test.push(range);
         i = after;
     }
     regions
@@ -219,19 +200,19 @@ mod tests {
 
     #[test]
     fn gated_let_statement_ends_at_semicolon() {
-        let src = "#[cfg(feature = \"telemetry\")]\nlet t0 = Instant::now();\nlet x = 1;";
+        let src = "#[cfg(test)]\nlet probe = helper();\nlet x = 1;";
         let r = regions(src);
-        assert!(r.in_telemetry(2));
-        assert!(!r.in_telemetry(3));
+        assert!(r.in_test(2));
+        assert!(!r.in_test(3));
     }
 
     #[test]
     fn gated_expression_block_spans_to_close() {
-        let src = "#[cfg(feature = \"telemetry\")]\n{\n  a += t1 - t0;\n  b += t2.elapsed();\n}\nafter();";
+        let src = "#[cfg(test)]\n{\n  a += check(x);\n  b += check(y);\n}\nafter();";
         let r = regions(src);
-        assert!(r.in_telemetry(3));
-        assert!(r.in_telemetry(4));
-        assert!(!r.in_telemetry(6));
+        assert!(r.in_test(3));
+        assert!(r.in_test(4));
+        assert!(!r.in_test(6));
     }
 
     #[test]
@@ -264,7 +245,6 @@ mod tests {
         let src = "#[derive(Debug)]\nstruct S;\n#[inline]\nfn f() {}";
         let r = regions(src);
         assert!(r.test.is_empty());
-        assert!(r.telemetry.is_empty());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! region recovery, item parsing, and every local rule (D1–D5, R7) —
 //! so it runs on a small worker pool under `--threads N`. The
 //! **workspace phase** ([`finalize`]) is serial: it builds the call
-//! graph over every file, runs the graph rules (R6, R8, R9), applies
+//! graph over every file, runs the graph rules (R6, R8), applies
 //! the waiver pragmas, and sorts every finding by `(path, line, rule)`
 //! so the output is byte-identical whatever the thread count.
 
@@ -151,7 +151,6 @@ pub fn finalize(analyses: Vec<FileAnalysis>) -> WorkspaceReport {
     let graph = CallGraph::build(&graph_input);
     let cert = invariants::check_certifications(&analyses, &graph);
     let r8 = invariants::check_executor_isolation(&analyses, &graph);
-    let r9 = invariants::check_gate_consistency(&analyses);
 
     // group the workspace-rule findings by file for pragma application
     let mut extra: Vec<Vec<Diagnostic>> = vec![Vec::new(); analyses.len()];
@@ -160,7 +159,7 @@ pub fn finalize(analyses: Vec<FileAnalysis>) -> WorkspaceReport {
         .enumerate()
         .map(|(i, a)| (a.rel_path.as_str(), i))
         .collect();
-    for d in cert.diags.into_iter().chain(r8).chain(r9) {
+    for d in cert.diags.into_iter().chain(r8) {
         match by_path.get(d.path.as_str()) {
             Some(&i) => extra[i].push(d),
             None => report.diagnostics.push(d),

@@ -1,25 +1,18 @@
 // lint-as: crates/sim/src/engine.rs
-// Clock reads are fine when telemetry-gated, in test modules, or in
-// strings; bare `Instant` type mentions are not calls.
+// Hot-path timing goes through `hotspots_telemetry::Timer`; clock reads
+// in test modules or in strings are fine, and bare `Instant` type
+// mentions are not calls.
 
-#[cfg(feature = "telemetry")]
-use std::time::Instant;
+use hotspots_telemetry::Timer;
 
-pub fn step() {
-    #[cfg(feature = "telemetry")]
-    let t0 = Instant::now();
-    #[cfg(feature = "telemetry")]
-    {
-        let _dt = t0.elapsed();
-        let _again = Instant::now();
-    }
+pub fn step() -> std::time::Duration {
+    let timer = Timer::start();
+    let _first = timer.elapsed();
     let _msg = "Instant::now and SystemTime in a string are data";
+    timer.elapsed()
 }
 
-#[cfg(feature = "telemetry")]
-pub fn gated_fn() -> Instant {
-    Instant::now()
-}
+pub fn deadline(_at: std::time::Instant) {}
 
 #[cfg(test)]
 mod tests {

@@ -42,12 +42,13 @@ fn workspace_lints_clean() {
 /// path removed the `RunSet` and `preset_main` panic waivers, and the
 /// R6 certification burn-down converted 33 more D5 waivers (corpus
 /// generation, slammer cycle maps, figure rendering, the ablation
-/// runner) into 17 call-graph-checked `certifies(panic-free)` pragmas.
-/// This pin keeps any retired waiver from silently returning as a new
+/// runner) into 17 call-graph-checked `certifies(panic-free)` pragmas,
+/// and typed NAT-deployment errors retired the `apply_nat` gateway
+/// waiver. This pin keeps any retired waiver from silently returning as a new
 /// `expect` with a fresh pragma: the count may only fall; raising it
 /// takes a deliberate edit here alongside the new waiver's
 /// justification.
-const WAIVER_CEILING: usize = 28;
+const WAIVER_CEILING: usize = 27;
 
 #[test]
 fn workspace_waiver_count_is_pinned() {

@@ -117,7 +117,8 @@ impl ScenarioSpec {
                 let loci = match nat.topology.as_str() {
                     "shared" => apply_nat_shared(&mut environment, &addrs, nat.fraction, &mut rng),
                     _ => apply_nat(&mut environment, &addrs, nat.fraction, &mut rng),
-                };
+                }
+                .map_err(|e| SpecError::new("environment.nat", e.to_string()))?;
                 if compressed {
                     let (public, private) = canonical_parts(&loci);
                     Population::try_compressed_from_parts(&public, private)

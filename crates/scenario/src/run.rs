@@ -293,22 +293,18 @@ pub fn fold_run(
 }
 
 /// Folds an engine [`SimResult`] into a report: probe accounting,
-/// population, infections, simulated time, and — when this crate's
-/// `telemetry` feature is on — the engine's per-phase timings and step
-/// peak.
+/// population, infections, simulated time, and the engine's per-phase
+/// timings and step peak.
 pub fn fold_sim_result(report: &mut ReportBuilder, result: &SimResult) {
     fold_ledger(report, &result.ledger);
     report
         .add_population(result.population as u64)
         .add_infections(result.infected as u64)
         .add_sim_seconds(result.elapsed);
-    #[cfg(feature = "telemetry")]
-    {
-        for (name, total, _) in result.telemetry.phases.iter() {
-            report.add_phase_seconds(name, total.as_secs_f64());
-        }
-        report.peak_step_seconds(result.telemetry.peak_step_seconds);
+    for (name, total, _) in result.telemetry.phases.iter() {
+        report.add_phase_seconds(name, total.as_secs_f64());
     }
+    report.peak_step_seconds(result.telemetry.peak_step_seconds);
 }
 
 /// Runs a set of independent experiment configurations across threads,
@@ -617,7 +613,8 @@ fn run_study(
                 .config("nat_fraction", study.nat_fraction)
                 .add_population(study.hosts as u64);
             let blocks = ims_deployment();
-            let (rows, ledger) = sources_by_block_accounted(&study, &blocks);
+            let (rows, ledger) = sources_by_block_accounted(&study, &blocks)
+                .map_err(|e| SpecError::new("study.hosts", e.to_string()))?;
             fold_ledger(out, &ledger);
             // the quarantine runs scan straight into the telescope index
             // (no environment), so only the mixed run's probes are ledgered
@@ -700,7 +697,11 @@ fn run_study(
                 },
                 Placement::Inside192,
             ];
-            let runs = runset.run(placements, |p| nat_run(&study, *nat_fraction, p))?;
+            let runs = runset
+                .run(placements, |p| nat_run(&study, *nat_fraction, p))?
+                .into_iter()
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|e| SpecError::new("study.nat_fraction", e.to_string()))?;
             out.config("population", study.population_size())
                 .config("nat_fraction", nat_fraction)
                 .config("placements", "Random,TopSlash8s,Inside192");
@@ -776,14 +777,14 @@ fn run_study(
             sensor_hosts,
             sensor_max_time,
             reboot_hosts,
-        } => Ok(run_ablations(
+        } => run_ablations(
             spec_usize("study.nat_population", *nat_population)?,
             *nat_max_time,
             spec_u32("study.sensor_hosts", *sensor_hosts)?,
             *sensor_max_time,
             spec_usize("study.reboot_hosts", *reboot_hosts)?,
             out,
-        )),
+        ),
         StudySpec::Sensitivity {
             trials,
             codered_hosts,
@@ -812,11 +813,13 @@ fn run_study(
                     probes_per_host: *codered_probes_per_host,
                     rng_seed: 1_000 + trial,
                 };
-                let (rows, trial_ledger) = sources_by_block_accounted(&study, &blocks);
-                (trial, blocks, study.hosts, rows, trial_ledger)
+                let accounted = sources_by_block_accounted(&study, &blocks);
+                (trial, blocks, study.hosts, accounted)
             })?;
             let mut codered = Vec::new();
-            for (trial, blocks, hosts, rows, trial_ledger) in codered_runs {
+            for (trial, blocks, hosts, accounted) in codered_runs {
+                let (rows, trial_ledger) =
+                    accounted.map_err(|e| SpecError::new("study.codered_hosts", e.to_string()))?;
                 ledger.merge(&trial_ledger);
                 out.add_population(hosts as u64);
                 codered.push(CodeRedTrial {
@@ -880,7 +883,7 @@ fn run_ablations(
     sensor_max_time: f64,
     reboot_hosts: usize,
     out: &mut ReportBuilder,
-) -> Outcome {
+) -> Result<Outcome, HotspotsError> {
     // 1. NAT topology: shared 192.168/16 vs isolated home NATs.
     let nat_study = DetectionStudy {
         population: nat_population,
@@ -890,7 +893,8 @@ fn run_ablations(
     };
     let mut nat = Vec::new();
     for topology in [NatTopology::Shared, NatTopology::Isolated] {
-        let run = nat_run_with_topology(&nat_study, 0.15, Placement::Inside192, topology);
+        let run = nat_run_with_topology(&nat_study, 0.15, Placement::Inside192, topology)
+            .map_err(|e| SpecError::new("study.nat_population", e.to_string()))?;
         fold_run(
             out,
             &run.ledger,
@@ -978,17 +982,17 @@ fn run_ablations(
     }
     // interval-coverage sweep: closed form, nothing routed
     out.config("reboot_fractions", "0,0.25,0.5,0.75,1");
-    Outcome::Ablations {
+    Ok(Outcome::Ablations {
         nat,
         sensor,
         reboot,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{PopSpec, SimSpec, WormSpec};
+    use crate::spec::{NatSpec, PopSpec, SimSpec, WormSpec};
 
     fn tiny_engine_spec() -> ScenarioSpec {
         let mut spec = ScenarioSpec::named("tiny");
@@ -1050,6 +1054,69 @@ mod tests {
         let report = run.report.build();
         assert_eq!(report.binary, "test");
         assert_eq!(report.population, 120);
+        // Every engine run times its serial phases.
+        for phase in ["target_gen", "routing", "lookup", "observe", "merge"] {
+            assert!(
+                report.phases.iter().any(|(name, _)| name == phase),
+                "missing phase {phase}: {:?}",
+                report.phases
+            );
+        }
+        assert!(report.peak_step_seconds.is_some());
+    }
+
+    #[test]
+    fn nat_deployments_that_do_not_fit_fail_typed() {
+        // (topology, base, hosts, expected message): 70 000 hosts overfill
+        // the one shared 192.168/16 realm; a 10/8 host cannot be a gateway
+        for (topology, base, count, expected) in [
+            ("shared", "11.0.0.0", 70_000, "70000 NATed hosts"),
+            ("isolated", "10.0.0.0", 100, "host 10.0.0.0"),
+        ] {
+            let mut spec = tiny_engine_spec();
+            spec.population = Some(PopSpec::Range {
+                base: base.to_owned(),
+                count,
+                stride: 1,
+            });
+            spec.environment.nat = Some(NatSpec {
+                fraction: 1.0,
+                topology: topology.to_owned(),
+                seed: 1,
+            });
+            let Err(err) = run_spec(&spec, &RunContext::new("t")) else {
+                panic!("{topology} NAT over {count} hosts at {base} must not build");
+            };
+            let msg = err.to_string();
+            assert!(msg.starts_with("environment.nat: "), "got: {msg}");
+            assert!(msg.contains(expected), "got: {msg}");
+            assert_eq!(err.exit_code(), 2);
+        }
+    }
+
+    #[test]
+    fn overfull_nat_detection_study_fails_typed() {
+        let mut spec = crate::find_preset("fig5c")
+            .expect("preset")
+            .spec(crate::Scale::Quick);
+        let Some(StudySpec::NatDetection {
+            detection,
+            nat_fraction,
+            ..
+        }) = spec.study.as_mut()
+        else {
+            panic!("fig5c is a nat-detection study");
+        };
+        detection.population = 70_000;
+        detection.paper_profile = false;
+        *nat_fraction = 1.0;
+        let Err(err) = run_spec(&spec, &RunContext::new("t")) else {
+            panic!("70 000 hosts cannot share one 192.168/16 realm");
+        };
+        let msg = err.to_string();
+        assert!(msg.contains("study.nat_fraction"), "got: {msg}");
+        assert!(msg.contains("70000 NATed hosts"), "got: {msg}");
+        assert_eq!(err.exit_code(), 2);
     }
 
     #[test]

@@ -306,9 +306,9 @@ pub struct SimSpec {
     /// machine's available parallelism at build time (the run report
     /// records the resolved count, never the `0`).
     pub threads: u64,
-    /// Record a span trace of the run (inert unless the engine build
-    /// has the `telemetry` feature). Off by default; `hotspots
-    /// profile` turns it on per run.
+    /// Record a span trace of the run. Off by default; `hotspots
+    /// profile` turns it on per run. Phase timing is collected either
+    /// way.
     pub trace: bool,
 }
 

@@ -19,7 +19,12 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
-use hotspots_scenario::{run_spec, RunContext, ScenarioSpec};
+use hotspots_scenario::{run_spec, HotspotsError, RunContext, ScenarioSpec};
+
+use crate::protocol::ErrorKind;
+
+/// A failed run: the error class the protocol reports, and the message.
+pub type RunFailure = (ErrorKind, String);
 
 /// Locks a mutex, shrugging off poisoning: a worker that panicked has
 /// already had its panic captured and converted to a failure result,
@@ -40,7 +45,7 @@ pub struct RunSlot {
 #[derive(Debug)]
 enum SlotState {
     Pending,
-    Done(Result<String, String>),
+    Done(Result<String, RunFailure>),
 }
 
 impl RunSlot {
@@ -54,13 +59,14 @@ impl RunSlot {
     }
 
     /// Blocks until the run completes; returns the canonicalized
-    /// report line, or the failure message.
+    /// report line, or the failure.
     ///
     /// # Errors
     ///
-    /// The run's own failure (spec build, worker loss, captured
-    /// panic), as reported by the worker.
-    pub fn wait(&self) -> Result<String, String> {
+    /// The run's own failure, as reported by the worker:
+    /// [`ErrorKind::Spec`] for a spec that fails to build,
+    /// [`ErrorKind::Runtime`] for worker loss or a captured panic.
+    pub fn wait(&self) -> Result<String, RunFailure> {
         let mut state = lock(&self.state);
         loop {
             match &*state {
@@ -76,7 +82,7 @@ impl RunSlot {
     }
 
     /// Publishes the result and wakes every waiter.
-    fn complete(&self, result: Result<String, String>) {
+    fn complete(&self, result: Result<String, RunFailure>) {
         *lock(&self.state) = SlotState::Done(result);
         self.ready.notify_all();
     }
@@ -190,16 +196,25 @@ fn worker_loop(queue: &Mutex<Receiver<RunJob>>, ctx: &RunContext) {
     loop {
         let received = lock(queue).recv();
         let Ok(job) = received else { return };
-        let result = catch_unwind(AssertUnwindSafe(|| execute(&job.spec, ctx)))
-            .unwrap_or_else(|payload| Err(format!("run panicked: {}", panic_text(&payload))));
+        let result =
+            catch_unwind(AssertUnwindSafe(|| execute(&job.spec, ctx))).unwrap_or_else(|payload| {
+                let message = format!("run panicked: {}", panic_text(&payload));
+                Err((ErrorKind::Runtime, message))
+            });
         job.slot.complete(result);
     }
 }
 
 /// Runs the spec and returns the canonicalized report line — the
 /// byte-stable form the store and the protocol both use.
-fn execute(spec: &ScenarioSpec, ctx: &RunContext) -> Result<String, String> {
-    let run = run_spec(spec, ctx).map_err(|e| e.to_string())?;
+fn execute(spec: &ScenarioSpec, ctx: &RunContext) -> Result<String, RunFailure> {
+    let run = run_spec(spec, ctx).map_err(|e| {
+        let kind = match e {
+            HotspotsError::Spec(_) => ErrorKind::Spec,
+            _ => ErrorKind::Runtime,
+        };
+        (kind, e.to_string())
+    })?;
     Ok(run.report.build().canonicalized().to_jsonl())
 }
 

@@ -58,7 +58,7 @@ pub enum ErrorKind {
     /// [`MAX_REQUEST_BYTES`](crate::server::MAX_REQUEST_BYTES); it was
     /// discarded unread.
     RequestTooLarge,
-    /// The spec failed to parse or validate.
+    /// The spec failed to parse, validate, or build.
     Spec,
     /// The worker queue is full; the client should back off and retry.
     QueueFull,

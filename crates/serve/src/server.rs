@@ -185,7 +185,7 @@ impl Server {
                     Err(e) => protocol::error(ErrorKind::Runtime, &e.to_string()),
                 }
             }
-            Err(message) => protocol::error(ErrorKind::Runtime, &message),
+            Err((kind, message)) => protocol::error(kind, &message),
         };
         // leave `inflight` only once the result is in the store
         lock(&self.inflight).remove(&hash);

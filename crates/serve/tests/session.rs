@@ -319,6 +319,44 @@ fn oversize_request_line_is_rejected_and_the_session_continues() {
     cleanup(&config);
 }
 
+#[test]
+fn spec_that_fails_to_build_is_a_spec_error_and_the_session_continues() {
+    let config = temp_config("nat-build");
+    let server = Server::open(&config).expect("open");
+    // 10/8 hosts cannot be home-NAT gateways: the build fails typed
+    let unbuildable = format!(
+        "{}\n[environment.nat]\nfraction = 1.0\ntopology = \"isolated\"\nseed = 1\n",
+        tiny_spec(13)
+    );
+    let responses = session(
+        &server,
+        &[
+            submit_line(&unbuildable),
+            submit_line(&tiny_spec(14)),
+            "{\"op\":\"stats\"}".to_owned(),
+        ],
+    );
+    assert_eq!(responses.len(), 3, "{responses:?}");
+    assert!(
+        responses[0].starts_with(
+            "{\"ok\":false,\"kind\":\"spec\",\"error\":\"environment.nat: host 10.0.0."
+        ) && !responses[0].contains("panicked"),
+        "{}",
+        responses[0]
+    );
+    assert!(
+        responses[1].starts_with("{\"ok\":true,\"hash\":\""),
+        "{}",
+        responses[1]
+    );
+    // the failed run stored nothing
+    assert_eq!(
+        responses[2],
+        "{\"ok\":true,\"entries\":1,\"hits\":0,\"misses\":2,\"runs\":2,\"rejected\":0,\"evictions\":0}"
+    );
+    cleanup(&config);
+}
+
 /// A `stats` request padded with trailing spaces to exactly `len` bytes.
 fn padded_stats(len: usize) -> Vec<u8> {
     let mut line = b"{\"op\":\"stats\"}".to_vec();

@@ -3,7 +3,7 @@
 use hotspots_ipspace::Ip;
 use hotspots_netmodel::Environment;
 use hotspots_sim::{Engine, NullObserver, Population, SimConfig, SlammerWorm};
-use std::time::Instant;
+use hotspots_telemetry::Timer;
 
 fn main() {
     let config = SimConfig {
@@ -21,8 +21,7 @@ fn main() {
         Environment::new(),
         Box::new(SlammerWorm),
     );
-    #[allow(clippy::disallowed_methods)] // profiling example measures wall time by design
-    let start = Instant::now();
+    let start = Timer::start();
     let result = engine.run(&mut NullObserver);
     let secs = start.elapsed().as_secs_f64();
     println!(
@@ -30,7 +29,6 @@ fn main() {
         result.probes_sent,
         result.probes_sent as f64 / secs
     );
-    #[cfg(feature = "telemetry")]
     for (name, d, calls) in result.telemetry.phases.iter() {
         println!("  {name:<12} {:.3}s  ({calls} windows)", d.as_secs_f64());
     }

@@ -3,15 +3,12 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-
-#[cfg(feature = "telemetry")]
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use hotspots_netmodel::{DeliveryLedger, Environment};
 use hotspots_prng::SplitMix;
 use hotspots_stats::TimeSeries;
-#[cfg(feature = "telemetry")]
-use hotspots_telemetry::{Histogram, PhaseTimes, TraceSink};
+use hotspots_telemetry::{Histogram, PhaseTimes, Timer, TraceSink};
 use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::{Rng, SeedableRng};
@@ -57,9 +54,8 @@ pub struct SimConfig {
     /// throughput knob: results are bit-identical at any setting.
     pub threads: usize,
     /// Record a span trace of the run (run → step → phase spans with
-    /// per-shard attribution) into [`EngineTelemetry::trace`]. Without
-    /// the `telemetry` cargo feature this flag is inert: the trace code
-    /// does not exist in the build and no clock is read.
+    /// per-shard attribution) into [`EngineTelemetry::trace`]. Off, no
+    /// span is opened; phase timing is collected either way.
     pub trace: bool,
 }
 
@@ -101,10 +97,8 @@ impl SimConfig {
     }
 }
 
-/// Wall-clock accounting for one run's engine phases (only collected
-/// under the `telemetry` cargo feature; without it no clock is read in
-/// the step loop).
-#[cfg(feature = "telemetry")]
+/// Wall-clock accounting for one run's engine phases, collected in
+/// every run. All clock reads go through [`Timer`].
 #[derive(Debug, Clone)]
 pub struct EngineTelemetry {
     /// Per-phase wall totals: `target_gen` (drawing targets), `routing`
@@ -152,8 +146,7 @@ pub struct SimResult {
     pub infection_times: Vec<Option<f64>>,
     /// Simulated seconds elapsed.
     pub elapsed: f64,
-    /// Engine phase timings (`telemetry` feature only).
-    #[cfg(feature = "telemetry")]
+    /// Engine phase timings.
     pub telemetry: EngineTelemetry,
 }
 
@@ -354,7 +347,6 @@ impl Engine {
         let mut removed = 0usize;
         let mut ledger = DeliveryLedger::new();
 
-        #[cfg(feature = "telemetry")]
         let (mut tel_target, mut tel_route, mut tel_lookup, mut tel_observe, mut tel_merge) = (
             Duration::ZERO,
             Duration::ZERO,
@@ -362,18 +354,11 @@ impl Engine {
             Duration::ZERO,
             Duration::ZERO,
         );
-        #[cfg(feature = "telemetry")]
         let mut step_micros = Histogram::new();
-        #[cfg(feature = "telemetry")]
         let mut peak_step = Duration::ZERO;
-        #[cfg(feature = "telemetry")]
-        #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
-        let run_start = Instant::now();
-        #[cfg(feature = "telemetry")]
+        let run_start = Timer::start();
         let mut trace = self.config.trace.then(TraceSink::new);
-        #[cfg(feature = "telemetry")]
         let run_span = trace.as_mut().map(|t| t.open("run", 0, 0, 0));
-        #[cfg(feature = "telemetry")]
         let mut step_index: u64 = 0;
 
         // Seed hosts.
@@ -394,9 +379,7 @@ impl Engine {
 
         while time < self.config.max_time {
             time += self.config.dt;
-            #[cfg(feature = "telemetry")]
-            #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
-            let step_start = Instant::now();
+            let step_start = Timer::start();
 
             // Activate pending (latency-delayed) infections due by now.
             let mut activated = false;
@@ -432,9 +415,7 @@ impl Engine {
             // Opened only after the break checks above so every step
             // span is closed; its duration still covers the whole step
             // (measured from `step_start`).
-            #[cfg(feature = "telemetry")]
             let step_span = trace.as_mut().map(|t| t.open("step", step_index, 0, 0));
-            #[cfg(feature = "telemetry")]
             let mut step_merge = Duration::ZERO;
 
             // Removal: infected hosts get patched/cleaned and turn
@@ -474,42 +455,27 @@ impl Engine {
             // Stage 4 (observe) and infection bookkeeping: serial merge
             // in fixed shard order.
             newly_infected.clear();
-            #[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
             for (shard, batch) in pipeline.batches_mut()[..shard_count].iter_mut().enumerate() {
-                #[cfg(feature = "telemetry")]
-                #[allow(clippy::disallowed_methods)]
-                // telemetry-gated: legal clock site
-                let t_batch = Instant::now();
-                #[cfg(feature = "telemetry")]
-                let obs_dur: Duration;
+                let t_batch = Timer::start();
                 ledger.merge(&batch.ledger);
-                #[cfg(feature = "telemetry")]
-                {
-                    tel_target += batch.target_gen;
-                    tel_route += batch.routing;
-                    tel_lookup += batch.lookup;
-                    if let Some(t) = trace.as_mut() {
-                        let (s, lane) = (shard as u32, shard as u32 + 1);
-                        t.leaf("target_gen", step_index, s, lane, batch.target_gen);
-                        t.leaf("routing", step_index, s, lane, batch.routing);
-                        t.leaf("lookup", step_index, s, lane, batch.lookup);
-                    }
-                    batch.target_gen = Duration::ZERO;
-                    batch.routing = Duration::ZERO;
-                    batch.lookup = Duration::ZERO;
+                tel_target += batch.target_gen;
+                tel_route += batch.routing;
+                tel_lookup += batch.lookup;
+                if let Some(t) = trace.as_mut() {
+                    let (s, lane) = (shard as u32, shard as u32 + 1);
+                    t.leaf("target_gen", step_index, s, lane, batch.target_gen);
+                    t.leaf("routing", step_index, s, lane, batch.routing);
+                    t.leaf("lookup", step_index, s, lane, batch.lookup);
                 }
-                #[cfg(feature = "telemetry")]
-                #[allow(clippy::disallowed_methods)]
-                // telemetry-gated: legal clock site
-                let t_obs = Instant::now();
+                batch.target_gen = Duration::ZERO;
+                batch.routing = Duration::ZERO;
+                batch.lookup = Duration::ZERO;
+                let t_obs = Timer::start();
                 observer.on_probe_batch(time, &batch.probes, &batch.ledger);
-                #[cfg(feature = "telemetry")]
-                {
-                    obs_dur = t_obs.elapsed();
-                    tel_observe += obs_dur;
-                    if let Some(t) = trace.as_mut() {
-                        t.leaf("observe", step_index, shard as u32, 0, obs_dur);
-                    }
+                let obs_dur = t_obs.elapsed();
+                tel_observe += obs_dur;
+                if let Some(t) = trace.as_mut() {
+                    t.leaf("observe", step_index, shard as u32, 0, obs_dur);
                 }
                 batch.ledger = DeliveryLedger::new();
                 batch.probes.clear();
@@ -538,41 +504,32 @@ impl Engine {
                 // Everything in the batch body except the observer call
                 // is merge work: ledger fold, candidate re-check,
                 // latency draws, scratch resets.
-                #[cfg(feature = "telemetry")]
-                {
-                    step_merge += t_batch.elapsed().saturating_sub(obs_dur);
-                }
+                step_merge += t_batch.elapsed().saturating_sub(obs_dur);
             }
 
-            #[cfg(feature = "telemetry")]
-            #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
-            let t_spawn = Instant::now();
+            let t_spawn = Timer::start();
             for &idx in &newly_infected {
                 active.push(self.spawn_host(idx));
             }
             if !newly_infected.is_empty() || activated || curve.is_empty() {
                 curve.push(time, ever_infected as f64 / n as f64);
             }
-            #[cfg(feature = "telemetry")]
-            {
-                // Host spawning and curve bookkeeping are part of the
-                // serial merge tail.
-                step_merge += t_spawn.elapsed();
-                tel_merge += step_merge;
-                let step = step_start.elapsed();
-                step_micros.record(step.as_micros() as u64);
-                peak_step = peak_step.max(step);
-                if let Some(t) = trace.as_mut() {
-                    t.leaf("merge", step_index, 0, 0, step_merge);
-                    if let Some(span) = step_span {
-                        t.close(span, step);
-                    }
+            // Host spawning and curve bookkeeping are part of the serial
+            // merge tail.
+            step_merge += t_spawn.elapsed();
+            tel_merge += step_merge;
+            let step = step_start.elapsed();
+            step_micros.record(step.as_micros() as u64);
+            peak_step = peak_step.max(step);
+            if let Some(t) = trace.as_mut() {
+                t.leaf("merge", step_index, 0, 0, step_merge);
+                if let Some(span) = step_span {
+                    t.close(span, step);
                 }
-                step_index += 1;
             }
+            step_index += 1;
         }
         curve.push(time, ever_infected as f64 / n as f64);
-        #[cfg(feature = "telemetry")]
         if let Some(t) = trace.as_mut() {
             if let Some(span) = run_span {
                 t.close(span, run_start.elapsed());
@@ -588,7 +545,6 @@ impl Engine {
             ledger,
             infection_times,
             elapsed: time,
-            #[cfg(feature = "telemetry")]
             telemetry: {
                 let mut phases = PhaseTimes::new();
                 phases.record("target_gen", tel_target);
@@ -963,7 +919,7 @@ mod tests {
         let mut env = Environment::new();
         let mut nat_rng = StdRng::seed_from_u64(5);
         let publics: Vec<Ip> = (0..50u32).map(|i| Ip::new(0x0c0c_0000 + i)).collect();
-        let loci = apply_nat(&mut env, &publics, 1.0, &mut nat_rng);
+        let loci = apply_nat(&mut env, &publics, 1.0, &mut nat_rng).unwrap();
         let pop = Population::from_loci(loci);
         let config = SimConfig {
             scan_rate: 50.0,
@@ -1051,9 +1007,8 @@ mod tests {
         assert!(result.ledger.dropped(DropReason::PacketLoss) > 0);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
-    fn telemetry_feature_collects_phase_times() {
+    fn every_run_collects_phase_times() {
         let mut engine = Engine::new(
             hitlist_config(),
             dense_population(200),
@@ -1074,7 +1029,6 @@ mod tests {
         assert!(tel.trace.is_none(), "no trace unless SimConfig::trace");
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn trace_spans_are_balanced_and_deterministic() {
         let run_once = || {
@@ -1119,7 +1073,6 @@ mod tests {
         assert_eq!(shape(ta), shape(tb));
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn trace_attributes_shards_in_parallel_runs() {
         let mut engine = Engine::new(

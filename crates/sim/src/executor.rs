@@ -26,15 +26,12 @@
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-
-#[cfg(feature = "telemetry")]
 use std::time::Duration;
-#[cfg(feature = "telemetry")]
-use std::time::Instant;
 
 use hotspots_ipspace::Ip;
 use hotspots_netmodel::{Delivery, DeliveryLedger, Environment, Locus, Service};
 use hotspots_targeting::TargetGenerator;
+use hotspots_telemetry::Timer;
 use rand::rngs::StdRng;
 
 use crate::bitset::HostBits;
@@ -65,11 +62,8 @@ pub(crate) struct ProbeBatch {
     pub(crate) probes: Vec<(Ip, Delivery)>,
     pub(crate) candidates: Vec<usize>,
     pub(crate) ledger: DeliveryLedger,
-    #[cfg(feature = "telemetry")]
     pub(crate) target_gen: Duration,
-    #[cfg(feature = "telemetry")]
     pub(crate) routing: Duration,
-    #[cfg(feature = "telemetry")]
     pub(crate) lookup: Duration,
 }
 
@@ -81,11 +75,8 @@ impl ProbeBatch {
             probes: Vec::new(),
             candidates: Vec::new(),
             ledger: DeliveryLedger::new(),
-            #[cfg(feature = "telemetry")]
             target_gen: Duration::ZERO,
-            #[cfg(feature = "telemetry")]
             routing: Duration::ZERO,
-            #[cfg(feature = "telemetry")]
             lookup: Duration::ZERO,
         }
     }
@@ -126,14 +117,11 @@ pub(crate) fn drive_shard(ctx: &StepCtx, hosts: &mut [InfectedHost], batch: &mut
         }
         host.probe_credit -= burst as f64;
 
-        #[cfg(feature = "telemetry")]
-        #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
-        let t0 = Instant::now();
+        // Four clock reads per burst: one start, one per stage boundary.
+        let timer = Timer::start();
         batch.targets.clear();
         host.generator.fill_targets(burst, &mut batch.targets);
-        #[cfg(feature = "telemetry")]
-        #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
-        let t1 = Instant::now();
+        let t_gen = timer.elapsed();
         batch.deliveries.clear();
         ctx.env.route_batch(
             host.locus,
@@ -144,9 +132,7 @@ pub(crate) fn drive_shard(ctx: &StepCtx, hosts: &mut [InfectedHost], batch: &mut
             &mut batch.deliveries,
             &mut batch.ledger,
         );
-        #[cfg(feature = "telemetry")]
-        #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
-        let t2 = Instant::now();
+        let t_route = timer.elapsed();
         // Two passes over the verdicts: candidate detection (branchy,
         // but misses short-circuit at the /16 presence bitmap), then
         // one bulk append of the probe records — a TrustedLen extend
@@ -168,12 +154,10 @@ pub(crate) fn drive_shard(ctx: &StepCtx, hosts: &mut [InfectedHost], batch: &mut
         batch
             .probes
             .extend(batch.deliveries.iter().map(|&d| (src, d)));
-        #[cfg(feature = "telemetry")]
-        {
-            batch.target_gen += t1 - t0;
-            batch.routing += t2 - t1;
-            batch.lookup += t2.elapsed();
-        }
+        let t_lookup = timer.elapsed();
+        batch.target_gen += t_gen;
+        batch.routing += t_route.saturating_sub(t_gen);
+        batch.lookup += t_lookup.saturating_sub(t_route);
     }
 }
 
@@ -185,8 +169,7 @@ struct ShardJob {
     ctx: StepCtx,
     /// When the driving thread dispatched the job (wake-latency
     /// accounting).
-    #[cfg(feature = "telemetry")]
-    sent_at: Instant,
+    sent_at: Timer,
 }
 
 /// A finished shard, returned to the driving thread with its payload so
@@ -200,10 +183,8 @@ struct ShardDone {
     panic: Option<Box<dyn std::any::Any + Send>>,
     /// How long the worker sat parked on its job channel before this
     /// job arrived.
-    #[cfg(feature = "telemetry")]
     park: Duration,
     /// Dispatch-to-pickup latency for this job.
-    #[cfg(feature = "telemetry")]
     wake: Duration,
 }
 
@@ -214,20 +195,11 @@ struct ShardDone {
 /// barrier.
 fn worker_loop(jobs: Receiver<ShardJob>, done: Sender<ShardDone>) {
     loop {
-        #[cfg(feature = "telemetry")]
-        #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
-        let wait_start = Instant::now();
+        let wait = Timer::start();
         let Ok(job) = jobs.recv() else {
             break;
         };
-        #[cfg(feature = "telemetry")]
-        #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
-        let picked_up = Instant::now();
-        #[cfg(feature = "telemetry")]
-        let (park, wake) = (
-            picked_up.saturating_duration_since(wait_start),
-            picked_up.saturating_duration_since(job.sent_at),
-        );
+        let (park, wake) = (wait.elapsed(), job.sent_at.elapsed());
         let ShardJob {
             shard,
             mut hosts,
@@ -249,9 +221,7 @@ fn worker_loop(jobs: Receiver<ShardJob>, done: Sender<ShardDone>) {
                 hosts,
                 batch,
                 panic,
-                #[cfg(feature = "telemetry")]
                 park,
-                #[cfg(feature = "telemetry")]
                 wake,
             })
             .is_err()
@@ -353,14 +323,11 @@ pub(crate) struct StepPipeline {
     carriers: Vec<Vec<InfectedHost>>,
     slots: Vec<Option<(Vec<InfectedHost>, ProbeBatch)>>,
     /// Cumulative worker park time (blocked on the job channel).
-    #[cfg(feature = "telemetry")]
     park: Duration,
     /// Cumulative dispatch-to-pickup latency.
-    #[cfg(feature = "telemetry")]
     wake: Duration,
     /// Jobs actually shipped to pool workers (0 = the run was
     /// effectively serial and no park/wake phases are reported).
-    #[cfg(feature = "telemetry")]
     dispatched: u64,
 }
 
@@ -372,11 +339,8 @@ impl StepPipeline {
             batches: (0..shards).map(|_| ProbeBatch::new()).collect(),
             carriers: (0..shards).map(|_| Vec::new()).collect(),
             slots: (0..shards).map(|_| None).collect(),
-            #[cfg(feature = "telemetry")]
             park: Duration::ZERO,
-            #[cfg(feature = "telemetry")]
             wake: Duration::ZERO,
-            #[cfg(feature = "telemetry")]
             dispatched: 0,
         }
     }
@@ -387,7 +351,6 @@ impl StepPipeline {
     }
 
     /// Total (park, wake) pool time, if any shard ran on a pool worker.
-    #[cfg(feature = "telemetry")]
     pub(crate) fn pool_phases(&self) -> Option<(Duration, Duration)> {
         (self.dispatched > 0).then_some((self.park, self.wake))
     }
@@ -437,16 +400,12 @@ impl StepPipeline {
             let mut hosts = std::mem::take(&mut self.carriers[shard]);
             hosts.extend(active.drain(shard * chunk..));
             let batch = std::mem::replace(&mut self.batches[shard], ProbeBatch::new());
-            #[cfg(feature = "telemetry")]
-            #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
-            let sent_at = Instant::now();
             let job = ShardJob {
                 shard,
                 hosts,
                 batch,
                 ctx: ctx.clone(),
-                #[cfg(feature = "telemetry")]
-                sent_at,
+                sent_at: Timer::start(),
             };
             // Deterministic shard→worker assignment (`used - 1 <=
             // workers` because `shards <= parallelism()`), so a shard
@@ -480,12 +439,9 @@ impl StepPipeline {
                     if let Some(payload) = done.panic {
                         std::panic::resume_unwind(payload);
                     }
-                    #[cfg(feature = "telemetry")]
-                    {
-                        self.park += done.park;
-                        self.wake += done.wake;
-                        self.dispatched += 1;
-                    }
+                    self.park += done.park;
+                    self.wake += done.wake;
+                    self.dispatched += 1;
                     self.slots[done.shard] = Some((done.hosts, done.batch));
                 }
                 // Unreachable: workers hold their done senders for the

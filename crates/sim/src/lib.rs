@@ -45,9 +45,7 @@ mod telemetry;
 mod worms;
 
 pub use bitset::HostBits;
-#[cfg(feature = "telemetry")]
-pub use engine::EngineTelemetry;
-pub use engine::{Engine, SimConfig, SimResult};
+pub use engine::{Engine, EngineTelemetry, SimConfig, SimResult};
 pub use executor::ShardExecutor;
 pub use ipmap::IpMap;
 pub use observers::{DropTally, FieldObserver, NullObserver, SimObserver, TelescopeObserver};

@@ -50,6 +50,18 @@ pub enum PopulationError {
         /// The offending host count.
         hosts: usize,
     },
+    /// A host picked for a home NAT has no globally routable address
+    /// to serve as its gateway.
+    NatGatewayNotPublic {
+        /// The host's address.
+        ip: Ip,
+    },
+    /// More hosts picked for the shared NAT than `192.168/16` has
+    /// addresses.
+    NatRealmFull {
+        /// The number of hosts picked.
+        hosts: usize,
+    },
 }
 
 impl fmt::Display for PopulationError {
@@ -66,6 +78,20 @@ impl fmt::Display for PopulationError {
             }
             PopulationError::TooLarge { hosts } => {
                 write!(f, "{hosts} hosts exceed the 32-bit host-id space")
+            }
+            PopulationError::NatGatewayNotPublic { ip } => {
+                write!(
+                    f,
+                    "host {ip} cannot sit behind a home NAT: its address is not globally \
+                     routable, so it cannot be the gateway"
+                )
+            }
+            PopulationError::NatRealmFull { hosts } => {
+                write!(
+                    f,
+                    "{hosts} NATed hosts exceed the 192.168/16 realm capacity of {}",
+                    SHARED_REALM_CAPACITY
+                )
             }
         }
     }
@@ -741,6 +767,12 @@ pub fn paper_codered_population<R: Rng + ?Sized>(rng: &mut R) -> Vec<Ip> {
 /// Realms are registered into `env`; the returned loci parallel the input
 /// order.
 ///
+/// # Errors
+///
+/// Returns [`PopulationError::NatGatewayNotPublic`] if a selected host's
+/// address is not globally routable (realms registered before the
+/// failing host stay in `env`).
+///
 /// # Panics
 ///
 /// Panics if `fraction` is outside `0.0..=1.0`.
@@ -749,7 +781,7 @@ pub fn apply_nat<R: Rng + ?Sized>(
     public_addrs: &[Ip],
     fraction: f64,
     rng: &mut R,
-) -> Vec<Locus> {
+) -> Result<Vec<Locus>, PopulationError> {
     assert!(
         (0.0..=1.0).contains(&fraction),
         "NAT fraction {fraction} out of [0, 1]"
@@ -758,17 +790,21 @@ pub fn apply_nat<R: Rng + ?Sized>(
         .iter()
         .map(|&ip| {
             if rng.gen::<f64>() < fraction {
-                let realm = env.add_realm(
-                    NatRealm::home_192_168(ip).expect("population addresses are public"), // hotspots-lint: allow(panic-path) reason="population addresses are public"
-                );
+                let home = NatRealm::home_192_168(ip)
+                    .map_err(|_| PopulationError::NatGatewayNotPublic { ip })?;
+                let realm = env.add_realm(home);
                 let private = Ip::from_octets(192, 168, rng.gen(), rng.gen());
-                Locus::Private { realm, ip: private }
+                Ok(Locus::Private { realm, ip: private })
             } else {
-                Locus::Public(ip)
+                Ok(Locus::Public(ip))
             }
         })
         .collect()
 }
+
+/// Private addresses in the one `192.168/16` realm [`apply_nat_shared`]
+/// fills.
+const SHARED_REALM_CAPACITY: usize = 1 << 16;
 
 /// Moves a fraction of a public population into **one shared** private
 /// space: every selected host gets a distinct random `192.168.x.y`
@@ -781,16 +817,21 @@ pub fn apply_nat<R: Rng + ?Sized>(
 /// `192/8`). Use [`apply_nat`] instead to model strictly isolated
 /// per-home NATs — the stricter-isolation ablation.
 ///
+/// # Errors
+///
+/// Returns [`PopulationError::NatRealmFull`] if the selected host count
+/// exceeds the realm's 65,536 private addresses; `env` is then left
+/// untouched.
+///
 /// # Panics
 ///
-/// Panics if `fraction` is out of `0.0..=1.0`, or if the selected host
-/// count exceeds the realm's 65,536 private addresses.
+/// Panics if `fraction` is out of `0.0..=1.0`.
 pub fn apply_nat_shared<R: Rng + ?Sized>(
     env: &mut Environment,
     public_addrs: &[Ip],
     fraction: f64,
     rng: &mut R,
-) -> Vec<Locus> {
+) -> Result<Vec<Locus>, PopulationError> {
     assert!(
         (0.0..=1.0).contains(&fraction),
         "NAT fraction {fraction} out of [0, 1]"
@@ -800,10 +841,9 @@ pub fn apply_nat_shared<R: Rng + ?Sized>(
         .map(|_| rng.gen::<f64>() < fraction)
         .collect();
     let count = selected.iter().filter(|&&s| s).count();
-    assert!(
-        count <= (1 << 16),
-        "{count} NATed hosts exceed the 192.168/16 realm capacity"
-    );
+    if count > SHARED_REALM_CAPACITY {
+        return Err(PopulationError::NatRealmFull { hosts: count });
+    }
     // The shared realm's gateway: a documentation-range public address
     // (sources of NATed probes are irrelevant to the detection studies
     // this topology serves).
@@ -812,9 +852,9 @@ pub fn apply_nat_shared<R: Rng + ?Sized>(
             .expect("documentation gateway is public"), // hotspots-lint: allow(panic-path) reason="documentation gateway is public"
     );
     // distinct private addresses without replacement
-    let slots = rand::seq::index::sample(rng, 1 << 16, count);
+    let slots = rand::seq::index::sample(rng, SHARED_REALM_CAPACITY, count);
     let mut slot_iter = slots.iter();
-    public_addrs
+    Ok(public_addrs
         .iter()
         .zip(selected)
         .map(|(&ip, natted)| {
@@ -826,7 +866,7 @@ pub fn apply_nat_shared<R: Rng + ?Sized>(
                 Locus::Public(ip)
             }
         })
-        .collect()
+        .collect())
 }
 
 /// Convenience: the /16 prefixes occupied by at least one population
@@ -1085,7 +1125,7 @@ mod tests {
         let mut env = Environment::new();
         let mut rng = StdRng::seed_from_u64(15);
         let addrs: Vec<Ip> = (0..2000u32).map(|i| Ip::new(0x0101_0000 + i)).collect();
-        let loci = apply_nat(&mut env, &addrs, 0.15, &mut rng);
+        let loci = apply_nat(&mut env, &addrs, 0.15, &mut rng).unwrap();
         let natted = loci
             .iter()
             .filter(|l| matches!(l, Locus::Private { .. }))
@@ -1105,9 +1145,9 @@ mod tests {
         let mut env = Environment::new();
         let mut rng = StdRng::seed_from_u64(1);
         let addrs = vec![Ip::from_octets(1, 1, 1, 1), Ip::from_octets(2, 2, 2, 2)];
-        let none = apply_nat(&mut env, &addrs, 0.0, &mut rng);
+        let none = apply_nat(&mut env, &addrs, 0.0, &mut rng).unwrap();
         assert!(none.iter().all(|l| matches!(l, Locus::Public(_))));
-        let all = apply_nat(&mut env, &addrs, 1.0, &mut rng);
+        let all = apply_nat(&mut env, &addrs, 1.0, &mut rng).unwrap();
         assert!(all.iter().all(|l| matches!(l, Locus::Private { .. })));
     }
 
@@ -1116,7 +1156,7 @@ mod tests {
         let mut env = Environment::new();
         let mut rng = StdRng::seed_from_u64(8);
         let addrs: Vec<Ip> = (0..5000u32).map(|i| Ip::new(0x1716_0000 + i)).collect();
-        let loci = apply_nat_shared(&mut env, &addrs, 0.3, &mut rng);
+        let loci = apply_nat_shared(&mut env, &addrs, 0.3, &mut rng).unwrap();
         assert_eq!(env.realm_count(), 1, "shared topology uses one realm");
         let mut privates = std::collections::HashSet::new();
         let mut natted = 0usize;
@@ -1132,6 +1172,35 @@ mod tests {
         // the population indexes cleanly (no collisions)
         let pop = Population::from_loci(loci);
         assert_eq!(pop.len(), 5000);
+    }
+
+    #[test]
+    fn apply_nat_rejects_a_private_gateway() {
+        let mut env = Environment::new();
+        let mut rng = StdRng::seed_from_u64(1);
+        let addrs = vec![Ip::from_octets(1, 1, 1, 1), Ip::from_octets(10, 0, 0, 1)];
+        let err = apply_nat(&mut env, &addrs, 1.0, &mut rng).unwrap_err();
+        assert_eq!(
+            err,
+            PopulationError::NatGatewayNotPublic {
+                ip: Ip::from_octets(10, 0, 0, 1)
+            }
+        );
+        assert!(err.to_string().contains("10.0.0.1"), "{err}");
+    }
+
+    #[test]
+    fn apply_nat_shared_rejects_an_overfull_realm() {
+        let mut env = Environment::new();
+        let mut rng = StdRng::seed_from_u64(2);
+        let addrs: Vec<Ip> = (0..70_000u32).map(|i| Ip::new(0x0b00_0000 + i)).collect();
+        let err = apply_nat_shared(&mut env, &addrs, 1.0, &mut rng).unwrap_err();
+        assert_eq!(err, PopulationError::NatRealmFull { hosts: 70_000 });
+        assert!(err.to_string().contains("65536"), "{err}");
+        assert_eq!(env.realm_count(), 0, "no realm registered on failure");
+        // exactly full is fine
+        let loci = apply_nat_shared(&mut env, &addrs[..65_536], 1.0, &mut rng).unwrap();
+        assert_eq!(loci.len(), 65_536);
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub struct ScalingPoint {
     pub speedup: f64,
     /// Wall seconds per engine phase (`target_gen`, `routing`,
     /// `lookup`, `observe`, `merge`), in engine phase order. Empty
-    /// when the measuring build had no `telemetry` feature.
+    /// when the writer recorded no phase times.
     pub phase_breakdown: Vec<(String, f64)>,
 }
 

@@ -9,9 +9,10 @@
 //!   with a stable field order so run reports diff cleanly.
 //! * **Zero cost when off.** [`NullSink`] is a unit struct whose
 //!   `emit` is an empty inline function; an observer parameterized
-//!   over it compiles to plain counter increments. The engine's phase
-//!   timing lives behind the `telemetry` cargo feature of
-//!   `hotspots-sim` and does not exist in the default build.
+//!   over it compiles to plain counter increments.
+//! * **The only clock.** Every engine timestamp is a [`Timer`] read,
+//!   a fixed number per host burst and per shard merge; hot-path
+//!   crates read no clock of their own (`hotspots-lint` rule D1).
 //! * **Aggregate per probe, event per transition.** Per-probe work is
 //!   counter arithmetic only; [`Sink`] events fire on state changes
 //!   (infections, run summaries), which are bounded by the population,

@@ -163,6 +163,7 @@ pub struct Timer {
 
 impl Timer {
     /// Starts the span now.
+    #[inline]
     pub fn start() -> Timer {
         Timer {
             started: Instant::now(),
@@ -170,6 +171,7 @@ impl Timer {
     }
 
     /// Wall-clock time since start.
+    #[inline]
     pub fn elapsed(&self) -> Duration {
         self.started.elapsed()
     }

@@ -38,8 +38,8 @@ pub struct RunReport {
     pub sim_seconds: f64,
     /// Wall-clock seconds the program ran.
     pub wall_seconds: f64,
-    /// Slowest engine step in wall seconds (requires the `telemetry`
-    /// feature of `hotspots-sim`).
+    /// Slowest engine step in wall seconds (absent when the run drove
+    /// no engine, and in canonicalized reports).
     pub peak_step_seconds: Option<f64>,
     /// Per-phase wall-clock totals in seconds, in insertion order.
     pub phases: Vec<(String, f64)>,

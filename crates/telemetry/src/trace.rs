@@ -3,10 +3,10 @@
 //! `trace_event` JSON and collapsed-stack (flamegraph) text.
 //!
 //! The sink is a pure data structure: it never reads the clock.
-//! Callers open a span, measure the elapsed time themselves (behind
-//! whatever feature gate their crate uses), and hand the [`Duration`]
-//! to [`TraceSink::close`]. That keeps every clock read at the call
-//! site — where lint rule D1 can see its gate — and makes the sink
+//! Callers open a span, measure the elapsed time themselves (with a
+//! [`Timer`](crate::Timer)), and hand the [`Duration`] to
+//! [`TraceSink::close`]. That keeps every clock read at the call site,
+//! where it is counted once for the phase table too, and makes the sink
 //! fully deterministic: two traces of the same run differ only in
 //! their `dur_micros` timing fields, which consumers mask.
 //!

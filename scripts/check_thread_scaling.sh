@@ -20,7 +20,7 @@ bench_json=${1:-BENCH_engine.json}
 floor=${HOTSPOTS_SCALING_FLOOR:-0.95}
 
 if [ ! -f "$bench_json" ]; then
-    echo "error: $bench_json not found (run: cargo bench -p hotspots-bench --bench engine --features telemetry)" >&2
+    echo "error: $bench_json not found (run: cargo bench -p hotspots-bench --bench engine)" >&2
     exit 1
 fi
 

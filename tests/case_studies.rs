@@ -122,7 +122,7 @@ fn fig4_codered_nat_hotspot_at_m() {
         probes_per_host: 8_000,
         rng_seed: 31,
     };
-    let rows = codered::sources_by_block(&study);
+    let rows = codered::sources_by_block(&study).expect("public hosts");
     let rates: std::collections::HashMap<String, f64> =
         per_slash24_rates(&rows).into_iter().collect();
     let background: f64 = ["A", "C", "D", "E", "F", "H", "I"]
@@ -163,8 +163,10 @@ fn fig5_detection_gap_and_placement() {
         run.sensors
     );
     // (c): hotspot-aware placement dominates random placement
-    let random = detection::nat_run(&study, 0.25, detection::Placement::Random { sensors: 250 });
-    let inside = detection::nat_run(&study, 0.25, detection::Placement::Inside192);
+    let random = detection::nat_run(&study, 0.25, detection::Placement::Random { sensors: 250 })
+        .expect("NATed hosts fit the realm");
+    let inside = detection::nat_run(&study, 0.25, detection::Placement::Inside192)
+        .expect("NATed hosts fit the realm");
     assert!(inside.alerted_at_20pct_infected > random.alerted_at_20pct_infected);
 }
 

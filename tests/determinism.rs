@@ -76,8 +76,8 @@ fn scenario_outputs_replay() {
         rng_seed: 5,
     };
     assert_eq!(
-        codered::sources_by_block(&codered_study),
-        codered::sources_by_block(&codered_study)
+        codered::sources_by_block(&codered_study).expect("public hosts"),
+        codered::sources_by_block(&codered_study).expect("public hosts")
     );
 }
 
@@ -94,8 +94,8 @@ fn detection_runs_replay() {
         stop_at_fraction: 0.8,
         rng_seed: 13,
     };
-    let a = detection::nat_run(&study, 0.2, detection::Placement::Inside192);
-    let b = detection::nat_run(&study, 0.2, detection::Placement::Inside192);
+    let a = detection::nat_run(&study, 0.2, detection::Placement::Inside192).expect("fits");
+    let b = detection::nat_run(&study, 0.2, detection::Placement::Inside192).expect("fits");
     assert_eq!(a.sensors_alerted, b.sensors_alerted);
     assert_eq!(
         a.alert_curve.iter().collect::<Vec<_>>(),

@@ -39,15 +39,10 @@ fn first_party_features_are_exactly_the_pinned_set() {
         }
     }
 
-    let expected: BTreeMap<String, Vec<String>> = [
-        ("crates/bench", "telemetry"),
-        ("crates/experiments", "serve-net"),
-        ("crates/scenario", "telemetry"),
-        ("crates/serve", "net"),
-        ("crates/sim", "telemetry"),
-    ]
-    .into_iter()
-    .map(|(dir, feature)| (dir.to_owned(), vec![feature.to_owned()]))
-    .collect();
+    let expected: BTreeMap<String, Vec<String>> =
+        [("crates/experiments", "serve-net"), ("crates/serve", "net")]
+            .into_iter()
+            .map(|(dir, feature)| (dir.to_owned(), vec![feature.to_owned()]))
+            .collect();
     assert_eq!(found, expected);
 }

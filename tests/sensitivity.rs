@@ -40,7 +40,7 @@ fn codered_m_spike_survives_random_placement() {
             probes_per_host: 8_000,
             rng_seed: 100 + trial,
         };
-        let rows = codered::sources_by_block_with(&study, &blocks);
+        let rows = codered::sources_by_block_with(&study, &blocks).expect("public hosts");
         let rates = per_slash24_rates(&rows, &blocks);
         let background: f64 = ["A", "B", "C", "D", "E", "F", "H", "I"]
             .iter()

@@ -37,7 +37,7 @@ fn lossy_nat_engine() -> Engine {
     env.set_loss(LossModel::new(0.2).unwrap());
     let mut nat_rng = StdRng::seed_from_u64(11);
     let publics: Vec<Ip> = (0..200u32).map(|i| Ip::new(0x0d0d_0000 + i)).collect();
-    let loci = apply_nat(&mut env, &publics, 0.5, &mut nat_rng);
+    let loci = apply_nat(&mut env, &publics, 0.5, &mut nat_rng).expect("public addresses");
     let config = SimConfig {
         scan_rate: 20.0,
         seeds: 4,
