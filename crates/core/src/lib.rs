@@ -16,13 +16,12 @@
 //!
 //! This crate is the top of the reproduction stack. It provides:
 //!
-//! * [`factors`] — the factor taxonomy as types,
 //! * [`HotspotReport`] — deviation-from-uniform metrics over observed
 //!   per-block counts,
 //! * [`seed_inference`] — the Blaster forensics pipeline (hot /24s →
 //!   candidate `GetTickCount()` seeds → implied boot times),
 //! * [`scenarios`] — one configurable builder per case study / figure of
-//!   the paper, shared by the experiment binaries, the examples, and the
+//!   the paper, shared by the scenario registry, the examples, and the
 //!   integration tests,
 //! * [`epidemic`] — the classical logistic baseline used to validate the
 //!   probe-level engine,
@@ -53,10 +52,8 @@
 
 pub mod detection_gap;
 pub mod epidemic;
-pub mod factors;
 mod metrics;
 pub mod scenarios;
 pub mod seed_inference;
 
-pub use factors::{AlgorithmicFactor, EnvironmentalFactor, HotspotFactor};
 pub use metrics::HotspotReport;

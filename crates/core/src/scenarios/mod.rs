@@ -1,9 +1,9 @@
 //! Case-study scenario builders: one per table/figure of the paper.
 //!
 //! Each scenario is a configurable, deterministic pipeline shared by the
-//! experiment binaries (`hotspots-experiments`), the runnable examples,
-//! and the integration tests — the experiments run them at paper scale,
-//! the tests at reduced scale.
+//! scenario registry (`hotspots run <preset>`), the runnable examples,
+//! and the integration tests — the presets run them at paper scale, the
+//! tests at reduced scale.
 //!
 //! | Paper artifact | Builder |
 //! |---|---|

@@ -13,16 +13,17 @@
 //! result, so the same spec + seed produces the same run report at any
 //! `--threads` count.
 
+use std::io::{ErrorKind, Write};
 use std::process::exit;
 
 use hotspots_experiments::{
-    banner, find_preset, presets, print_table, render, run_spec, HotspotsError, Outcome,
-    RunContext, Scale,
+    banner, find_preset, presets, render, run_spec, table, HotspotsError, Outcome, RunContext,
+    Scale,
 };
 use hotspots_scenario::cli::{parse_flags, usage, ArgError, FlagSpec, ParsedArgs};
 use hotspots_scenario::spec::SpecError;
 use hotspots_scenario::value::Value;
-use hotspots_scenario::{ScenarioSpec, RUN_REPORT_ENV};
+use hotspots_scenario::{resolve_threads, ScenarioRun, ScenarioSpec, RUN_REPORT_ENV};
 use hotspots_serve::{ServeConfig, Server};
 use hotspots_telemetry::{json, BenchSummary, MemoryStats, ScalingPoint};
 
@@ -171,6 +172,33 @@ fn fail(e: &HotspotsError) -> ! {
     exit(e.exit_code());
 }
 
+/// Exit status when stdout's reader goes away early (`hotspots run
+/// fig2 | head -1`): the status a shell reports for a process killed by
+/// SIGPIPE. `hotspots_scenario::error` documents it beside 1 and 2.
+const EXIT_BROKEN_PIPE: i32 = 141;
+
+/// Writes `text` to stdout: every command's output goes through here,
+/// except the `serve` session, which streams responses through the
+/// server's own writer. A closed pipe ends the process quietly with
+/// [`EXIT_BROKEN_PIPE`]; any other write failure is a runtime error.
+/// Run reports are appended to their file before their text reaches
+/// here, so they survive either way.
+fn out(text: &str) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(source) = stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        if source.kind() == ErrorKind::BrokenPipe {
+            exit(EXIT_BROKEN_PIPE);
+        }
+        fail(&HotspotsError::Io {
+            context: "writing to stdout".to_owned(),
+            source,
+        });
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let parsed = match parse_flags(&args, &flags()) {
@@ -178,7 +206,7 @@ fn main() {
         Err(e) => die(&e.to_string()),
     };
     if parsed.has("help") || parsed.positional.is_empty() {
-        print!("{}", usage("hotspots", &flags(), COMMANDS));
+        out(&usage("hotspots", &flags(), COMMANDS));
         exit(if parsed.has("help") { 0 } else { 2 });
     }
     if let Some(path) = parsed.value("report") {
@@ -246,7 +274,7 @@ fn context(threads: Option<usize>) -> RunContext {
     }
 }
 
-fn spec_banner(spec: &ScenarioSpec, scale: Scale) {
+fn spec_banner(spec: &ScenarioSpec, scale: Scale) -> String {
     let artifact = spec.meta.artifact.as_deref().unwrap_or(&spec.meta.name);
     let title = spec
         .meta
@@ -254,7 +282,25 @@ fn spec_banner(spec: &ScenarioSpec, scale: Scale) {
         .as_deref()
         .or(spec.meta.scenario.as_deref())
         .unwrap_or("scenario");
-    banner(artifact, title, scale);
+    banner(artifact, title, scale)
+}
+
+/// Runs `spec` and returns its rendered output followed by the report
+/// line, after appending the report to the report file (if any).
+fn run_and_render(spec: &ScenarioSpec, threads: Option<usize>) -> String {
+    let run = run_spec(spec, &context(threads)).unwrap_or_else(|e| fail(&e));
+    let mut text = render::render(&run.outcome);
+    text.push_str(&record(run));
+    text
+}
+
+/// Records `run`'s report (see [`ScenarioRun::record_report`]) and
+/// returns its JSONL line, newline-terminated.
+fn record(run: ScenarioRun) -> String {
+    match run.record_report() {
+        Ok(line) => line + "\n",
+        Err(e) => fail(&e),
+    }
 }
 
 fn cmd_run(parsed: &ParsedArgs, scale: Scale, threads: Option<usize>) {
@@ -262,16 +308,8 @@ fn cmd_run(parsed: &ParsedArgs, scale: Scale, threads: Option<usize>) {
         die("run takes exactly one target: a preset name or spec file");
     };
     let spec = resolve_spec_or_exit(target, scale);
-    spec_banner(&spec, scale);
-    match run_spec(&spec, &context(threads)) {
-        Ok(run) => {
-            render::render(&run.outcome);
-            if let Err(e) = run.emit_report() {
-                fail(&e);
-            }
-        }
-        Err(e) => fail(&e),
-    }
+    out(&spec_banner(&spec, scale));
+    out(&run_and_render(&spec, threads));
 }
 
 fn cmd_list(parsed: &ParsedArgs) {
@@ -279,28 +317,27 @@ fn cmd_list(parsed: &ParsedArgs) {
         die("list takes no arguments");
     }
     let verbose = parsed.has("verbose");
+    let mut text = String::new();
     let mut family = "";
     for preset in presets() {
         if preset.family != family {
             family = preset.family;
-            println!("{}{family}:", if verbose { "\n" } else { "" });
+            text += &format!("{}{family}:\n", if verbose { "\n" } else { "" });
         }
-        println!("  {:<22} {}", preset.name, preset.title);
+        text += &format!("  {:<22} {}\n", preset.name, preset.title);
         if verbose {
-            println!("  {:<22}   reproduces: {}", "", preset.paper);
-            println!(
-                "  {:<22}   scenario: {} · binary: {}",
-                "", preset.scenario, preset.binary
-            );
+            text += &format!("  {:<22}   reproduces: {}\n", "", preset.paper);
+            text += &format!("  {:<22}   scenario: {}\n", "", preset.scenario);
         }
     }
+    out(&text);
 }
 
 fn cmd_spec(parsed: &ParsedArgs, scale: Scale) {
     let [_, target] = &parsed.positional[..] else {
         die("spec takes exactly one target: a preset name or spec file");
     };
-    print!("{}", resolve_spec_or_exit(target, scale).to_toml());
+    out(&resolve_spec_or_exit(target, scale).to_toml());
 }
 
 /// File stem for profile artifacts: the scenario name with anything
@@ -325,7 +362,9 @@ struct ProfilePoint {
     folded: String,
 }
 
-fn profile_once(spec: &ScenarioSpec, threads: usize) -> ProfilePoint {
+/// Runs `spec` traced at `threads`; returns the point and the run's
+/// recorded report line.
+fn profile_once(spec: &ScenarioSpec, threads: usize) -> (ProfilePoint, String) {
     let ctx = RunContext::new("hotspots")
         .with_threads(threads)
         .with_trace();
@@ -365,13 +404,10 @@ fn profile_once(spec: &ScenarioSpec, threads: usize) -> ProfilePoint {
             folded: trace.to_collapsed(),
         }
     };
-    if let Err(e) = run.emit_report() {
-        fail(&e);
-    }
-    point
+    (point, record(run))
 }
 
-fn print_phase_table(point: &ProfilePoint) {
+fn phase_table(point: &ProfilePoint) -> String {
     let phase_total: f64 = point.phase_breakdown.iter().map(|(_, s)| s).sum();
     let mut rows: Vec<Vec<String>> = point
         .phase_breakdown
@@ -393,13 +429,13 @@ fn print_phase_table(point: &ProfilePoint) {
         format!("{:.4}", point.run_seconds),
         String::new(),
     ]);
-    print_table(&["phase", "seconds", "share"], &rows);
-    println!(
-        "throughput: {:.1}M probes/s ({} probes in {:.3}s)",
+    format!(
+        "{}throughput: {:.1}M probes/s ({} probes in {:.3}s)\n",
+        table(&["phase", "seconds", "share"], &rows),
         point.probes_per_sec / 1e6,
         point.probes,
         point.run_seconds
-    );
+    )
 }
 
 fn write_artifact(path: &str, contents: &str) {
@@ -449,7 +485,11 @@ fn cmd_profile(parsed: &ParsedArgs, scale: Scale, threads: Option<usize>) {
             Ok(counts) => counts,
             Err(e) => fail(&e),
         },
-        None => vec![threads.unwrap_or_else(|| spec.sim.threads.max(1) as usize)],
+        // 0 (auto, from the flag or the spec) is resolved here so the
+        // banner and artifact names carry the count the run uses
+        None => vec![resolve_threads(
+            threads.unwrap_or(spec.sim.threads as usize),
+        )],
     };
     let out_dir = parsed.value("out").unwrap_or(".").to_owned();
     if let Err(source) = std::fs::create_dir_all(&out_dir) {
@@ -458,20 +498,22 @@ fn cmd_profile(parsed: &ParsedArgs, scale: Scale, threads: Option<usize>) {
             source,
         });
     }
-    spec_banner(&spec, scale);
+    out(&spec_banner(&spec, scale));
     let stem = artifact_stem(&spec);
 
     let mut points: Vec<ProfilePoint> = Vec::new();
     for &t in &counts {
-        println!("\n---- threads = {t} ----");
-        let point = profile_once(&spec, t);
+        let (point, report_line) = profile_once(&spec, t);
         let chrome_path = format!("{out_dir}/{stem}-{t}t.trace.json");
         let folded_path = format!("{out_dir}/{stem}-{t}t.folded");
         write_artifact(&chrome_path, &point.chrome);
         write_artifact(&folded_path, &point.folded);
-        print_phase_table(&point);
-        println!("chrome trace: {chrome_path} (chrome://tracing, ui.perfetto.dev)");
-        println!("flamegraph:   {folded_path} (speedscope.app, flamegraph.pl)");
+        out(&format!(
+            "\n---- threads = {t} ----\n{report_line}{}\
+             chrome trace: {chrome_path} (chrome://tracing, ui.perfetto.dev)\n\
+             flamegraph:   {folded_path} (speedscope.app, flamegraph.pl)\n",
+            phase_table(&point)
+        ));
         points.push(point);
     }
 
@@ -498,6 +540,7 @@ fn cmd_profile(parsed: &ParsedArgs, scale: Scale, threads: Option<usize>) {
                 })
                 .collect(),
         );
+        let mut text = String::new();
         // Population memory accounting: store bytes from a fresh build
         // (deterministic), resident set sampled after the runs above.
         if let Ok(built) = spec.build() {
@@ -508,9 +551,9 @@ fn cmd_profile(parsed: &ParsedArgs, scale: Scale, threads: Option<usize>) {
                 dense_store_bytes: built.population.dense_equivalent_bytes() as u64,
                 resident_bytes: hotspots_telemetry::resident_bytes(),
             };
-            println!(
+            text += &format!(
                 "population memory: {} hosts, {} store, {} store bytes \
-                 ({:.1}% of dense-equivalent {})",
+                 ({:.1}% of dense-equivalent {})\n",
                 memory.hosts,
                 memory.store,
                 memory.store_bytes,
@@ -520,7 +563,7 @@ fn cmd_profile(parsed: &ParsedArgs, scale: Scale, threads: Option<usize>) {
             summary = summary.with_memory(memory);
         }
         write_artifact(bench_path, &summary.to_json());
-        println!("\nscaling curve -> {bench_path}");
+        text += &format!("\nscaling curve -> {bench_path}\n");
         let rows: Vec<Vec<String>> = summary
             .scaling
             .iter()
@@ -539,7 +582,8 @@ fn cmd_profile(parsed: &ParsedArgs, scale: Scale, threads: Option<usize>) {
                 ]
             })
             .collect();
-        print_table(&["threads", "Mprobes/s", "speedup", "merge s"], &rows);
+        text += &table(&["threads", "Mprobes/s", "speedup", "merge s"], &rows);
+        out(&text);
     }
 }
 
@@ -600,6 +644,7 @@ fn cmd_serve(parsed: &ParsedArgs, threads: Option<usize>) {
             Err(e) => fail(&e),
         };
         let mut diverged = 0usize;
+        let mut text = String::new();
         for outcome in &outcomes {
             let mut line = format!("{{\"hash\":\"{}\",\"name\":", outcome.hash);
             json::write_str(&mut line, &outcome.name);
@@ -613,8 +658,10 @@ fn cmd_serve(parsed: &ParsedArgs, threads: Option<usize>) {
                     line.push('}');
                 }
             }
-            println!("{line}");
+            text += &line;
+            text.push('\n');
         }
+        out(&text);
         eprintln!(
             "serve --check: {} entries verified, {diverged} diverged",
             outcomes.len()
@@ -702,22 +749,22 @@ fn cmd_sweep(parsed: &ParsedArgs, scale: Scale, threads: Option<usize>) {
         Ok(axes) => axes,
         Err(e) => fail(&e),
     };
-    spec_banner(&base, scale);
+    out(&spec_banner(&base, scale));
     let scenario = base
         .meta
         .scenario
         .clone()
         .unwrap_or_else(|| base.meta.name.clone());
     for (param, values) in &axes {
-        println!(
-            "\nsweeping {param} over {} values: {}\n",
+        out(&format!(
+            "\nsweeping {param} over {} values: {}\n\n",
             values.len(),
             values
                 .iter()
                 .map(|v| v.to_string())
                 .collect::<Vec<_>>()
                 .join(", ")
-        );
+        ));
         for value in values {
             let mut tree = base.to_value();
             if let Err(e) = tree.set_path(param, value.clone()) {
@@ -733,17 +780,10 @@ fn cmd_sweep(parsed: &ParsedArgs, scale: Scale, threads: Option<usize>) {
             // one report per point, distinguished by the scenario label
             spec.meta.scenario = Some(format!("{scenario} [{param}={value}]"));
             spec.sweep = None;
-            println!("---- {param} = {value} ----");
-            match run_spec(&spec, &context(threads)) {
-                Ok(run) => {
-                    render::render(&run.outcome);
-                    if let Err(e) = run.emit_report() {
-                        fail(&e);
-                    }
-                }
-                Err(e) => fail(&e),
-            }
-            println!();
+            out(&format!(
+                "---- {param} = {value} ----\n{}\n",
+                run_and_render(&spec, threads)
+            ));
         }
     }
 }

@@ -1,13 +1,15 @@
-//! Presentation layer for the experiment binaries.
+//! Presentation layer for the `hotspots` CLI.
 //!
-//! Every binary regenerates one table or figure of the paper (see
-//! `DESIGN.md` for the index) by looking its scenario up in the
+//! `hotspots run <preset>` regenerates one table or figure of the paper
+//! (see `DESIGN.md` for the index) by looking its scenario up in the
 //! `hotspots-scenario` registry, executing it through
 //! [`hotspots_scenario::run_spec`], and rendering the returned
 //! [`Outcome`] with the plain-text helpers here — so output can be
-//! diffed, grepped, and pasted into `EXPERIMENTS.md`, and the run
-//! report is identical whether the scenario ran through a dedicated
-//! binary or `hotspots run <name>`.
+//! diffed, grepped, and pasted into `EXPERIMENTS.md`.
+//!
+//! Every helper renders into a `String` rather than printing: the CLI
+//! writes stdout from one place, so a reader that closes the pipe early
+//! ends the process quietly instead of panicking mid-table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,82 +19,25 @@ pub mod render;
 use hotspots_stats::TimeSeries;
 
 pub use hotspots_scenario::{
-    find_preset, fold_run, fold_sim_result, presets, run_spec, HotspotsError, Outcome, Preset,
-    RunContext, RunSet, Scale, ScenarioRun, ScenarioSpec,
+    find_preset, presets, run_spec, HotspotsError, Outcome, RunContext, Scale,
 };
-pub use hotspots_sim::fold_ledger;
-pub use hotspots_telemetry::{ReportBuilder, RunReport, RUN_REPORT_ENV};
 
-/// Starts the run report every experiment binary emits, echoing the
-/// scale it ran at.
-pub fn report(binary: &str, scenario: &str, scale: Scale) -> ReportBuilder {
-    let mut builder = ReportBuilder::new(binary, scenario);
-    builder.config("scale", scale.label());
-    builder
-}
-
-/// Common prologue for experiment binaries: parses the scale from the
-/// command line, prints the banner (`artifact` — `title`), and starts
-/// the run report under `binary`/`scenario`. Returns the scale and the
-/// report builder; finish with [`ReportBuilder::emit`].
-pub fn experiment(
-    binary: &str,
-    artifact: &str,
-    scenario: &str,
-    title: &str,
-) -> (Scale, ReportBuilder) {
-    let scale = Scale::from_args();
-    banner(artifact, title, scale);
-    (scale, report(binary, scenario, scale))
-}
-
-/// The whole main() of a preset-backed experiment binary: strict
-/// argument parsing (`--quick`/`--help`), banner, registry lookup,
-/// [`run_spec`], rendering, report emission. Failures print to stderr
-/// and exit with the error's code (2 for spec/usage mistakes, 1 for
-/// runtime failures) instead of panicking.
-pub fn preset_main(name: &str) {
-    let Some(preset) = find_preset(name) else {
-        eprintln!("error: {name:?} is not a registered preset (see `hotspots list`)");
-        std::process::exit(2);
+/// An experiment banner with the figure/table it regenerates.
+pub fn banner(artifact: &str, title: &str, scale: Scale) -> String {
+    let rule = "================================================================";
+    let scale = match scale {
+        Scale::Quick => "QUICK",
+        Scale::Paper => "paper",
     };
-    let scale = Scale::from_args();
-    banner(preset.artifact, preset.title, scale);
-    let spec = preset.spec(scale);
-    let run = match run_spec(&spec, &RunContext::new(preset.binary)) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(e.exit_code());
-        }
-    };
-    render::render(&run.outcome);
-    if let Err(e) = run.emit_report() {
-        eprintln!("error: {e}");
-        std::process::exit(e.exit_code());
-    }
+    format!("{rule}\n{artifact} — {title}\nscale: {scale} (pass --quick for a fast smoke run)\n{rule}\n")
 }
 
-/// Prints an experiment banner with the figure/table it regenerates.
-pub fn banner(artifact: &str, title: &str, scale: Scale) {
-    println!("================================================================");
-    println!("{artifact} — {title}");
-    println!(
-        "scale: {} (pass --quick for a fast smoke run)",
-        match scale {
-            Scale::Quick => "QUICK",
-            Scale::Paper => "paper",
-        }
-    );
-    println!("================================================================");
-}
-
-/// Prints an aligned text table.
+/// An aligned text table.
 ///
 /// # Panics
 ///
 /// Panics if any row's length differs from the header's.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     for row in rows {
         assert_eq!(row.len(), headers.len(), "ragged table row");
     }
@@ -102,29 +47,32 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
             *w = (*w).max(cell.len());
         }
     }
-    let line = |cells: Vec<String>| {
+    let mut out = String::new();
+    let mut line = |cells: &[String]| {
         let joined: Vec<String> = cells
             .iter()
             .zip(&widths)
             .map(|(c, w)| format!("{c:>w$}", w = w))
             .collect();
-        println!("  {}", joined.join("  "));
+        out.push_str("  ");
+        out.push_str(&joined.join("  "));
+        out.push('\n');
     };
-    line(headers.iter().map(|h| (*h).to_owned()).collect());
-    line(widths.iter().map(|w| "-".repeat(*w)).collect());
+    line(&headers.iter().map(|h| (*h).to_owned()).collect::<Vec<_>>());
+    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
     for row in rows {
-        line(row.clone());
+        line(row);
     }
+    out
 }
 
-/// Prints a time series as `t<TAB>value` rows resampled onto `points`
-/// grid points (gnuplot-ready), preceded by its name.
-pub fn print_series(series: &TimeSeries, points: usize) {
+/// A time series as `t<TAB>value` rows resampled onto `points` grid
+/// points (gnuplot-ready), preceded by its name.
+pub fn series(series: &TimeSeries, points: usize) -> String {
     if series.is_empty() {
-        println!("# {} (empty)", series.name());
-        return;
+        return format!("# {} (empty)\n", series.name());
     }
-    print!("{}", series.resample(points.max(2)));
+    series.resample(points.max(2)).to_string()
 }
 
 /// A one-line ASCII bar for figure-style rows.
@@ -156,6 +104,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "ragged")]
     fn ragged_rows_rejected() {
-        print_table(&["a", "b"], &[vec!["1".into()]]);
+        table(&["a", "b"], &[vec!["1".into()]]);
     }
 }

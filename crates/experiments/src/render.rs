@@ -1,14 +1,15 @@
-//! Rendering an [`Outcome`] as the experiment binaries' plain-text
-//! tables, bar charts, and gnuplot-ready series.
+//! Rendering an [`Outcome`] as the plain-text tables, bar charts, and
+//! gnuplot-ready series `hotspots run <preset>` prints.
 //!
-//! Every variant's section is ported verbatim from the binary it used to
-//! live in, so `hotspots run fig2` prints the same figure `fig2_slammer`
-//! always did. Rendering is read-only: all accounting happened in
-//! [`hotspots_scenario::run_spec`], and everything here derives from the
+//! Each outcome variant has one section, the figure or table its preset
+//! regenerates (`results/*.txt` holds the paper-scale output). Rendering
+//! is read-only and builds a `String`: all accounting happened in
+//! [`hotspots_scenario::run_spec`], everything here derives from the
 //! outcome's raw results (plus the fixed IMS deployment, which the
-//! closed-form studies share).
+//! closed-form studies share), and the CLI decides where the text goes.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use hotspots::detection_gap::DetectionGap;
 use hotspots::scenarios::blaster::{draw_hosts, BlasterStudy};
@@ -29,104 +30,135 @@ use hotspots_sim::SimResult;
 use hotspots_stats::CountHistogram;
 use hotspots_telescope::{DetectorField, QuorumPolicy};
 
-use crate::{bar, print_series, print_table};
+use crate::{bar, series, table};
 
-/// Prints the presentation section for an executed scenario.
-pub fn render(outcome: &Outcome) {
-    match outcome {
-        Outcome::Engine { result, field } => render_engine(result, field.as_ref()),
-        Outcome::BlasterCoverage { study, rows } => render_fig1(study, rows),
-        Outcome::SlammerCoverage {
-            study,
-            rows,
-            unique,
-            cycle_sums,
-        } => render_fig2(study, rows, unique, cycle_sums),
-        Outcome::SlammerHosts { probes, hosts } => render_fig3(*probes, hosts),
-        Outcome::CodeRedNat {
-            study,
-            rows,
-            quarantines,
-        } => render_fig4(study, rows, quarantines),
-        Outcome::HitListInfection { study, runs } => render_fig5a(study, runs),
-        Outcome::HitListDetection { study, runs } => render_fig5b(study, runs),
-        Outcome::NatDetection {
-            study,
-            nat_fraction,
-            runs,
-        } => render_fig5c(study, *nat_fraction, runs),
-        Outcome::BotCommands {
-            drone,
-            paper,
-            synthetic,
-            synthetic_commands,
-            restricted,
-        } => render_table1(*drone, paper, synthetic, *synthetic_commands, *restricted),
-        Outcome::Filtering { study, rows } => render_table2(study, rows),
-        Outcome::Ablations {
-            nat,
-            sensor,
-            reboot,
-        } => render_ablations(nat, sensor, reboot),
-        Outcome::Sensitivity { codered, slammer } => render_sensitivity(codered, slammer),
+/// The presentation section for an executed scenario.
+pub fn render(outcome: &Outcome) -> String {
+    Rendered(outcome).to_string()
+}
+
+/// Renders through `fmt::Formatter`, so every section writes with
+/// `writeln!` and nothing on the way can fail.
+struct Rendered<'a>(&'a Outcome);
+
+impl fmt::Display for Rendered<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Outcome::Engine { result, field } => render_engine(f, result, field.as_ref()),
+            Outcome::BlasterCoverage { study, rows } => render_fig1(f, study, rows),
+            Outcome::SlammerCoverage {
+                study,
+                rows,
+                unique,
+                cycle_sums,
+            } => render_fig2(f, study, rows, unique, cycle_sums),
+            Outcome::SlammerHosts { probes, hosts } => render_fig3(f, *probes, hosts),
+            Outcome::CodeRedNat {
+                study,
+                rows,
+                quarantines,
+            } => render_fig4(f, study, rows, quarantines),
+            Outcome::HitListInfection { study, runs } => render_fig5a(f, study, runs),
+            Outcome::HitListDetection { study, runs } => render_fig5b(f, study, runs),
+            Outcome::NatDetection {
+                study,
+                nat_fraction,
+                runs,
+            } => render_fig5c(f, study, *nat_fraction, runs),
+            Outcome::BotCommands {
+                drone,
+                paper,
+                synthetic,
+                synthetic_commands,
+                restricted,
+            } => render_table1(
+                f,
+                *drone,
+                paper,
+                synthetic,
+                *synthetic_commands,
+                *restricted,
+            ),
+            Outcome::Filtering { study, rows } => render_table2(f, study, rows),
+            Outcome::Ablations {
+                nat,
+                sensor,
+                reboot,
+            } => render_ablations(f, nat, sensor, reboot),
+            Outcome::Sensitivity { codered, slammer } => render_sensitivity(f, codered, slammer),
+        }
     }
 }
 
-fn render_engine(result: &SimResult, field: Option<&DetectorField>) {
-    println!(
+fn render_engine(
+    f: &mut fmt::Formatter<'_>,
+    result: &SimResult,
+    field: Option<&DetectorField>,
+) -> fmt::Result {
+    writeln!(
+        f,
         "\n{} of {} hosts infected ({:.1}%), {} removed, after {:.1} simulated seconds",
         result.infected,
         result.population,
         100.0 * result.infected_fraction(),
         result.removed,
         result.elapsed
-    );
+    )?;
     let ledger = &result.ledger;
-    println!(
+    writeln!(
+        f,
         "{} probes sent: {} delivered public, {} delivered local, {} dropped",
         ledger.probes(),
         ledger.delivered_public(),
         ledger.delivered_local(),
         ledger.dropped_total()
-    );
+    )?;
     if let Some(field) = field {
-        println!(
+        writeln!(
+            f,
             "detector field: {} of {} sensors alerted",
             field.alerted(),
             field.len()
-        );
+        )?;
     }
-    println!("\n-- infection curve (resampled; plot this) --\n");
-    print_series(&result.infection_curve, 25);
+    writeln!(f, "\n-- infection curve (resampled; plot this) --\n")?;
+    f.write_str(&series(&result.infection_curve, 25))?;
+    Ok(())
 }
 
 // hotspots-lint: certifies(panic-free) reason="rendered studies always produce coverage rows"
-fn render_fig1(study: &BlasterStudy, rows: &[CoverageRow]) {
-    println!(
+fn render_fig1(
+    f: &mut fmt::Formatter<'_>,
+    study: &BlasterStudy,
+    rows: &[CoverageRow],
+) -> fmt::Result {
+    writeln!(
+        f,
         "\n{} infected hosts, {:.0}-day window, {} probes/s, {}% reboot-launched\n",
         study.hosts,
         study.window_secs / 86_400.0,
         study.scan_rate,
         (study.reboot_fraction * 100.0) as u32
-    );
+    )?;
 
     let max = rows.iter().map(|r| r.unique_sources).max().unwrap_or(1) as f64;
 
     // figure series: per-/24 (per-/16 for Z) unique source counts
-    println!("-- per-bucket unique sources (the figure's y-axis) --");
+    writeln!(f, "-- per-bucket unique sources (the figure's y-axis) --")?;
     let mut current_block = String::new();
     for row in rows {
         if row.block != current_block {
             current_block.clone_from(&row.block);
-            println!("block {current_block}:");
+            writeln!(f, "block {current_block}:")?;
         }
         if row.unique_sources > 0 || row.prefix.len() >= 24 {
-            println!(
+            writeln!(
+                f,
                 "  {:<20} {:>7}  {}",
                 row.prefix.to_string(),
                 row.unique_sources,
                 bar(row.unique_sources as f64, max, 50)
-            );
+            )?;
         }
     }
 
@@ -138,14 +170,14 @@ fn render_fig1(study: &BlasterStudy, rows: &[CoverageRow]) {
         .map(|r| r.unique_sources)
         .collect();
     let report = HotspotReport::from_counts(&counts);
-    println!("\nnon-uniformity over /24 rows: {report}");
+    writeln!(f, "\nnon-uniformity over /24 rows: {report}")?;
 
     // the paper's correlation, run both directions:
     //  * ground truth: the tick counts of the hosts that actually cover
     //    each row (the paper's "the spike maps back to 2.3 minutes"),
     //  * forward search: candidate seeds in the tick range that would
     //    explain the row (seed_inference::candidate_seeds).
-    println!("\n-- seed correlation (hot vs cold /24 rows) --\n");
+    writeln!(f, "\n-- seed correlation (hot vs cold /24 rows) --\n")?;
     let hosts = draw_hosts(study);
     let mut sorted: Vec<_> = rows.iter().filter(|r| r.prefix.len() == 24).collect();
     sorted.sort_by_key(|r| std::cmp::Reverse(r.unique_sources));
@@ -155,7 +187,7 @@ fn render_fig1(study: &BlasterStudy, rows: &[CoverageRow]) {
         ("3rd", sorted[2]),
         ("coldest", *sorted.last().expect("rows exist")),
     ];
-    let mut table = Vec::new();
+    let mut cells = Vec::new();
     for (tag, row) in picks {
         let covering: Vec<u32> = hosts
             .iter()
@@ -179,7 +211,7 @@ fn render_fig1(study: &BlasterStudy, rows: &[CoverageRow]) {
             study.scan_len(),
             row.prefix,
         );
-        table.push(vec![
+        cells.push(vec![
             tag.to_owned(),
             row.prefix.to_string(),
             row.unique_sources.to_string(),
@@ -188,7 +220,7 @@ fn render_fig1(study: &BlasterStudy, rows: &[CoverageRow]) {
             forward.len().to_string(),
         ]);
     }
-    print_table(
+    f.write_str(&table(
         &[
             "row",
             "/24",
@@ -197,33 +229,37 @@ fn render_fig1(study: &BlasterStudy, rows: &[CoverageRow]) {
             "boot-band hosts",
             "boot-band seeds (fwd)",
         ],
-        &table,
-    );
-    println!(
+        &cells,
+    ))?;
+    writeln!(
+        f,
         "\n→ spike rows are covered disproportionately by hosts whose seeds \
          sit in the ~30 s\n  reboot band; the restricted GetTickCount() \
          range is the root cause."
-    );
+    )?;
+    Ok(())
 }
 
 // hotspots-lint: certifies(panic-free) reason="the IMS deployment literal contains every labelled block"
 fn render_fig2(
+    f: &mut fmt::Formatter<'_>,
     study: &SlammerStudy,
     rows: &[CoverageRow],
     unique: &[(String, u64)],
     cycle_sums: &[(String, f64)],
-) {
-    println!(
+) -> fmt::Result {
+    writeln!(
+        f,
         "\n{} infected hosts (uniform DLL mix over the three flawed \
          increments), month-scale window (cycle-exact), upstream UDP/1434 \
          filter in front of the M block\n",
         study.hosts
-    );
+    )?;
 
     let blocks = ims_deployment();
 
-    println!("-- per-block summary --\n");
-    let mut table = Vec::new();
+    writeln!(f, "-- per-block summary --\n")?;
+    let mut cells = Vec::new();
     for (label, total) in unique {
         let block = blocks.by_label(label).expect("label");
         let slash24s = (block.size() / 256).max(1);
@@ -233,7 +269,7 @@ fn render_fig2(
             .map(|r| r.unique_sources)
             .collect();
         let mean = per_row.iter().sum::<u64>() as f64 / per_row.len() as f64;
-        table.push(vec![
+        cells.push(vec![
             label.clone(),
             block.prefix().to_string(),
             slash24s.to_string(),
@@ -241,7 +277,7 @@ fn render_fig2(
             format!("{mean:.0}"),
         ]);
     }
-    print_table(
+    f.write_str(&table(
         &[
             "block",
             "prefix",
@@ -249,53 +285,61 @@ fn render_fig2(
             "unique sources",
             "mean per /24 row",
         ],
-        &table,
-    );
+        &cells,
+    ))?;
 
-    println!("\n-- per-/24 series (sample of each block) --");
+    writeln!(f, "\n-- per-/24 series (sample of each block) --")?;
     let max = rows.iter().map(|r| r.unique_sources).max().unwrap_or(1) as f64;
     let mut current = String::new();
     for row in rows {
         if row.block != current {
             current.clone_from(&row.block);
-            println!("block {current}:");
+            writeln!(f, "block {current}:")?;
         }
         // print /24 rows for small blocks, every 16th /16 row for Z
         let show = row.prefix.len() >= 24 || row.prefix.base().octets()[1] % 16 == 0;
         if show {
-            println!(
+            writeln!(
+                f,
                 "  {:<20} {:>8}  {}",
                 row.prefix.to_string(),
                 row.unique_sources,
                 bar(row.unique_sources as f64, max, 50)
-            );
+            )?;
         }
     }
 
-    println!("\n-- the paper's D/H/I cycle-length comparison --\n");
-    let table: Vec<Vec<String>> = cycle_sums
+    writeln!(f, "\n-- the paper's D/H/I cycle-length comparison --\n")?;
+    let cells: Vec<Vec<String>> = cycle_sums
         .iter()
         .map(|(l, s)| vec![l.clone(), format!("{s:.2}")])
         .collect();
-    print_table(&["block", "Σ cycle lengths (×2^26, 3 DLLs)"], &table);
-    println!(
+    f.write_str(&table(
+        &["block", "Σ cycle lengths (×2^26, 3 DLLs)"],
+        &cells,
+    ))?;
+    writeln!(
+        f,
         "\n→ H is traversed by fewer long PRNG cycles than D or I, so fewer \
          seeds ever reach it;\n  M observes nothing because its provider \
          filters the worm upstream (environmental factor)."
-    );
+    )?;
+    Ok(())
 }
 
-fn render_fig3(probes: u64, hosts: &[SlammerHostTrace]) {
+fn render_fig3(f: &mut fmt::Formatter<'_>, probes: u64, hosts: &[SlammerHostTrace]) -> fmt::Result {
     let blocks = ims_deployment();
     for host in hosts {
-        println!(
+        writeln!(
+            f,
             "\n-- {}: dll={}, seed={:#010x}, cycle period {} --",
             host.name, host.dll, host.seed, host.cycle_len
-        );
-        println!(
+        )?;
+        writeln!(
+            f,
             "  {} of {probes} probes landed on the telescope; per-block hits:",
             host.hist.total()
-        );
+        )?;
         let mut per_block: Vec<(String, u64)> = blocks
             .iter()
             .map(|b| {
@@ -311,15 +355,18 @@ fn render_fig3(probes: u64, hosts: &[SlammerHostTrace]) {
         let max = per_block.iter().map(|(_, h)| *h).max().unwrap_or(1) as f64;
         per_block.sort_by(|a, b| a.0.cmp(&b.0));
         for (label, hits) in per_block {
-            println!("  {label:>2}: {hits:>9}  {}", bar(hits as f64, max, 50));
+            writeln!(f, "  {label:>2}: {hits:>9}  {}", bar(hits as f64, max, 50))?;
         }
     }
 
-    println!("\n-- Figure 3(c): period of all cycles, per DLL variant --\n");
+    writeln!(
+        f,
+        "\n-- Figure 3(c): period of all cycles, per DLL variant --\n"
+    )?;
     for dll in SqlsortDll::ALL {
         let bands = cycle_bands(dll);
         let total: u64 = bands.iter().map(|b| b.num_cycles).sum();
-        println!("{dll} (b = {:#010x}): {total} cycles", dll.increment());
+        writeln!(f, "{dll} (b = {:#010x}): {total} cycles", dll.increment())?;
         let rows: Vec<Vec<String>> = bands
             .iter()
             .map(|b| {
@@ -330,28 +377,36 @@ fn render_fig3(probes: u64, hosts: &[SlammerHostTrace]) {
                 ]
             })
             .collect();
-        print_table(&["valuation", "cycles", "period"], &rows);
-        println!();
+        f.write_str(&table(&["valuation", "cycles", "period"], &rows))?;
+        writeln!(f)?;
     }
-    println!(
+    writeln!(
+        f,
         "→ 64 cycles per variant, periods from 2^30 down to 1; an instance \
          on a period-1 cycle\n  hammers a single address like a targeted \
          DoS (the paper's observation)."
-    );
+    )?;
+    Ok(())
 }
 
 // hotspots-lint: certifies(panic-free) reason="the IMS deployment literal contains every labelled block and the M prefix literal parses"
-fn render_fig4(study: &CodeRedStudy, rows: &[CoverageRow], quarantines: &[QuarantineTrace]) {
+fn render_fig4(
+    f: &mut fmt::Formatter<'_>,
+    study: &CodeRedStudy,
+    rows: &[CoverageRow],
+    quarantines: &[QuarantineTrace],
+) -> fmt::Result {
     let blocks = ims_deployment();
 
-    println!("\n-- Figure 4(a): mixed population, 15% NATed --\n");
-    println!(
+    writeln!(f, "\n-- Figure 4(a): mixed population, 15% NATed --\n")?;
+    writeln!(
+        f,
         "{} hosts, {} probes each, NAT fraction {:.0}%\n",
         study.hosts,
         study.probes_per_host,
         study.nat_fraction * 100.0
-    );
-    let mut table = Vec::new();
+    )?;
+    let mut cells = Vec::new();
     let mut max_rate = 0.0f64;
     let mut rates = Vec::new();
     for (label, total) in totals_by_block(rows) {
@@ -361,16 +416,19 @@ fn render_fig4(study: &CodeRedStudy, rows: &[CoverageRow], quarantines: &[Quaran
         rates.push((label, total, rate));
     }
     for (label, total, rate) in rates {
-        table.push(vec![
+        cells.push(vec![
             label,
             total.to_string(),
             format!("{rate:.2}"),
             bar(rate, max_rate, 40),
         ]);
     }
-    print_table(&["block", "unique sources", "per /24", "profile"], &table);
+    f.write_str(&table(
+        &["block", "unique sources", "per /24", "profile"],
+        &cells,
+    ))?;
 
-    println!("\n-- Figure 4(b)/(c): quarantine runs --\n");
+    writeln!(f, "\n-- Figure 4(b)/(c): quarantine runs --\n")?;
     let m_prefix: Prefix = "192.40.16.0/22".parse().expect("M prefix");
     let m_hits = |h: &CountHistogram<Bucket24>| -> u64 {
         h.iter()
@@ -389,7 +447,7 @@ fn render_fig4(study: &CodeRedStudy, rows: &[CoverageRow], quarantines: &[Quaran
             ]
         })
         .collect();
-    print_table(
+    f.write_str(&table(
         &[
             "quarantined host",
             "probes",
@@ -397,21 +455,28 @@ fn render_fig4(study: &CodeRedStudy, rows: &[CoverageRow], quarantines: &[Quaran
             "M-block hits",
         ],
         &rows,
-    );
-    println!(
+    ))?;
+    writeln!(
+        f,
         "\n→ the NATed instance's /8 preference lands on public 192/8: the \
          distinct M spike of 4(a)/4(c),\n  absent from the public-host run \
          4(b) — topology (an environmental factor) shaped the hotspot."
-    );
+    )?;
+    Ok(())
 }
 
-fn render_fig5a(study: &DetectionStudy, runs: &[HitListRun]) {
-    println!(
+fn render_fig5a(
+    f: &mut fmt::Formatter<'_>,
+    study: &DetectionStudy,
+    runs: &[HitListRun],
+) -> fmt::Result {
+    writeln!(
+        f,
         "\nvulnerable population {} in 47 /8s, {} seed hosts, {} scans/s\n",
         study.population_size(),
         study.seeds,
         study.scan_rate
-    );
+    )?;
 
     let rows: Vec<Vec<String>> = runs
         .iter()
@@ -429,7 +494,7 @@ fn render_fig5a(study: &DetectionStudy, runs: &[HitListRun]) {
             ]
         })
         .collect();
-    print_table(
+    f.write_str(&table(
         &[
             "/16 prefixes",
             "pop coverage",
@@ -438,27 +503,34 @@ fn render_fig5a(study: &DetectionStudy, runs: &[HitListRun]) {
             "t(90% of coverage)",
         ],
         &rows,
-    );
+    ))?;
 
-    println!("\n-- infection curves (resampled; plot these) --\n");
+    writeln!(f, "\n-- infection curves (resampled; plot these) --\n")?;
     for run in runs {
-        print_series(&run.infection_curve, 25);
-        println!();
+        f.write_str(&series(&run.infection_curve, 25))?;
+        writeln!(f)?;
     }
-    println!(
+    writeln!(
+        f,
         "→ the smallest list saturates its targets fastest (denser \
          vulnerable population);\n  larger lists reach more of the \
          population but more slowly — the paper's speed/coverage tradeoff."
-    );
+    )?;
+    Ok(())
 }
 
 // hotspots-lint: certifies(panic-free) reason="the literal quorum fraction is in (0, 1]"
-fn render_fig5b(study: &DetectionStudy, runs: &[HitListRun]) {
-    println!(
+fn render_fig5b(
+    f: &mut fmt::Formatter<'_>,
+    study: &DetectionStudy,
+    runs: &[HitListRun],
+) -> fmt::Result {
+    writeln!(
+        f,
         "\none /24 sensor per occupied /16, alert after {} worm payloads, \
          no false positives\n",
         study.alert_threshold
-    );
+    )?;
 
     let rows: Vec<Vec<String>> = runs
         .iter()
@@ -482,7 +554,7 @@ fn render_fig5b(study: &DetectionStudy, runs: &[HitListRun]) {
             ]
         })
         .collect();
-    print_table(
+    f.write_str(&table(
         &[
             "/16 prefixes",
             "sensors",
@@ -492,40 +564,49 @@ fn render_fig5b(study: &DetectionStudy, runs: &[HitListRun]) {
             "alerted % at that time",
         ],
         &rows,
-    );
+    ))?;
 
-    println!("\n-- quorum verdicts --\n");
+    writeln!(f, "\n-- quorum verdicts --\n")?;
     let policy = QuorumPolicy::new(0.5).expect("valid quorum");
     for run in runs {
         let gap = DetectionGap::new(run.infection_curve.clone(), run.alert_curve.clone());
-        println!(
+        writeln!(
+            f,
             "  {:>5}-prefix list: {}",
             run.list_size,
             gap.describe(policy)
-        );
+        )?;
     }
 
-    println!("\n-- alert curves (resampled; plot these) --\n");
+    writeln!(f, "\n-- alert curves (resampled; plot these) --\n")?;
     for run in runs {
-        print_series(&run.alert_curve, 25);
-        println!();
+        f.write_str(&series(&run.alert_curve, 25))?;
+        writeln!(f)?;
     }
-    println!(
+    writeln!(
+        f,
         "→ narrow hit-lists leave almost every sensor silent even at full \
          infection of their targets:\n  a quorum rule over this field never \
          fires — the paper's central detection failure."
-    );
+    )?;
+    Ok(())
 }
 
 // hotspots-lint: certifies(panic-free) reason="the literal quorum fraction is in (0, 1]"
-fn render_fig5c(study: &DetectionStudy, nat_fraction: f64, runs: &[NatRun]) {
-    println!(
+fn render_fig5c(
+    f: &mut fmt::Formatter<'_>,
+    study: &DetectionStudy,
+    nat_fraction: f64,
+    runs: &[NatRun],
+) -> fmt::Result {
+    writeln!(
+        f,
         "\nCodeRedII-type worm, population {} ({}% NATed into 192.168/16), \
          alert threshold {}\n",
         study.population_size(),
         (nat_fraction * 100.0) as u32,
         study.alert_threshold
-    );
+    )?;
 
     let rows: Vec<Vec<String>> = runs
         .iter()
@@ -545,7 +626,7 @@ fn render_fig5c(study: &DetectionStudy, nat_fraction: f64, runs: &[NatRun]) {
             ]
         })
         .collect();
-    print_table(
+    f.write_str(&table(
         &[
             "placement",
             "sensors",
@@ -554,38 +635,41 @@ fn render_fig5c(study: &DetectionStudy, nat_fraction: f64, runs: &[NatRun]) {
             "t(10% of sensors alerted)",
         ],
         &rows,
-    );
+    ))?;
 
-    println!("\n-- quorum verdicts --\n");
+    writeln!(f, "\n-- quorum verdicts --\n")?;
     let policy = QuorumPolicy::new(0.5).expect("valid quorum");
     for run in runs {
         let gap = DetectionGap::new(run.infection_curve.clone(), run.alert_curve.clone());
-        println!("  {:?}: {}", run.placement, gap.describe(policy));
+        writeln!(f, "  {:?}: {}", run.placement, gap.describe(policy))?;
     }
 
-    println!("\n-- alert curves (resampled; plot these) --\n");
+    writeln!(f, "\n-- alert curves (resampled; plot these) --\n")?;
     for run in runs {
-        print_series(&run.alert_curve, 25);
-        println!();
+        f.write_str(&series(&run.alert_curve, 25))?;
+        writeln!(f)?;
     }
-    println!(
+    writeln!(
+        f,
         "→ random and even population-aware placement lag the outbreak; 255 \
          sensors inside the\n  hotspot /8 all alert before 20% of the \
          population is infected — but only because this\n  hotspot was known \
          in advance, which hotspots in general are not (the paper's \
          conclusion)."
-    );
+    )?;
+    Ok(())
 }
 
 fn render_table1(
+    f: &mut fmt::Formatter<'_>,
     drone: Ip,
     paper: &[(String, String, u64)],
     synthetic: &[(String, String, u64)],
     synthetic_commands: u64,
     restricted: u64,
-) {
+) -> fmt::Result {
     let _ = drone;
-    println!("\n-- commands reported in the paper --\n");
+    writeln!(f, "\n-- commands reported in the paper --\n")?;
     let rows: Vec<Vec<String>> = paper
         .iter()
         .map(|(cmd, range, size)| {
@@ -597,7 +681,7 @@ fn render_table1(
             ]
         })
         .collect();
-    print_table(
+    f.write_str(&table(
         &[
             "bot propagation command",
             "drone scan range",
@@ -605,32 +689,45 @@ fn render_table1(
             "% of IPv4",
         ],
         &rows,
-    );
+    ))?;
 
     let n = synthetic_commands;
-    println!("\n-- synthetic capture ({n} commands, same composition) --\n");
+    writeln!(
+        f,
+        "\n-- synthetic capture ({n} commands, same composition) --\n"
+    )?;
     let sample: Vec<Vec<String>> = synthetic
         .iter()
         .take(15)
         .map(|(cmd, range, size)| vec![cmd.clone(), range.clone(), format!("{size}")])
         .collect();
-    print_table(
+    f.write_str(&table(
         &["command (first 15)", "drone scan range", "addresses"],
         &sample,
-    );
-    println!("\n{restricted}/{n} commands restrict propagation below the full IPv4 space");
-    println!(
+    ))?;
+    writeln!(
+        f,
+        "\n{restricted}/{n} commands restrict propagation below the full IPv4 space"
+    )?;
+    writeln!(
+        f,
         "→ hit-lists are in routine use; each restriction is an algorithmic \
          hotspot factor."
-    );
+    )?;
+    Ok(())
 }
 
-fn render_table2(study: &FilteringStudy, table_rows: &[Table2Row]) {
-    println!(
+fn render_table2(
+    f: &mut fmt::Formatter<'_>,
+    study: &FilteringStudy,
+    table_rows: &[Table2Row],
+) -> fmt::Result {
+    writeln!(
+        f,
         "\n{} infected hosts planted per enterprise, {} per ISP; \
          CRII/Slammer probe-driven ({} probes/host), Blaster interval-exact\n",
         study.infected_per_enterprise, study.infected_per_isp, study.probes_per_host
-    );
+    )?;
 
     let rows: Vec<Vec<String>> = table_rows
         .iter()
@@ -646,7 +743,7 @@ fn render_table2(study: &FilteringStudy, table_rows: &[Table2Row]) {
             ]
         })
         .collect();
-    print_table(
+    f.write_str(&table(
         &[
             "organization",
             "kind",
@@ -657,20 +754,26 @@ fn render_table2(study: &FilteringStudy, table_rows: &[Table2Row]) {
             "Blaster IPs seen",
         ],
         &rows,
-    );
-    println!(
+    ))?;
+    writeln!(
+        f,
         "\n→ despite harboring infections, egress-filtered enterprises show \
          ~zero outward sign;\n  broadband ISPs expose their infected \
          populations nearly completely (the paper's contrast)."
-    );
+    )?;
+    Ok(())
 }
 
 fn render_ablations(
+    f: &mut fmt::Formatter<'_>,
     nat: &[(NatTopology, NatRun)],
     sensor: &[SensorModeRun],
     reboot: &[(f64, HotspotReport)],
-) {
-    println!("\n-- 1. NAT topology: shared 192.168/16 vs isolated home NATs --\n");
+) -> fmt::Result {
+    writeln!(
+        f,
+        "\n-- 1. NAT topology: shared 192.168/16 vs isolated home NATs --\n"
+    )?;
     let rows: Vec<Vec<String>> = nat
         .iter()
         .map(|(topology, run)| {
@@ -682,7 +785,7 @@ fn render_ablations(
             ]
         })
         .collect();
-    print_table(
+    f.write_str(&table(
         &[
             "topology",
             "sensors in 192/8",
@@ -690,14 +793,18 @@ fn render_ablations(
             "alerted at 20% infected",
         ],
         &rows,
-    );
-    println!(
+    ))?;
+    writeln!(
+        f,
         "→ the Figure 5(c) hotspot requires the NATed hosts to be mutually \
          reachable;\n  fully isolated home NATs produce no 192/8 flood \
          (the worm never reaches them)."
-    );
+    )?;
 
-    println!("\n-- 2. sensor mode: active (SYN-ACK responder) vs passive capture --\n");
+    writeln!(
+        f,
+        "\n-- 2. sensor mode: active (SYN-ACK responder) vs passive capture --\n"
+    )?;
     let rows: Vec<Vec<String>> = sensor
         .iter()
         .map(|run| {
@@ -709,17 +816,21 @@ fn render_ablations(
             ]
         })
         .collect();
-    print_table(
+    f.write_str(&table(
         &["worm transport", "sensor mode", "alerted", "sensors"],
         &rows,
-    );
-    println!(
+    ))?;
+    writeln!(
+        f,
         "→ passive sensors are blind to TCP worms (no payload without a \
          SYN-ACK), which is exactly\n  why the IMS actively elicited \
          payloads — an instrumentation factor shaping what gets counted."
-    );
+    )?;
 
-    println!("\n-- 3. Blaster reboot fraction vs Figure 1 hotspot strength --\n");
+    writeln!(
+        f,
+        "\n-- 3. Blaster reboot fraction vs Figure 1 hotspot strength --\n"
+    )?;
     let rows: Vec<Vec<String>> = reboot
         .iter()
         .map(|(reboot_fraction, report)| {
@@ -739,15 +850,17 @@ fn render_ablations(
             ]
         })
         .collect();
-    print_table(
+    f.write_str(&table(
         &["reboot-launched", "gini", "max/median", "χ² p", "verdict"],
         &rows,
-    );
-    println!(
+    ))?;
+    writeln!(
+        f,
         "→ the boot-band seed collisions are the engine of Figure 1's \
          spikes: with no reboot\n  launches the per-/24 counts flatten \
          toward Poisson noise."
-    );
+    )?;
+    Ok(())
 }
 
 // hotspots-lint: certifies(panic-free) reason="the IMS deployment literal contains every labelled block"
@@ -763,9 +876,16 @@ fn per_slash24_rates(rows: &[CoverageRow], blocks: &[AddressBlock]) -> BTreeMap<
 }
 
 // hotspots-lint: certifies(panic-free) reason="sensitivity trials always include the M block and non-Z blocks"
-fn render_sensitivity(codered: &[CodeRedTrial], slammer: &[SlammerTrial]) {
+fn render_sensitivity(
+    f: &mut fmt::Formatter<'_>,
+    codered: &[CodeRedTrial],
+    slammer: &[SlammerTrial],
+) -> fmt::Result {
     let trials = codered.len();
-    println!("\n-- CodeRedII M spike across {trials} random placements --\n");
+    writeln!(
+        f,
+        "\n-- CodeRedII M spike across {trials} random placements --\n"
+    )?;
     let mut rows_out = Vec::new();
     for trial in codered {
         let m = trial.blocks.by_label("M").expect("M");
@@ -783,7 +903,7 @@ fn render_sensitivity(codered: &[CodeRedTrial], slammer: &[SlammerTrial]) {
             format!("{:.1}×", rates["M"] / background.max(0.05)),
         ]);
     }
-    print_table(
+    f.write_str(&table(
         &[
             "trial",
             "M block placement",
@@ -792,9 +912,12 @@ fn render_sensitivity(codered: &[CodeRedTrial], slammer: &[SlammerTrial]) {
             "spike",
         ],
         &rows_out,
-    );
+    ))?;
 
-    println!("\n-- Slammer per-/24 spread across {trials} random placements --\n");
+    writeln!(
+        f,
+        "\n-- Slammer per-/24 spread across {trials} random placements --\n"
+    )?;
     let mut rows_out = Vec::new();
     for trial in slammer {
         let rates = per_slash24_rates(&trial.rows, &trial.blocks);
@@ -813,7 +936,7 @@ fn render_sensitivity(codered: &[CodeRedTrial], slammer: &[SlammerTrial]) {
             format!("{:.1}×", hi / lo.max(1.0)),
         ]);
     }
-    print_table(
+    f.write_str(&table(
         &[
             "trial",
             "quietest block (rate/24)",
@@ -821,10 +944,12 @@ fn render_sensitivity(codered: &[CodeRedTrial], slammer: &[SlammerTrial]) {
             "spread",
         ],
         &rows_out,
-    );
-    println!(
+    ))?;
+    writeln!(
+        f,
         "\n→ the M spike and the cycle-driven per-block spread persist across \
          placements:\n  the conclusions are properties of the mechanisms, not \
          of where we happened to put the sensors."
-    );
+    )?;
+    Ok(())
 }

@@ -1,4 +1,4 @@
-//! Exit-code contract for the `hotspots` CLI (PR 10 bugfix).
+//! Exit-code contract for the `hotspots` CLI.
 //!
 //! `HotspotsError::exit_code` promises that mistakes the caller can
 //! fix — bad flags, bad specs, unknown targets — exit 2, while runtime
@@ -7,7 +7,8 @@
 //! regression that routes an I/O failure through the usage path (or
 //! vice versa) fails loudly.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 
 struct Case {
     /// Human-readable label for failure messages.
@@ -51,6 +52,20 @@ fn error_paths_pin_exit_code_and_stderr_shape() {
             args: &["run"],
             code: 2,
             stderr_has: "exactly one target",
+            usage_dump: true,
+        },
+        Case {
+            label: "--quick and --paper together",
+            args: &["run", "fig2", "--quick", "--paper"],
+            code: 2,
+            stderr_has: "mutually exclusive",
+            usage_dump: true,
+        },
+        Case {
+            label: "misspelled --quick",
+            args: &["run", "fig2", "--quik"],
+            code: 2,
+            stderr_has: "unrecognized flag \"--quik\"",
             usage_dump: true,
         },
         Case {
@@ -185,5 +200,40 @@ fn malformed_spec_files_are_usage_errors() {
         "diagnostic should name the surrogate problem:\n{stderr}"
     );
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A reader that closes stdout early (`hotspots run fig2 | head -1`)
+/// ends the run quietly: no panic, and the run report still reaches
+/// the `--report` file.
+#[test]
+fn closed_stdout_is_a_quiet_exit_that_keeps_the_report() {
+    let dir = std::env::temp_dir().join(format!("hotspots-cli-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let report = dir.join("report.jsonl");
+    let _ = std::fs::remove_file(&report);
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hotspots"))
+        .args(["run", "fig2", "--quick", "--report"])
+        .arg(&report)
+        .env_remove("HOTSPOTS_RUN_REPORT")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn hotspots");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("read one line");
+    assert!(!first.is_empty(), "no output before the pipe closed");
+    drop(stdout);
+
+    let out = child.wait_with_output().expect("wait for hotspots");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "panicked:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+    let text = std::fs::read_to_string(&report).expect("report file written");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 1, "one run, one report:\n{text}");
+    hotspots_telemetry::RunReport::from_jsonl(lines[0]).expect("report parses");
     std::fs::remove_dir_all(&dir).ok();
 }

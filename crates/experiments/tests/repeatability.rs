@@ -1,5 +1,5 @@
-//! Run-to-run determinism: two invocations of the same experiment
-//! binary must produce byte-identical output, modulo the fields that
+//! Run-to-run determinism: two invocations of `hotspots run fig2
+//! --quick` must produce byte-identical output, modulo the fields that
 //! measure host wall time. This is the regression guard for the
 //! hash-iteration fixes enforced by lint rule D2 (unordered-iteration):
 //! a `HashMap` leaking into report code shows up here as line churn.
@@ -23,7 +23,7 @@ fn run_stdout(bin: &str, args: &[&str]) -> String {
 }
 
 /// Strips wall-time fields from a JSONL run report so the rest can be
-/// compared exactly (same normalization as the CLI parity suite).
+/// compared exactly (same normalization as `scripts/check_goldens.sh`).
 fn normalized(line: &str) -> String {
     let mut report = value::from_json(line).unwrap_or_else(|e| panic!("bad JSONL: {e}\n{line}"));
     if let Value::Table(entries) = &mut report {
@@ -36,9 +36,9 @@ fn normalized(line: &str) -> String {
 
 #[test]
 fn fig2_slammer_quick_is_byte_identical_across_runs() {
-    let bin = env!("CARGO_BIN_EXE_fig2_slammer");
-    let a = run_stdout(bin, &["--quick"]);
-    let b = run_stdout(bin, &["--quick"]);
+    let bin = env!("CARGO_BIN_EXE_hotspots");
+    let a = run_stdout(bin, &["run", "fig2", "--quick"]);
+    let b = run_stdout(bin, &["run", "fig2", "--quick"]);
     let (a_lines, b_lines): (Vec<&str>, Vec<&str>) = (a.lines().collect(), b.lines().collect());
     assert_eq!(a_lines.len(), b_lines.len(), "line counts diverge");
     for (i, (la, lb)) in a_lines.iter().zip(&b_lines).enumerate() {
@@ -59,7 +59,7 @@ fn fig2_slammer_quick_is_byte_identical_across_runs() {
 fn fig2_jsonl_report_carries_stable_key_order() {
     // Key order is part of byte-identity: the report builder must emit
     // fields in insertion order, never hash order.
-    let bin = env!("CARGO_BIN_EXE_fig2_slammer");
+    let bin = env!("CARGO_BIN_EXE_hotspots");
     let report_line = |s: &str| -> String {
         s.lines()
             .rev()
@@ -67,8 +67,8 @@ fn fig2_jsonl_report_carries_stable_key_order() {
             .expect("run report present")
             .to_owned()
     };
-    let a = report_line(&run_stdout(bin, &["--quick"]));
-    let b = report_line(&run_stdout(bin, &["--quick"]));
+    let a = report_line(&run_stdout(bin, &["run", "fig2", "--quick"]));
+    let b = report_line(&run_stdout(bin, &["run", "fig2", "--quick"]));
     let keys = |line: &str| -> Vec<String> {
         match value::from_json(line).expect("parseable report") {
             Value::Table(entries) => entries.into_iter().map(|(k, _)| k).collect(),

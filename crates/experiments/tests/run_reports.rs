@@ -1,21 +1,26 @@
-//! Every experiment binary must emit a parseable `RunReport` JSONL line
-//! whose delivery accounting balances (`delivered + Σ dropped =
-//! probes_sent`) — the PR's acceptance criterion for observability.
+//! `hotspots run <preset> --quick` must emit a parseable `RunReport`
+//! JSONL line whose delivery accounting balances (`delivered + Σ dropped
+//! = probes_sent`) for every paper artifact: one test per preset, named
+//! after the figure or table it regenerates.
 
 use std::process::Command;
 
 use hotspots_telemetry::RunReport;
 
-/// Runs one binary at `--quick` scale and returns its parsed report.
-fn quick_report(exe: &str) -> RunReport {
-    let output = Command::new(exe)
-        .arg("--quick")
+fn hotspots() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_hotspots"))
+}
+
+/// Runs one preset at `--quick` scale and returns its parsed report.
+fn quick_report(preset: &str) -> RunReport {
+    let output = hotspots()
+        .args(["run", preset, "--quick"])
         .env_remove(hotspots_telemetry::RUN_REPORT_ENV)
         .output()
-        .unwrap_or_else(|e| panic!("cannot spawn {exe}: {e}"));
+        .unwrap_or_else(|e| panic!("cannot spawn hotspots run {preset}: {e}"));
     assert!(
         output.status.success(),
-        "{exe} exited with {:?}\nstderr:\n{}",
+        "hotspots run {preset} exited with {:?}\nstderr:\n{}",
         output.status,
         String::from_utf8_lossy(&output.stderr)
     );
@@ -24,15 +29,15 @@ fn quick_report(exe: &str) -> RunReport {
         .lines()
         .rev()
         .find(|l| l.starts_with("{\"kind\":\"run_report\""))
-        .unwrap_or_else(|| panic!("no run_report line in {exe} output:\n{stdout}"));
-    RunReport::from_jsonl(line).unwrap_or_else(|e| panic!("{exe}: bad report: {e}"))
+        .unwrap_or_else(|| panic!("no run_report line in {preset} output:\n{stdout}"));
+    RunReport::from_jsonl(line).unwrap_or_else(|e| panic!("{preset}: bad report: {e}"))
 }
 
 /// The shared assertions: accounting balances, the scale echo is
-/// present, and the binary knows its own name.
-fn check(exe: &str, name: &str) -> RunReport {
-    let report = quick_report(exe);
-    assert_eq!(report.binary, name);
+/// present, and the report names the binary that ran it.
+fn check(name: &str) -> RunReport {
+    let report = quick_report(name);
+    assert_eq!(report.binary, "hotspots");
     assert_eq!(
         report.accounting_error(),
         None,
@@ -49,29 +54,26 @@ fn check(exe: &str, name: &str) -> RunReport {
 
 #[test]
 fn fig1_blaster_reports() {
-    let report = check(env!("CARGO_BIN_EXE_fig1_blaster"), "fig1_blaster");
+    let report = check("fig1");
     assert_eq!(report.probes_sent, 0, "closed-form study routes nothing");
     assert!(report.population > 0);
 }
 
 #[test]
 fn fig2_slammer_reports() {
-    let report = check(env!("CARGO_BIN_EXE_fig2_slammer"), "fig2_slammer");
+    let report = check("fig2");
     assert_eq!(report.probes_sent, 0, "cycle-exact study routes nothing");
     assert!(report.population > 0);
 }
 
 #[test]
 fn fig3_slammer_hosts_reports() {
-    check(
-        env!("CARGO_BIN_EXE_fig3_slammer_hosts"),
-        "fig3_slammer_hosts",
-    );
+    check("fig3");
 }
 
 #[test]
 fn fig4_codered_nat_reports() {
-    let report = check(env!("CARGO_BIN_EXE_fig4_codered_nat"), "fig4_codered_nat");
+    let report = check("fig4");
     // the NATed population probes private space: drops must appear
     assert!(report.probes_sent > 0);
     assert!(report.dropped_total() > 0, "{:?}", report.dropped);
@@ -79,10 +81,7 @@ fn fig4_codered_nat_reports() {
 
 #[test]
 fn fig5a_hitlist_infection_reports() {
-    let report = check(
-        env!("CARGO_BIN_EXE_fig5a_hitlist_infection"),
-        "fig5a_hitlist_infection",
-    );
+    let report = check("fig5a");
     assert!(report.probes_sent > 0);
     assert!(report.infections > 0);
     assert!(report.infections_per_sec() > 0.0);
@@ -90,41 +89,32 @@ fn fig5a_hitlist_infection_reports() {
 
 #[test]
 fn fig5b_hitlist_detection_reports() {
-    let report = check(
-        env!("CARGO_BIN_EXE_fig5b_hitlist_detection"),
-        "fig5b_hitlist_detection",
-    );
+    let report = check("fig5b");
     assert!(report.probes_sent > 0);
     assert!(report.infections > 0);
 }
 
 #[test]
 fn fig5c_nat_detection_reports() {
-    let report = check(
-        env!("CARGO_BIN_EXE_fig5c_nat_detection"),
-        "fig5c_nat_detection",
-    );
+    let report = check("fig5c");
     assert!(report.probes_sent > 0);
     assert!(report.infections > 0);
 }
 
 #[test]
 fn sensitivity_reports() {
-    let report = check(env!("CARGO_BIN_EXE_sensitivity"), "sensitivity");
+    let report = check("sensitivity");
     assert!(report.probes_sent > 0);
 }
 
 #[test]
 fn table1_bot_commands_reports() {
-    check(
-        env!("CARGO_BIN_EXE_table1_bot_commands"),
-        "table1_bot_commands",
-    );
+    check("table1");
 }
 
 #[test]
 fn table2_filtering_reports() {
-    let report = check(env!("CARGO_BIN_EXE_table2_filtering"), "table2_filtering");
+    let report = check("table2");
     assert!(report.probes_sent > 0);
     // enterprise egress filters must show up in the breakdown
     assert!(
@@ -139,7 +129,7 @@ fn table2_filtering_reports() {
 
 #[test]
 fn ablations_reports() {
-    let report = check(env!("CARGO_BIN_EXE_ablations"), "ablations");
+    let report = check("ablations");
     assert!(report.probes_sent > 0);
     // every engine run times its phases, so the engine-driven sections
     // must carry phase timings and the step peak
@@ -160,8 +150,8 @@ fn run_report_env_appends_jsonl() {
     let path = dir.join("reports.jsonl");
     let _ = std::fs::remove_file(&path);
     for _ in 0..2 {
-        let output = Command::new(env!("CARGO_BIN_EXE_fig1_blaster"))
-            .arg("--quick")
+        let output = hotspots()
+            .args(["run", "fig1", "--quick"])
             .env(hotspots_telemetry::RUN_REPORT_ENV, &path)
             .output()
             .expect("spawn");
@@ -173,7 +163,7 @@ fn run_report_env_appends_jsonl() {
         .map(|l| RunReport::from_jsonl(l).expect("each line parses"))
         .collect();
     assert_eq!(reports.len(), 2, "appends, not truncates");
-    assert!(reports.iter().all(|r| r.binary == "fig1_blaster"));
+    assert!(reports.iter().all(|r| r.binary == "hotspots"));
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_dir(&dir);
 }

@@ -39,7 +39,7 @@ fn workspace_lints_clean() {
 }
 
 /// Retiring a waiver is one-way. The typed-error hardening of the run
-/// path removed the `RunSet` and `preset_main` panic waivers, and the
+/// path removed the `RunSet` and per-binary runner panic waivers, and the
 /// R6 certification burn-down converted 33 more D5 waivers (corpus
 /// generation, slammer cycle maps, figure rendering, the ablation
 /// runner) into 17 call-graph-checked `certifies(panic-free)` pragmas,

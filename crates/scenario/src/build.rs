@@ -35,7 +35,7 @@ pub(crate) fn spec_u32(field: &str, v: u64) -> Result<u32, SpecError> {
 /// available parallelism (1 if it cannot be queried). Any other value
 /// passes through, so the resolved count is always at least 1 and the
 /// engine config never sees the sentinel.
-pub(crate) fn resolve_threads(threads: usize) -> usize {
+pub fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     } else {

@@ -1,10 +1,7 @@
-//! The tiny command-line parser shared by the `hotspots` CLI and every
-//! experiment binary.
+//! The tiny command-line parser behind the `hotspots` CLI.
 //!
-//! Experiment binaries historically scanned `argv` for `--quick` and
-//! silently ignored everything else, so typos like `--quik` ran the
-//! full paper-scale experiment. [`parse_flags`] is strict: unknown
-//! flags are errors, and every binary gets `--help` for free.
+//! [`parse_flags`] is strict: unknown flags are errors, so a typo like
+//! `--quik` is a usage error instead of a silent full paper-scale run.
 
 use std::fmt;
 
@@ -18,43 +15,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses the process arguments strictly: `--quick`/`-q` selects
-    /// [`Scale::Quick`], `--paper` is the explicit default, `--help`/`-h`
-    /// prints usage and exits, anything else is an error (printed to
-    /// stderr; the process exits with status 2).
-    pub fn from_args() -> Scale {
-        let spec = experiment_flags();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let binary = std::env::args().next().unwrap_or_else(|| "binary".into());
-        match parse_flags(&args, &spec) {
-            Ok(parsed) => {
-                if parsed.has("help") {
-                    print!("{}", usage(&binary, &spec, ""));
-                    std::process::exit(0);
-                }
-                if !parsed.positional.is_empty() {
-                    eprintln!(
-                        "error: unexpected argument {:?}\n\n{}",
-                        parsed.positional[0],
-                        usage(&binary, &spec, "")
-                    );
-                    std::process::exit(2);
-                }
-                match Scale::from_parsed(&parsed) {
-                    Ok(scale) => scale,
-                    Err(e) => {
-                        eprintln!("error: {e}\n\n{}", usage(&binary, &spec, ""));
-                        std::process::exit(2);
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("error: {e}\n\n{}", usage(&binary, &spec, ""));
-                std::process::exit(2);
-            }
-        }
-    }
-
     /// Resolves the scale from already-parsed flags: `--quick` selects
     /// [`Scale::Quick`], `--paper` (or neither) selects [`Scale::Paper`],
     /// and giving both is an error — they contradict each other.
@@ -104,33 +64,6 @@ pub struct FlagSpec {
     pub repeatable: bool,
     /// One-line help text.
     pub help: &'static str,
-}
-
-/// The flags every experiment binary accepts.
-pub fn experiment_flags() -> Vec<FlagSpec> {
-    vec![
-        FlagSpec {
-            name: "quick",
-            short: Some("q"),
-            takes_value: false,
-            repeatable: false,
-            help: "reduced scale (seconds instead of minutes)",
-        },
-        FlagSpec {
-            name: "paper",
-            short: None,
-            takes_value: false,
-            repeatable: false,
-            help: "full paper scale (the default)",
-        },
-        FlagSpec {
-            name: "help",
-            short: Some("h"),
-            takes_value: false,
-            repeatable: false,
-            help: "print this help",
-        },
-    ]
 }
 
 /// Parsed command line: positional arguments plus recognized flags.
@@ -264,9 +197,24 @@ mod tests {
         v.iter().map(|s| (*s).to_owned()).collect()
     }
 
+    fn scale_flags() -> Vec<FlagSpec> {
+        let flag = |name, short| FlagSpec {
+            name,
+            short,
+            takes_value: false,
+            repeatable: false,
+            help: "",
+        };
+        vec![
+            flag("quick", Some("q")),
+            flag("paper", None),
+            flag("help", Some("h")),
+        ]
+    }
+
     #[test]
     fn known_flags_parse() {
-        let spec = experiment_flags();
+        let spec = scale_flags();
         let p = parse_flags(&args(&["--quick"]), &spec).unwrap();
         assert!(p.has("quick"));
         let p = parse_flags(&args(&["-q"]), &spec).unwrap();
@@ -277,7 +225,7 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_errors() {
-        let spec = experiment_flags();
+        let spec = scale_flags();
         assert!(parse_flags(&args(&["--quik"]), &spec).is_err());
         assert!(parse_flags(&args(&["-x"]), &spec).is_err());
         assert!(parse_flags(&args(&["--quick=yes"]), &spec).is_err());
@@ -340,7 +288,7 @@ mod tests {
 
     #[test]
     fn quick_and_paper_together_are_rejected() {
-        let spec = experiment_flags();
+        let spec = scale_flags();
         let p = parse_flags(&args(&["--quick", "--paper"]), &spec).unwrap();
         let err = Scale::from_parsed(&p).unwrap_err();
         assert!(err.to_string().contains("mutually exclusive"), "got: {err}");
@@ -352,15 +300,15 @@ mod tests {
 
     #[test]
     fn positionals_pass_through() {
-        let spec = experiment_flags();
+        let spec = scale_flags();
         let p = parse_flags(&args(&["fig2", "--quick"]), &spec).unwrap();
         assert_eq!(p.positional, vec!["fig2"]);
     }
 
     #[test]
     fn usage_mentions_every_flag() {
-        let text = usage("fig1_blaster", &experiment_flags(), "");
-        for f in experiment_flags() {
+        let text = usage("hotspots", &scale_flags(), "");
+        for f in scale_flags() {
             assert!(text.contains(f.name), "usage missing --{}", f.name);
         }
     }

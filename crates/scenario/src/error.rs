@@ -7,7 +7,11 @@
 //! I/O failure while emitting) get typed variants instead of panics.
 //! Front-ends map an error to a process exit status with
 //! [`HotspotsError::exit_code`] — usage and spec mistakes exit 2 (the
-//! caller can fix the invocation), runtime failures exit 1.
+//! caller can fix the invocation), runtime failures exit 1. One exit is
+//! not an error: when stdout's reader goes away early (`hotspots run
+//! fig2 | head -1`), the `hotspots` CLI stops quietly with status 141,
+//! what a shell reports for a process killed by SIGPIPE, after any run
+//! report it finished has been appended to its report file.
 
 use std::fmt;
 

@@ -9,8 +9,8 @@
 //! paper artifact (`fig1`…`fig5c`, `table1`, `table2`, the cross-mode
 //! determinism scenarios, the bench workloads), and [`run::run_spec`]
 //! executes any spec through the telemetry [`ReportBuilder`] so the
-//! `hotspots` CLI, the experiment binaries, and the test suites all
-//! share one execution path.
+//! `hotspots` CLI, the server, and the test suites all share one
+//! execution path.
 //!
 //! The determinism contract: the same spec and seed produce the same
 //! run report at any thread count (per-host SplitMix64 streams plus
@@ -26,8 +26,8 @@ pub mod run;
 pub mod spec;
 pub mod value;
 
-pub use build::{BuildError, Built};
-pub use cli::{experiment_flags, parse_flags, usage, ArgError, FlagSpec, ParsedArgs, Scale};
+pub use build::{resolve_threads, BuildError, Built};
+pub use cli::{parse_flags, usage, ArgError, FlagSpec, ParsedArgs, Scale};
 pub use error::HotspotsError;
 pub use registry::{find_preset, presets, Preset};
 pub use run::{fold_run, fold_sim_result, run_spec, Outcome, RunContext, RunSet, ScenarioRun};

@@ -3,11 +3,10 @@
 //! workloads, each as a [`ScenarioSpec`] factory.
 //!
 //! A preset is parameterized only by [`Scale`]: `quick` picks the smoke
-//! sizes the experiment binaries use under `--quick`, `paper` the
-//! full-scale parameters. The factories reproduce the binaries'
-//! hard-coded configurations exactly — `hotspots run fig2 --quick` and
-//! `fig2_slammer --quick` emit the same run report because they execute
-//! the same spec.
+//! sizes `hotspots run <name> --quick` uses, `paper` the full-scale
+//! parameters. `hotspots run <name>` is the one way to regenerate an
+//! artifact; the golden reports under `results/golden/` pin each
+//! preset's run report at `--quick`.
 
 use crate::cli::Scale;
 use crate::spec::{
@@ -19,9 +18,6 @@ use crate::spec::{
 pub struct Preset {
     /// Registry name (`"fig2"`).
     pub name: &'static str,
-    /// The dedicated experiment binary (`"fig2_slammer"`), or the
-    /// preset family's runner for cross-mode/bench presets.
-    pub binary: &'static str,
     /// Banner artifact label (`"FIGURE 2"`).
     pub artifact: &'static str,
     /// Scenario label echoed in run reports (`"Figure 2"`).
@@ -54,7 +50,6 @@ impl std::fmt::Debug for Preset {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Preset")
             .field("name", &self.name)
-            .field("binary", &self.binary)
             .field("family", &self.family)
             .finish()
     }
@@ -131,7 +126,6 @@ fn fig5_sizes() -> Vec<Option<u64>> {
 static PRESETS: [Preset; 24] = [
     Preset {
         name: "fig1",
-        binary: "fig1_blaster",
         artifact: "FIGURE 1",
         scenario: "Figure 1",
         title: "Blaster unique sources by destination /24 (boot-time seeding)",
@@ -149,7 +143,6 @@ static PRESETS: [Preset; 24] = [
     },
     Preset {
         name: "fig2",
-        binary: "fig2_slammer",
         artifact: "FIGURE 2",
         scenario: "Figure 2",
         title: "Slammer unique sources by destination /24 (flawed LCG cycles)",
@@ -165,7 +158,6 @@ static PRESETS: [Preset; 24] = [
     },
     Preset {
         name: "fig3",
-        binary: "fig3_slammer_hosts",
         artifact: "FIGURE 3",
         scenario: "Figure 3",
         title: "per-host Slammer scanning bias and the LCG cycle periods",
@@ -179,7 +171,6 @@ static PRESETS: [Preset; 24] = [
     },
     Preset {
         name: "fig4",
-        binary: "fig4_codered_nat",
         artifact: "FIGURE 4",
         scenario: "Figure 4",
         title: "CodeRedII × NAT topology: the 192/8 hotspot",
@@ -199,7 +190,6 @@ static PRESETS: [Preset; 24] = [
     },
     Preset {
         name: "fig5a",
-        binary: "fig5a_hitlist_infection",
         artifact: "FIGURE 5(a)",
         scenario: "Figure 5(a)",
         title: "infection rate vs time for 4 hit-list sizes",
@@ -214,7 +204,6 @@ static PRESETS: [Preset; 24] = [
     },
     Preset {
         name: "fig5b",
-        binary: "fig5b_hitlist_detection",
         artifact: "FIGURE 5(b)",
         scenario: "Figure 5(b)",
         title: "sensor detection rate vs time for 4 hit-list sizes",
@@ -229,7 +218,6 @@ static PRESETS: [Preset; 24] = [
     },
     Preset {
         name: "fig5c",
-        binary: "fig5c_nat_detection",
         artifact: "FIGURE 5(c)",
         scenario: "Figure 5(c)",
         title: "sensor placement vs the NAT-driven 192/8 hotspot",
@@ -246,7 +234,6 @@ static PRESETS: [Preset; 24] = [
     },
     Preset {
         name: "table1",
-        binary: "table1_bot_commands",
         artifact: "TABLE 1",
         scenario: "Table 1",
         title: "botnet scan commands and their hit-lists",
@@ -262,7 +249,6 @@ static PRESETS: [Preset; 24] = [
     },
     Preset {
         name: "table2",
-        binary: "table2_filtering",
         artifact: "TABLE 2",
         scenario: "Table 2",
         title: "enterprise egress filtering hides infections from the telescope",
@@ -280,7 +266,6 @@ static PRESETS: [Preset; 24] = [
     },
     Preset {
         name: "ablations",
-        binary: "ablations",
         artifact: "ABLATIONS",
         scenario: "design-decision ablations",
         title: "design-decision ablations",
@@ -298,7 +283,6 @@ static PRESETS: [Preset; 24] = [
     },
     Preset {
         name: "sensitivity",
-        binary: "sensitivity",
         artifact: "SENSITIVITY",
         scenario: "placement sensitivity",
         title: "case studies over randomized sensor placements",
@@ -316,7 +300,6 @@ static PRESETS: [Preset; 24] = [
     },
     Preset {
         name: "fig5-outage",
-        binary: "hotspots",
         artifact: "FIGURE 5 + OUTAGE",
         scenario: "fig5-outage",
         title: "quorum detection misses the outbreak during a sensor outage",
@@ -364,7 +347,6 @@ static PRESETS: [Preset; 24] = [
     },
     Preset {
         name: "xmode-uniform",
-        binary: "hotspots",
         artifact: "CROSS-MODE",
         scenario: "xmode-uniform",
         title: "uniform worm, dense /16 population",
@@ -386,7 +368,6 @@ static PRESETS: [Preset; 24] = [
     },
     Preset {
         name: "xmode-blaster",
-        binary: "hotspots",
         artifact: "CROSS-MODE",
         scenario: "xmode-blaster",
         title: "Blaster reboot seeding under 20% loss",
@@ -413,7 +394,6 @@ static PRESETS: [Preset; 24] = [
     },
     Preset {
         name: "xmode-slammer",
-        binary: "hotspots",
         artifact: "CROSS-MODE",
         scenario: "xmode-slammer",
         title: "Slammer LCG walk with rate dispersion under 10% loss",
@@ -438,7 +418,6 @@ static PRESETS: [Preset; 24] = [
     },
     Preset {
         name: "xmode-codered2-nat",
-        binary: "hotspots",
         artifact: "CROSS-MODE",
         scenario: "xmode-codered2-nat",
         title: "CodeRedII local preference over a half-NATted population",
@@ -472,7 +451,6 @@ static PRESETS: [Preset; 24] = [
     },
     Preset {
         name: "xmode-hitlist",
-        binary: "hotspots",
         artifact: "CROSS-MODE",
         scenario: "xmode-hitlist",
         title: "hit-list worm over a dense /16",
@@ -495,7 +473,6 @@ static PRESETS: [Preset; 24] = [
     },
     Preset {
         name: "xmode-hitlist-latency",
-        binary: "hotspots",
         artifact: "CROSS-MODE",
         scenario: "xmode-hitlist-latency",
         title: "hit-list worm under latency, loss, dispersion, and removal",
@@ -525,7 +502,6 @@ static PRESETS: [Preset; 24] = [
     },
     Preset {
         name: "xmode-outage",
-        binary: "hotspots",
         artifact: "CROSS-MODE",
         scenario: "xmode-outage",
         title: "hit-list worm through a sensor outage and a flapping filter",
@@ -554,7 +530,6 @@ static PRESETS: [Preset; 24] = [
     },
     Preset {
         name: "xmode-blackhole",
-        binary: "hotspots",
         artifact: "CROSS-MODE",
         scenario: "xmode-blackhole",
         title: "hit-list worm through an upstream blackhole and degraded loss",
@@ -586,7 +561,6 @@ static PRESETS: [Preset; 24] = [
     },
     Preset {
         name: "fig2-million",
-        binary: "hotspots",
         artifact: "FIGURE 2 AT SCALE",
         scenario: "fig2-million",
         title: "Slammer LCG bias over a 1M-host Internet-scale population",
@@ -618,7 +592,6 @@ static PRESETS: [Preset; 24] = [
     },
     Preset {
         name: "bench-hitlist",
-        binary: "hotspots",
         artifact: "BENCH",
         scenario: "bench-hitlist",
         title: "hit-list outbreak, 5k hosts / 100 s (Criterion workload)",
@@ -648,7 +621,6 @@ static PRESETS: [Preset; 24] = [
     },
     Preset {
         name: "bench-slammer",
-        binary: "hotspots",
         artifact: "BENCH",
         scenario: "bench-slammer",
         title: "Slammer probe-pipeline throughput, 5k hosts (timed run)",
@@ -675,7 +647,6 @@ static PRESETS: [Preset; 24] = [
     },
     Preset {
         name: "bench-million",
-        binary: "hotspots",
         artifact: "BENCH",
         scenario: "bench-million",
         title: "Slammer over 1M+ Zipf-placed hosts (compressed store)",

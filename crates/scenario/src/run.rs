@@ -1,5 +1,5 @@
 //! Executing a [`ScenarioSpec`]: one entry point shared by the
-//! `hotspots` CLI, the experiment binaries, and the test suites.
+//! `hotspots` CLI, the scenario server, and the test suites.
 //!
 //! [`run_spec`] performs the scenario's computation and folds its
 //! accounting into a telemetry [`ReportBuilder`] in a fixed order, so a
@@ -84,7 +84,7 @@ impl RunContext {
 }
 
 /// One executed scenario: the accumulated report (finish with
-/// [`ScenarioRun::emit_report`]) plus the raw results for rendering.
+/// [`ScenarioRun::record_report`]) plus the raw results for rendering.
 pub struct ScenarioRun {
     /// The run report, fully folded; not yet emitted.
     pub report: ReportBuilder,
@@ -93,18 +93,23 @@ pub struct ScenarioRun {
 }
 
 impl ScenarioRun {
-    /// Emits the run report (stdout + the `HOTSPOTS_RUN_REPORT` file,
-    /// if set), surfacing append failures as [`HotspotsError::Io`] so a
-    /// bad report path fails the run loudly instead of being swallowed.
+    /// Finalizes the run report, appends it to the
+    /// `HOTSPOTS_RUN_REPORT` file (if set), and returns its JSONL line
+    /// for the caller to print. Append failures surface as
+    /// [`HotspotsError::Io`], so a bad report path fails the run loudly
+    /// instead of being swallowed.
     ///
     /// # Errors
     ///
     /// Returns [`HotspotsError::Io`] when the report file append fails.
-    pub fn emit_report(self) -> Result<hotspots_telemetry::RunReport, HotspotsError> {
-        self.report.try_emit().map_err(|e| HotspotsError::Io {
-            context: format!("appending run report to {}", e.path),
-            source: e.source,
-        })
+    pub fn record_report(self) -> Result<String, HotspotsError> {
+        match self.report.try_record() {
+            Ok((_, line)) => Ok(line),
+            Err(e) => Err(HotspotsError::Io {
+                context: format!("appending run report to {}", e.path),
+                source: e.source,
+            }),
+        }
     }
 }
 

@@ -11,7 +11,7 @@ use crate::json::{self, Json};
 /// [`RunReport`] to (JSONL). Unset: reports go to stdout only.
 pub const RUN_REPORT_ENV: &str = "HOTSPOTS_RUN_REPORT";
 
-/// What one experiment binary or example did: config echo, probe
+/// What one scenario run or example did: config echo, probe
 /// accounting, drop breakdown, infection totals, timings.
 ///
 /// The invariant every emitter must uphold (and the integration tests
@@ -321,34 +321,31 @@ impl ReportBuilder {
         self.report
     }
 
-    /// Finalizes, prints the JSONL line to stdout, and — when
-    /// [`RUN_REPORT_ENV`] names a file — appends it there too.
-    /// I/O problems with that file are reported on stderr, never fatal.
-    /// Binaries that should fail loudly on a bad report path use
-    /// [`ReportBuilder::try_emit`] instead.
-    pub fn emit(self) -> RunReport {
-        match self.try_emit() {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("run report: cannot append to {}: {}", e.path, e.source);
-                *e.report
-            }
-        }
-    }
-
-    /// Like [`ReportBuilder::emit`], but a failed append to the
-    /// [`RUN_REPORT_ENV`] file is returned instead of swallowed. The
-    /// report line is always printed to stdout first, and the error
-    /// carries the finished report.
+    /// Finalizes, appends the JSONL line to the [`RUN_REPORT_ENV`] file
+    /// (when set), then prints it to stdout. A failed append is
+    /// returned, never swallowed, and nothing is printed.
     ///
     /// # Errors
     ///
     /// Returns an [`EmitError`] naming the report path when the append
     /// fails (unwritable directory, permission denied, …).
     pub fn try_emit(self) -> Result<RunReport, EmitError> {
+        let (report, line) = self.try_record()?;
+        println!("{line}");
+        Ok(report)
+    }
+
+    /// Finalizes the report and, when [`RUN_REPORT_ENV`] names a file,
+    /// appends its JSONL line there. Prints nothing: the line is
+    /// returned for the caller to write wherever its output goes.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`EmitError`] naming the report path when the append
+    /// fails (unwritable directory, permission denied, …).
+    pub fn try_record(self) -> Result<(RunReport, String), EmitError> {
         let report = self.build();
         let line = report.to_jsonl();
-        println!("{line}");
         if let Ok(path) = std::env::var(RUN_REPORT_ENV) {
             if !path.is_empty() {
                 let appended = OpenOptions::new()
@@ -357,29 +354,21 @@ impl ReportBuilder {
                     .open(&path)
                     .and_then(|mut f| writeln!(f, "{line}"));
                 if let Err(source) = appended {
-                    return Err(EmitError {
-                        path,
-                        source,
-                        report: Box::new(report),
-                    });
+                    return Err(EmitError { path, source });
                 }
             }
         }
-        Ok(report)
+        Ok((report, line))
     }
 }
 
-/// A run-report append to the [`RUN_REPORT_ENV`] file failed. Carries
-/// the finished report so lenient callers can still use it.
+/// A run-report append to the [`RUN_REPORT_ENV`] file failed.
 #[derive(Debug)]
 pub struct EmitError {
     /// The report file that could not be appended to.
     pub path: String,
     /// The underlying I/O error.
     pub source: std::io::Error,
-    /// The report that was built (and printed to stdout) anyway
-    /// (boxed to keep the `Err` variant small).
-    pub report: Box<RunReport>,
 }
 
 impl std::fmt::Display for EmitError {

@@ -106,7 +106,7 @@ fn main() {
     );
 
     run.report.config("command", &command);
-    if let Err(e) = run.emit_report() {
+    if let Err(e) = run.report.try_emit() {
         eprintln!("error: {e}");
         std::process::exit(1);
     }

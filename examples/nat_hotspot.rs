@@ -74,7 +74,7 @@ fn main() {
     }
     println!("  → M spikes despite being a tiny /22; that is the hotspot.");
 
-    if let Err(e) = run.emit_report() {
+    if let Err(e) = run.report.try_emit() {
         eprintln!("error: {e}");
         std::process::exit(1);
     }

@@ -72,7 +72,7 @@ fn main() {
             );
         }
     }
-    if let Err(e) = run.emit_report() {
+    if let Err(e) = run.report.try_emit() {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
@@ -99,7 +99,7 @@ fn main() {
         );
     }
     println!("  → knowing the hotspot beats 500 blind sensors with just 255.");
-    if let Err(e) = run.emit_report() {
+    if let Err(e) = run.report.try_emit() {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
