@@ -16,13 +16,13 @@
 
 use criterion::{black_box, criterion_group, BatchSize, Criterion};
 use hotspots_ipspace::Ip;
-use hotspots_scenario::{find_preset, Built, Scale};
-use hotspots_sim::{Engine, FieldObserver, NullObserver};
+use hotspots_scenario::{find_preset, Scale};
+use hotspots_sim::{Engine, FieldObserver, NullObserver, Outbreak};
 use hotspots_telemetry::{BenchSummary, MemoryStats, ScalingPoint, Timer};
 use hotspots_telescope::DetectorField;
 
 /// Builds a bench preset fresh (engines are consumed per run).
-fn built(preset: &str) -> Built {
+fn built(preset: &str) -> Outbreak {
     find_preset(preset)
         .expect("registered bench preset")
         .spec(Scale::Paper)
@@ -30,7 +30,7 @@ fn built(preset: &str) -> Built {
         .expect("bench presets build")
 }
 
-fn engine_from(b: Built) -> Engine {
+fn engine_from(b: Outbreak) -> Engine {
     Engine::new(b.config, b.population, b.environment, b.worm)
 }
 
@@ -54,10 +54,10 @@ fn outbreak(c: &mut Criterion) {
             .collect();
         b.iter_batched(
             || {
-                (
-                    engine_from(built("bench-hitlist")),
-                    FieldObserver::new(DetectorField::new(sensors.clone(), 5)),
-                )
+                let engine = engine_from(built("bench-hitlist"));
+                let field = DetectorField::new(sensors.clone(), 5);
+                let observer = FieldObserver::with_service(field, engine.worm().service());
+                (engine, observer)
             },
             |(mut engine, mut observer)| black_box(engine.run(&mut observer)),
             BatchSize::PerIteration,

@@ -86,7 +86,7 @@ fn figures(c: &mut Criterion) {
             stop_at_fraction: 0.8,
             ..detection::DetectionStudy::default()
         };
-        b.iter(|| black_box(detection::hitlist_runs(&study, &[Some(3)])));
+        b.iter(|| black_box(detection::hitlist_run(&study, Some(3))));
     });
     group.bench_function("fig5c_nat_micro", |b| {
         let study = detection::DetectionStudy {
@@ -101,6 +101,7 @@ fn figures(c: &mut Criterion) {
                 &study,
                 0.15,
                 detection::Placement::Inside192,
+                detection::NatTopology::Shared,
             ))
         });
     });

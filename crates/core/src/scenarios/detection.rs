@@ -1,11 +1,11 @@
 //! Figure 5: how hotspots blind distributed detection.
 
 use hotspots_ipspace::Prefix;
-use hotspots_netmodel::{DeliveryLedger, Environment};
+use hotspots_netmodel::Environment;
 use hotspots_sim::{
     apply_nat, apply_nat_shared, occupied_slash16s, paper_codered_population,
-    synthetic_codered_population, CodeRed2Worm, Engine, FieldObserver, HitListWorm, Population,
-    PopulationError, SimConfig,
+    synthetic_codered_population, CodeRed2Worm, HitListWorm, Outbreak, Population, PopulationError,
+    SimConfig, SimResult,
 };
 use hotspots_stats::TimeSeries;
 use hotspots_targeting::HitList;
@@ -98,71 +98,72 @@ pub struct HitListRun {
     pub list_size: usize,
     /// Fraction of the vulnerable population the list covers.
     pub coverage: f64,
-    /// Fraction infected vs time (Fig 5a).
-    pub infection_curve: TimeSeries,
     /// Fraction of sensors alerting vs time (Fig 5b).
     pub alert_curve: TimeSeries,
     /// Sensors deployed.
     pub sensors: usize,
     /// Sensors that had alerted by the end.
     pub sensors_alerted: usize,
-    /// Final infected fraction.
-    pub final_infected: f64,
-    /// Hosts ever infected.
-    pub infected_hosts: u64,
-    /// Per-verdict probe accounting for the run.
-    pub ledger: DeliveryLedger,
-    /// Simulated seconds the run covered.
-    pub sim_seconds: f64,
+    /// The engine's result: the infection curve (Fig 5a), the probe
+    /// ledger, infections and simulated seconds.
+    pub result: SimResult,
 }
 
-/// Runs the hit-list experiments for each requested list size
-/// (`None` entries mean "every occupied /16" — the paper's 4481 case).
+/// Runs the hit-list experiment for one list size (`None` means "every
+/// occupied /16" — the paper's 4481 case).
 ///
 /// Sensors: one /24 detector placed randomly inside each occupied /16,
 /// alerting after `alert_threshold` payloads.
-pub fn hitlist_runs(study: &DetectionStudy, sizes: &[Option<usize>]) -> Vec<HitListRun> {
+///
+/// # Errors
+///
+/// Returns [`PopulationError::FewerHostsThanSeeds`] when the population
+/// cannot hold the study's seed hosts.
+pub fn hitlist_run(
+    study: &DetectionStudy,
+    size: Option<usize>,
+) -> Result<HitListRun, PopulationError> {
     let population_addrs = study.draw_population();
     let occupied = occupied_slash16s(&population_addrs);
     let mut rng = StdRng::seed_from_u64(study.rng_seed ^ 0x5e50);
     let sensors: Vec<Prefix> = placement::one_per_prefix(&occupied, &mut rng);
+    let k = size.unwrap_or(occupied.len()).min(occupied.len());
+    let list = HitList::top_k_slash16(&population_addrs, k);
+    let coverage = list.coverage(&population_addrs);
+    // a sub-coverage list can never infect the whole population: stop
+    // relative to what the list can reach (plus seed slack)
+    let seed_slack = study.seeds as f64 / study.population_size() as f64;
+    let mut config = study.sim_config();
+    config.stop_at_fraction = Some((study.stop_at_fraction * coverage + seed_slack).min(1.0));
+    let outbreak = Outbreak {
+        config,
+        population: Population::from_public(population_addrs.iter().copied()),
+        environment: Environment::new(),
+        worm: Box::new(HitListWorm::new(list)),
+        detector: None,
+    };
+    let field = DetectorField::new(sensors, study.alert_threshold);
+    let (result, field) = observed_run(outbreak, field)?;
+    Ok(HitListRun {
+        list_size: k,
+        coverage,
+        alert_curve: field.alert_curve(format!("{k}-prefix hit-list alerts")),
+        sensors: field.len(),
+        sensors_alerted: field.alerted(),
+        result,
+    })
+}
 
-    sizes
-        .iter()
-        .map(|size| {
-            let k = size.unwrap_or(occupied.len()).min(occupied.len());
-            let list = HitList::top_k_slash16(&population_addrs, k);
-            let coverage = list.coverage(&population_addrs);
-            let field = DetectorField::new(sensors.clone(), study.alert_threshold);
-            let mut observer = FieldObserver::new(field);
-            // a sub-coverage list can never infect the whole population:
-            // stop relative to what the list can reach (plus seed slack)
-            let seed_slack = study.seeds as f64 / study.population_size() as f64;
-            let mut config = study.sim_config();
-            config.stop_at_fraction =
-                Some((study.stop_at_fraction * coverage + seed_slack).min(1.0));
-            let mut engine = Engine::new(
-                config,
-                Population::from_public(population_addrs.iter().copied()),
-                Environment::new(),
-                Box::new(HitListWorm::new(list)),
-            );
-            let result = engine.run(&mut observer);
-            let field = observer.into_field();
-            HitListRun {
-                list_size: k,
-                coverage,
-                infection_curve: result.infection_curve,
-                alert_curve: field.alert_curve(format!("{k}-prefix hit-list alerts")),
-                sensors: field.len(),
-                sensors_alerted: field.alerted(),
-                final_infected: result.infected as f64 / result.population as f64,
-                infected_hosts: result.infected as u64,
-                ledger: result.ledger,
-                sim_seconds: result.elapsed,
-            }
-        })
-        .collect()
+/// Runs a study outbreak observed by `field`, returning the engine's
+/// result and the field after the run.
+fn observed_run(
+    mut outbreak: Outbreak,
+    field: DetectorField,
+) -> Result<(SimResult, DetectorField), PopulationError> {
+    outbreak.detector = Some(field);
+    let (result, field) = outbreak.run()?;
+    let field = field.expect("the outbreak carried a field"); // hotspots-lint: allow(panic-path) reason="the detector is set above, and Outbreak::run returns the detector it ran with"
+    Ok((result, field))
 }
 
 /// Sensor placement strategies compared in Figure 5(c).
@@ -202,8 +203,6 @@ impl Placement {
 pub struct NatRun {
     /// The placement strategy used.
     pub placement: Placement,
-    /// Fraction infected vs time.
-    pub infection_curve: TimeSeries,
     /// Fraction of sensors alerting vs time.
     pub alert_curve: TimeSeries,
     /// Sensors deployed.
@@ -213,12 +212,9 @@ pub struct NatRun {
     /// Alerted sensor fraction at the moment 20% of the population was
     /// infected (the paper's comparison point).
     pub alerted_at_20pct_infected: f64,
-    /// Hosts ever infected.
-    pub infected_hosts: u64,
-    /// Per-verdict probe accounting for the run.
-    pub ledger: DeliveryLedger,
-    /// Simulated seconds the run covered.
-    pub sim_seconds: f64,
+    /// The engine's result: the infection curve, the probe ledger,
+    /// infections and simulated seconds.
+    pub result: SimResult,
 }
 
 /// How NATed hosts are wired into the topology.
@@ -234,28 +230,16 @@ pub enum NatTopology {
 }
 
 /// Runs the Figure 5(c) experiment: a CodeRedII-type worm over a
-/// population with `nat_fraction` of hosts NATed into `192.168/16`,
-/// detected by a field placed per `placement`.
+/// population with `nat_fraction` of hosts NATed into `192.168/16`
+/// (wired per `topology`), detected by a field placed per `placement`.
 ///
 /// # Errors
 ///
-/// Returns the [`PopulationError`] of the NAT deployment: more NATed
-/// hosts than the shared `192.168/16` realm holds.
+/// Returns the [`PopulationError`] of the NAT deployment (more NATed
+/// hosts than the shared `192.168/16` realm holds, or an isolated-NAT
+/// host whose address cannot be a gateway), or
+/// [`PopulationError::FewerHostsThanSeeds`].
 pub fn nat_run(
-    study: &DetectionStudy,
-    nat_fraction: f64,
-    placement_kind: Placement,
-) -> Result<NatRun, PopulationError> {
-    nat_run_with_topology(study, nat_fraction, placement_kind, NatTopology::Shared)
-}
-
-/// [`nat_run`] with an explicit NAT wiring (the topology ablation).
-///
-/// # Errors
-///
-/// As [`nat_run`]; the isolated topology also fails if a drawn host
-/// address cannot be a NAT gateway.
-pub fn nat_run_with_topology(
     study: &DetectionStudy,
     nat_fraction: f64,
     placement_kind: Placement,
@@ -263,37 +247,35 @@ pub fn nat_run_with_topology(
 ) -> Result<NatRun, PopulationError> {
     let population_addrs = study.draw_population();
     let mut rng = StdRng::seed_from_u64(study.rng_seed ^ 0xa117);
-    let mut env = Environment::new();
+    let mut environment = Environment::new();
     let loci = match topology {
         NatTopology::Shared => {
-            apply_nat_shared(&mut env, &population_addrs, nat_fraction, &mut rng)
+            apply_nat_shared(&mut environment, &population_addrs, nat_fraction, &mut rng)
         }
-        NatTopology::Isolated => apply_nat(&mut env, &population_addrs, nat_fraction, &mut rng),
+        NatTopology::Isolated => {
+            apply_nat(&mut environment, &population_addrs, nat_fraction, &mut rng)
+        }
     }?;
     let sensors = placement_kind.build(&population_addrs, &mut rng);
+    let outbreak = Outbreak {
+        config: study.sim_config(),
+        population: Population::from_loci(loci),
+        environment,
+        worm: Box::new(CodeRed2Worm),
+        detector: None,
+    };
     let field = DetectorField::new(sensors, study.alert_threshold);
-    let mut observer = FieldObserver::new(field);
-    let mut engine = Engine::new(
-        study.sim_config(),
-        Population::from_loci(loci),
-        env,
-        Box::new(CodeRed2Worm),
-    );
-    let result = engine.run(&mut observer);
-    let field = observer.into_field();
+    let (result, field) = observed_run(outbreak, field)?;
     let alert_curve = field.alert_curve(format!("{placement_kind:?} alerts"));
     let t20 = result.infection_curve.time_to_reach(0.2);
     let alerted_at_20pct_infected = t20.map_or(0.0, |t| alert_curve.value_at(t));
     Ok(NatRun {
         placement: placement_kind,
-        infection_curve: result.infection_curve,
         sensors: field.len(),
         sensors_alerted: field.alerted(),
         alert_curve,
         alerted_at_20pct_infected,
-        infected_hosts: result.infected as u64,
-        ledger: result.ledger,
-        sim_seconds: result.elapsed,
+        result,
     })
 }
 
@@ -319,18 +301,18 @@ mod tests {
     #[test]
     fn smaller_hitlists_infect_faster_but_cover_less() {
         let study = small_study();
-        let runs = hitlist_runs(&study, &[Some(3), None]);
-        assert_eq!(runs.len(), 2);
-        let (small, full) = (&runs[0], &runs[1]);
+        let small = hitlist_run(&study, Some(3)).expect("fits");
+        let full = hitlist_run(&study, None).expect("fits");
         assert!(small.coverage < full.coverage);
         assert!((full.coverage - 1.0).abs() < 1e-9);
         // the denser (smaller) list reaches ITS saturation sooner than
         // the full list reaches its own
         let small_sat = small
+            .result
             .infection_curve
             .time_to_reach(0.9 * small.coverage)
             .expect("small list saturates");
-        let full_sat = full.infection_curve.time_to_reach(0.8);
+        let full_sat = full.result.infection_curve.time_to_reach(0.8);
         if let Some(full_sat) = full_sat {
             assert!(
                 small_sat < full_sat,
@@ -340,7 +322,7 @@ mod tests {
         // Fig 5a's other claim: the small list never infects (much) more
         // than its coverage — only out-of-list seed hosts can exceed it.
         let seed_slack = study.seeds as f64 / study.population_size() as f64;
-        assert!(small.final_infected <= small.coverage + seed_slack + 1e-9);
+        assert!(small.result.infected_fraction() <= small.coverage + seed_slack + 1e-9);
     }
 
     #[test]
@@ -348,9 +330,8 @@ mod tests {
         // Figure 5b: even at high infection, only a minority of sensors
         // alert — quorum detection fails.
         let study = small_study();
-        let runs = hitlist_runs(&study, &[Some(3)]);
-        let run = &runs[0];
-        assert!(run.final_infected >= 0.9 * run.coverage);
+        let run = hitlist_run(&study, Some(3)).expect("fits");
+        assert!(run.result.infected_fraction() >= 0.9 * run.coverage);
         let alerted_fraction = run.sensors_alerted as f64 / run.sensors as f64;
         assert!(
             alerted_fraction < 0.5,
@@ -363,8 +344,14 @@ mod tests {
         // Figure 5c: 255 sensors inside the hotspot /8 alert faster than
         // 10k (here: fewer) random sensors.
         let study = small_study();
-        let random = nat_run(&study, 0.25, Placement::Random { sensors: 300 }).unwrap();
-        let hotspot = nat_run(&study, 0.25, Placement::Inside192).unwrap();
+        let random = nat_run(
+            &study,
+            0.25,
+            Placement::Random { sensors: 300 },
+            NatTopology::Shared,
+        )
+        .unwrap();
+        let hotspot = nat_run(&study, 0.25, Placement::Inside192, NatTopology::Shared).unwrap();
         assert!(
             hotspot.alerted_at_20pct_infected > random.alerted_at_20pct_infected,
             "hotspot placement {} not better than random {}",
@@ -379,11 +366,8 @@ mod tests {
         // the ablation: with per-home NATs the 192.168 cluster can never
         // ignite, so the Inside192 placement loses its magic
         let study = small_study();
-        let shared =
-            nat_run_with_topology(&study, 0.25, Placement::Inside192, NatTopology::Shared).unwrap();
-        let isolated =
-            nat_run_with_topology(&study, 0.25, Placement::Inside192, NatTopology::Isolated)
-                .unwrap();
+        let shared = nat_run(&study, 0.25, Placement::Inside192, NatTopology::Shared).unwrap();
+        let isolated = nat_run(&study, 0.25, Placement::Inside192, NatTopology::Isolated).unwrap();
         assert!(
             shared.sensors_alerted > 4 * (isolated.sensors_alerted + 1),
             "shared {} vs isolated {}",
@@ -395,16 +379,18 @@ mod tests {
     #[test]
     fn run_ledgers_balance() {
         let study = small_study();
-        let hit = &hitlist_runs(&study, &[Some(3)])[0];
+        let hit = hitlist_run(&study, Some(3)).expect("fits").result;
         assert!(hit.ledger.probes() > 0);
         assert_eq!(
             hit.ledger.delivered() + hit.ledger.dropped_total(),
             hit.ledger.probes()
         );
-        assert!(hit.sim_seconds > 0.0);
-        assert!(hit.infected_hosts >= study.seeds as u64);
+        assert!(hit.elapsed > 0.0);
+        assert!(hit.infected >= study.seeds);
 
-        let nat = nat_run(&study, 0.25, Placement::Inside192).unwrap();
+        let nat = nat_run(&study, 0.25, Placement::Inside192, NatTopology::Shared)
+            .unwrap()
+            .result;
         assert_eq!(
             nat.ledger.delivered() + nat.ledger.dropped_total(),
             nat.ledger.probes()
@@ -418,12 +404,13 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         let study = small_study();
-        let a = nat_run(&study, 0.15, Placement::Random { sensors: 100 }).unwrap();
-        let b = nat_run(&study, 0.15, Placement::Random { sensors: 100 }).unwrap();
+        let random = Placement::Random { sensors: 100 };
+        let a = nat_run(&study, 0.15, random, NatTopology::Shared).unwrap();
+        let b = nat_run(&study, 0.15, random, NatTopology::Shared).unwrap();
         assert_eq!(a.sensors_alerted, b.sensors_alerted);
         assert_eq!(
-            a.infection_curve.last_value(),
-            b.infection_curve.last_value()
+            a.result.infection_curve.last_value(),
+            b.result.infection_curve.last_value()
         );
     }
 }

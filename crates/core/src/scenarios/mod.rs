@@ -13,7 +13,7 @@
 //! | Fig 3c (LCG cycle periods) | [`slammer::cycle_bands`] |
 //! | Fig 4a (CodeRedII by /24) | [`codered::sources_by_block`] |
 //! | Fig 4b/4c (quarantine runs) | [`codered::quarantine_run`] |
-//! | Fig 5a/5b (hit-list outbreak & detection) | [`detection::hitlist_runs`] |
+//! | Fig 5a/5b (hit-list outbreak & detection) | [`detection::hitlist_run`] |
 //! | Fig 5c (NAT outbreak & placement) | [`detection::nat_run`] |
 //! | Table 1 (bot commands) | `hotspots_botnet::corpus` |
 //! | Table 2 (enterprise vs broadband) | [`filtering::table2`] |

@@ -476,8 +476,9 @@ fn cmd_profile(parsed: &ParsedArgs, scale: Scale, threads: Option<usize>) {
     let spec = resolve_spec_or_exit(target, scale);
     if spec.study.is_some() {
         die(&format!(
-            "{target:?} is a study preset with no engine to trace; \
-             profile needs an engine-path scenario (worm + population)"
+            "{target:?} is a study preset; profile traces engine-path scenarios \
+             (worm + population) only. Its per-phase totals are in the .phases of \
+             its run report: hotspots run {target} --report <file.jsonl>"
         ));
     }
     let counts: Vec<usize> = match parsed.value("scaling") {

@@ -484,11 +484,13 @@ fn render_fig5a(
             vec![
                 r.list_size.to_string(),
                 format!("{:.2}%", 100.0 * r.coverage),
-                format!("{:.1}%", 100.0 * r.final_infected),
-                r.infection_curve
+                format!("{:.1}%", 100.0 * r.result.infected_fraction()),
+                r.result
+                    .infection_curve
                     .time_to_reach(0.5 * r.coverage)
                     .map_or_else(|| "-".to_owned(), |t| format!("{t:.0}s")),
-                r.infection_curve
+                r.result
+                    .infection_curve
                     .time_to_reach(0.9 * r.coverage)
                     .map_or_else(|| "-".to_owned(), |t| format!("{t:.0}s")),
             ]
@@ -507,7 +509,7 @@ fn render_fig5a(
 
     writeln!(f, "\n-- infection curves (resampled; plot these) --\n")?;
     for run in runs {
-        f.write_str(&series(&run.infection_curve, 25))?;
+        f.write_str(&series(&run.result.infection_curve, 25))?;
         writeln!(f)?;
     }
     writeln!(
@@ -538,7 +540,7 @@ fn render_fig5b(
             let alerted_frac = r.sensors_alerted as f64 / r.sensors as f64;
             // the paper's comparison: alert fraction when 90% of the
             // *reachable* population is infected
-            let t90 = r.infection_curve.time_to_reach(0.9 * r.coverage);
+            let t90 = r.result.infection_curve.time_to_reach(0.9 * r.coverage);
             let at90 = t90.map_or(f64::NAN, |t| r.alert_curve.value_at(t));
             vec![
                 r.list_size.to_string(),
@@ -569,7 +571,7 @@ fn render_fig5b(
     writeln!(f, "\n-- quorum verdicts --\n")?;
     let policy = QuorumPolicy::new(0.5).expect("valid quorum");
     for run in runs {
-        let gap = DetectionGap::new(run.infection_curve.clone(), run.alert_curve.clone());
+        let gap = DetectionGap::new(run.result.infection_curve.clone(), run.alert_curve.clone());
         writeln!(
             f,
             "  {:>5}-prefix list: {}",
@@ -640,7 +642,7 @@ fn render_fig5c(
     writeln!(f, "\n-- quorum verdicts --\n")?;
     let policy = QuorumPolicy::new(0.5).expect("valid quorum");
     for run in runs {
-        let gap = DetectionGap::new(run.infection_curve.clone(), run.alert_curve.clone());
+        let gap = DetectionGap::new(run.result.infection_curve.clone(), run.alert_curve.clone());
         writeln!(f, "  {:?}: {}", run.placement, gap.describe(policy))?;
     }
 

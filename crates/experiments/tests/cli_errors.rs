@@ -118,6 +118,45 @@ fn error_paths_pin_exit_code_and_stderr_shape() {
             stderr_has: "no [sweep] section",
             usage_dump: false,
         },
+        Case {
+            label: "engine spec with more seeds than hosts",
+            args: &[
+                "sweep",
+                "bench-slammer",
+                "--quick",
+                "--param",
+                "sim.seeds=6000",
+            ],
+            code: 2,
+            stderr_has: "sim.seeds: 6000 seed hosts exceed the population",
+            usage_dump: false,
+        },
+        Case {
+            label: "hit-list study with more seeds than hosts",
+            args: &[
+                "sweep",
+                "fig5a",
+                "--quick",
+                "--param",
+                "study.detection.population=10",
+            ],
+            code: 2,
+            stderr_has: "study.detection.seeds: 25 seed hosts exceed the population",
+            usage_dump: false,
+        },
+        Case {
+            label: "sensor-mode ablation with more seeds than hosts",
+            args: &[
+                "sweep",
+                "ablations",
+                "--quick",
+                "--param",
+                "study.sensor_hosts=5",
+            ],
+            code: 2,
+            stderr_has: "study.sensor_hosts: 10 seed hosts exceed the population",
+            usage_dump: false,
+        },
         // --- runtime failures: exit 1, no usage dump
         Case {
             label: "spec file that does not exist",

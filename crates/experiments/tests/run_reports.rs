@@ -52,6 +52,22 @@ fn check(name: &str) -> RunReport {
     report
 }
 
+/// Every engine run times its phases, so a report that folds engine
+/// runs carries the five serial phase totals and the step peak.
+fn assert_engine_phases(name: &str, report: &RunReport) {
+    assert!(
+        report.peak_step_seconds.is_some(),
+        "{name}: no peak_step_seconds"
+    );
+    for phase in ["target_gen", "routing", "lookup", "observe", "merge"] {
+        assert!(
+            report.phases.iter().any(|(n, _)| n == phase),
+            "{name}: missing phase {phase}: {:?}",
+            report.phases
+        );
+    }
+}
+
 #[test]
 fn fig1_blaster_reports() {
     let report = check("fig1");
@@ -85,6 +101,7 @@ fn fig5a_hitlist_infection_reports() {
     assert!(report.probes_sent > 0);
     assert!(report.infections > 0);
     assert!(report.infections_per_sec() > 0.0);
+    assert_engine_phases("fig5a", &report);
 }
 
 #[test]
@@ -92,6 +109,7 @@ fn fig5b_hitlist_detection_reports() {
     let report = check("fig5b");
     assert!(report.probes_sent > 0);
     assert!(report.infections > 0);
+    assert_engine_phases("fig5b", &report);
 }
 
 #[test]
@@ -99,6 +117,7 @@ fn fig5c_nat_detection_reports() {
     let report = check("fig5c");
     assert!(report.probes_sent > 0);
     assert!(report.infections > 0);
+    assert_engine_phases("fig5c", &report);
 }
 
 #[test]
@@ -131,16 +150,7 @@ fn table2_filtering_reports() {
 fn ablations_reports() {
     let report = check("ablations");
     assert!(report.probes_sent > 0);
-    // every engine run times its phases, so the engine-driven sections
-    // must carry phase timings and the step peak
-    assert!(report.peak_step_seconds.is_some());
-    for phase in ["target_gen", "routing", "observe"] {
-        assert!(
-            report.phases.iter().any(|(n, _)| n == phase),
-            "missing phase {phase}: {:?}",
-            report.phases
-        );
-    }
+    assert_engine_phases("ablations", &report);
 }
 
 #[test]

@@ -7,7 +7,8 @@ use hotspots_prng::entropy::{HardwareGeneration, SeedModel};
 use hotspots_sim::{
     apply_nat, apply_nat_shared, canonical_parts, paper_codered_population,
     synthetic_codered_population, zipf_slash8_population, BlasterWorm, BotWorm, CodeRed2Worm,
-    HitListWorm, LocalPreferenceWorm, Population, SimConfig, SlammerWorm, UniformWorm, WormModel,
+    HitListWorm, LocalPreferenceWorm, Outbreak, Population, SimConfig, SlammerWorm, UniformWorm,
+    WormModel,
 };
 use hotspots_targeting::HitList;
 use hotspots_telescope::{placement, DetectorField, SensorMode};
@@ -47,34 +48,18 @@ pub fn resolve_threads(threads: usize) -> usize {
 /// the spec field that caused it.
 pub type BuildError = SpecError;
 
-/// An engine-path scenario, built: everything [`Engine::new`] needs,
-/// plus the telescope's detector field if the spec deploys one.
-///
-/// [`Engine::new`]: hotspots_sim::Engine::new
-pub struct Built {
-    /// Engine configuration.
-    pub config: SimConfig,
-    /// The vulnerable population (NAT already applied).
-    pub population: Population,
-    /// The network environment (loss, latency, filters, NAT realms).
-    pub environment: Environment,
-    /// The worm targeting model.
-    pub worm: Box<dyn WormModel>,
-    /// The telescope's detector field, if any.
-    pub detector: Option<DetectorField>,
-}
-
 impl ScenarioSpec {
-    /// Builds an engine-path spec into the concrete simulation types.
+    /// Builds an engine-path spec into the [`Outbreak`] that runs it.
     /// Validates first; study-path specs are rejected (run those through
     /// [`run_spec`](crate::run::run_spec)).
-    pub fn build(&self) -> Result<Built, BuildError> {
+    pub fn build(&self) -> Result<Outbreak, BuildError> {
         self.validate()?;
-        let worm_spec = self.worm.as_ref().ok_or_else(|| SpecError {
-            field: "worm".into(),
-            message: "study specs have no engine build; use run_spec".into(),
-        })?;
-        let pop_spec = self.population.as_ref().expect("validated engine path"); // hotspots-lint: allow(panic-path) reason="validate() guarantees the engine path carries a population spec"
+        let (Some(worm_spec), Some(pop_spec)) = (&self.worm, &self.population) else {
+            return Err(SpecError::new(
+                "worm",
+                "study specs have no engine build; use run_spec",
+            ));
+        };
 
         let mut environment = Environment::new();
         if let Some(loss) = self.environment.loss {
@@ -147,7 +132,7 @@ impl ScenarioSpec {
             trace: self.sim.trace,
         };
 
-        Ok(Built {
+        Ok(Outbreak {
             config,
             population,
             environment,

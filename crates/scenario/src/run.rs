@@ -14,8 +14,7 @@ use std::sync::{Mutex, PoisonError};
 use hotspots::scenarios::blaster::{sources_by_block, BlasterStudy};
 use hotspots::scenarios::codered::{quarantine_run, sources_by_block_accounted, CodeRedStudy};
 use hotspots::scenarios::detection::{
-    hitlist_runs, nat_run, nat_run_with_topology, DetectionStudy, HitListRun, NatRun, NatTopology,
-    Placement,
+    hitlist_run, nat_run, DetectionStudy, HitListRun, NatRun, NatTopology, Placement,
 };
 use hotspots::scenarios::filtering::{table2_with_accounting, FilteringStudy, Table2Row};
 use hotspots::scenarios::slammer::{
@@ -30,7 +29,7 @@ use hotspots_netmodel::{DeliveryLedger, Environment, Service};
 use hotspots_prng::cycles::AffineMap;
 use hotspots_prng::SqlsortDll;
 use hotspots_sim::{
-    fold_ledger, Engine, FieldObserver, HitListWorm, NullObserver, Population, SimConfig, SimResult,
+    fold_ledger, HitListWorm, Outbreak, Population, PopulationError, SimConfig, SimResult,
 };
 use hotspots_stats::CountHistogram;
 use hotspots_targeting::HitList;
@@ -280,23 +279,6 @@ pub enum Outcome {
 // shares one accounting path)
 // ---------------------------------------------------------------------------
 
-/// Folds one sweep run's accounting into a report: its delivery ledger,
-/// the population it ran over, its infection count, and its simulated
-/// seconds — the fold every sweep repeats per run.
-pub fn fold_run(
-    report: &mut ReportBuilder,
-    ledger: &DeliveryLedger,
-    population: u64,
-    infections: u64,
-    sim_seconds: f64,
-) {
-    fold_ledger(report, ledger);
-    report
-        .add_population(population)
-        .add_infections(infections)
-        .add_sim_seconds(sim_seconds);
-}
-
 /// Folds an engine [`SimResult`] into a report: probe accounting,
 /// population, infections, simulated time, and the engine's per-phase
 /// timings and step peak.
@@ -440,50 +422,38 @@ fn run_engine(
     ctx: &RunContext,
     report: &mut ReportBuilder,
 ) -> Result<Outcome, HotspotsError> {
-    let mut built = spec.build()?;
+    let mut outbreak = spec.build()?;
     // `threads = 0` (spec or context) means auto. `build()` already
     // resolved a spec-level 0, so the engine only ever sees a concrete
     // count; remember the resolution so the report can record what
     // actually ran (a report must replay without re-querying the host).
-    let mut auto_threads = (spec.sim.threads == 0).then_some(built.config.threads);
+    let mut auto_threads = (spec.sim.threads == 0).then_some(outbreak.config.threads);
     if let Some(threads) = ctx.threads {
-        built.config.threads = resolve_threads(threads);
-        auto_threads = (threads == 0).then_some(built.config.threads);
+        outbreak.config.threads = resolve_threads(threads);
+        auto_threads = (threads == 0).then_some(outbreak.config.threads);
     }
     if ctx.trace {
-        built.config.trace = true;
+        outbreak.config.trace = true;
     }
     report
-        .config("worm", built.worm.name())
-        .config("hosts", built.population.len())
-        .config("scan_rate", built.config.scan_rate)
-        .config("seeds", built.config.seeds)
-        .config("max_time", built.config.max_time)
-        .config("rng_seed", built.config.rng_seed);
+        .config("worm", outbreak.worm.name())
+        .config("hosts", outbreak.population.len())
+        .config("scan_rate", outbreak.config.scan_rate)
+        .config("seeds", outbreak.config.seeds)
+        .config("max_time", outbreak.config.max_time)
+        .config("rng_seed", outbreak.config.rng_seed);
     if let Some(resolved) = auto_threads {
         // Recorded only when auto-resolved: explicit thread counts are
         // a pure throughput knob and keep reports byte-stable across
         // machines, but an auto run must disclose what it resolved to.
         report.config("threads", resolved);
     }
-    if let Some(det) = &built.detector {
+    if let Some(det) = &outbreak.detector {
         report.config("sensors", det.len());
     }
-    let service = built.worm.service();
-    let mut engine = Engine::new(
-        built.config,
-        built.population,
-        built.environment,
-        built.worm,
-    );
-    let (result, field) = match built.detector {
-        Some(field) => {
-            let mut observer = FieldObserver::with_service(field, service);
-            let result = engine.run(&mut observer);
-            (result, Some(observer.into_field()))
-        }
-        None => (engine.run(&mut NullObserver), None),
-    };
+    let (result, field) = outbreak
+        .run()
+        .map_err(|e| SpecError::new("sim.seeds", e.to_string()))?;
     fold_sim_result(report, &result);
     Ok(Outcome::Engine {
         result: Box::new(result),
@@ -659,13 +629,7 @@ fn run_study(
                 .config("scan_rate", study.scan_rate)
                 .config("hit_list_sizes", size_labels(sizes));
             for run in &runs {
-                fold_run(
-                    out,
-                    &run.ledger,
-                    study.population_size() as u64,
-                    run.infected_hosts,
-                    run.sim_seconds,
-                );
+                fold_sim_result(out, &run.result);
             }
             Ok(Outcome::HitListInfection { study, runs })
         }
@@ -676,13 +640,7 @@ fn run_study(
                 .config("alert_threshold", study.alert_threshold)
                 .config("hit_list_sizes", size_labels(sizes));
             for run in &runs {
-                fold_run(
-                    out,
-                    &run.ledger,
-                    study.population_size() as u64,
-                    run.infected_hosts,
-                    run.sim_seconds,
-                );
+                fold_sim_result(out, &run.result);
             }
             Ok(Outcome::HitListDetection { study, runs })
         }
@@ -703,21 +661,22 @@ fn run_study(
                 Placement::Inside192,
             ];
             let runs = runset
-                .run(placements, |p| nat_run(&study, *nat_fraction, p))?
+                .run(placements, |p| {
+                    nat_run(&study, *nat_fraction, p, NatTopology::Shared)
+                })?
                 .into_iter()
                 .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| SpecError::new("study.nat_fraction", e.to_string()))?;
+                .map_err(|e| match e {
+                    PopulationError::FewerHostsThanSeeds { .. } => {
+                        SpecError::new("study.detection.seeds", e.to_string())
+                    }
+                    _ => SpecError::new("study.nat_fraction", e.to_string()),
+                })?;
             out.config("population", study.population_size())
                 .config("nat_fraction", nat_fraction)
                 .config("placements", "Random,TopSlash8s,Inside192");
             for run in &runs {
-                fold_run(
-                    out,
-                    &run.ledger,
-                    study.population_size() as u64,
-                    run.infected_hosts,
-                    run.sim_seconds,
-                );
+                fold_sim_result(out, &run.result);
             }
             Ok(Outcome::NatDetection {
                 study,
@@ -869,7 +828,11 @@ fn hitlist_sweep(
         .map(|s| s.map(|n| spec_usize("study.sizes", n)).transpose())
         .collect::<Result<_, _>>()?;
     // the sweep is embarrassingly parallel: one engine per hit-list size
-    runset.run(sizes, |size| hitlist_runs(study, &[size]).remove(0))
+    runset
+        .run(sizes, |size| hitlist_run(study, size))?
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .map_err(|e| SpecError::new("study.detection.seeds", e.to_string()).into())
 }
 
 fn size_labels(sizes: &[Option<u64>]) -> String {
@@ -898,22 +861,15 @@ fn run_ablations(
     };
     let mut nat = Vec::new();
     for topology in [NatTopology::Shared, NatTopology::Isolated] {
-        let run = nat_run_with_topology(&nat_study, 0.15, Placement::Inside192, topology)
+        let run = nat_run(&nat_study, 0.15, Placement::Inside192, topology)
             .map_err(|e| SpecError::new("study.nat_population", e.to_string()))?;
-        fold_run(
-            out,
-            &run.ledger,
-            nat_study.population_size() as u64,
-            run.infected_hosts,
-            run.sim_seconds,
-        );
+        fold_sim_result(out, &run.result);
         nat.push((topology, run));
     }
 
     // 2. Sensor mode: active (SYN-ACK responder) vs passive capture.
     // The address set is bespoke (a random BTreeSet inside 66.67/16), so
-    // this is the one engine assembly that lives in the runner rather
-    // than behind a PopSpec.
+    // these outbreaks are assembled here rather than behind a PopSpec.
     let addrs: Vec<Ip> = {
         let mut rng = StdRng::seed_from_u64(21);
         let mut set = std::collections::BTreeSet::new();
@@ -931,15 +887,6 @@ fn run_ablations(
         ("UDP worm (Slammer-style)", Service::SLAMMER_SQL),
     ] {
         for mode in [SensorMode::Active, SensorMode::Passive] {
-            let field = DetectorField::with_mode(sensors.clone(), 5, mode);
-            let mut observer = FieldObserver::with_service(field, service);
-            let config = SimConfig {
-                scan_rate: 20.0,
-                seeds: 10,
-                max_time: sensor_max_time,
-                stop_at_fraction: Some(0.9),
-                ..SimConfig::default()
-            };
             // worm targets 66.66/16 (where hosts are NOT — pure noise
             // toward the sensors) plus the host /16
             let both = HitList::new(vec![
@@ -947,20 +894,30 @@ fn run_ablations(
                 "66.67.0.0/16".parse().expect("valid"),
             ])
             .expect("non-empty hit-list");
-            let mut engine = Engine::new(
-                config,
-                Population::from_public(addrs.iter().map(|ip| Ip::new(ip.value() | 0x0001_0000))),
-                Environment::new(),
-                Box::new(HitListWorm::new(both).with_service(service)),
-            );
-            let result = engine.run(&mut observer);
+            let (result, field) = Outbreak {
+                config: SimConfig {
+                    scan_rate: 20.0,
+                    seeds: 10,
+                    max_time: sensor_max_time,
+                    stop_at_fraction: Some(0.9),
+                    ..SimConfig::default()
+                },
+                population: Population::from_public(
+                    addrs.iter().map(|ip| Ip::new(ip.value() | 0x0001_0000)),
+                ),
+                environment: Environment::new(),
+                worm: Box::new(HitListWorm::new(both).with_service(service)),
+                detector: Some(DetectorField::with_mode(sensors.clone(), 5, mode)),
+            }
+            .run()
+            .map_err(|e| SpecError::new("study.sensor_hosts", e.to_string()))?;
             fold_sim_result(out, &result);
-            let field = observer.into_field();
+            let (alerted, deployed) = field.map_or((0, 0), |f| (f.alerted(), f.len()));
             sensor.push(SensorModeRun {
                 transport: proto_name.to_owned(),
                 mode,
-                alerted: field.alerted(),
-                sensors: field.len(),
+                alerted,
+                sensors: deployed,
             });
         }
     }
@@ -1031,18 +988,6 @@ mod tests {
         assert_eq!(out, [4, 2]);
         let empty: Vec<i32> = RunSet::with_threads(8).run(Vec::new(), |i: i32| i).unwrap();
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn fold_run_accumulates() {
-        let mut report = ReportBuilder::new("t", "t");
-        let ledger = DeliveryLedger::new();
-        fold_run(&mut report, &ledger, 10, 3, 5.0);
-        fold_run(&mut report, &ledger, 10, 4, 5.0);
-        let built = report.build();
-        assert_eq!(built.population, 20);
-        assert_eq!(built.infections, 7);
-        assert!((built.sim_seconds - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1202,19 +1147,23 @@ mod tests {
 
     #[test]
     fn oversized_study_integers_fail_typed() {
-        let mut spec = ScenarioSpec::named("abl");
-        spec.study = Some(StudySpec::Ablations {
-            nat_population: 10,
-            nat_max_time: 1.0,
-            sensor_hosts: 1 << 32,
-            sensor_max_time: 1.0,
-            reboot_hosts: 10,
-        });
-        let Err(err) = run_spec(&spec, &RunContext::new("t")) else {
-            panic!("expected an oversized-integer error");
-        };
-        assert!(err.to_string().contains("study.sensor_hosts"), "got: {err}");
-        assert_eq!(err.exit_code(), 2);
+        // 65 537 distinct hosts cannot fit the one /16 the sensor-mode
+        // ablation draws them from; 2^32 does not even fit a u32
+        for sensor_hosts in [1 << 16 | 1, 1 << 32] {
+            let mut spec = ScenarioSpec::named("abl");
+            spec.study = Some(StudySpec::Ablations {
+                nat_population: 10,
+                nat_max_time: 1.0,
+                sensor_hosts,
+                sensor_max_time: 1.0,
+                reboot_hosts: 10,
+            });
+            let Err(err) = run_spec(&spec, &RunContext::new("t")) else {
+                panic!("expected an oversized-integer error for {sensor_hosts}");
+            };
+            assert!(err.to_string().contains("study.sensor_hosts"), "got: {err}");
+            assert_eq!(err.exit_code(), 2);
+        }
     }
 
     #[test]

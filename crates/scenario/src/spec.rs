@@ -2075,6 +2075,13 @@ fn validate_study(study: &StudySpec) -> Result<(), SpecError> {
             if *nat_population == 0 || *sensor_hosts == 0 || *reboot_hosts == 0 {
                 return Err(SpecError::new("study", "populations must be positive"));
             }
+            // the sensor-mode hosts are distinct addresses in one /16
+            if *sensor_hosts > 1 << 16 {
+                return Err(SpecError::new(
+                    "study.sensor_hosts",
+                    format!("{sensor_hosts} exceeds the 65536 addresses of one /16"),
+                ));
+            }
             validate_positive("study.nat_max_time", *nat_max_time)?;
             validate_positive("study.sensor_max_time", *sensor_max_time)?;
         }

@@ -196,13 +196,17 @@ fn worker_loop(queue: &Mutex<Receiver<RunJob>>, ctx: &RunContext) {
     loop {
         let received = lock(queue).recv();
         let Ok(job) = received else { return };
-        let result =
-            catch_unwind(AssertUnwindSafe(|| execute(&job.spec, ctx))).unwrap_or_else(|payload| {
-                let message = format!("run panicked: {}", panic_text(&payload));
-                Err((ErrorKind::Runtime, message))
-            });
-        job.slot.complete(result);
+        job.slot.complete(captured(|| execute(&job.spec, ctx)));
     }
+}
+
+/// Runs one job, converting a panic into a [`ErrorKind::Runtime`]
+/// failure that carries the panic message.
+fn captured(run: impl FnOnce() -> Result<String, RunFailure>) -> Result<String, RunFailure> {
+    catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        let message = format!("run panicked: {}", panic_text(&*payload));
+        Err((ErrorKind::Runtime, message))
+    })
 }
 
 /// Runs the spec and returns the canonicalized report line — the
@@ -243,6 +247,31 @@ mod tests {
             slot: Arc::new(RunSlot::new()),
         };
         assert_eq!(pool.try_submit(job), Err(QueueFull));
+    }
+
+    #[test]
+    fn captured_panics_keep_their_message() {
+        let seeds = 6_000;
+        let formatted = captured(|| panic!("{seeds} seed hosts"));
+        assert_eq!(
+            formatted,
+            Err((
+                ErrorKind::Runtime,
+                "run panicked: 6000 seed hosts".to_owned()
+            ))
+        );
+        let literal = captured(|| panic!("literal message"));
+        assert_eq!(
+            literal,
+            Err((
+                ErrorKind::Runtime,
+                "run panicked: literal message".to_owned()
+            ))
+        );
+        assert_eq!(
+            captured(|| Ok("report".to_owned())),
+            Ok("report".to_owned())
+        );
     }
 
     #[test]

@@ -328,15 +328,18 @@ fn spec_that_fails_to_build_is_a_spec_error_and_the_session_continues() {
         "{}\n[environment.nat]\nfraction = 1.0\ntopology = \"isolated\"\nseed = 1\n",
         tiny_spec(13)
     );
+    // 65 seed hosts cannot be drawn from 64: the engine refuses typed
+    let overseeded = tiny_spec(15).replace("seeds = 2", "seeds = 65");
     let responses = session(
         &server,
         &[
             submit_line(&unbuildable),
+            submit_line(&overseeded),
             submit_line(&tiny_spec(14)),
             "{\"op\":\"stats\"}".to_owned(),
         ],
     );
-    assert_eq!(responses.len(), 3, "{responses:?}");
+    assert_eq!(responses.len(), 4, "{responses:?}");
     assert!(
         responses[0].starts_with(
             "{\"ok\":false,\"kind\":\"spec\",\"error\":\"environment.nat: host 10.0.0."
@@ -344,15 +347,19 @@ fn spec_that_fails_to_build_is_a_spec_error_and_the_session_continues() {
         "{}",
         responses[0]
     );
-    assert!(
-        responses[1].starts_with("{\"ok\":true,\"hash\":\""),
-        "{}",
-        responses[1]
-    );
-    // the failed run stored nothing
     assert_eq!(
-        responses[2],
-        "{\"ok\":true,\"entries\":1,\"hits\":0,\"misses\":2,\"runs\":2,\"rejected\":0,\"evictions\":0}"
+        responses[1],
+        "{\"ok\":false,\"kind\":\"spec\",\"error\":\"sim.seeds: 65 seed hosts exceed the population of 64\"}"
+    );
+    assert!(
+        responses[2].starts_with("{\"ok\":true,\"hash\":\""),
+        "{}",
+        responses[2]
+    );
+    // the failed runs stored nothing
+    assert_eq!(
+        responses[3],
+        "{\"ok\":true,\"entries\":1,\"hits\":0,\"misses\":3,\"runs\":3,\"rejected\":0,\"evictions\":0}"
     );
     cleanup(&config);
 }

@@ -40,6 +40,7 @@ mod engine;
 mod executor;
 mod ipmap;
 mod observers;
+mod outbreak;
 mod population;
 mod telemetry;
 mod worms;
@@ -49,6 +50,7 @@ pub use engine::{Engine, EngineTelemetry, SimConfig, SimResult};
 pub use executor::ShardExecutor;
 pub use ipmap::IpMap;
 pub use observers::{DropTally, FieldObserver, NullObserver, SimObserver, TelescopeObserver};
+pub use outbreak::Outbreak;
 pub use population::{
     apply_nat, apply_nat_shared, canonical_parts, occupied_slash16s, paper_codered_population,
     synthetic_codered_population, zipf_slash8_population, Population, PopulationError,

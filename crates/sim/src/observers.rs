@@ -112,15 +112,6 @@ pub struct FieldObserver {
 }
 
 impl FieldObserver {
-    /// Wraps a detector field, treating every probe's payload as
-    /// identifiable (the right model for active sensor fields).
-    pub fn new(field: DetectorField) -> FieldObserver {
-        FieldObserver {
-            field,
-            first_packet_payload: true,
-        }
-    }
-
     /// Wraps a detector field for a worm probing `service`: payload
     /// visibility at passive sensors follows the transport (UDP worms
     /// carry their payload in the first packet; TCP worms do not).
@@ -262,7 +253,7 @@ mod tests {
     #[test]
     fn field_observer_counts_public_only() {
         let field = DetectorField::new(vec!["10.0.0.0/24".parse().unwrap()], 1);
-        let mut obs = FieldObserver::new(field);
+        let mut obs = FieldObserver::with_service(field, Service::SLAMMER_SQL);
         let dst = Ip::from_octets(10, 0, 0, 5);
         obs.on_probe(1.0, Ip::MIN, Delivery::Dropped(DropReason::EgressFiltered));
         assert_eq!(obs.field().alerted(), 0);

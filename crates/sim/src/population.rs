@@ -62,6 +62,14 @@ pub enum PopulationError {
         /// The number of hosts picked.
         hosts: usize,
     },
+    /// Fewer hosts than an outbreak's seed count: the engine cannot
+    /// pick its initially infected hosts.
+    FewerHostsThanSeeds {
+        /// The population size.
+        hosts: usize,
+        /// The requested seed count.
+        seeds: usize,
+    },
 }
 
 impl fmt::Display for PopulationError {
@@ -92,6 +100,9 @@ impl fmt::Display for PopulationError {
                     "{hosts} NATed hosts exceed the 192.168/16 realm capacity of {}",
                     SHARED_REALM_CAPACITY
                 )
+            }
+            PopulationError::FewerHostsThanSeeds { hosts, seeds } => {
+                write!(f, "{seeds} seed hosts exceed the population of {hosts}")
             }
         }
     }

@@ -21,7 +21,7 @@ use crate::observers::SimObserver;
 /// infection by [`Locus`] — and emits one sink event per infection.
 ///
 /// Composes with the existing observers via the tuple impl:
-/// `(TelemetryObserver::new(...), FieldObserver::new(...))`.
+/// `(TelemetryObserver::new(...), FieldObserver::with_service(...))`.
 ///
 /// # Examples
 ///

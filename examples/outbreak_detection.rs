@@ -54,7 +54,7 @@ fn main() {
             "{:>10} {:>8.1}% {:>9.1}% {:>12} {:>8} ({:.1}%)",
             r.list_size,
             100.0 * r.coverage,
-            100.0 * r.final_infected,
+            100.0 * r.result.infected_fraction(),
             r.sensors,
             r.sensors_alerted,
             100.0 * r.sensors_alerted as f64 / r.sensors as f64,

@@ -153,9 +153,8 @@ fn fig5_detection_gap_and_placement() {
     };
     // (a)+(b): a narrow hit-list infects its coverage but leaves most
     // sensors silent
-    let runs = detection::hitlist_runs(&study, &[Some(2)]);
-    let run = &runs[0];
-    assert!(run.final_infected >= 0.8 * run.coverage);
+    let run = detection::hitlist_run(&study, Some(2)).expect("seeds fit the population");
+    assert!(run.result.infected_fraction() >= 0.8 * run.coverage);
     assert!(
         (run.sensors_alerted as f64) < 0.5 * run.sensors as f64,
         "{}/{} sensors alerted",
@@ -163,10 +162,11 @@ fn fig5_detection_gap_and_placement() {
         run.sensors
     );
     // (c): hotspot-aware placement dominates random placement
-    let random = detection::nat_run(&study, 0.25, detection::Placement::Random { sensors: 250 })
-        .expect("NATed hosts fit the realm");
-    let inside = detection::nat_run(&study, 0.25, detection::Placement::Inside192)
-        .expect("NATed hosts fit the realm");
+    let shared = detection::NatTopology::Shared;
+    let random = detection::Placement::Random { sensors: 250 };
+    let random = detection::nat_run(&study, 0.25, random, shared).expect("NATed hosts fit");
+    let inside = detection::nat_run(&study, 0.25, detection::Placement::Inside192, shared)
+        .expect("NATed hosts fit");
     assert!(inside.alerted_at_20pct_infected > random.alerted_at_20pct_infected);
 }
 

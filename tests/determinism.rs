@@ -94,8 +94,16 @@ fn detection_runs_replay() {
         stop_at_fraction: 0.8,
         rng_seed: 13,
     };
-    let a = detection::nat_run(&study, 0.2, detection::Placement::Inside192).expect("fits");
-    let b = detection::nat_run(&study, 0.2, detection::Placement::Inside192).expect("fits");
+    let run = || {
+        detection::nat_run(
+            &study,
+            0.2,
+            detection::Placement::Inside192,
+            detection::NatTopology::Shared,
+        )
+        .expect("fits")
+    };
+    let (a, b) = (run(), run());
     assert_eq!(a.sensors_alerted, b.sensors_alerted);
     assert_eq!(
         a.alert_curve.iter().collect::<Vec<_>>(),

@@ -4,9 +4,7 @@
 
 use hotspots_ipspace::{Ip, Prefix};
 use hotspots_netmodel::{DropReason, Environment, FilterRule, LossModel, Service};
-use hotspots_sim::{
-    DropTally, Engine, FieldObserver, HitListWorm, NullObserver, Population, SimConfig,
-};
+use hotspots_sim::{DropTally, Engine, HitListWorm, NullObserver, Outbreak, Population, SimConfig};
 use hotspots_targeting::HitList;
 use hotspots_telescope::DetectorField;
 
@@ -122,16 +120,15 @@ fn sensor_gaps_degrade_detection_gracefully() {
     // Remove sensors one /24 at a time: alert counts can only go down,
     // and the remaining field still works.
     let run_with_sensors = |sensors: Vec<Prefix>| -> (usize, usize) {
-        let field = DetectorField::new(sensors, 3);
-        let mut observer = FieldObserver::new(field);
-        let mut engine = Engine::new(
-            config(),
-            dense_population(300),
-            Environment::new(),
-            Box::new(HitListWorm::new(hitlist())),
-        );
-        engine.run(&mut observer);
-        let field = observer.into_field();
+        let outbreak = Outbreak {
+            config: config(),
+            population: dense_population(300),
+            environment: Environment::new(),
+            worm: Box::new(HitListWorm::new(hitlist())),
+            detector: Some(DetectorField::new(sensors, 3)),
+        };
+        let (_, field) = outbreak.run().expect("seeds fit");
+        let field = field.expect("the outbreak carried a field");
         (field.alerted(), field.len())
     };
     let full: Vec<Prefix> = (0..8u32)
