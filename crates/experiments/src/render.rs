@@ -1,9 +1,10 @@
 //! Rendering an [`Outcome`] as the plain-text tables, bar charts, and
 //! gnuplot-ready series `hotspots run <preset>` prints.
 //!
-//! Each outcome variant has one section, the figure or table its preset
-//! regenerates (`results/*.txt` holds the paper-scale output). Rendering
-//! is read-only and builds a `String`: all accounting happened in
+//! Each outcome variant renders the figure or table its preset
+//! regenerates (`results/*.txt` holds the paper-scale output); the
+//! hit-list study renders Figures 5(a) and 5(b) from one set of runs.
+//! Rendering is read-only and builds a `String`: all accounting happened in
 //! [`hotspots_scenario::run_spec`], everything here derives from the
 //! outcome's raw results (plus the fixed IMS deployment, which the
 //! closed-form studies share), and the CLI decides where the text goes.
@@ -58,8 +59,10 @@ impl fmt::Display for Rendered<'_> {
                 rows,
                 quarantines,
             } => render_fig4(f, study, rows, quarantines),
-            Outcome::HitListInfection { study, runs } => render_fig5a(f, study, runs),
-            Outcome::HitListDetection { study, runs } => render_fig5b(f, study, runs),
+            Outcome::HitList { study, runs } => {
+                render_fig5a(f, study, runs)?;
+                render_fig5b(f, study, runs)
+            }
             Outcome::NatDetection {
                 study,
                 nat_fraction,

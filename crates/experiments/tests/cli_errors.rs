@@ -135,13 +135,52 @@ fn error_paths_pin_exit_code_and_stderr_shape() {
             label: "hit-list study with more seeds than hosts",
             args: &[
                 "sweep",
-                "fig5a",
+                "fig5ab",
                 "--quick",
                 "--param",
                 "study.detection.population=10",
             ],
             code: 2,
             stderr_has: "study.detection.seeds: 25 seed hosts exceed the population",
+            usage_dump: false,
+        },
+        Case {
+            label: "hit-list study with a zero alert threshold",
+            args: &[
+                "sweep",
+                "fig5ab",
+                "--quick",
+                "--param",
+                "study.detection.alert_threshold=0",
+            ],
+            code: 2,
+            stderr_has: "study.detection.alert_threshold: must be positive",
+            usage_dump: false,
+        },
+        Case {
+            label: "engine telescope with a zero alert threshold",
+            args: &[
+                "sweep",
+                "fig5-outage",
+                "--quick",
+                "--param",
+                "telescope.alert_threshold=0",
+            ],
+            code: 2,
+            stderr_has: "telescope.alert_threshold: must be positive",
+            usage_dump: false,
+        },
+        Case {
+            label: "hit-list study with a zero list size",
+            args: &[
+                "run",
+                concat!(
+                    env!("CARGO_MANIFEST_DIR"),
+                    "/tests/fixtures/hitlist-zero-size.toml"
+                ),
+            ],
+            code: 2,
+            stderr_has: "study.sizes[0]: must be positive",
             usage_dump: false,
         },
         Case {

@@ -1,9 +1,10 @@
 //! `hotspots run <preset> --quick` must emit a parseable `RunReport`
 //! JSONL line whose delivery accounting balances (`delivered + Σ dropped
-//! = probes_sent`) for every paper artifact: one test per preset, named
-//! after the figure or table it regenerates.
+//! = probes_sent`) for every paper artifact: one test per figure or
+//! table, named after it.
 
 use std::process::Command;
+use std::sync::OnceLock;
 
 use hotspots_telemetry::RunReport;
 
@@ -95,21 +96,39 @@ fn fig4_codered_nat_reports() {
     assert!(report.dropped_total() > 0, "{:?}", report.dropped);
 }
 
+/// Figures 5(a) and 5(b) are two readings of one set of hit-list runs,
+/// so their tests share a single `fig5ab` run.
+fn fig5ab_report() -> &'static RunReport {
+    static REPORT: OnceLock<RunReport> = OnceLock::new();
+    REPORT.get_or_init(|| check("fig5ab"))
+}
+
+/// Both figures' config keys are echoed by the one `fig5ab` report.
+fn assert_config_key(report: &RunReport, key: &str) {
+    assert!(
+        report.config.iter().any(|(k, _)| k == key),
+        "fig5ab: config missing {key}: {:?}",
+        report.config
+    );
+}
+
 #[test]
 fn fig5a_hitlist_infection_reports() {
-    let report = check("fig5a");
+    let report = fig5ab_report();
     assert!(report.probes_sent > 0);
     assert!(report.infections > 0);
     assert!(report.infections_per_sec() > 0.0);
-    assert_engine_phases("fig5a", &report);
+    assert_config_key(report, "seeds");
+    assert_engine_phases("fig5ab", report);
 }
 
 #[test]
 fn fig5b_hitlist_detection_reports() {
-    let report = check("fig5b");
+    let report = fig5ab_report();
     assert!(report.probes_sent > 0);
     assert!(report.infections > 0);
-    assert_engine_phases("fig5b", &report);
+    assert_config_key(report, "alert_threshold");
+    assert_engine_phases("fig5ab", report);
 }
 
 #[test]

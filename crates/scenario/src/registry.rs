@@ -123,7 +123,7 @@ fn fig5_sizes() -> Vec<Option<u64>> {
     vec![Some(10), Some(100), Some(1000), None]
 }
 
-static PRESETS: [Preset; 24] = [
+static PRESETS: [Preset; 23] = [
     Preset {
         name: "fig1",
         artifact: "FIGURE 1",
@@ -189,28 +189,14 @@ static PRESETS: [Preset; 24] = [
         },
     },
     Preset {
-        name: "fig5a",
-        artifact: "FIGURE 5(a)",
-        scenario: "Figure 5(a)",
-        title: "infection rate vs time for 4 hit-list sizes",
-        paper: "Figure 5(a): hit-list size vs infection speed (§4)",
+        name: "fig5ab",
+        artifact: "FIGURE 5(a,b)",
+        scenario: "Figure 5(a,b)",
+        title: "infection and sensor detection rate vs time for 4 hit-list sizes",
+        paper: "Figure 5(a,b): hit-list size vs infection speed and sensor alert rate (§4)",
         family: "figure",
         spec_fn: |scale| {
-            named_study(StudySpec::HitListInfection {
-                detection: fig5_detection(scale, 4_000.0, 20_000.0),
-                sizes: fig5_sizes(),
-            })
-        },
-    },
-    Preset {
-        name: "fig5b",
-        artifact: "FIGURE 5(b)",
-        scenario: "Figure 5(b)",
-        title: "sensor detection rate vs time for 4 hit-list sizes",
-        paper: "Figure 5(b): hit-list size vs sensor alert rate (§4)",
-        family: "figure",
-        spec_fn: |scale| {
-            named_study(StudySpec::HitListDetection {
+            named_study(StudySpec::HitList {
                 detection: fig5_detection(scale, 4_000.0, 20_000.0),
                 sizes: fig5_sizes(),
             })

@@ -213,15 +213,8 @@ pub enum Outcome {
         /// The 4(b)/4(c) quarantine traces.
         quarantines: Vec<QuarantineTrace>,
     },
-    /// Figure 5(a).
-    HitListInfection {
-        /// The study configuration.
-        study: DetectionStudy,
-        /// One run per hit-list size.
-        runs: Vec<HitListRun>,
-    },
-    /// Figure 5(b).
-    HitListDetection {
+    /// Figures 5(a) and 5(b), read from the same runs.
+    HitList {
         /// The study configuration.
         study: DetectionStudy,
         /// One run per hit-list size.
@@ -621,28 +614,18 @@ fn run_study(
                 quarantines,
             })
         }
-        StudySpec::HitListInfection { detection, sizes } => {
+        StudySpec::HitList { detection, sizes } => {
             let study = detection_study(detection)?;
             let runs = hitlist_sweep(&study, sizes, runset)?;
             out.config("population", study.population_size())
                 .config("seeds", study.seeds)
                 .config("scan_rate", study.scan_rate)
-                .config("hit_list_sizes", size_labels(sizes));
-            for run in &runs {
-                fold_sim_result(out, &run.result);
-            }
-            Ok(Outcome::HitListInfection { study, runs })
-        }
-        StudySpec::HitListDetection { detection, sizes } => {
-            let study = detection_study(detection)?;
-            let runs = hitlist_sweep(&study, sizes, runset)?;
-            out.config("population", study.population_size())
                 .config("alert_threshold", study.alert_threshold)
                 .config("hit_list_sizes", size_labels(sizes));
             for run in &runs {
                 fold_sim_result(out, &run.result);
             }
-            Ok(Outcome::HitListDetection { study, runs })
+            Ok(Outcome::HitList { study, runs })
         }
         StudySpec::NatDetection {
             detection,

@@ -401,15 +401,9 @@ pub enum StudySpec {
         /// Seed for the quarantine traces.
         quarantine_seed: u64,
     },
-    /// Figure 5a: infection speed vs hit-list size.
-    HitListInfection {
-        /// Shared detection-study parameters.
-        detection: DetectionParams,
-        /// Hit-list sizes; `None` (TOML `"full"`) = the whole population.
-        sizes: Vec<Option<u64>>,
-    },
-    /// Figure 5b: telescope alert speed vs hit-list size.
-    HitListDetection {
+    /// Figures 5a and 5b: infection speed and telescope alert speed vs
+    /// hit-list size, both read from one set of runs.
+    HitList {
         /// Shared detection-study parameters.
         detection: DetectionParams,
         /// Hit-list sizes; `None` (TOML `"full"`) = the whole population.
@@ -483,8 +477,7 @@ impl StudySpec {
             StudySpec::SlammerCoverage { .. } => "slammer-coverage",
             StudySpec::SlammerHosts { .. } => "slammer-hosts",
             StudySpec::CodeRedNat { .. } => "codered-nat",
-            StudySpec::HitListInfection { .. } => "hitlist-infection",
-            StudySpec::HitListDetection { .. } => "hitlist-detection",
+            StudySpec::HitList { .. } => "hitlist",
             StudySpec::NatDetection { .. } => "nat-detection",
             StudySpec::BotCommands { .. } => "bot-commands",
             StudySpec::Filtering { .. } => "filtering",
@@ -1366,8 +1359,7 @@ fn study_to_value(study: &StudySpec) -> Value {
             t.set("quarantine_probes_natted", int(*quarantine_probes_natted));
             t.set("quarantine_seed", int(*quarantine_seed));
         }
-        StudySpec::HitListInfection { detection, sizes }
-        | StudySpec::HitListDetection { detection, sizes } => {
+        StudySpec::HitList { detection, sizes } => {
             t.set("sizes", sizes_to_value(sizes));
             t.set("detection", detection_to_value(detection));
         }
@@ -1462,11 +1454,7 @@ fn study_from_value(v: &Value) -> Result<StudySpec, SpecError> {
             quarantine_probes_natted: f.u64("quarantine_probes_natted")?,
             quarantine_seed: f.u64_or("quarantine_seed", 4)?,
         },
-        "hitlist-infection" => StudySpec::HitListInfection {
-            detection: detection_from_value("study.detection", f.req("detection")?)?,
-            sizes: sizes_from_value("study.sizes", f.req("sizes")?)?,
-        },
-        "hitlist-detection" => StudySpec::HitListDetection {
+        "hitlist" => StudySpec::HitList {
             detection: detection_from_value("study.detection", f.req("detection")?)?,
             sizes: sizes_from_value("study.sizes", f.req("sizes")?)?,
         },
@@ -1908,8 +1896,16 @@ fn validate_telescope(t: &TelescopeSpec) -> Result<(), SpecError> {
     match t {
         TelescopeSpec::None => Ok(()),
         TelescopeSpec::Field {
-            placement, mode, ..
+            placement,
+            alert_threshold,
+            mode,
         } => {
+            if *alert_threshold == 0 {
+                return Err(SpecError::new(
+                    "telescope.alert_threshold",
+                    "must be positive",
+                ));
+            }
             if !matches!(mode.as_str(), "active" | "passive") {
                 return Err(SpecError::new(
                     "telescope.mode",
@@ -1978,6 +1974,12 @@ fn validate_detection(d: &DetectionParams) -> Result<(), SpecError> {
     if d.seeds == 0 {
         return Err(SpecError::new("study.detection.seeds", "must be positive"));
     }
+    if d.alert_threshold == 0 {
+        return Err(SpecError::new(
+            "study.detection.alert_threshold",
+            "must be positive",
+        ));
+    }
     validate_positive("study.detection.scan_rate", d.scan_rate)?;
     validate_positive("study.detection.max_time", d.max_time)?;
     validate_fraction("study.detection.stop_at_fraction", d.stop_at_fraction)?;
@@ -2024,11 +2026,16 @@ fn validate_study(study: &StudySpec) -> Result<(), SpecError> {
             }
             validate_fraction("study.nat_fraction", *nat_fraction)?;
         }
-        StudySpec::HitListInfection { detection, sizes }
-        | StudySpec::HitListDetection { detection, sizes } => {
+        StudySpec::HitList { detection, sizes } => {
             validate_detection(detection)?;
             if sizes.is_empty() {
                 return Err(SpecError::new("study.sizes", "must be non-empty"));
+            }
+            if let Some(i) = sizes.iter().position(|s| *s == Some(0)) {
+                return Err(SpecError::new(
+                    format!("study.sizes[{i}]"),
+                    "must be positive",
+                ));
             }
         }
         StudySpec::NatDetection {
@@ -2160,8 +2167,8 @@ mod tests {
     }
 
     fn study_spec() -> ScenarioSpec {
-        let mut spec = ScenarioSpec::named("fig5a-test");
-        spec.study = Some(StudySpec::HitListInfection {
+        let mut spec = ScenarioSpec::named("fig5ab-test");
+        spec.study = Some(StudySpec::HitList {
             detection: DetectionParams {
                 population: 10_000,
                 slash8s: 47,

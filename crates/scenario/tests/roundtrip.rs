@@ -3,7 +3,7 @@
 //! Specs are plain data; the contract is that `to_toml`/`from_toml` and
 //! `to_json`/`from_json` are inverses over every *valid* spec. The
 //! generator below samples the whole schema — both the engine path and
-//! all eleven study kinds, with random environments, telescopes, and
+//! all ten study kinds, with random environments, telescopes, and
 //! sweeps — keeping each draw inside the validated ranges so the
 //! property quantifies over specs a user could actually run.
 
@@ -222,7 +222,7 @@ fn arb_sizes(rng: &mut StdRng) -> Vec<Option<u64>> {
 }
 
 fn arb_study(rng: &mut StdRng) -> StudySpec {
-    match rng.gen_range(0u32..11) {
+    match rng.gen_range(0u32..10) {
         0 => StudySpec::BlasterCoverage {
             hosts: rng.gen_range(10u64..=100_000),
             window_secs: rng.gen_range(60.0..7_200.0),
@@ -247,33 +247,29 @@ fn arb_study(rng: &mut StdRng) -> StudySpec {
             quarantine_probes_natted: rng.gen_range(1_000u64..=2_000_000),
             quarantine_seed: arb_seed(rng),
         },
-        4 => StudySpec::HitListInfection {
+        4 => StudySpec::HitList {
             detection: arb_detection(rng),
             sizes: arb_sizes(rng),
         },
-        5 => StudySpec::HitListDetection {
-            detection: arb_detection(rng),
-            sizes: arb_sizes(rng),
-        },
-        6 => StudySpec::NatDetection {
+        5 => StudySpec::NatDetection {
             detection: arb_detection(rng),
             nat_fraction: rng.gen_range(0.0..1.0),
             sensors: rng.gen_range(1u64..=2_000),
             top_k_slash8s: rng.gen_range(1u64..=64),
         },
-        7 => StudySpec::BotCommands {
+        6 => StudySpec::BotCommands {
             synthetic_commands: rng.gen_range(1u64..=10_000),
             corpus_seed: arb_seed(rng),
             drone: arb_ip(rng),
         },
-        8 => StudySpec::Filtering {
+        7 => StudySpec::Filtering {
             infected_per_enterprise: rng.gen_range(1u64..=10_000),
             infected_per_isp: rng.gen_range(1u64..=10_000),
             probes_per_host: rng.gen_range(100u64..=100_000),
             blaster_scan_len: rng.gen_range(100u64..=100_000),
             rng_seed: arb_seed(rng),
         },
-        9 => StudySpec::Ablations {
+        8 => StudySpec::Ablations {
             nat_population: rng.gen_range(10u64..=50_000),
             nat_max_time: rng.gen_range(10.0..10_000.0),
             sensor_hosts: rng.gen_range(10u64..=50_000),
@@ -485,8 +481,7 @@ const PRESET_CONTENT_HASHES: &[(&str, u64, u64)] = &[
     ("fig2", 0xa728f98294fbc761, 0xd8f2f32af79eb460),
     ("fig3", 0xfa6549563cb63efd, 0x63dcd023131160da),
     ("fig4", 0x2258e3b9778fe26c, 0x9e2550f60c3b2f6f),
-    ("fig5a", 0xa26a0c8696479d42, 0x11b2352451715976),
-    ("fig5b", 0xf99ea2365ff782f3, 0xa58b98cee3666291),
+    ("fig5ab", 0x67df8b50d71071ea, 0x36ea82f69cc102d6),
     ("fig5c", 0x56614f7e354612b0, 0x8ca9adfca950d886),
     ("table1", 0xe8c948cec8946ffc, 0xab85ce1c113572cb),
     ("table2", 0x14403f7f9c10625d, 0x1f8db48301520c17),

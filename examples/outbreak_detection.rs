@@ -37,12 +37,12 @@ fn main() {
     println!("== Hit-list outbreaks vs distributed detection ==");
     let mut spec = ScenarioSpec::named("outbreak-detection-hitlist");
     spec.meta.scenario = Some("Figure 5 reduced scale (hit-list sizes)".to_owned());
-    spec.study = Some(StudySpec::HitListInfection {
+    spec.study = Some(StudySpec::HitList {
         detection: detection(),
         sizes: vec![Some(10), Some(100), None],
     });
     let run = run_spec(&spec, &ctx).expect("study spec runs");
-    let Outcome::HitListInfection { runs, .. } = &run.outcome else {
+    let Outcome::HitList { runs, .. } = &run.outcome else {
         unreachable!("hit-list study");
     };
     println!(
