@@ -146,11 +146,6 @@ impl HotspotReport {
     pub fn is_hotspot_at(&self, alpha: f64) -> bool {
         self.chi_square_p.is_some_and(|p| p < alpha)
     }
-
-    /// The raw χ² statistic (recomputed), exposed for tables.
-    pub fn chi_square_statistic(counts: &[u64]) -> Option<f64> {
-        uniformity::chi_square_uniform(counts).map(|t| t.statistic)
-    }
 }
 
 impl fmt::Display for HotspotReport {

@@ -184,6 +184,136 @@ fn error_paths_pin_exit_code_and_stderr_shape() {
             usage_dump: false,
         },
         Case {
+            label: "hit-list study with zero /8s",
+            args: &[
+                "sweep",
+                "fig5ab",
+                "--quick",
+                "--param",
+                "study.detection.slash8s=0",
+            ],
+            code: 2,
+            stderr_has: "study.detection.slash8s: must be in [1, 200], got 0",
+            usage_dump: false,
+        },
+        Case {
+            label: "hit-list study with more /8s than routable",
+            args: &[
+                "sweep",
+                "fig5ab",
+                "--quick",
+                "--param",
+                "study.detection.slash8s=201",
+            ],
+            code: 2,
+            stderr_has: "study.detection.slash8s: must be in [1, 200], got 201",
+            usage_dump: false,
+        },
+        Case {
+            label: "NAT detection study with zero /8s",
+            args: &[
+                "sweep",
+                "fig5c",
+                "--quick",
+                "--param",
+                "study.detection.slash8s=0",
+            ],
+            code: 2,
+            stderr_has: "study.detection.slash8s: must be in [1, 200], got 0",
+            usage_dump: false,
+        },
+        Case {
+            label: "NAT detection study with more /8s than routable",
+            args: &[
+                "sweep",
+                "fig5c",
+                "--quick",
+                "--param",
+                "study.detection.slash8s=201",
+            ],
+            code: 2,
+            stderr_has: "study.detection.slash8s: must be in [1, 200], got 201",
+            usage_dump: false,
+        },
+        Case {
+            label: "filtering study with no infected ISP hosts",
+            args: &[
+                "sweep",
+                "table2",
+                "--quick",
+                "--param",
+                "study.infected_per_isp=0",
+            ],
+            code: 2,
+            stderr_has: "study.infected_per_isp: must be positive",
+            usage_dump: false,
+        },
+        Case {
+            label: "ablations with an empty NAT population",
+            args: &[
+                "sweep",
+                "ablations",
+                "--quick",
+                "--param",
+                "study.nat_population=0",
+            ],
+            code: 2,
+            stderr_has: "study.nat_population: must be positive",
+            usage_dump: false,
+        },
+        Case {
+            label: "ablations with no sensor-mode hosts",
+            args: &[
+                "sweep",
+                "ablations",
+                "--quick",
+                "--param",
+                "study.sensor_hosts=0",
+            ],
+            code: 2,
+            stderr_has: "study.sensor_hosts: must be positive",
+            usage_dump: false,
+        },
+        Case {
+            label: "ablations with no reboot hosts",
+            args: &[
+                "sweep",
+                "ablations",
+                "--quick",
+                "--param",
+                "study.reboot_hosts=0",
+            ],
+            code: 2,
+            stderr_has: "study.reboot_hosts: must be positive",
+            usage_dump: false,
+        },
+        Case {
+            label: "sensitivity with no Code Red hosts",
+            args: &[
+                "sweep",
+                "sensitivity",
+                "--quick",
+                "--param",
+                "study.codered_hosts=0",
+            ],
+            code: 2,
+            stderr_has: "study.codered_hosts: must be positive",
+            usage_dump: false,
+        },
+        Case {
+            label: "sensitivity with no Slammer hosts",
+            args: &[
+                "sweep",
+                "sensitivity",
+                "--quick",
+                "--param",
+                "study.slammer_hosts=0",
+            ],
+            code: 2,
+            stderr_has: "study.slammer_hosts: must be positive",
+            usage_dump: false,
+        },
+        Case {
             label: "sensor-mode ablation with more seeds than hosts",
             args: &[
                 "sweep",

@@ -117,27 +117,6 @@ impl CallGraph {
         self.by_name.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// The node for the fn lexically containing `line` in `file`
-    /// (innermost on nesting).
-    pub fn node_at(&self, file: usize, line: u32) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, n) in self.nodes.iter().enumerate() {
-            if n.file == file && n.item.contains_line(line) {
-                let tighter = match best {
-                    None => true,
-                    Some(b) => {
-                        let cur = &self.nodes[b].item;
-                        (n.item.end_line - n.item.line) < (cur.end_line - cur.line)
-                    }
-                };
-                if tighter {
-                    best = Some(i);
-                }
-            }
-        }
-        best
-    }
-
     /// Breadth-first forward reachability from `seeds` (node indices),
     /// following name-resolved call edges, optionally restricted to
     /// nodes for which `admit` returns true. Seeds are always included.

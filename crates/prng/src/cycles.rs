@@ -731,6 +731,23 @@ mod tests {
     }
 
     #[test]
+    fn little_endian_mapping_pins_h_block_onto_one_cycle() {
+        // The byte-order ablation: read as little-endian LCG states (the
+        // way Slammer emits addresses), every address of the H block
+        // (128.84.192.0/18) lies on a single cycle of the Gold map; the
+        // naive big-endian reading spreads the same block over 28.
+        use hotspots_ipspace::Deployment;
+        let map = AffineMap::slammer(SqlsortDll::Gold);
+        let h = hotspots_ipspace::ims_deployment()
+            .by_label("H")
+            .unwrap()
+            .prefix();
+        assert_eq!(map.cycles_through_block(h).unwrap().len(), 1);
+        let big_endian = map.cycles_through_states(h.iter().map(Ip::value)).unwrap();
+        assert_eq!(big_endian.len(), 28);
+    }
+
+    #[test]
     fn traversal_fraction_of_everything_is_one() {
         let map = AffineMap::new(214013, 0x50, 10).unwrap();
         let all = map.cycles_through_states(0..(1u32 << 10)).unwrap();

@@ -268,16 +268,6 @@ impl SeedModel {
         }
     }
 
-    /// Builds a model from explicit parts (tick resolution defaults to
-    /// [`Self::TICK_RESOLUTION_MS`]).
-    pub fn from_parts(boot: BootTimeModel, delay: Option<LaunchDelayModel>) -> SeedModel {
-        SeedModel {
-            boot,
-            delay,
-            resolution_ms: Self::TICK_RESOLUTION_MS,
-        }
-    }
-
     /// Overrides the timer granularity (1 = ideal millisecond timer).
     ///
     /// # Panics
@@ -409,6 +399,23 @@ mod tests {
         let ideal = model.with_resolution_ms(1);
         let any_offset = (0..200).any(|_| !ideal.sample_seed(&mut rng).is_multiple_of(16));
         assert!(any_offset);
+    }
+
+    #[test]
+    fn timer_quantization_collapses_reboot_seeds() {
+        // The timer ablation: 10,000 Blaster reboots draw 388 distinct
+        // seeds through the 16 ms GetTickCount() timer, against 3,745
+        // through an ideal 1 ms timer.
+        let distinct = |model: &SeedModel| {
+            let mut rng = StdRng::seed_from_u64(11);
+            (0..10_000)
+                .map(|_| model.sample_seed(&mut rng))
+                .collect::<std::collections::BTreeSet<u32>>()
+                .len()
+        };
+        let quantized = SeedModel::blaster_reboot(HardwareGeneration::PentiumIii);
+        assert_eq!(distinct(&quantized), 388);
+        assert_eq!(distinct(&quantized.with_resolution_ms(1)), 3_745);
     }
 
     #[test]

@@ -1971,6 +1971,12 @@ fn validate_detection(d: &DetectionParams) -> Result<(), SpecError> {
             "must be positive",
         ));
     }
+    if !(1..=200).contains(&d.slash8s) {
+        return Err(SpecError::new(
+            "study.detection.slash8s",
+            format!("must be in [1, 200], got {}", d.slash8s),
+        ));
+    }
     if d.seeds == 0 {
         return Err(SpecError::new("study.detection.seeds", "must be positive"));
     }
@@ -2062,11 +2068,14 @@ fn validate_study(study: &StudySpec) -> Result<(), SpecError> {
             probes_per_host,
             ..
         } => {
-            if *infected_per_enterprise == 0 || *infected_per_isp == 0 {
+            if *infected_per_enterprise == 0 {
                 return Err(SpecError::new(
                     "study.infected_per_enterprise",
-                    "infected host counts must be positive",
+                    "must be positive",
                 ));
+            }
+            if *infected_per_isp == 0 {
+                return Err(SpecError::new("study.infected_per_isp", "must be positive"));
             }
             if *probes_per_host == 0 {
                 return Err(SpecError::new("study.probes_per_host", "must be positive"));
@@ -2079,8 +2088,14 @@ fn validate_study(study: &StudySpec) -> Result<(), SpecError> {
             sensor_max_time,
             reboot_hosts,
         } => {
-            if *nat_population == 0 || *sensor_hosts == 0 || *reboot_hosts == 0 {
-                return Err(SpecError::new("study", "populations must be positive"));
+            if *nat_population == 0 {
+                return Err(SpecError::new("study.nat_population", "must be positive"));
+            }
+            if *sensor_hosts == 0 {
+                return Err(SpecError::new("study.sensor_hosts", "must be positive"));
+            }
+            if *reboot_hosts == 0 {
+                return Err(SpecError::new("study.reboot_hosts", "must be positive"));
             }
             // the sensor-mode hosts are distinct addresses in one /16
             if *sensor_hosts > 1 << 16 {
@@ -2102,8 +2117,11 @@ fn validate_study(study: &StudySpec) -> Result<(), SpecError> {
             if *trials == 0 {
                 return Err(SpecError::new("study.trials", "must be positive"));
             }
-            if *codered_hosts == 0 || *slammer_hosts == 0 {
-                return Err(SpecError::new("study", "host counts must be positive"));
+            if *codered_hosts == 0 {
+                return Err(SpecError::new("study.codered_hosts", "must be positive"));
+            }
+            if *slammer_hosts == 0 {
+                return Err(SpecError::new("study.slammer_hosts", "must be positive"));
             }
             if *codered_probes_per_host == 0 {
                 return Err(SpecError::new(

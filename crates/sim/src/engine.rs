@@ -230,16 +230,6 @@ impl Engine {
         }
     }
 
-    /// The configured worm model.
-    pub fn worm(&self) -> &dyn WormModel {
-        self.worm.as_ref()
-    }
-
-    /// The population.
-    pub fn population(&self) -> &Population {
-        &self.population
-    }
-
     /// Per-host probes per step: the mean rate, optionally log-normally
     /// dispersed (mean-preserving).
     fn host_rate<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {

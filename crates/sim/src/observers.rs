@@ -160,11 +160,6 @@ impl TelescopeObserver {
     pub fn observatory(&self) -> &Observatory {
         &self.observatory
     }
-
-    /// Consumes the observer, returning the observatory.
-    pub fn into_observatory(self) -> Observatory {
-        self.observatory
-    }
 }
 
 impl SimObserver for TelescopeObserver {

@@ -5,10 +5,9 @@
 //! only the per-/8 landing counts aggregate per probe (one array
 //! increment). [`Sink`] events fire only on infections, which are
 //! bounded by the population, not the probe count. Parameterized over
-//! [`NullSink`] the event path compiles to nothing, so the observer
-//! stays within ~15% of [`crate::NullObserver`] even against the
-//! batched engine's throughput (see `crates/bench`'s `telemetry`
-//! bench).
+//! [`NullSink`] the event path compiles to nothing, so what the
+//! observer adds over [`crate::NullObserver`] is that one increment
+//! per delivered probe.
 
 use hotspots_ipspace::Ip;
 use hotspots_netmodel::{Delivery, DeliveryLedger, Locus};

@@ -83,15 +83,6 @@ impl Welford {
         self.population_variance().sqrt()
     }
 
-    /// Sample (Bessel-corrected) variance.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Minimum (`None` before any observation).
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)

@@ -135,12 +135,6 @@ impl Observatory {
         &self.blocks
     }
 
-    /// Which block (by position) monitors `dst`, if any.
-    #[inline]
-    pub fn block_for(&self, dst: Ip) -> Option<usize> {
-        self.index.find(dst)
-    }
-
     /// Offers a probe to the telescope. Returns the index of the block
     /// that recorded it, or `None` if the destination is not monitored.
     #[inline]

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Worker-pool scaling guard (DESIGN.md §5h).
 #
-# Reads the freshly regenerated BENCH_engine.json and asserts the
+# Reads a BENCH_engine.json freshly written by `hotspots profile
+# <preset> --scaling 1,2 --bench-json <file>` and asserts the
 # persistent sharded executor is not losing throughput to its own
 # machinery: on a machine with at least 2 hardware cores, the
 # 2-thread point of the scaling curve must reach at least 0.95x the
@@ -11,16 +12,14 @@
 #
 # Usage:
 #   scripts/check_thread_scaling.sh [BENCH_engine.json]
-#
-# HOTSPOTS_SCALING_FLOOR overrides the 0.95 ratio floor.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 bench_json=${1:-BENCH_engine.json}
-floor=${HOTSPOTS_SCALING_FLOOR:-0.95}
+floor=0.95
 
 if [ ! -f "$bench_json" ]; then
-    echo "error: $bench_json not found (run: cargo bench -p hotspots-bench --bench engine)" >&2
+    echo "error: $bench_json not found (run: hotspots profile bench-slammer --scaling 1,2 --bench-json $bench_json)" >&2
     exit 1
 fi
 
@@ -46,7 +45,7 @@ two = next(
 )
 if two is None:
     sys.exit("FAIL: scaling curve has no 2-thread point "
-             "(set HOTSPOTS_BENCH_THREADS to include 2)")
+             "(rerun hotspots profile with --scaling 1,2)")
 
 ratio = two["probes_per_sec"] / serial
 print(f"serial: {serial:,.0f} probes/s, 2-thread: {two['probes_per_sec']:,.0f} "

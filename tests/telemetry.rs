@@ -1,13 +1,17 @@
 //! Cross-crate telemetry integration: observer composition ordering,
-//! `TelemetryObserver` accounting against the engine's own ledger, and
-//! the JSONL event path end to end.
+//! `TelemetryObserver` accounting against the engine's own ledger,
+//! observers and span tracing leaving the outbreak unchanged, and the
+//! JSONL event path end to end.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use hotspots_ipspace::Ip;
 use hotspots_netmodel::{Delivery, Environment, Locus, LossModel};
-use hotspots_sim::{apply_nat, Engine, Population, SimConfig, SimObserver, TelemetryObserver};
+use hotspots_sim::{
+    apply_nat, Engine, NullObserver, Population, SimConfig, SimObserver, SimResult,
+    TelemetryObserver,
+};
 use hotspots_telemetry::{json, JsonlSink, ReportBuilder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,6 +37,11 @@ impl SimObserver for LogObserver {
 /// deliveries + unroutable private scans), 20% packet loss, CodeRedII
 /// locality so both public and private infections occur.
 fn lossy_nat_engine() -> Engine {
+    lossy_nat_engine_with(false)
+}
+
+/// [`lossy_nat_engine`] with `SimConfig::trace` set as given.
+fn lossy_nat_engine_with(trace: bool) -> Engine {
     let mut env = Environment::new();
     env.set_loss(LossModel::new(0.2).unwrap());
     let mut nat_rng = StdRng::seed_from_u64(11);
@@ -45,6 +54,7 @@ fn lossy_nat_engine() -> Engine {
         max_time: 150.0,
         stop_at_fraction: None,
         rng_seed: 17,
+        trace,
         ..SimConfig::default()
     };
     Engine::new(
@@ -153,6 +163,18 @@ fn telemetry_runs_are_reproducible() {
         )
     };
     assert_eq!(run(), run(), "fixed seeds replay bit-identically");
+
+    // Neither the observer nor the span trace may perturb the outbreak:
+    // trace-off, trace-on and TelemetryObserver runs of one engine agree.
+    let outcome = |r: SimResult| (r.probes_sent, r.ledger, r.infected, r.infection_curve);
+    let plain = outcome(lossy_nat_engine().run(&mut NullObserver));
+    let traced = outcome(lossy_nat_engine_with(true).run(&mut NullObserver));
+    let mut telemetry = TelemetryObserver::disabled();
+    let observed = outcome(lossy_nat_engine().run(&mut telemetry));
+    assert_eq!(traced, plain, "the trace flag must not change results");
+    assert_eq!(observed, plain, "observers must not change results");
+    assert_eq!(telemetry.ledger().probes(), plain.0);
+    assert_eq!(*telemetry.ledger(), plain.1);
 }
 
 #[test]
