@@ -1,5 +1,7 @@
 //! Figure 5: how hotspots blind distributed detection.
 
+use std::fmt;
+
 use hotspots_ipspace::Prefix;
 use hotspots_netmodel::Environment;
 use hotspots_sim::{
@@ -9,7 +11,8 @@ use hotspots_sim::{
 };
 use hotspots_stats::TimeSeries;
 use hotspots_targeting::HitList;
-use hotspots_telescope::{placement, DetectorField};
+use hotspots_telescope::placement::{self, PlacementError};
+use hotspots_telescope::DetectorField;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -187,14 +190,50 @@ pub enum Placement {
 }
 
 impl Placement {
-    fn build(self, population: &[hotspots_ipspace::Ip], rng: &mut StdRng) -> Vec<Prefix> {
+    fn build(
+        self,
+        population: &[hotspots_ipspace::Ip],
+        rng: &mut StdRng,
+    ) -> Result<Vec<Prefix>, PlacementError> {
         match self {
             Placement::Random { sensors } => placement::random_slash24s(sensors, &[], rng),
             Placement::TopSlash8s { sensors, k } => {
                 placement::inside_top_slash8s(population, k, sensors, rng)
             }
-            Placement::Inside192 => placement::inside_192_per_slash16(rng),
+            Placement::Inside192 => Ok(placement::inside_192_per_slash16(rng)),
         }
+    }
+}
+
+/// Why a Figure 5(c) run could not be assembled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NatRunError {
+    /// The NAT deployment or the seed hosts do not fit the population.
+    Population(PopulationError),
+    /// The sensors do not fit their placement's address space.
+    Placement(PlacementError),
+}
+
+impl fmt::Display for NatRunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            NatRunError::Population(e) => e.fmt(f),
+            NatRunError::Placement(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for NatRunError {}
+
+impl From<PopulationError> for NatRunError {
+    fn from(e: PopulationError) -> NatRunError {
+        NatRunError::Population(e)
+    }
+}
+
+impl From<PlacementError> for NatRunError {
+    fn from(e: PlacementError) -> NatRunError {
+        NatRunError::Placement(e)
     }
 }
 
@@ -235,16 +274,18 @@ pub enum NatTopology {
 ///
 /// # Errors
 ///
-/// Returns the [`PopulationError`] of the NAT deployment (more NATed
-/// hosts than the shared `192.168/16` realm holds, or an isolated-NAT
-/// host whose address cannot be a gateway), or
-/// [`PopulationError::FewerHostsThanSeeds`].
+/// [`NatRunError::Population`] carries the [`PopulationError`] of the
+/// NAT deployment (more NATed hosts than the shared `192.168/16` realm
+/// holds, or an isolated-NAT host whose address cannot be a gateway), or
+/// [`PopulationError::FewerHostsThanSeeds`];
+/// [`NatRunError::Placement`] reports more sensors than the placement's
+/// space holds.
 pub fn nat_run(
     study: &DetectionStudy,
     nat_fraction: f64,
     placement_kind: Placement,
     topology: NatTopology,
-) -> Result<NatRun, PopulationError> {
+) -> Result<NatRun, NatRunError> {
     let population_addrs = study.draw_population();
     let mut rng = StdRng::seed_from_u64(study.rng_seed ^ 0xa117);
     let mut environment = Environment::new();
@@ -256,7 +297,7 @@ pub fn nat_run(
             apply_nat(&mut environment, &population_addrs, nat_fraction, &mut rng)
         }
     }?;
-    let sensors = placement_kind.build(&population_addrs, &mut rng);
+    let sensors = placement_kind.build(&population_addrs, &mut rng)?;
     let outbreak = Outbreak {
         config: study.sim_config(),
         population: Population::from_loci(loci),

@@ -235,6 +235,34 @@ fn error_paths_pin_exit_code_and_stderr_shape() {
             stderr_has: "study.detection.slash8s: must be in [1, 200], got 201",
             usage_dump: false,
         },
+        // fig5c --quick places its sensors in the top 20 of 47 /8s:
+        // 20 × 65,536 = 1,310,720 disjoint /24s
+        Case {
+            label: "NAT detection study with far more sensors than /24s",
+            args: &[
+                "sweep",
+                "fig5c",
+                "--quick",
+                "--param",
+                "study.sensors=100000000",
+            ],
+            code: 2,
+            stderr_has: "study.sensors: 100000000 exceeds the 1310720 disjoint /24s",
+            usage_dump: false,
+        },
+        Case {
+            label: "NAT detection study with one sensor more than /24s",
+            args: &[
+                "sweep",
+                "fig5c",
+                "--quick",
+                "--param",
+                "study.sensors=1310721",
+            ],
+            code: 2,
+            stderr_has: "study.sensors: 1310721 exceeds the 1310720 disjoint /24s",
+            usage_dump: false,
+        },
         Case {
             label: "filtering study with no infected ISP hosts",
             args: &[

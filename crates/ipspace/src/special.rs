@@ -72,7 +72,7 @@ pub const PRIVATE_RANGES: [Prefix; 3] = [PRIVATE_10, PRIVATE_172, PRIVATE_192];
 /// ```
 #[inline]
 pub fn is_private(ip: Ip) -> bool {
-    PRIVATE_RANGES.iter().any(|p| p.contains(ip))
+    slash16_bit(&PRIVATE_16, ip)
 }
 
 /// Returns `true` if `ip` is loopback (`127/8`).
@@ -112,11 +112,77 @@ pub fn is_reserved(ip: Ip) -> bool {
 /// ```
 #[inline]
 pub fn is_globally_routable(ip: Ip) -> bool {
-    !(is_private(ip)
-        || is_loopback(ip)
-        || is_multicast(ip)
-        || is_reserved(ip)
-        || THIS_NET.contains(ip))
+    slash16_bit(&ROUTABLE_16, ip)
+}
+
+/// Every range that is never globally routed. All are /16 or coarser, so
+/// a table with one bit per /16 answers membership exactly.
+const UNROUTABLE_RANGES: [Prefix; 7] = [
+    THIS_NET,
+    PRIVATE_10,
+    LOOPBACK,
+    PRIVATE_172,
+    PRIVATE_192,
+    MULTICAST,
+    RESERVED_E,
+];
+
+/// A per-/16 bitmap of 1,024 words (8 KiB): bit `i % 64` of word
+/// `i / 64` is the flag of /16 number `i`, an address's top 16 bits.
+type Slash16Bitmap = [u64; 1024];
+
+/// Bit set for every /16 that `ranges` cover. Each range sets its /16
+/// span a word at a time, so the whole space costs a few dozen steps of
+/// constant evaluation rather than 65,536.
+const fn slash16_bitmap(ranges: &[Prefix]) -> Slash16Bitmap {
+    let mut words = [0u64; 1024];
+    let mut r = 0;
+    while r < ranges.len() {
+        let range = ranges[r];
+        assert!(
+            range.len() <= 16,
+            "a per-/16 table is exact only for /16 or coarser"
+        );
+        let first = (range.base().value() >> 16) as usize;
+        let last = (range.last_ip().value() >> 16) as usize;
+        let mut w = first / 64;
+        while w <= last / 64 {
+            let lo = if w == first / 64 { first % 64 } else { 0 };
+            let hi = if w == last / 64 { last % 64 } else { 63 };
+            words[w] |= (u64::MAX << lo) & (u64::MAX >> (63 - hi));
+            w += 1;
+        }
+        r += 1;
+    }
+    words
+}
+
+/// One bit per RFC 1918 /16.
+static PRIVATE_16: Slash16Bitmap = slash16_bitmap(&PRIVATE_RANGES);
+
+/// One bit per globally routable /16: the complement of every
+/// unroutable range.
+static ROUTABLE_16: Slash16Bitmap = {
+    let mut words = slash16_bitmap(&UNROUTABLE_RANGES);
+    let mut w = 0;
+    while w < words.len() {
+        words[w] = !words[w];
+        w += 1;
+    }
+    words
+};
+
+/// Number of globally routable /16s (the popcount of the routability
+/// table), so `routable_slash16s() * 256` is the number of routable /24s.
+pub fn routable_slash16s() -> usize {
+    ROUTABLE_16.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// The table bit of `ip`'s /16.
+#[inline]
+fn slash16_bit(table: &Slash16Bitmap, ip: Ip) -> bool {
+    let i = (ip.value() >> 16) as usize;
+    (table[i >> 6] >> (i & 63)) & 1 != 0
 }
 
 #[cfg(test)]
@@ -157,6 +223,38 @@ mod tests {
         assert!(is_multicast(Ip::from_octets(239, 255, 255, 255)));
         assert!(!is_multicast(Ip::from_octets(240, 0, 0, 0)));
         assert!(is_reserved(Ip::from_octets(255, 255, 255, 255)));
+    }
+
+    /// The range-by-range predicates the /16 tables replaced, kept as the
+    /// oracle for them.
+    fn private_oracle(ip: Ip) -> bool {
+        PRIVATE_RANGES.iter().any(|p| p.contains(ip))
+    }
+
+    fn routable_oracle(ip: Ip) -> bool {
+        !(private_oracle(ip)
+            || is_loopback(ip)
+            || is_multicast(ip)
+            || is_reserved(ip)
+            || THIS_NET.contains(ip))
+    }
+
+    #[test]
+    fn slash16_tables_match_the_range_predicates_everywhere() {
+        let mut routable = 0;
+        for slash16 in 0..=u32::from(u16::MAX) {
+            let first = Ip::new(slash16 << 16);
+            let last = Ip::new(slash16 << 16 | 0xffff);
+            for ip in [first, last] {
+                assert_eq!(is_globally_routable(ip), routable_oracle(ip), "{ip}");
+                assert_eq!(is_private(ip), private_oracle(ip), "{ip}");
+            }
+            routable += usize::from(routable_oracle(first));
+        }
+        // 65,536 minus 0/8, 10/8, 127/8 (256 each), 172.16/12 (16),
+        // 192.168/16 (1), 224/4 and 240/4 (4,096 each)
+        assert_eq!(routable, 56_559);
+        assert_eq!(routable_slash16s(), routable);
     }
 
     proptest! {

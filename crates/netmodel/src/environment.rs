@@ -325,9 +325,10 @@ impl Environment {
         Delivery::Public(to)
     }
 
-    /// Routes a batch of probes sharing one source, appending one verdict
-    /// per target to `out` and recording every verdict into `ledger` in
-    /// the same pass.
+    /// Routes a batch of probes sharing one source, appending one probe
+    /// record `(public source, verdict)` per target to `out` (the record
+    /// `hotspots_sim::SimObserver::on_probe_batch` reads) and recording
+    /// every verdict into `ledger` in the same pass.
     ///
     /// The verdicts — and the RNG draws (one loss draw per probe that
     /// survives routability and policy) — are exactly those of calling
@@ -343,7 +344,7 @@ impl Environment {
         service: Service,
         time: f64,
         rng: &mut R,
-        out: &mut Vec<Delivery>,
+        out: &mut Vec<(Ip, Delivery)>,
         ledger: &mut crate::ledger::DeliveryLedger,
     ) {
         out.reserve(targets.len());
@@ -362,7 +363,7 @@ impl Environment {
         // faults, no filter rules, no loss) can only produce two
         // verdicts — `Public` for globally routable targets, unroutable
         // drops for the rest. That collapses the whole eight-step chain
-        // into one branch-free routability test per probe plus a bulk
+        // into one routability-table bit test per probe plus a bulk
         // ledger update, and consumes no RNG (matching the scalar path,
         // where `LossModel::drops` short-circuits at rate 0).
         if !faulted
@@ -372,15 +373,16 @@ impl Environment {
         {
             let mut delivered = 0u64;
             // TrustedLen extend: one reserve for the whole slice, then
-            // streaming verdict writes with no per-probe capacity check.
+            // streaming record writes with no per-probe capacity check.
             out.extend(targets.iter().map(|&to| {
                 let ok = special::is_globally_routable(to);
                 delivered += u64::from(ok);
-                if ok {
+                let verdict = if ok {
                     Delivery::Public(to)
                 } else {
                     Delivery::Dropped(DropReason::UnroutableDestination)
-                }
+                };
+                (public_src, verdict)
             }));
             ledger.record_clean_sweep(targets.len() as u64, delivered);
             return;
@@ -425,7 +427,7 @@ impl Environment {
                 Delivery::Public(to)
             };
             ledger.record(verdict);
-            out.push(verdict);
+            out.push((public_src, verdict));
         }
     }
 }
@@ -755,12 +757,12 @@ mod tests {
                     let mut scalar_rng = StdRng::seed_from_u64(9);
                     let mut batch_rng = StdRng::seed_from_u64(9);
                     let mut scalar_ledger = crate::ledger::DeliveryLedger::new();
-                    let scalar: Vec<Delivery> = targets
+                    let scalar: Vec<(Ip, Delivery)> = targets
                         .iter()
                         .map(|&to| {
                             let v = env.route(from, to, Service::BOT_SMB, time, &mut scalar_rng);
                             scalar_ledger.record(v);
-                            v
+                            (from.public_source(&env), v)
                         })
                         .collect();
                     let mut batch = Vec::new();
@@ -792,20 +794,29 @@ mod tests {
             ) {
                 // The clean-environment fast lane (public sender, no
                 // faults/filters/loss) must agree with the scalar router
-                // verdict-for-verdict and in the ledger, and like the
-                // scalar path it must consume no RNG.
+                // record-for-record and in the ledger, and like the
+                // scalar path it must consume no RNG. Random addresses
+                // almost never sit on a range edge, so every special
+                // range's first and last address, ±1, lead the batch.
+                use hotspots_ipspace::special::*;
                 let env = Environment::new();
                 let from = Locus::Public(Ip::new(src));
-                let targets: Vec<Ip> = dsts.iter().copied().map(Ip::new).collect();
+                let edges = [
+                    THIS_NET, PRIVATE_10, LOOPBACK, PRIVATE_172, PRIVATE_192, MULTICAST, RESERVED_E,
+                ]
+                .into_iter()
+                .flat_map(|p| [p.base(), p.last_ip()])
+                .flat_map(|ip| [ip.wrapping_add(u32::MAX), ip, ip.wrapping_add(1)]);
+                let targets: Vec<Ip> = edges.chain(dsts.iter().copied().map(Ip::new)).collect();
                 let mut scalar_rng = StdRng::seed_from_u64(4);
                 let mut batch_rng = StdRng::seed_from_u64(4);
                 let mut scalar_ledger = crate::ledger::DeliveryLedger::new();
-                let scalar: Vec<Delivery> = targets
+                let scalar: Vec<(Ip, Delivery)> = targets
                     .iter()
                     .map(|&to| {
                         let v = env.route(from, to, Service::SLAMMER_SQL, 0.0, &mut scalar_rng);
                         scalar_ledger.record(v);
-                        v
+                        (from.public_source(&env), v)
                     })
                     .collect();
                 let mut batch = Vec::new();

@@ -273,6 +273,7 @@ fn build_detector(telescope: &TelescopeSpec) -> Result<Option<DetectorField>, Sp
                         &[],
                         &mut rng,
                     )
+                    .map_err(|e| SpecError::new("telescope.placement.sensors", e.to_string()))?
                 }
             };
             let mode = match mode.as_str() {
@@ -424,5 +425,22 @@ mod tests {
             Err(e) => e,
         };
         assert_eq!(err.field, "worm");
+
+        // more random sensors than routable /24s: refused before any draw
+        let mut spec = base_spec();
+        spec.telescope = TelescopeSpec::Field {
+            placement: PlacementSpec::Random {
+                sensors: 1 << 32,
+                seed: 9,
+            },
+            alert_threshold: 5,
+            mode: "active".into(),
+        };
+        let err = match spec.build() {
+            Ok(_) => panic!("2^32 sensors cannot fit routable space"),
+            Err(e) => e,
+        };
+        assert_eq!(err.field, "telescope.placement.sensors");
+        assert!(err.message.contains("disjoint /24s"), "{err}");
     }
 }

@@ -14,7 +14,7 @@ use std::sync::{Mutex, PoisonError};
 use hotspots::scenarios::blaster::{sources_by_block, BlasterStudy};
 use hotspots::scenarios::codered::{quarantine_run, sources_by_block_accounted, CodeRedStudy};
 use hotspots::scenarios::detection::{
-    hitlist_run, nat_run, DetectionStudy, HitListRun, NatRun, NatTopology, Placement,
+    hitlist_run, nat_run, DetectionStudy, HitListRun, NatRun, NatRunError, NatTopology, Placement,
 };
 use hotspots::scenarios::filtering::{table2_with_accounting, FilteringStudy, Table2Row};
 use hotspots::scenarios::slammer::{
@@ -650,10 +650,13 @@ fn run_study(
                 .into_iter()
                 .collect::<Result<Vec<_>, _>>()
                 .map_err(|e| match e {
-                    PopulationError::FewerHostsThanSeeds { .. } => {
+                    NatRunError::Population(PopulationError::FewerHostsThanSeeds { .. }) => {
                         SpecError::new("study.detection.seeds", e.to_string())
                     }
-                    _ => SpecError::new("study.nat_fraction", e.to_string()),
+                    NatRunError::Population(_) => {
+                        SpecError::new("study.nat_fraction", e.to_string())
+                    }
+                    NatRunError::Placement(_) => SpecError::new("study.sensors", e.to_string()),
                 })?;
             out.config("population", study.population_size())
                 .config("nat_fraction", nat_fraction)

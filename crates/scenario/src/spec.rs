@@ -2058,6 +2058,24 @@ fn validate_study(study: &StudySpec) -> Result<(), SpecError> {
             if *top_k_slash8s == 0 {
                 return Err(SpecError::new("study.top_k_slash8s", "must be positive"));
             }
+            // Both sensor placements need `sensors` disjoint /24s. The
+            // top-k one draws them from at most k of the population's /8s
+            // (the random one from all routable space, which is larger).
+            let slash8s = if detection.paper_profile {
+                hotspots_sim::PAPER_CODERED_SLASH8S as u64
+            } else {
+                detection.slash8s
+            };
+            let capacity = (*top_k_slash8s).min(slash8s) << 16;
+            if *sensors > capacity {
+                return Err(SpecError::new(
+                    "study.sensors",
+                    format!(
+                        "{sensors} exceeds the {capacity} disjoint /24s of the top {} /8s",
+                        capacity >> 16
+                    ),
+                ));
+            }
         }
         StudySpec::BotCommands { drone, .. } => {
             parse_ip("study.drone", drone)?;
@@ -2405,6 +2423,43 @@ mod tests {
         });
         let err = spec.validate().unwrap_err();
         assert_eq!(err.field, "population.count");
+    }
+
+    #[test]
+    fn nat_detection_sensors_fit_the_top_slash8s() {
+        // (slash8s, paper_profile, top_k_slash8s, /8s the sensors fit in):
+        // the synthetic population spans `slash8s` /8s, the paper one 47
+        for (slash8s, paper_profile, top_k, fit) in [
+            (47, false, 20, 20),
+            (12, false, 20, 12),
+            (12, true, 100, 47),
+        ] {
+            let mut spec = ScenarioSpec::named("fig5c-test");
+            let nat = |sensors| StudySpec::NatDetection {
+                detection: DetectionParams {
+                    population: 10_000,
+                    slash8s,
+                    paper_profile,
+                    seeds: 25,
+                    scan_rate: 10.0,
+                    alert_threshold: 5,
+                    max_time: 4_000.0,
+                    stop_at_fraction: 0.95,
+                    rng_seed: 1,
+                },
+                nat_fraction: 0.15,
+                sensors,
+                top_k_slash8s: top_k,
+            };
+            spec.study = Some(nat(fit << 16));
+            spec.validate().expect("sensors at the bound are valid");
+            for sensors in [(fit << 16) + 1, 100_000_000] {
+                spec.study = Some(nat(sensors));
+                let err = spec.validate().unwrap_err();
+                assert_eq!(err.field, "study.sensors");
+                assert!(err.message.contains(&format!("top {fit} /8s")), "{err}");
+            }
+        }
     }
 
     #[test]

@@ -260,7 +260,6 @@ impl Engine {
         InfectedHost {
             id,
             locus,
-            public_src: locus.public_source(&self.env),
             generator: self.worm.generator(
                 locus,
                 derive_seed(self.config.rng_seed, GENERATOR_SALT, id as u64),
@@ -289,9 +288,10 @@ impl Engine {
     /// The probe path is a staged pipeline: each host draws a step's
     /// worth of targets in one batch
     /// ([`hotspots_targeting::TargetGenerator::fill_targets`]), the
-    /// environment verdicts the whole slice
-    /// ([`Environment::route_batch`]), victims are resolved, and the
-    /// batch reaches the observer via [`SimObserver::on_probe_batch`].
+    /// environment verdicts the whole slice straight into the probe
+    /// records observers read ([`Environment::route_batch`]), victims
+    /// are resolved in one pass over those records, and the batch
+    /// reaches the observer via [`SimObserver::on_probe_batch`].
     /// With [`SimConfig::threads`] > 1, active hosts are sharded across
     /// `executor`'s persistent workers and results merge in fixed shard
     /// order; because every RNG stream is keyed by host id, the run is

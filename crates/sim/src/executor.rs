@@ -44,9 +44,6 @@ use crate::population::Population;
 pub(crate) struct InfectedHost {
     pub(crate) id: usize,
     pub(crate) locus: Locus,
-    /// Source address as seen on the public wire (constant per host,
-    /// hoisted out of the probe loop).
-    pub(crate) public_src: Ip,
     pub(crate) generator: Box<dyn TargetGenerator + Send>,
     /// This host's private stream (rate dispersion, removal, loss
     /// draws). Keyed by host id only, never by infection order.
@@ -58,7 +55,6 @@ pub(crate) struct InfectedHost {
 /// Reusable per-shard scratch for one step of the staged probe pipeline.
 pub(crate) struct ProbeBatch {
     pub(crate) targets: Vec<Ip>,
-    pub(crate) deliveries: Vec<Delivery>,
     pub(crate) probes: Vec<(Ip, Delivery)>,
     pub(crate) candidates: Vec<usize>,
     pub(crate) ledger: DeliveryLedger,
@@ -71,7 +67,6 @@ impl ProbeBatch {
     pub(crate) fn new() -> ProbeBatch {
         ProbeBatch {
             targets: Vec::new(),
-            deliveries: Vec::new(),
             probes: Vec::new(),
             candidates: Vec::new(),
             ledger: DeliveryLedger::new(),
@@ -122,23 +117,21 @@ pub(crate) fn drive_shard(ctx: &StepCtx, hosts: &mut [InfectedHost], batch: &mut
         batch.targets.clear();
         host.generator.fill_targets(burst, &mut batch.targets);
         let t_gen = timer.elapsed();
-        batch.deliveries.clear();
+        // Routing appends the observers' probe records in place; the
+        // lookup then walks this burst's records once (misses
+        // short-circuit at the /16 presence bitmap).
+        let start = batch.probes.len();
         ctx.env.route_batch(
             host.locus,
             &batch.targets,
             ctx.service,
             ctx.time,
             &mut host.rng,
-            &mut batch.deliveries,
+            &mut batch.probes,
             &mut batch.ledger,
         );
         let t_route = timer.elapsed();
-        // Two passes over the verdicts: candidate detection (branchy,
-        // but misses short-circuit at the /16 presence bitmap), then
-        // one bulk append of the probe records — a TrustedLen extend
-        // compiles to a single reserve + streaming writes instead of a
-        // per-probe capacity check.
-        for &delivery in &batch.deliveries {
+        for &(_, delivery) in &batch.probes[start..] {
             let victim = match delivery {
                 Delivery::Public(ip) => ctx.population.find_public(ip),
                 Delivery::Local { realm, ip } => ctx.population.find_private(realm, ip),
@@ -150,10 +143,6 @@ pub(crate) fn drive_shard(ctx: &StepCtx, hosts: &mut [InfectedHost], batch: &mut
                 }
             }
         }
-        let src = host.public_src;
-        batch
-            .probes
-            .extend(batch.deliveries.iter().map(|&d| (src, d)));
         let t_lookup = timer.elapsed();
         batch.target_gen += t_gen;
         batch.routing += t_route.saturating_sub(t_gen);

@@ -671,6 +671,9 @@ pub fn zipf_slash8_population<R: Rng + ?Sized>(n: usize, slash8s: usize, rng: &m
     out
 }
 
+/// The /8s [`paper_codered_population`] deals its /16s into.
+pub const PAPER_CODERED_SLASH8S: usize = 47;
+
 /// Synthesizes the CodeRedII vulnerable population calibrated to the
 /// paper's published **coverage profile**: 134,586 addresses across
 /// 4,481 occupied /16s, where the top-10 /16s hold 10.60% of hosts, the
@@ -728,12 +731,15 @@ pub fn paper_codered_population<R: Rng + ?Sized>(rng: &mut R) -> Vec<Ip> {
         .filter(|&o| special::is_globally_routable(Ip::from_octets(o, 1, 0, 0)))
         .collect();
     first_octets.shuffle(rng);
-    first_octets.truncate(47);
-    let weights: Vec<f64> = (0..47).map(|i| 1.0 / ((i + 1) as f64).powf(1.3)).collect();
+    first_octets.truncate(PAPER_CODERED_SLASH8S);
+    let weights: Vec<f64> = (0..PAPER_CODERED_SLASH8S)
+        .map(|i| 1.0 / ((i + 1) as f64).powf(1.3))
+        .collect();
     let weight_sum: f64 = weights.iter().sum();
     // track used second octets per /8 to keep /16s distinct
-    let mut used: Vec<std::collections::HashSet<u8>> =
-        (0..47).map(|_| std::collections::HashSet::new()).collect();
+    let mut used: Vec<std::collections::HashSet<u8>> = (0..PAPER_CODERED_SLASH8S)
+        .map(|_| std::collections::HashSet::new())
+        .collect();
 
     let mut out: std::collections::BTreeSet<Ip> = std::collections::BTreeSet::new();
     for count in counts {
