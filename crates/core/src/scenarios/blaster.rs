@@ -6,7 +6,7 @@
 //! ([`crate::seed_inference::scan_covers`]) — no probe loop needed, which
 //! is what makes a month-long observation window tractable.
 
-use hotspots_ipspace::{ims_deployment, special, AddressBlock, Ip};
+use hotspots_ipspace::{special, AddressBlock, Ip};
 use hotspots_prng::entropy::{HardwareGeneration, SeedModel};
 use hotspots_targeting::BlasterScanner;
 use rand::rngs::StdRng;
@@ -106,7 +106,8 @@ pub fn draw_hosts(study: &BlasterStudy) -> Vec<BlasterHost> {
 
 /// Runs the study against a sensor deployment, producing the Figure 1
 /// rows: unique sources per monitored /24 (per /16 for the Z/8 block).
-pub fn sources_by_block_with(study: &BlasterStudy, blocks: &[AddressBlock]) -> Vec<CoverageRow> {
+/// Pass [`hotspots_ipspace::ims_deployment`] for the paper's setup.
+pub fn sources_by_block(study: &BlasterStudy, blocks: &[AddressBlock]) -> Vec<CoverageRow> {
     let hosts = draw_hosts(study);
     let scan_len = study.scan_len();
     figure_buckets(blocks)
@@ -125,15 +126,11 @@ pub fn sources_by_block_with(study: &BlasterStudy, blocks: &[AddressBlock]) -> V
         .collect()
 }
 
-/// [`sources_by_block_with`] against the standard IMS deployment.
-pub fn sources_by_block(study: &BlasterStudy) -> Vec<CoverageRow> {
-    sources_by_block_with(study, &ims_deployment())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::HotspotReport;
+    use hotspots_ipspace::ims_deployment;
 
     fn small_study() -> BlasterStudy {
         BlasterStudy {
@@ -157,7 +154,7 @@ mod tests {
 
     #[test]
     fn figure_rows_cover_every_bucket() {
-        let rows = sources_by_block(&small_study());
+        let rows = sources_by_block(&small_study(), &ims_deployment());
         let expected = figure_buckets(&ims_deployment()).len();
         assert_eq!(rows.len(), expected);
     }
@@ -166,7 +163,7 @@ mod tests {
     fn blaster_observations_are_hotspots() {
         // The defining claim of Fig 1: the per-/24 unique-source vector
         // rejects uniformity.
-        let rows = sources_by_block(&small_study());
+        let rows = sources_by_block(&small_study(), &ims_deployment());
         // /24 rows only: coverage counts do not scale with cell size
         let counts: Vec<u64> = rows
             .iter()
@@ -191,7 +188,10 @@ mod tests {
             ..small_study()
         };
         let total = |s: &BlasterStudy| -> u64 {
-            sources_by_block(s).iter().map(|r| r.unique_sources).sum()
+            sources_by_block(s, &ims_deployment())
+                .iter()
+                .map(|r| r.unique_sources)
+                .sum()
         };
         assert!(total(&long) > total(&short));
     }

@@ -61,27 +61,16 @@ fn natted_hosts(
 }
 
 /// Runs the study: a mixed public/NATed CodeRedII population scans
-/// through the environment into the IMS observatory; returns the
-/// Figure 4(a) rows (unique sources per monitored /24, /16 for Z).
+/// through the environment into an observatory over `blocks`; returns
+/// the Figure 4(a) rows (unique sources per monitored /24, /16 for Z;
+/// pass [`ims_deployment`] for the paper's setup) and the verdict
+/// ledger over every probe the population routed (NAT-leaked local
+/// deliveries and unroutable private-space drops included).
 ///
 /// # Errors
 ///
 /// The NAT deployment's [`PopulationError`] (see [`apply_nat`]).
-pub fn sources_by_block_with(
-    study: &CodeRedStudy,
-    blocks: &[AddressBlock],
-) -> Result<Vec<CoverageRow>, PopulationError> {
-    Ok(sources_by_block_accounted(study, blocks)?.0)
-}
-
-/// [`sources_by_block_with`], also returning the verdict ledger over
-/// every probe the population routed (NAT-leaked local deliveries and
-/// unroutable private-space drops included).
-///
-/// # Errors
-///
-/// As [`sources_by_block_with`].
-pub fn sources_by_block_accounted(
+pub fn sources_by_block(
     study: &CodeRedStudy,
     blocks: &[AddressBlock],
 ) -> Result<(Vec<CoverageRow>, DeliveryLedger), PopulationError> {
@@ -136,15 +125,6 @@ pub fn sources_by_block_accounted(
     Ok((rows, ledger))
 }
 
-/// [`sources_by_block_with`] on the IMS deployment (Figure 4a).
-///
-/// # Errors
-///
-/// As [`sources_by_block_with`].
-pub fn sources_by_block(study: &CodeRedStudy) -> Result<Vec<CoverageRow>, PopulationError> {
-    sources_by_block_with(study, &ims_deployment())
-}
-
 /// The paper's per-host observation: "propagation distributions from
 /// individual CodeRedII infected hosts reveal two classes of behavior: a
 /// uniform scanning behavior, and a scanning behavior with a large bias
@@ -195,7 +175,7 @@ impl BehaviorClassification {
 ///
 /// # Errors
 ///
-/// As [`sources_by_block_with`].
+/// As [`sources_by_block`].
 pub fn classify_sources(
     study: &CodeRedStudy,
     m_share_threshold: f64,
@@ -298,7 +278,7 @@ mod tests {
     #[test]
     fn accounted_ledger_balances_and_sees_nat_leakage() {
         let study = small_study();
-        let (_, ledger) = sources_by_block_accounted(&study, &ims_deployment()).unwrap();
+        let (_, ledger) = sources_by_block(&study, &ims_deployment()).unwrap();
         assert_eq!(ledger.probes(), study.hosts as u64 * study.probes_per_host);
         assert_eq!(ledger.delivered() + ledger.dropped_total(), ledger.probes());
         // NATed hosts' /8-preferring probes hit their own private realm
@@ -312,7 +292,7 @@ mod tests {
         // Figure 4a: the M block (inside 192/8) sees far more unique
         // sources per monitored /24 than comparable blocks, because
         // NATed hosts' /8-preference probes leak into public 192/8.
-        let rows = sources_by_block(&small_study()).unwrap();
+        let (rows, _) = sources_by_block(&small_study(), &ims_deployment()).unwrap();
         let totals: std::collections::HashMap<String, u64> =
             totals_by_block(&rows).into_iter().collect();
         // per-/24 normalization (M is a /22 = 4 /24s)
@@ -328,11 +308,11 @@ mod tests {
 
     #[test]
     fn without_nat_no_m_hotspot() {
-        let rows = sources_by_block(&CodeRedStudy {
+        let study = CodeRedStudy {
             nat_fraction: 0.0,
             ..small_study()
-        })
-        .unwrap();
+        };
+        let (rows, _) = sources_by_block(&study, &ims_deployment()).unwrap();
         let totals: std::collections::HashMap<String, u64> =
             totals_by_block(&rows).into_iter().collect();
         let m = totals["M"] as f64 / 4.0;
@@ -405,8 +385,8 @@ mod tests {
 
     #[test]
     fn study_is_deterministic() {
-        let a = sources_by_block(&small_study()).unwrap();
-        let b = sources_by_block(&small_study()).unwrap();
+        let a = sources_by_block(&small_study(), &ims_deployment()).unwrap();
+        let b = sources_by_block(&small_study(), &ims_deployment()).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -74,10 +74,16 @@ impl DetectionStudy {
     }
 
     /// The study's vulnerable population (deterministic).
-    pub fn draw_population(&self) -> Vec<hotspots_ipspace::Ip> {
+    ///
+    /// # Errors
+    ///
+    /// [`PopulationError::Slash8Overfull`] when `population` does not
+    /// fit the synthetic generator's /16s (see
+    /// [`synthetic_codered_population`]).
+    pub fn draw_population(&self) -> Result<Vec<hotspots_ipspace::Ip>, PopulationError> {
         let mut rng = StdRng::seed_from_u64(self.rng_seed ^ 0x9090);
         if self.paper_profile {
-            paper_codered_population(&mut rng)
+            Ok(paper_codered_population(&mut rng))
         } else {
             synthetic_codered_population(self.population, self.slash8s, &mut rng)
         }
@@ -126,7 +132,7 @@ pub fn hitlist_run(
     study: &DetectionStudy,
     size: Option<usize>,
 ) -> Result<HitListRun, PopulationError> {
-    let population_addrs = study.draw_population();
+    let population_addrs = study.draw_population()?;
     let occupied = occupied_slash16s(&population_addrs);
     let mut rng = StdRng::seed_from_u64(study.rng_seed ^ 0x5e50);
     let sensors: Vec<Prefix> = placement::one_per_prefix(&occupied, &mut rng);
@@ -286,7 +292,7 @@ pub fn nat_run(
     placement_kind: Placement,
     topology: NatTopology,
 ) -> Result<NatRun, NatRunError> {
-    let population_addrs = study.draw_population();
+    let population_addrs = study.draw_population()?;
     let mut rng = StdRng::seed_from_u64(study.rng_seed ^ 0xa117);
     let mut environment = Environment::new();
     let loci = match topology {

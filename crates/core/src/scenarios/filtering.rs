@@ -67,14 +67,11 @@ pub struct Table2Row {
 /// hosts inside each organization, lets each worm scan through the
 /// environment (enterprise egress filters active), and counts the unique
 /// sources the IMS observatory attributes to each organization.
-pub fn table2(study: &FilteringStudy) -> Vec<Table2Row> {
-    table2_with_accounting(study).0
-}
-
-/// [`table2`], also returning the verdict ledger over every routed
-/// probe (the CRII and Slammer probe streams; Blaster coverage is
-/// closed-form and routes nothing).
-pub fn table2_with_accounting(study: &FilteringStudy) -> (Vec<Table2Row>, DeliveryLedger) {
+///
+/// Also returns the verdict ledger over every routed probe (the CRII
+/// and Slammer probe streams; Blaster coverage is closed-form and
+/// routes nothing).
+pub fn table2(study: &FilteringStudy) -> (Vec<Table2Row>, DeliveryLedger) {
     let mut ledger = DeliveryLedger::new();
     let registry = OrgRegistry::synthetic_table2();
     let mut env = Environment::new();
@@ -207,7 +204,7 @@ mod tests {
 
     #[test]
     fn enterprises_invisible_isps_expose_thousands() {
-        let rows = table2(&small_study());
+        let (rows, _) = table2(&small_study());
         assert_eq!(rows.len(), 6);
         for row in &rows {
             match row.kind {
@@ -249,7 +246,7 @@ mod tests {
     #[test]
     fn accounting_covers_every_routed_probe() {
         let study = small_study();
-        let (rows, ledger) = table2_with_accounting(&study);
+        let (rows, ledger) = table2(&study);
         let hosts: u64 = rows.iter().map(|r| r.infected_inside).sum();
         // two probe streams (CRII + Slammer) per planted host
         assert_eq!(ledger.probes(), hosts * study.probes_per_host * 2);

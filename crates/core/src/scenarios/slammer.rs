@@ -120,8 +120,9 @@ pub fn cycles_through(prefix: Prefix) -> BTreeMap<SqlsortDll, BTreeSet<CycleId>>
 }
 
 /// Runs the study: unique Slammer sources per monitored bucket, with
-/// filtering applied (Figure 2).
-pub fn sources_by_block_with(study: &SlammerStudy, blocks: &[AddressBlock]) -> Vec<CoverageRow> {
+/// filtering applied (Figure 2; pass [`ims_deployment`] for the paper's
+/// setup).
+pub fn sources_by_block(study: &SlammerStudy, blocks: &[AddressBlock]) -> Vec<CoverageRow> {
     let pop = draw_cycle_population(study);
     figure_buckets(blocks)
         .into_iter()
@@ -149,11 +150,6 @@ pub fn sources_by_block_with(study: &SlammerStudy, blocks: &[AddressBlock]) -> V
             }
         })
         .collect()
-}
-
-/// [`sources_by_block_with`] on the IMS deployment (Figure 2's setup).
-pub fn sources_by_block(study: &SlammerStudy) -> Vec<CoverageRow> {
-    sources_by_block_with(study, &ims_deployment())
 }
 
 /// Block-level unique Slammer sources: the number of hosts whose cycle
@@ -344,7 +340,7 @@ mod tests {
         // Figure 2's headline: the H block shows markedly fewer unique
         // Slammer sources than D or I, because fewer long cycles
         // traverse it.
-        let rows = sources_by_block(&small_study());
+        let rows = sources_by_block(&small_study(), &ims_deployment());
         let totals: std::collections::HashMap<String, u64> =
             totals_by_block(&rows).into_iter().collect();
         // normalize per /24 monitored (blocks differ in size)
@@ -358,7 +354,7 @@ mod tests {
 
     #[test]
     fn m_block_is_dark_with_upstream_filter() {
-        let rows = sources_by_block(&small_study().with_m_block_filter());
+        let rows = sources_by_block(&small_study().with_m_block_filter(), &ims_deployment());
         let m_total: u64 = rows
             .iter()
             .filter(|r| r.block == "M")
@@ -366,7 +362,7 @@ mod tests {
             .sum();
         assert_eq!(m_total, 0, "upstream filter must blank the M block");
         // and without the filter it is not dark
-        let rows = sources_by_block(&small_study());
+        let rows = sources_by_block(&small_study(), &ims_deployment());
         let m_total: u64 = rows
             .iter()
             .filter(|r| r.block == "M")
@@ -508,8 +504,8 @@ mod tests {
 
     #[test]
     fn study_is_deterministic() {
-        let a = sources_by_block(&small_study());
-        let b = sources_by_block(&small_study());
+        let a = sources_by_block(&small_study(), &ims_deployment());
+        let b = sources_by_block(&small_study(), &ims_deployment());
         assert_eq!(a, b);
     }
 }

@@ -47,6 +47,39 @@ examples:
   hotspots serve --cache-dir results/cache --max-entries 32
 ";
 
+/// The flags each command reads (`--help` works everywhere). Any other
+/// flag is a usage error naming the flag and the command, so a flag is
+/// never silently ignored.
+const COMMAND_FLAGS: [(&str, &[&str]); 6] = [
+    ("run", &["quick", "paper", "threads", "report"]),
+    ("list", &["verbose"]),
+    ("sweep", &["quick", "paper", "threads", "report", "param"]),
+    ("spec", &["quick", "paper"]),
+    (
+        "profile",
+        &[
+            "quick",
+            "paper",
+            "threads",
+            "report",
+            "scaling",
+            "out",
+            "bench-json",
+        ],
+    ),
+    (
+        "serve",
+        &[
+            "threads",
+            "cache-dir",
+            "max-entries",
+            "workers",
+            "queue-depth",
+            "check",
+        ],
+    ),
+];
+
 fn flags() -> Vec<FlagSpec> {
     vec![
         FlagSpec {
@@ -209,6 +242,17 @@ fn main() {
         out(&usage("hotspots", &flags(), COMMANDS));
         exit(if parsed.has("help") { 0 } else { 2 });
     }
+    let command = parsed.positional[0].as_str();
+    let Some((_, accepted)) = COMMAND_FLAGS.iter().find(|(name, _)| *name == command) else {
+        die(&format!("unknown command {command:?}"));
+    };
+    if let Some(flag) = parsed.names().find(|flag| !accepted.contains(flag)) {
+        let reads: Vec<String> = accepted.iter().map(|f| format!("--{f}")).collect();
+        die(&format!(
+            "{command} does not take --{flag} (it reads {})",
+            reads.join(", ")
+        ));
+    }
     if let Some(path) = parsed.value("report") {
         std::env::set_var(RUN_REPORT_ENV, path);
     }
@@ -223,14 +267,14 @@ fn main() {
         _ => die("--threads needs a non-negative integer (0 = auto)"),
     });
 
-    match parsed.positional[0].as_str() {
+    match command {
         "run" => cmd_run(&parsed, scale, threads),
         "list" => cmd_list(&parsed),
         "sweep" => cmd_sweep(&parsed, scale, threads),
         "spec" => cmd_spec(&parsed, scale),
         "profile" => cmd_profile(&parsed, scale, threads),
         "serve" => cmd_serve(&parsed, threads),
-        other => die(&format!("unknown command {other:?}")),
+        other => unreachable!("{other:?} has a COMMAND_FLAGS row but no handler"),
     }
 }
 
@@ -480,6 +524,17 @@ fn cmd_profile(parsed: &ParsedArgs, scale: Scale, threads: Option<usize>) {
              (worm + population) only. Its per-phase totals are in the .phases of \
              its run report: hotspots run {target} --report <file.jsonl>"
         ));
+    }
+    // --scaling sets the thread counts itself, and only its curve is
+    // written to --bench-json: each flag is read only in its own mode
+    match (
+        parsed.has("scaling"),
+        parsed.has("threads"),
+        parsed.has("bench-json"),
+    ) {
+        (true, true, _) => die("profile reads --threads only without --scaling"),
+        (false, _, true) => die("profile reads --bench-json only with --scaling"),
+        _ => {}
     }
     let counts: Vec<usize> = match parsed.value("scaling") {
         Some(list) => match parse_scaling(list) {

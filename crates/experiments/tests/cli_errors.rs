@@ -7,8 +7,16 @@
 //! regression that routes an I/O failure through the usage path (or
 //! vice versa) fails loudly.
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::process::{Command, Stdio};
+use std::thread::sleep;
+use std::time::Duration;
+
+use hotspots_telemetry::Timer;
+
+/// How long one error path may take. Every row fails before any long
+/// run starts, so a row that needs longer has hung.
+const DEADLINE: Duration = Duration::from_secs(60);
 
 struct Case {
     /// Human-readable label for failure messages.
@@ -25,15 +33,36 @@ struct Case {
 }
 
 fn run(args: &[&str]) -> (i32, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_hotspots"))
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hotspots"))
         .args(args)
         .env_remove("HOTSPOTS_RUN_REPORT")
-        .output()
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
         .unwrap_or_else(|e| panic!("failed to spawn hotspots {args:?}: {e}"));
-    let code = out.status.code().unwrap_or_else(|| {
+    let start = Timer::start();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll hotspots") {
+            break status;
+        }
+        if start.elapsed() > DEADLINE {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("hotspots {args:?} still running after {DEADLINE:?}");
+        }
+        sleep(Duration::from_millis(10));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("read stderr");
+    let code = status.code().unwrap_or_else(|| {
         panic!("hotspots {args:?} terminated without an exit code");
     });
-    (code, String::from_utf8_lossy(&out.stderr).into_owned())
+    (code, stderr)
 }
 
 #[test]
@@ -66,6 +95,40 @@ fn error_paths_pin_exit_code_and_stderr_shape() {
             args: &["run", "fig2", "--quik"],
             code: 2,
             stderr_has: "unrecognized flag \"--quik\"",
+            usage_dump: true,
+        },
+        Case {
+            label: "flag the subcommand does not read",
+            args: &[
+                "run",
+                "fig3",
+                "--quick",
+                "--param",
+                "study.probes_per_host=5",
+            ],
+            code: 2,
+            stderr_has: "run does not take --param",
+            usage_dump: true,
+        },
+        Case {
+            label: "profile --threads with --scaling",
+            args: &[
+                "profile",
+                "bench-slammer",
+                "--scaling",
+                "1",
+                "--threads",
+                "2",
+            ],
+            code: 2,
+            stderr_has: "profile reads --threads only without --scaling",
+            usage_dump: true,
+        },
+        Case {
+            label: "profile --bench-json without --scaling",
+            args: &["profile", "bench-slammer", "--bench-json", "out.json"],
+            code: 2,
+            stderr_has: "profile reads --bench-json only with --scaling",
             usage_dump: true,
         },
         Case {
@@ -181,6 +244,32 @@ fn error_paths_pin_exit_code_and_stderr_shape() {
             ],
             code: 2,
             stderr_has: "study.sizes[0]: must be positive",
+            usage_dump: false,
+        },
+        Case {
+            label: "synthetic population too large for one /8",
+            args: &[
+                "run",
+                concat!(
+                    env!("CARGO_MANIFEST_DIR"),
+                    "/tests/fixtures/synthetic-overfull.toml"
+                ),
+            ],
+            code: 2,
+            stderr_has: "population.size: 3000000 hosts apportioned to",
+            usage_dump: false,
+        },
+        Case {
+            label: "detection population too large for one /8",
+            args: &[
+                "run",
+                concat!(
+                    env!("CARGO_MANIFEST_DIR"),
+                    "/tests/fixtures/detection-overfull.toml"
+                ),
+            ],
+            code: 2,
+            stderr_has: "study.detection.population: 3000000 hosts apportioned to",
             usage_dump: false,
         },
         Case {

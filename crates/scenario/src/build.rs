@@ -162,11 +162,12 @@ fn build_addresses(pop: &PopSpec) -> Result<Vec<Ip>, SpecError> {
             seed,
         } => {
             let mut rng = StdRng::seed_from_u64(*seed);
-            Ok(synthetic_codered_population(
+            synthetic_codered_population(
                 spec_usize("population.size", *size)?,
                 spec_usize("population.slash8s", *slash8s)?,
                 &mut rng,
-            ))
+            )
+            .map_err(|e| SpecError::new("population.size", e.to_string()))
         }
         PopSpec::Paper { seed } => {
             let mut rng = StdRng::seed_from_u64(*seed);

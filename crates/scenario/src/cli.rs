@@ -88,6 +88,11 @@ impl ParsedArgs {
             .and_then(|(_, v)| v.as_deref())
     }
 
+    /// The long names of the flags given, in command-line order.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.flags.iter().map(|(n, _)| n.as_str())
+    }
+
     /// Every value of `name`, in command-line order — the accessor for
     /// repeatable flags like the sweep CLI's `--param`.
     pub fn values(&self, name: &str) -> Vec<&str> {

@@ -11,15 +11,14 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use hotspots::scenarios::blaster::{sources_by_block, BlasterStudy};
-use hotspots::scenarios::codered::{quarantine_run, sources_by_block_accounted, CodeRedStudy};
+use hotspots::scenarios::blaster::{self, BlasterStudy};
+use hotspots::scenarios::codered::{self, quarantine_run, CodeRedStudy};
 use hotspots::scenarios::detection::{
     hitlist_run, nat_run, DetectionStudy, HitListRun, NatRun, NatRunError, NatTopology, Placement,
 };
-use hotspots::scenarios::filtering::{table2_with_accounting, FilteringStudy, Table2Row};
+use hotspots::scenarios::filtering::{table2, FilteringStudy, Table2Row};
 use hotspots::scenarios::slammer::{
-    block_cycle_length_sums, host_histogram, sources_by_block_with, unique_sources_per_block,
-    SlammerStudy,
+    self, block_cycle_length_sums, host_histogram, unique_sources_per_block, SlammerStudy,
 };
 use hotspots::scenarios::CoverageRow;
 use hotspots::HotspotReport;
@@ -28,9 +27,7 @@ use hotspots_ipspace::{ims_deployment, random_ims_deployment, AddressBlock, Buck
 use hotspots_netmodel::{DeliveryLedger, Environment, Service};
 use hotspots_prng::cycles::AffineMap;
 use hotspots_prng::SqlsortDll;
-use hotspots_sim::{
-    fold_ledger, HitListWorm, Outbreak, Population, PopulationError, SimConfig, SimResult,
-};
+use hotspots_sim::{HitListWorm, Outbreak, Population, PopulationError, SimConfig, SimResult};
 use hotspots_stats::CountHistogram;
 use hotspots_targeting::HitList;
 use hotspots_telemetry::ReportBuilder;
@@ -287,6 +284,20 @@ pub fn fold_sim_result(report: &mut ReportBuilder, result: &SimResult) {
     report.peak_step_seconds(result.telemetry.peak_step_seconds);
 }
 
+/// Folds a verdict ledger into a report: probes, deliveries, and the
+/// per-reason drop breakdown under stable `snake_case` labels
+/// (zero-count reasons omitted).
+fn fold_ledger(report: &mut ReportBuilder, ledger: &DeliveryLedger) {
+    report
+        .add_probes(ledger.probes())
+        .add_delivered(ledger.delivered());
+    for (reason, count) in ledger.drops() {
+        if count > 0 {
+            report.add_dropped(reason.snake_label(), count);
+        }
+    }
+}
+
 /// Runs a set of independent experiment configurations across threads,
 /// returning results in input order.
 ///
@@ -494,7 +505,7 @@ fn run_study(
                 .config("reboot_fraction", study.reboot_fraction)
                 .add_population(study.hosts as u64)
                 .add_sim_seconds(study.window_secs);
-            let rows = sources_by_block(&study);
+            let rows = blaster::sources_by_block(&study, &ims_deployment());
             Ok(Outcome::BlasterCoverage { study, rows })
         }
         StudySpec::SlammerCoverage {
@@ -516,7 +527,7 @@ fn run_study(
                 .config("m_block_filter", m_block_filter)
                 .add_population(study.hosts as u64);
             let blocks = ims_deployment();
-            let rows = sources_by_block_with(&study, &blocks);
+            let rows = slammer::sources_by_block(&study, &blocks);
             let unique = unique_sources_per_block(&study, &blocks);
             let dhi: Vec<AddressBlock> = blocks
                 .iter()
@@ -581,7 +592,7 @@ fn run_study(
                 .config("nat_fraction", study.nat_fraction)
                 .add_population(study.hosts as u64);
             let blocks = ims_deployment();
-            let (rows, ledger) = sources_by_block_accounted(&study, &blocks)
+            let (rows, ledger) = codered::sources_by_block(&study, &blocks)
                 .map_err(|e| SpecError::new("study.hosts", e.to_string()))?;
             fold_ledger(out, &ledger);
             // the quarantine runs scan straight into the telescope index
@@ -650,12 +661,7 @@ fn run_study(
                 .into_iter()
                 .collect::<Result<Vec<_>, _>>()
                 .map_err(|e| match e {
-                    NatRunError::Population(PopulationError::FewerHostsThanSeeds { .. }) => {
-                        SpecError::new("study.detection.seeds", e.to_string())
-                    }
-                    NatRunError::Population(_) => {
-                        SpecError::new("study.nat_fraction", e.to_string())
-                    }
+                    NatRunError::Population(e) => detection_error(e, "study.nat_fraction"),
                     NatRunError::Placement(_) => SpecError::new("study.sensors", e.to_string()),
                 })?;
             out.config("population", study.population_size())
@@ -716,7 +722,7 @@ fn run_study(
             out.config("infected_per_enterprise", study.infected_per_enterprise)
                 .config("infected_per_isp", study.infected_per_isp)
                 .config("probes_per_host", study.probes_per_host);
-            let (rows, ledger) = table2_with_accounting(&study);
+            let (rows, ledger) = table2(&study);
             fold_ledger(out, &ledger);
             out.add_population(rows.iter().map(|r| r.infected_inside).sum::<u64>());
             Ok(Outcome::Filtering { study, rows })
@@ -763,7 +769,7 @@ fn run_study(
                     probes_per_host: *codered_probes_per_host,
                     rng_seed: 1_000 + trial,
                 };
-                let accounted = sources_by_block_accounted(&study, &blocks);
+                let accounted = codered::sources_by_block(&study, &blocks);
                 (trial, blocks, study.hosts, accounted)
             })?;
             let mut codered = Vec::new();
@@ -786,7 +792,7 @@ fn run_study(
                         rng_seed: 2_000 + trial,
                         ..SlammerStudy::default()
                     };
-                    let rows = sources_by_block_with(&study, &blocks);
+                    let rows = slammer::sources_by_block(&study, &blocks);
                     (trial, blocks, rows)
                 })?
                 .into_iter()
@@ -818,7 +824,19 @@ fn hitlist_sweep(
         .run(sizes, |size| hitlist_run(study, size))?
         .into_iter()
         .collect::<Result<_, _>>()
-        .map_err(|e| SpecError::new("study.detection.seeds", e.to_string()).into())
+        .map_err(|e| detection_error(e, "study.detection.seeds").into())
+}
+
+/// Names the spec field a detection study's [`PopulationError`] is
+/// about: the population size, the seed count, or else `other` (the
+/// field that placed hosts behind NATs).
+fn detection_error(e: PopulationError, other: &'static str) -> SpecError {
+    let field = match e {
+        PopulationError::Slash8Overfull { .. } => "study.detection.population",
+        PopulationError::FewerHostsThanSeeds { .. } => "study.detection.seeds",
+        _ => other,
+    };
+    SpecError::new(field, e.to_string())
 }
 
 fn size_labels(sizes: &[Option<u64>]) -> String {
@@ -917,7 +935,7 @@ fn run_ablations(
             reboot_fraction,
             ..BlasterStudy::default()
         };
-        let rows = sources_by_block(&study);
+        let rows = blaster::sources_by_block(&study, &ims_deployment());
         // score over the /24 rows only: interval-coverage counts do not
         // scale with cell size, so mixing the Z block's /16 rows in would
         // bias the uniform null (see DESIGN.md)

@@ -8,7 +8,7 @@
 //! serialize to TOML like any other spec.
 
 use hotspots_ipspace::Ip;
-use hotspots_netmodel::{Delivery, DeliveryLedger, Locus};
+use hotspots_netmodel::Delivery;
 use hotspots_scenario::{find_preset, Scale};
 use hotspots_sim::{Engine, SimObserver, SimResult};
 
@@ -19,34 +19,20 @@ struct EventTally {
     probes: u64,
     publics: u64,
     locals: u64,
-    infections: u64,
     batch_calls: u64,
 }
 
 impl SimObserver for EventTally {
-    fn on_probe(&mut self, _time: f64, _src: Ip, delivery: Delivery) {
-        self.probes += 1;
-        match delivery {
-            Delivery::Public(_) => self.publics += 1,
-            Delivery::Local { .. } => self.locals += 1,
-            Delivery::Dropped(_) => {}
-        }
-    }
-
-    fn on_probe_batch(&mut self, time: f64, probes: &[(Ip, Delivery)], ledger: &DeliveryLedger) {
+    fn on_probe_batch(&mut self, _time: f64, probes: &[(Ip, Delivery)]) {
         self.batch_calls += 1;
-        assert_eq!(
-            ledger.probes(),
-            probes.len() as u64,
-            "batch ledger must cover exactly the batch's probes"
-        );
-        for &(src, delivery) in probes {
-            self.on_probe(time, src, delivery);
+        self.probes += probes.len() as u64;
+        for &(_, delivery) in probes {
+            match delivery {
+                Delivery::Public(_) => self.publics += 1,
+                Delivery::Local { .. } => self.locals += 1,
+                Delivery::Dropped(_) => {}
+            }
         }
-    }
-
-    fn on_infection(&mut self, _time: f64, _host: usize, _locus: Locus) {
-        self.infections += 1;
     }
 }
 
@@ -78,6 +64,7 @@ fn assert_cross_mode_identical(name: &str) {
         base_tally.batch_calls > 0,
         "{name}: observer saw no batches"
     );
+    assert_tally_matches_ledger(name, 1, &base, &base_tally);
     let base_curve: Vec<(f64, f64)> = base.infection_curve.iter().collect();
 
     for threads in [2, 4, 64] {
@@ -102,23 +89,26 @@ fn assert_cross_mode_identical(name: &str) {
             base_curve, curve,
             "{name}: infection curve diverges at {threads} threads"
         );
-        assert_eq!(
-            base_tally.probes, tally.probes,
-            "{name} @ {threads} threads"
-        );
-        assert_eq!(
-            base_tally.publics, tally.publics,
-            "{name} @ {threads} threads"
-        );
-        assert_eq!(
-            base_tally.locals, tally.locals,
-            "{name} @ {threads} threads"
-        );
-        assert_eq!(
-            base_tally.infections, tally.infections,
-            "{name} @ {threads} threads"
-        );
+        // The ledgers agree (above), so the observer streams do too.
+        assert_tally_matches_ledger(name, threads, &other, &tally);
     }
+}
+
+/// The observer saw exactly the probes the engine's ledger counted:
+/// the ledger is the one tally, and the observer stream agrees with it.
+fn assert_tally_matches_ledger(name: &str, threads: usize, result: &SimResult, tally: &EventTally) {
+    let ledger = &result.ledger;
+    assert_eq!(tally.probes, ledger.probes(), "{name} @ {threads} threads");
+    assert_eq!(
+        tally.publics,
+        ledger.delivered_public(),
+        "{name} @ {threads} threads"
+    );
+    assert_eq!(
+        tally.locals,
+        ledger.delivered_local(),
+        "{name} @ {threads} threads"
+    );
 }
 
 #[test]

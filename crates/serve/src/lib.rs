@@ -26,9 +26,7 @@
 //!    diffs the stored report byte-for-byte — the determinism audit as
 //!    a first-class operation (`hotspots serve --check`).
 //!
-//! The wire protocol is JSONL over stdio (see [`protocol`]); an
-//! optional TCP listener lives behind the `net` feature and uses only
-//! `std::net`.
+//! The wire protocol is JSONL over stdio (see [`protocol`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
@@ -37,9 +35,6 @@ pub mod pool;
 pub mod protocol;
 pub mod server;
 pub mod store;
-
-#[cfg(feature = "net")]
-pub mod net;
 
 pub use pool::{RunPool, RunSlot};
 pub use protocol::{ErrorKind, Request, SpecFormat};

@@ -356,9 +356,7 @@ impl Engine {
             Arc::make_mut(&mut infected_flags).set(idx);
             infection_times[idx] = Some(0.0);
             ever_infected += 1;
-            let host = self.spawn_host(idx);
-            observer.on_infection(0.0, idx, host.locus);
-            active.push(host);
+            active.push(self.spawn_host(idx));
         }
         curve.push(0.0, ever_infected as f64 / n as f64);
 
@@ -387,9 +385,7 @@ impl Engine {
                 infection_times[idx] = Some(due);
                 ever_infected += 1;
                 activated = true;
-                let host = self.spawn_host(idx);
-                observer.on_infection(due, idx, host.locus);
-                active.push(host);
+                active.push(self.spawn_host(idx));
             }
 
             if let Some(stop) = self.config.stop_at_fraction {
@@ -461,7 +457,7 @@ impl Engine {
                 batch.routing = Duration::ZERO;
                 batch.lookup = Duration::ZERO;
                 let t_obs = Timer::start();
-                observer.on_probe_batch(time, &batch.probes, &batch.ledger);
+                observer.on_probe_batch(time, &batch.probes);
                 let obs_dur = t_obs.elapsed();
                 tel_observe += obs_dur;
                 if let Some(t) = trace.as_mut() {
@@ -483,7 +479,6 @@ impl Engine {
                         infection_times[v] = Some(time);
                         ever_infected += 1;
                         newly_infected.push(v);
-                        observer.on_infection(time, v, self.population.locus(v));
                     } else {
                         Arc::make_mut(&mut pending_flags).set(v);
                         let due_us = ((time + delay) * 1e6) as u64;
@@ -563,7 +558,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observers::{DropTally, NullObserver};
+    use crate::observers::NullObserver;
     use crate::population::apply_nat;
     use crate::worms::{CodeRed2Worm, HitListWorm, UniformWorm};
     use hotspots_ipspace::Ip;
@@ -921,10 +916,9 @@ mod tests {
             ..SimConfig::default()
         };
         let mut engine = Engine::new(config, pop, env, Box::new(CodeRed2Worm));
-        let mut tally = DropTally::new();
-        let result = engine.run(&mut tally);
+        let result = engine.run(&mut NullObserver);
         assert_eq!(result.infected, 1);
-        assert!(tally.dropped(DropReason::UnroutableDestination) > 0);
+        assert!(result.ledger.dropped(DropReason::UnroutableDestination) > 0);
     }
 
     #[test]
@@ -1096,8 +1090,8 @@ mod tests {
         #[derive(Default)]
         struct Counter(u64);
         impl SimObserver for Counter {
-            fn on_probe(&mut self, _t: f64, _s: Ip, _d: Delivery) {
-                self.0 += 1;
+            fn on_probe_batch(&mut self, _t: f64, probes: &[(Ip, Delivery)]) {
+                self.0 += probes.len() as u64;
             }
         }
         let pop = dense_population(50);

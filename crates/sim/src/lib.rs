@@ -4,9 +4,13 @@
 //! probe individually instead of integrating an epidemic ODE: each
 //! infected host owns a faithful target generator
 //! (`hotspots-targeting`), every generated target is routed through the
-//! network environment (`hotspots-netmodel`), and observers — telescopes
-//! and detector fields (`hotspots-telescope`) — see exactly the probes a
+//! network environment (`hotspots-netmodel`), and an observer — a
+//! detector field (`hotspots-telescope`) — sees exactly the probes a
 //! real deployment would.
+//!
+//! Every report is derived from the one record a run keeps, its
+//! [`SimResult`]: the verdict ledger counts each probe once, and
+//! `infection_times` holds every infection.
 //!
 //! The paper's Figure 5 parameters are the defaults: 10 probes/second per
 //! infected host, 25 random seed hosts.
@@ -42,21 +46,19 @@ mod ipmap;
 mod observers;
 mod outbreak;
 mod population;
-mod telemetry;
 mod worms;
 
 pub use bitset::HostBits;
 pub use engine::{Engine, EngineTelemetry, SimConfig, SimResult};
 pub use executor::ShardExecutor;
 pub use ipmap::IpMap;
-pub use observers::{DropTally, FieldObserver, NullObserver, SimObserver, TelescopeObserver};
+pub use observers::{FieldObserver, NullObserver, SimObserver};
 pub use outbreak::Outbreak;
 pub use population::{
     apply_nat, apply_nat_shared, canonical_parts, occupied_slash16s, paper_codered_population,
     synthetic_codered_population, zipf_slash8_population, Population, PopulationError,
     PublicAddresses, PAPER_CODERED_SLASH8S,
 };
-pub use telemetry::{fold_ledger, TelemetryObserver};
 pub use worms::{
     BlasterWorm, BotWorm, CodeRed2Worm, HitListWorm, LocalPreferenceWorm, SlammerWorm, UniformWorm,
     WormModel,

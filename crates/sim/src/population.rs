@@ -70,6 +70,16 @@ pub enum PopulationError {
         /// The requested seed count.
         seeds: usize,
     },
+    /// A synthetic population's share of one /8 is larger than the
+    /// distinct /16s the generator drew for that /8 can hold.
+    Slash8Overfull {
+        /// The /8's first octet.
+        octet: u8,
+        /// Hosts apportioned to the /8.
+        hosts: usize,
+        /// Distinct /16s drawn for it (65,536 addresses each).
+        slash16s: usize,
+    },
 }
 
 impl fmt::Display for PopulationError {
@@ -103,6 +113,18 @@ impl fmt::Display for PopulationError {
             }
             PopulationError::FewerHostsThanSeeds { hosts, seeds } => {
                 write!(f, "{seeds} seed hosts exceed the population of {hosts}")
+            }
+            PopulationError::Slash8Overfull {
+                octet,
+                hosts,
+                slash16s,
+            } => {
+                write!(
+                    f,
+                    "{hosts} hosts apportioned to {octet}.0.0.0/8 exceed the {} addresses \
+                     of its {slash16s} /16s; use a smaller population or more /8s",
+                    slash16s * 65_536
+                )
             }
         }
     }
@@ -499,6 +521,12 @@ pub fn canonical_parts(loci: &[Locus]) -> (Vec<Ip>, Vec<(RealmId, Ip)>) {
 ///
 /// Returned addresses are globally routable, deduplicated, and sorted.
 ///
+/// # Errors
+///
+/// [`PopulationError::Slash8Overfull`] when a /8's share of `n` is
+/// larger than the distinct /16s drawn for it can hold (each /8 draws
+/// 4–40 /16s, so one /8 holds at most 2,621,440 hosts).
+///
 /// # Panics
 ///
 /// Panics if `n == 0` or `slash8s == 0` or `slash8s > 200`.
@@ -508,14 +536,14 @@ pub fn canonical_parts(loci: &[Locus]) -> (Vec<Ip>, Vec<(RealmId, Ip)>) {
 /// ```
 /// use rand::SeedableRng;
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-/// let pop = hotspots_sim::synthetic_codered_population(10_000, 47, &mut rng);
+/// let pop = hotspots_sim::synthetic_codered_population(10_000, 47, &mut rng).unwrap();
 /// assert_eq!(pop.len(), 10_000);
 /// ```
 pub fn synthetic_codered_population<R: Rng + ?Sized>(
     n: usize,
     slash8s: usize,
     rng: &mut R,
-) -> Vec<Ip> {
+) -> Result<Vec<Ip>, PopulationError> {
     assert!(n > 0, "population size must be positive");
     assert!((1..=200).contains(&slash8s), "slash8s out of range");
 
@@ -552,6 +580,19 @@ pub fn synthetic_codered_population<R: Rng + ?Sized>(
         }
         let slash16s = rng.gen_range(4..=40usize);
         let subnets: Vec<u8> = (0..slash16s).map(|_| rng.gen::<u8>()).collect();
+        // Rejection sampling below only ends if the share fits the
+        // distinct /16s drawn (the draw may repeat a /16).
+        let distinct = subnets
+            .iter()
+            .collect::<std::collections::BTreeSet<_>>()
+            .len();
+        if share > distinct * 65_536 {
+            return Err(PopulationError::Slash8Overfull {
+                octet,
+                hosts: share,
+                slash16s: distinct,
+            });
+        }
         let mut placed = 0usize;
         while placed < share {
             let b = *subnets.choose(rng).expect("non-empty"); // hotspots-lint: allow(panic-path) reason="choice list is a non-empty literal"
@@ -566,7 +607,7 @@ pub fn synthetic_codered_population<R: Rng + ?Sized>(
         let ip = Ip::from_octets(first_octets[0], rng.gen(), rng.gen(), rng.gen());
         out.insert(ip);
     }
-    out.into_iter().collect()
+    Ok(out.into_iter().collect())
 }
 
 /// Synthesizes an Internet-scale vulnerable population: `n` unique
@@ -1046,7 +1087,7 @@ mod tests {
     #[test]
     fn synthetic_population_is_clustered_like_the_paper() {
         let mut rng = StdRng::seed_from_u64(2006);
-        let pop = synthetic_codered_population(50_000, 47, &mut rng);
+        let pop = synthetic_codered_population(50_000, 47, &mut rng).unwrap();
         assert_eq!(pop.len(), 50_000);
         // all unique (BTreeSet) and routable
         assert!(pop.iter().all(|&ip| special::is_globally_routable(ip)));
@@ -1064,6 +1105,22 @@ mod tests {
             (0.88..=0.99).contains(&share),
             "top-20 /8 share {share} outside the paper's ~94% ballpark"
         );
+    }
+
+    #[test]
+    fn synthetic_population_rejects_an_overfull_slash8() {
+        // One /8 draws at most 40 /16s (2,621,440 addresses): a larger
+        // share is a typed error, not an endless rejection loop.
+        let mut rng = StdRng::seed_from_u64(1);
+        match synthetic_codered_population(3_000_000, 1, &mut rng) {
+            Err(PopulationError::Slash8Overfull {
+                hosts, slash16s, ..
+            }) => {
+                assert_eq!(hosts, 3_000_000);
+                assert!((1..=40).contains(&slash16s));
+            }
+            other => panic!("expected Slash8Overfull, got {:?}", other.map(|p| p.len())),
+        }
     }
 
     #[test]

@@ -1,27 +1,22 @@
 //! Observability core for the hotspots engine: counters, log-bucketed
-//! histograms, phase timers, pluggable event sinks, and end-of-run
-//! reports.
+//! histograms, phase timers, span traces, and end-of-run reports.
 //!
 //! Design rules (see `DESIGN.md`, "Observability"):
 //!
 //! * **Dependency-free.** This crate sits underneath the probe hot
 //!   path; it pulls in nothing, and its JSON emission is hand-rolled
 //!   with a stable field order so run reports diff cleanly.
-//! * **Zero cost when off.** [`NullSink`] is a unit struct whose
-//!   `emit` is an empty inline function; an observer parameterized
-//!   over it compiles to plain counter increments.
 //! * **The only clock.** Every engine timestamp is a [`Timer`] read,
 //!   a fixed number per host burst and per shard merge; hot-path
 //!   crates read no clock of their own (`hotspots-lint` rule D1).
-//! * **Aggregate per probe, event per transition.** Per-probe work is
-//!   counter arithmetic only; [`Sink`] events fire on state changes
-//!   (infections, run summaries), which are bounded by the population,
-//!   not the probe count.
+//! * **Aggregate per probe, report per run.** Per-probe work is
+//!   counter arithmetic only; a run is summarised once, when it ends,
+//!   by a [`ReportBuilder`] fold of the engine's result.
 //!
 //! # Examples
 //!
 //! ```
-//! use hotspots_telemetry::{Counter, Histogram, MemorySink, Sink};
+//! use hotspots_telemetry::{Counter, Histogram};
 //!
 //! let mut delivered = Counter::new();
 //! let mut latency_us = Histogram::new();
@@ -45,12 +40,10 @@ pub mod json;
 mod memory;
 mod metrics;
 mod report;
-mod sink;
 mod trace;
 
 pub use bench::{BenchSummary, MemoryStats, ScalingPoint};
 pub use memory::resident_bytes;
 pub use metrics::{Counter, Histogram, PhaseTimes, Timer};
 pub use report::{EmitError, ReportBuilder, RunReport, RUN_REPORT_ENV};
-pub use sink::{Event, JsonlSink, MemorySink, NullSink, Sink, Value};
 pub use trace::{stable_span_id, SpanRecord, SpanToken, TraceSink};

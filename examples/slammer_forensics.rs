@@ -76,7 +76,7 @@ fn main() {
     .with_m_block_filter();
     let blocks = ims_deployment();
     let unique = slammer::unique_sources_per_block(&study, &blocks);
-    let rows = slammer::sources_by_block_with(&study, &blocks);
+    let rows = slammer::sources_by_block(&study, &blocks);
     println!(
         "  {:>5} {:>15} {:>22}",
         "block", "unique sources", "mean sources per /24"

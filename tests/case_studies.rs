@@ -41,7 +41,7 @@ fn fig1_blaster_pipeline_produces_hotspots_with_plausible_seeds() {
         reboot_fraction: 0.5,
         rng_seed: 2024,
     };
-    let rows = blaster::sources_by_block(&study);
+    let rows = blaster::sources_by_block(&study, &ims_deployment());
     // equal-size /24 rows only: interval coverage does not scale with
     // cell size, so the /16 Z rows follow a different null
     let counts: Vec<u64> = rows
@@ -78,7 +78,7 @@ fn fig2_slammer_pipeline_h_deficit_and_m_dark() {
         ..slammer::SlammerStudy::default()
     }
     .with_m_block_filter();
-    let rows = slammer::sources_by_block(&study);
+    let rows = slammer::sources_by_block(&study, &ims_deployment());
     let rates: std::collections::HashMap<String, f64> =
         per_slash24_rates(&rows).into_iter().collect();
     assert_eq!(rates["M"], 0.0, "upstream-filtered M must be dark");
@@ -122,7 +122,7 @@ fn fig4_codered_nat_hotspot_at_m() {
         probes_per_host: 8_000,
         rng_seed: 31,
     };
-    let rows = codered::sources_by_block(&study).expect("public hosts");
+    let (rows, _) = codered::sources_by_block(&study, &ims_deployment()).expect("public hosts");
     let rates: std::collections::HashMap<String, f64> =
         per_slash24_rates(&rows).into_iter().collect();
     let background: f64 = ["A", "C", "D", "E", "F", "H", "I"]
@@ -179,7 +179,7 @@ fn table2_filtering_asymmetry() {
         blaster_scan_len: (30.0 * 24.0 * 3600.0 * 11.0) as u64,
         rng_seed: 9,
     };
-    let rows = filtering::table2(&study);
+    let (rows, _) = filtering::table2(&study);
     for row in rows {
         match row.kind {
             OrgKind::Enterprise => {

@@ -2,7 +2,7 @@
 //! its seed, and distinct seeds genuinely change outcomes.
 
 use hotspots::scenarios::{blaster, codered, detection, slammer};
-use hotspots_ipspace::Ip;
+use hotspots_ipspace::{ims_deployment, Ip};
 use hotspots_netmodel::Environment;
 use hotspots_sim::{
     synthetic_codered_population, Engine, NullObserver, Population, SimConfig, SlammerWorm,
@@ -12,9 +12,12 @@ use rand::SeedableRng;
 
 #[test]
 fn population_synthesis_replays() {
-    let a = synthetic_codered_population(5_000, 20, &mut StdRng::seed_from_u64(1));
-    let b = synthetic_codered_population(5_000, 20, &mut StdRng::seed_from_u64(1));
-    let c = synthetic_codered_population(5_000, 20, &mut StdRng::seed_from_u64(2));
+    let a = synthetic_codered_population(5_000, 20, &mut StdRng::seed_from_u64(1))
+        .expect("population fits");
+    let b = synthetic_codered_population(5_000, 20, &mut StdRng::seed_from_u64(1))
+        .expect("population fits");
+    let c = synthetic_codered_population(5_000, 20, &mut StdRng::seed_from_u64(2))
+        .expect("population fits");
     assert_eq!(a, b);
     assert_ne!(a, c);
 }
@@ -22,7 +25,8 @@ fn population_synthesis_replays() {
 #[test]
 fn engine_runs_replay_across_constructions() {
     let run = |seed: u64| {
-        let pop = synthetic_codered_population(1_000, 8, &mut StdRng::seed_from_u64(3));
+        let pop = synthetic_codered_population(1_000, 8, &mut StdRng::seed_from_u64(3))
+            .expect("population fits");
         let config = SimConfig {
             scan_rate: 10.0,
             seeds: 5,
@@ -55,8 +59,8 @@ fn scenario_outputs_replay() {
         rng_seed: 5,
     };
     assert_eq!(
-        blaster::sources_by_block(&blaster_study),
-        blaster::sources_by_block(&blaster_study)
+        blaster::sources_by_block(&blaster_study, &ims_deployment()),
+        blaster::sources_by_block(&blaster_study, &ims_deployment())
     );
 
     let slammer_study = slammer::SlammerStudy {
@@ -65,8 +69,8 @@ fn scenario_outputs_replay() {
         ..slammer::SlammerStudy::default()
     };
     assert_eq!(
-        slammer::sources_by_block(&slammer_study),
-        slammer::sources_by_block(&slammer_study)
+        slammer::sources_by_block(&slammer_study, &ims_deployment()),
+        slammer::sources_by_block(&slammer_study, &ims_deployment())
     );
 
     let codered_study = codered::CodeRedStudy {
@@ -76,8 +80,8 @@ fn scenario_outputs_replay() {
         rng_seed: 5,
     };
     assert_eq!(
-        codered::sources_by_block(&codered_study).expect("public hosts"),
-        codered::sources_by_block(&codered_study).expect("public hosts")
+        codered::sources_by_block(&codered_study, &ims_deployment()).expect("public hosts"),
+        codered::sources_by_block(&codered_study, &ims_deployment()).expect("public hosts")
     );
 }
 
@@ -116,7 +120,8 @@ fn engine_invariants_hold_across_configurations() {
     // ever-infected monotone; removed ≤ infected; infection times sorted
     // consistently with the curve; holds with removal, latency, and
     // dispersion all enabled at once.
-    let pop = synthetic_codered_population(800, 6, &mut StdRng::seed_from_u64(44));
+    let pop = synthetic_codered_population(800, 6, &mut StdRng::seed_from_u64(44))
+        .expect("population fits");
     let mut env = Environment::new();
     env.set_latency(hotspots_netmodel::LatencyModel::new(0.5, 2.0).unwrap());
     env.set_loss(hotspots_netmodel::LossModel::new(0.1).unwrap());
@@ -155,7 +160,7 @@ fn engine_invariants_hold_across_configurations() {
 
 #[test]
 fn quarantine_runs_replay() {
-    let blocks = hotspots_ipspace::ims_deployment();
+    let blocks = ims_deployment();
     let a = codered::quarantine_run(Ip::from_octets(192, 168, 0, 100), 100_000, &blocks, 6);
     let b = codered::quarantine_run(Ip::from_octets(192, 168, 0, 100), 100_000, &blocks, 6);
     assert_eq!(a, b);

@@ -4,7 +4,7 @@
 
 use hotspots_ipspace::{Ip, Prefix};
 use hotspots_netmodel::{DropReason, Environment, FilterRule, LossModel, Service};
-use hotspots_sim::{DropTally, Engine, HitListWorm, NullObserver, Outbreak, Population, SimConfig};
+use hotspots_sim::{Engine, HitListWorm, NullObserver, Outbreak, Population, SimConfig};
 use hotspots_targeting::HitList;
 use hotspots_telescope::DetectorField;
 
@@ -64,11 +64,13 @@ fn total_loss_stops_everything_but_seeds() {
         env,
         Box::new(HitListWorm::new(hitlist())),
     );
-    let mut tally = DropTally::new();
-    let result = engine.run(&mut tally);
+    let result = engine.run(&mut NullObserver);
     assert_eq!(result.infected, 5, "only the seeds stay infected");
-    assert_eq!(tally.delivered(), 0);
-    assert_eq!(tally.dropped(DropReason::PacketLoss), result.probes_sent);
+    assert_eq!(result.ledger.delivered(), 0);
+    assert_eq!(
+        result.ledger.dropped(DropReason::PacketLoss),
+        result.probes_sent
+    );
 }
 
 #[test]
@@ -88,10 +90,9 @@ fn misconfigured_egress_filter_quarantines_the_population() {
         env,
         Box::new(HitListWorm::new(hitlist())),
     );
-    let mut tally = DropTally::new();
-    let result = engine.run(&mut tally);
+    let result = engine.run(&mut NullObserver);
     assert_eq!(result.infected, 5);
-    assert!(tally.dropped(DropReason::EgressFiltered) > 0);
+    assert!(result.ledger.dropped(DropReason::EgressFiltered) > 0);
 }
 
 #[test]

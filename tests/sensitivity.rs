@@ -40,7 +40,7 @@ fn codered_m_spike_survives_random_placement() {
             probes_per_host: 8_000,
             rng_seed: 100 + trial,
         };
-        let rows = codered::sources_by_block_with(&study, &blocks).expect("public hosts");
+        let (rows, _) = codered::sources_by_block(&study, &blocks).expect("public hosts");
         let rates = per_slash24_rates(&rows, &blocks);
         let background: f64 = ["A", "B", "C", "D", "E", "F", "H", "I"]
             .iter()
@@ -70,7 +70,7 @@ fn slammer_nonuniformity_survives_random_placement() {
             rng_seed: 200 + trial,
             ..slammer::SlammerStudy::default()
         };
-        let rows = slammer::sources_by_block_with(&study, &blocks);
+        let rows = slammer::sources_by_block(&study, &blocks);
         let rates = per_slash24_rates(&rows, &blocks);
         // compare the small (non-Z) blocks on equal footing
         let small: Vec<f64> = rates
@@ -101,7 +101,7 @@ fn blaster_seed_correlation_survives_random_placement() {
         reboot_fraction: 0.5,
         rng_seed: 300,
     };
-    let rows = blaster::sources_by_block_with(&study, &blocks);
+    let rows = blaster::sources_by_block(&study, &blocks);
     let hosts = blaster::draw_hosts(&study);
     let mut sorted: Vec<&CoverageRow> = rows.iter().filter(|r| r.prefix.len() == 24).collect();
     sorted.sort_by_key(|r| std::cmp::Reverse(r.unique_sources));
