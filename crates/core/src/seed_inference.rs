@@ -13,10 +13,6 @@ use hotspots_ipspace::{Ip, Prefix};
 use hotspots_prng::entropy::TickCount;
 use hotspots_targeting::BlasterScanner;
 
-/// The tick range the paper searched: 1,000 ms to 10,000,000 ms
-/// (1 second to ≈ 2.8 hours of uptime).
-pub const PAPER_TICK_RANGE: std::ops::Range<u32> = 1_000..10_000_000;
-
 /// Whether a sequential scan starting at `start` and covering `len`
 /// addresses (with wraparound) intersects `block`.
 ///

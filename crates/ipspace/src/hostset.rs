@@ -85,8 +85,8 @@ impl Error for HostSetError {}
 
 /// A compressed set of sorted host addresses with rank lookup in both
 /// directions: [`HostSet::find`] maps an address to its rank and
-/// [`HostSet::select`] maps a rank back to its address. See the
-/// [module docs](self) for the layout.
+/// [`HostSet::select`] maps a rank back to its address. It stores a
+/// /8 → /16 → /24 occupancy hierarchy plus one byte per host.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostSet {
     len: u32,
@@ -256,22 +256,9 @@ impl HostSet {
         }
     }
 
-    /// Number of occupied /8 blocks.
-    pub fn occupied_slash8s(&self) -> usize {
-        self.slash8_bits
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
-    }
-
     /// Number of occupied /16 blocks.
     pub fn occupied_slash16s(&self) -> usize {
         self.slash16_prefix.len()
-    }
-
-    /// Number of occupied /24 blocks.
-    pub fn occupied_slash24s(&self) -> usize {
-        self.slash24_octet.len()
     }
 
     /// The /16 occupancy bitmap (bit `s` set when /16 `s` holds at
@@ -389,9 +376,7 @@ mod tests {
     #[test]
     fn occupancy_counts() {
         let set = HostSet::from_sorted_unique(&sample()).unwrap();
-        assert_eq!(set.occupied_slash8s(), 3);
         assert_eq!(set.occupied_slash16s(), 4);
-        assert_eq!(set.occupied_slash24s(), 5);
         let bitmap = set.slash16_bitmap();
         let s16 = 0x0b00usize;
         assert_ne!(bitmap[s16 >> 6] & (1 << (s16 & 63)), 0);

@@ -35,13 +35,12 @@ use crate::rules::{Diagnostic, FileCtx, FileRole, RuleId, HOT_PATH_CRATES};
 use crate::scan::FileAnalysis;
 
 /// RNG state types the workspace constructs (R7's subjects).
-const RNG_TYPES: [&str; 7] = [
+const RNG_TYPES: [&str; 6] = [
     "SplitMix",
     "StdRng",
     "Lcg32",
     "Prng32",
     "SlammerPrng",
-    "WittyPrng",
     "MsvcrtRand",
 ];
 
@@ -55,7 +54,7 @@ const RNG_SCOPE: [&str; 2] = ["sim", "targeting"];
 /// Observer/engine mutators banned on the shard execution path (R8).
 /// Observer dispatch and shared-flag mutation belong to the
 /// coordinator's merge phase, after `ShardDone` lands.
-const SHARD_BANNED_METHODS: [&str; 3] = ["on_probe", "on_probe_batch", "on_infection"];
+const SHARD_BANNED_METHODS: [&str; 1] = ["on_probe_batch"];
 
 /// Fns whose bodies (and transitive callees) form the shard execution
 /// path.
@@ -503,4 +502,58 @@ pub fn check_executor_isolation(files: &[FileAnalysis], graph: &CallGraph) -> Ve
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+    use std::fs;
+    use std::path::Path;
+
+    use super::{RNG_TYPES, SHARD_BANNED_METHODS};
+    use crate::lexer::{lex, TokenKind};
+    use crate::scan::{collect_rs, find_workspace_root};
+
+    /// Names a `fn`, `struct`, `enum`, `trait` or `type` item defines
+    /// anywhere under `crates/` or `vendor/` (lint fixtures excluded:
+    /// they are inputs, not definitions).
+    fn defined_names() -> BTreeSet<String> {
+        let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
+            .expect("lint crate sits inside the workspace");
+        let mut files = Vec::new();
+        collect_rs(&root.join("crates"), &mut files);
+        collect_rs(&root.join("vendor"), &mut files);
+        let mut names = BTreeSet::new();
+        for f in files
+            .iter()
+            .filter(|f| !f.components().any(|c| c.as_os_str() == "fixtures"))
+        {
+            let tokens = lex(&fs::read_to_string(f).expect("readable source")).tokens;
+            for pair in tokens.windows(2) {
+                if ["fn", "struct", "enum", "trait", "type"]
+                    .iter()
+                    .any(|kw| pair[0].is_ident(kw))
+                    && pair[1].kind == TokenKind::Ident
+                {
+                    names.insert(pair[1].text.clone());
+                }
+            }
+        }
+        names
+    }
+
+    #[test]
+    fn rule_lists_name_only_defined_items() {
+        let defined = defined_names();
+        let missing: Vec<&str> = RNG_TYPES
+            .iter()
+            .chain(&SHARD_BANNED_METHODS)
+            .copied()
+            .filter(|name| !defined.contains(*name))
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "R7/R8 lists name undefined items: {missing:?}"
+        );
+    }
 }

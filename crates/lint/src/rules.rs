@@ -170,7 +170,7 @@ pub const RULE_DOCS: [RuleDoc; 9] = [
     RuleDoc {
         rule: RuleId::ExecutorIsolation,
         guarantee: "code reachable from drive_shard/worker_loop never mutates observable state (observers, engine flags) directly, and every channel Sender<T> has a matching Receiver<T>",
-        example: "fn drive_shard(…) { observer.on_infection(…) }",
+        example: "fn drive_shard(…) { observer.on_probe_batch(…) }",
         waiver: "// hotspots-lint: allow(executor-isolation) reason=\"…\"",
     },
     RuleDoc {

@@ -411,7 +411,7 @@ pub fn workspace_files(root: &Path) -> Vec<PathBuf> {
     out
 }
 
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
+pub(crate) fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
     };

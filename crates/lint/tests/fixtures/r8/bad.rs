@@ -12,6 +12,6 @@ pub fn drive_shard(shard: &mut Shard, obs: &mut Obs) {
 }
 
 fn step(shard: &mut Shard, obs: &mut Obs) {
-    obs.on_probe(shard.t); //~ R8
+    obs.on_probe_batch(shard.t); //~ R8
     Arc::make_mut(&mut shard.flags).halt = true; //~ R8
 }

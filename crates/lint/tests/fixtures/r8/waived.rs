@@ -4,5 +4,5 @@
 
 pub fn drive_shard(shard: &mut Shard, obs: &mut Obs) {
     // hotspots-lint: allow(executor-isolation) reason="counter is shard-local and merged later"
-    obs.on_probe(shard.t);
+    obs.on_probe_batch(shard.t);
 }

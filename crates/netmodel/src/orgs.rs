@@ -64,12 +64,6 @@ impl Organization {
         }
     }
 
-    /// Overrides the egress-filtering posture.
-    pub fn with_egress_filtered(mut self, filtered: bool) -> Organization {
-        self.egress_filtered = filtered;
-        self
-    }
-
     /// The organization's name.
     pub fn name(&self) -> &str {
         &self.name
@@ -278,8 +272,6 @@ mod tests {
         let b = Organization::new("B", OrgKind::Broadband, vec![p("24.0.0.0/12")]);
         assert!(e.egress_filtered());
         assert!(!b.egress_filtered());
-        let exceptional = e.clone().with_egress_filtered(false);
-        assert!(!exceptional.egress_filtered());
     }
 
     #[test]

@@ -89,11 +89,6 @@ impl Lcg32 {
         self.state
     }
 
-    /// Re-seeds the generator without changing its parameters.
-    pub fn reseed(&mut self, seed: u32) {
-        self.state = seed;
-    }
-
     /// Advances one step and returns the new state.
     #[inline]
     pub fn step(&mut self) -> u32 {
@@ -170,15 +165,6 @@ mod tests {
     fn step_matches_definition() {
         let mut lcg = Lcg32::new(214013, 2531011, 1);
         assert_eq!(lcg.step(), 1u32.wrapping_mul(214013).wrapping_add(2531011));
-    }
-
-    #[test]
-    fn reseed_resets_trajectory() {
-        let mut a = Lcg32::new(214013, 2531011, 7);
-        let first: Vec<u32> = (0..5).map(|_| a.step()).collect();
-        a.reseed(7);
-        let second: Vec<u32> = (0..5).map(|_| a.step()).collect();
-        assert_eq!(first, second);
     }
 
     #[test]

@@ -5,9 +5,6 @@
 //! * **Blaster** seeds the msvcrt LCG ([`MsvcrtRand`]) with
 //!   `GetTickCount()`, a terrible entropy source because worms launched at
 //!   boot see only a narrow band of tick values ([`entropy`]).
-//! * **Witty** ([`WittyPrng`]) reused the same LCG but emitted only the
-//!   high 16 bits per call, leaving a fixed fraction of the address space
-//!   permanently unreachable.
 //! * **Slammer** rolls its own linear congruential generator
 //!   ([`SlammerPrng`]) whose increment was corrupted by an `OR`-instead-of-
 //!   `XOR` bug, leaving three possible increments depending on the victim's
@@ -40,10 +37,8 @@ mod lcg;
 mod msvcrt;
 mod slammer;
 mod splitmix;
-mod witty;
 
 pub use lcg::{Lcg32, Prng32};
 pub use msvcrt::{recover_seeds, MsvcrtRand};
 pub use slammer::{SlammerPrng, SqlsortDll, SLAMMER_MULTIPLIER, SLAMMER_SEED_XOR};
 pub use splitmix::SplitMix;
-pub use witty::WittyPrng;

@@ -170,12 +170,6 @@ impl RunPool {
             Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => Err(QueueFull),
         }
     }
-
-    /// Number of worker threads.
-    #[must_use]
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
 }
 
 impl Drop for RunPool {

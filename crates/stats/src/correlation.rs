@@ -1,21 +1,11 @@
 //! Correlation between paired samples.
 
-/// Pearson correlation coefficient of two equal-length samples.
+/// Pearson correlation coefficient of two equal-length samples; the
+/// kernel of [`spearman`].
 ///
 /// Returns `None` for fewer than 2 points, mismatched lengths, NaN
 /// values, or zero variance on either side.
-///
-/// # Examples
-///
-/// ```
-/// use hotspots_stats::pearson;
-///
-/// let r = pearson(&[1.0, 2.0, 3.0], &[2.0, 4.0, 6.0]).unwrap();
-/// assert!((r - 1.0).abs() < 1e-12);
-/// let r = pearson(&[1.0, 2.0, 3.0], &[6.0, 4.0, 2.0]).unwrap();
-/// assert!((r + 1.0).abs() < 1e-12);
-/// ```
-pub fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
+fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
     if x.len() != y.len() || x.len() < 2 {
         return None;
     }
@@ -44,7 +34,8 @@ pub fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
 /// which is how "the prediction matches the measurement" claims should
 /// be scored.
 ///
-/// Returns `None` under the same conditions as [`pearson`].
+/// Returns `None` for fewer than 2 points, mismatched lengths, NaN
+/// values, or zero variance on either side.
 ///
 /// # Examples
 ///
@@ -97,6 +88,14 @@ mod tests {
         assert!(pearson(&[1.0, 2.0], &[1.0]).is_none());
         assert!(pearson(&[1.0, 1.0], &[1.0, 2.0]).is_none(), "zero variance");
         assert!(pearson(&[1.0, f64::NAN], &[1.0, 2.0]).is_none());
+    }
+
+    #[test]
+    fn pearson_perfect_correlations() {
+        let r = pearson(&[1.0, 2.0, 3.0], &[2.0, 4.0, 6.0]).unwrap();
+        assert!((r - 1.0).abs() < 1e-12);
+        let r = pearson(&[1.0, 2.0, 3.0], &[6.0, 4.0, 2.0]).unwrap();
+        assert!((r + 1.0).abs() < 1e-12);
     }
 
     #[test]

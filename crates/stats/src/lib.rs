@@ -10,6 +10,8 @@
 //!   normalized Shannon entropy, χ² uniformity test, KL divergence, and
 //!   the max/median "orders of magnitude" ratio,
 //! * [`Summary`] — basic descriptive statistics with quantiles,
+//! * [`spearman`] — rank correlation for prediction-vs-measurement
+//!   claims,
 //! * [`TimeSeries`] — infection/alert curves over simulated time.
 //!
 //! # Examples
@@ -35,8 +37,8 @@ mod summary;
 mod timeseries;
 pub mod uniformity;
 
-pub use correlation::{pearson, spearman};
+pub use correlation::spearman;
 pub use histogram::CountHistogram;
-pub use streaming::{Ecdf, Welford};
+pub use streaming::Welford;
 pub use summary::Summary;
 pub use timeseries::TimeSeries;

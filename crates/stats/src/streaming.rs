@@ -127,77 +127,6 @@ impl fmt::Display for Welford {
     }
 }
 
-/// An empirical CDF over a collected sample.
-///
-/// # Examples
-///
-/// ```
-/// use hotspots_stats::Ecdf;
-///
-/// let e = Ecdf::new(vec![1.0, 2.0, 2.0, 10.0]).unwrap();
-/// assert_eq!(e.fraction_at_or_below(2.0), 0.75);
-/// assert_eq!(e.quantile(0.5), 2.0);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Ecdf {
-    sorted: Vec<f64>,
-}
-
-impl Ecdf {
-    /// Builds the ECDF; `None` for empty or NaN-containing samples.
-    pub fn new(mut sample: Vec<f64>) -> Option<Ecdf> {
-        if sample.is_empty() || sample.iter().any(|v| v.is_nan()) {
-            return None;
-        }
-        sample.sort_by(f64::total_cmp);
-        Some(Ecdf { sorted: sample })
-    }
-
-    /// Sample size.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// ECDFs are never empty by construction.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// `F(x)`: fraction of the sample ≤ `x`.
-    pub fn fraction_at_or_below(&self, x: f64) -> f64 {
-        let k = self.sorted.partition_point(|&v| v <= x);
-        k as f64 / self.sorted.len() as f64
-    }
-
-    /// Nearest-rank quantile, `q ∈ [0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is out of range.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile {q} out of [0, 1]");
-        let idx = ((self.sorted.len() as f64) * q).ceil() as usize;
-        self.sorted[idx.saturating_sub(1).min(self.sorted.len() - 1)]
-    }
-
-    /// The two-sample Kolmogorov–Smirnov statistic
-    /// `sup |F_a − F_b|` — a distribution-shape distance used by the
-    /// ablation comparisons.
-    pub fn ks_statistic(&self, other: &Ecdf) -> f64 {
-        let mut points: Vec<f64> = self
-            .sorted
-            .iter()
-            .chain(other.sorted.iter())
-            .copied()
-            .collect();
-        points.sort_by(f64::total_cmp);
-        points
-            .into_iter()
-            .map(|x| (self.fraction_at_or_below(x) - other.fraction_at_or_below(x)).abs())
-            .fold(0.0, f64::max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,27 +163,6 @@ mod tests {
         Welford::new().push(f64::NAN);
     }
 
-    #[test]
-    fn ecdf_basics() {
-        assert!(Ecdf::new(vec![]).is_none());
-        assert!(Ecdf::new(vec![1.0, f64::NAN]).is_none());
-        let e = Ecdf::new(vec![5.0, 1.0, 3.0]).unwrap();
-        assert_eq!(e.fraction_at_or_below(0.0), 0.0);
-        assert_eq!(e.fraction_at_or_below(3.0), 2.0 / 3.0);
-        assert_eq!(e.fraction_at_or_below(100.0), 1.0);
-        assert_eq!(e.quantile(0.0), 1.0);
-        assert_eq!(e.quantile(1.0), 5.0);
-    }
-
-    #[test]
-    fn ks_statistic_extremes() {
-        let a = Ecdf::new(vec![1.0, 2.0, 3.0]).unwrap();
-        let same = Ecdf::new(vec![1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(a.ks_statistic(&same), 0.0);
-        let far = Ecdf::new(vec![100.0, 200.0]).unwrap();
-        assert_eq!(a.ks_statistic(&far), 1.0);
-    }
-
     proptest! {
         #[test]
         fn welford_merge_equals_sequential(
@@ -275,19 +183,6 @@ mod tests {
                 (left.population_variance() - merged.population_variance()).abs() / var_scale
                     < 1e-9
             );
-        }
-
-        #[test]
-        fn ecdf_is_monotone(sample in proptest::collection::vec(-1e3f64..1e3, 1..100)) {
-            let e = Ecdf::new(sample).unwrap();
-            let mut prev = 0.0;
-            for i in -10..=10 {
-                let x = f64::from(i) * 100.0;
-                let f = e.fraction_at_or_below(x);
-                prop_assert!(f >= prev);
-                prop_assert!((0.0..=1.0).contains(&f));
-                prev = f;
-            }
         }
     }
 }

@@ -42,12 +42,6 @@ impl Summary {
         })
     }
 
-    /// Computes a summary of integer counts.
-    pub fn of_counts(counts: &[u64]) -> Option<Summary> {
-        let as_f: Vec<f64> = counts.iter().map(|&c| c as f64).collect();
-        Summary::of(&as_f)
-    }
-
     /// Sample size.
     pub fn n(&self) -> usize {
         self.n
@@ -130,13 +124,6 @@ mod tests {
         assert_eq!(s.std(), 2.0);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn of_counts_matches_of() {
-        let a = Summary::of_counts(&[1, 2, 3]).unwrap();
-        let b = Summary::of(&[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(a.mean(), b.mean());
     }
 
     #[test]

@@ -12,12 +12,11 @@
 //! | [`CodeRed2Scanner`] | CodeRedII's 1/8–4/8–3/8 table (Fig 4, Fig 5c) |
 //! | [`BlasterScanner`] | sequential scan from a PRNG-chosen start (Fig 1) |
 //! | [`SlammerScanner`] | the flawed LCG walk (Fig 2, Fig 3) |
-//! | [`CodeRed1Scanner`] | the static-seed degenerate case (extension) |
-//! | [`WittyScanner`] | the 16-bit-output LCG with unreachable space (extension) |
-//! | [`PermutationScanner`] | Staniford-style permutation scanning (extension) |
 //!
-//! Generators are deterministic given their PRNG seed, so every experiment
-//! in this workspace is reproducible bit-for-bit.
+//! Each strategy is reached from a `WormSpec` variant in
+//! `hotspots-scenario`; a new strategy enters the same way, with a preset
+//! that runs it. Generators are deterministic given their PRNG seed, so
+//! every experiment in this workspace is reproducible bit-for-bit.
 //!
 //! # Examples
 //!
@@ -35,24 +34,18 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod blaster;
-mod codered1;
 mod codered2;
 mod hitlist;
 mod local_preference;
-mod permutation;
 mod slammer;
 mod uniform;
-mod witty;
 
 pub use blaster::BlasterScanner;
-pub use codered1::CodeRed1Scanner;
 pub use codered2::CodeRed2Scanner;
 pub use hitlist::{HitList, HitListError, HitListScanner};
 pub use local_preference::{LocalPreference, PreferenceEntry};
-pub use permutation::PermutationScanner;
 pub use slammer::SlammerScanner;
 pub use uniform::UniformScanner;
-pub use witty::WittyScanner;
 
 use hotspots_ipspace::Ip;
 

@@ -1,6 +1,6 @@
 //! The `BENCH_engine.json` schema: a thread-scaling curve with
-//! per-phase breakdowns, shared by the Criterion engine bench and the
-//! `hotspots profile --scaling` harness so both write identical files.
+//! per-phase breakdowns, written by the `hotspots profile --scaling`
+//! harness.
 
 use crate::json::{self, Json};
 

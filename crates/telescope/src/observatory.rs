@@ -13,7 +13,7 @@ use crate::index::BlockIndex;
 #[derive(Debug, Clone, Default)]
 pub struct SensorLog {
     packets: u64,
-    packets_by_source: BTreeMap<Ip, u64>,
+    sources: BTreeSet<Ip>,
     sources_by_bucket: BTreeMap<Bucket24, BTreeSet<Ip>>,
     first_packet_time: Option<f64>,
 }
@@ -26,32 +26,12 @@ impl SensorLog {
 
     /// Number of distinct source addresses observed.
     pub fn unique_source_count(&self) -> usize {
-        self.packets_by_source.len()
+        self.sources.len()
     }
 
     /// Returns `true` if `src` has been observed at this sensor.
     pub fn saw_source(&self, src: Ip) -> bool {
-        self.packets_by_source.contains_key(&src)
-    }
-
-    /// Packets observed from `src` (0 if never seen).
-    pub fn packets_from(&self, src: Ip) -> u64 {
-        self.packets_by_source.get(&src).copied().unwrap_or(0)
-    }
-
-    /// The `k` loudest sources by packet count, descending (ties broken
-    /// by address for determinism). A short-cycle Slammer instance shows
-    /// up here as a single source responsible for an outsized share —
-    /// the paper's "looks like a targeted DoS".
-    pub fn top_talkers(&self, k: usize) -> Vec<(Ip, u64)> {
-        let mut v: Vec<(Ip, u64)> = self
-            .packets_by_source
-            .iter()
-            .map(|(&ip, &c)| (ip, c))
-            .collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v.truncate(k);
-        v
+        self.sources.contains(&src)
     }
 
     /// Simulation time of the first packet, if any.
@@ -73,7 +53,7 @@ impl SensorLog {
     fn record(&mut self, time: f64, src: Ip, dst: Ip) {
         self.packets += 1;
         self.first_packet_time.get_or_insert(time);
-        *self.packets_by_source.entry(src).or_insert(0) += 1;
+        self.sources.insert(src);
         self.sources_by_bucket
             .entry(dst.bucket24())
             .or_default()
@@ -179,15 +159,6 @@ impl Observatory {
         out.sort_by_key(|(b, _)| *b);
         out
     }
-
-    /// Per-block unique-source totals, labelled — the compact summary the
-    /// paper quotes ("the H block shows almost 8000 fewer Slammer
-    /// sources...").
-    pub fn unique_sources_by_block(&self) -> Vec<(String, u64)> {
-        self.iter()
-            .map(|(b, l)| (b.label().to_owned(), l.unique_source_count() as u64))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -258,24 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn top_talkers_rank_by_packet_count() {
-        let mut obs = Observatory::new(vec![block("A", "10.0.0.0/24")]);
-        let loud = Ip::from_octets(6, 6, 6, 6);
-        let quiet = Ip::from_octets(7, 7, 7, 7);
-        for i in 0..9u8 {
-            obs.observe(0.0, loud, Ip::from_octets(10, 0, 0, i));
-        }
-        obs.observe(0.0, quiet, Ip::from_octets(10, 0, 0, 99));
-        let log = obs.log(0);
-        assert_eq!(log.packets_from(loud), 9);
-        assert_eq!(log.packets_from(quiet), 1);
-        assert_eq!(log.packets_from(Ip::MIN), 0);
-        let talkers = log.top_talkers(5);
-        assert_eq!(talkers, vec![(loud, 9), (quiet, 1)]);
-        assert_eq!(log.top_talkers(1).len(), 1);
-    }
-
-    #[test]
     fn ims_observatory_has_eleven_blocks() {
         let obs = Observatory::ims();
         assert_eq!(obs.blocks().len(), 11);
@@ -292,7 +245,5 @@ mod tests {
             Ip::from_octets(192, 40, 17, 3),
         );
         assert_eq!(obs.log_by_label("M").unwrap().unique_source_count(), 1);
-        let by_block = obs.unique_sources_by_block();
-        assert_eq!(by_block, vec![("M".to_owned(), 1)]);
     }
 }
