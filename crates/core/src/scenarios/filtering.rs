@@ -1,12 +1,11 @@
 //! Table 2: enterprise egress filtering hides infections.
 
 use hotspots_ipspace::{ims_deployment, Ip};
-use hotspots_netmodel::{
-    Delivery, DeliveryLedger, Environment, Locus, OrgKind, OrgRegistry, Service,
-};
+use hotspots_netmodel::{Environment, Locus, OrgKind, OrgRegistry, Service};
 use hotspots_prng::entropy::{HardwareGeneration, SeedModel};
 use hotspots_prng::{SplitMix, SqlsortDll};
-use hotspots_targeting::{BlasterScanner, CodeRed2Scanner, SlammerScanner, TargetGenerator};
+use hotspots_sim::{Scan, ScanResult};
+use hotspots_targeting::{BlasterScanner, CodeRed2Scanner, SlammerScanner};
 use hotspots_telescope::Observatory;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -68,11 +67,11 @@ pub struct Table2Row {
 /// environment (enterprise egress filters active), and counts the unique
 /// sources the IMS observatory attributes to each organization.
 ///
-/// Also returns the verdict ledger over every routed probe (the CRII
-/// and Slammer probe streams; Blaster coverage is closed-form and
+/// Also returns the [`Scan`] accounting over every routed probe (the
+/// CRII and Slammer probe streams; Blaster coverage is closed-form and
 /// routes nothing).
-pub fn table2(study: &FilteringStudy) -> (Vec<Table2Row>, DeliveryLedger) {
-    let mut ledger = DeliveryLedger::new();
+pub fn table2(study: &FilteringStudy) -> (Vec<Table2Row>, ScanResult) {
+    let mut scan = Scan::new();
     let registry = OrgRegistry::synthetic_table2();
     let mut env = Environment::new();
     for rule in registry.egress_rules().rules() {
@@ -108,7 +107,8 @@ pub fn table2(study: &FilteringStudy) -> (Vec<Table2Row>, DeliveryLedger) {
             hosts.push(ip);
         }
 
-        // CodeRedII and Slammer: probe-driven observation.
+        // CodeRedII and Slammer: probe-driven observation. The egress
+        // filters configure no loss, so routing draws nothing from `rng`.
         let mut crii_obs = Observatory::new(blocks.clone());
         let mut slam_obs = Observatory::new(blocks.clone());
         for &src in &hosts {
@@ -118,30 +118,24 @@ pub fn table2(study: &FilteringStudy) -> (Vec<Table2Row>, DeliveryLedger) {
                 SqlsortDll::ALL[(mix.next_u64() % 3) as usize],
                 mix.next_u64() as u32,
             );
-            for _ in 0..study.probes_per_host {
-                let crii_verdict = env.route(
-                    locus,
-                    crii.next_target(),
-                    Service::CODERED_HTTP,
-                    0.0,
-                    &mut rng,
-                );
-                ledger.record(crii_verdict);
-                if let Delivery::Public(dst) = crii_verdict {
-                    crii_obs.observe(0.0, src, dst);
-                }
-                let slam_verdict = env.route(
-                    locus,
-                    slam.next_target(),
-                    Service::SLAMMER_SQL,
-                    0.0,
-                    &mut rng,
-                );
-                ledger.record(slam_verdict);
-                if let Delivery::Public(dst) = slam_verdict {
-                    slam_obs.observe(0.0, src, dst);
-                }
-            }
+            scan.run(
+                &env,
+                locus,
+                &mut crii,
+                Service::CODERED_HTTP,
+                study.probes_per_host,
+                &mut rng,
+                &mut crii_obs,
+            );
+            scan.run(
+                &env,
+                locus,
+                &mut slam,
+                Service::SLAMMER_SQL,
+                study.probes_per_host,
+                &mut rng,
+                &mut slam_obs,
+            );
         }
 
         // Blaster: closed-form interval coverage (month-long window),
@@ -185,7 +179,7 @@ pub fn table2(study: &FilteringStudy) -> (Vec<Table2Row>, DeliveryLedger) {
             blaster_observed,
         });
     }
-    (rows, ledger)
+    (rows, scan.finish())
 }
 
 #[cfg(test)]
@@ -238,15 +232,17 @@ mod tests {
 
     #[test]
     fn rows_are_deterministic() {
-        let a = table2(&small_study());
-        let b = table2(&small_study());
-        assert_eq!(a, b);
+        let (rows_a, scan_a) = table2(&small_study());
+        let (rows_b, scan_b) = table2(&small_study());
+        assert_eq!(rows_a, rows_b);
+        assert_eq!(scan_a.ledger, scan_b.ledger);
     }
 
     #[test]
     fn accounting_covers_every_routed_probe() {
         let study = small_study();
-        let (rows, ledger) = table2(&study);
+        let (rows, scan) = table2(&study);
+        let ledger = scan.ledger;
         let hosts: u64 = rows.iter().map(|r| r.infected_inside).sum();
         // two probe streams (CRII + Slammer) per planted host
         assert_eq!(ledger.probes(), hosts * study.probes_per_host * 2);

@@ -10,13 +10,15 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use hotspots_ipspace::{ims_deployment, AddressBlock, Deployment, Ip, Prefix};
-use hotspots_netmodel::{FilterRule, FilterTable, Service};
+use hotspots_ipspace::{ims_deployment, AddressBlock, Bucket24, Deployment, Ip, Prefix};
+use hotspots_netmodel::{Environment, FilterRule, FilterTable, Locus, Service};
 use hotspots_prng::cycles::{AffineMap, CycleBand, CycleId};
 use hotspots_prng::{SplitMix, SqlsortDll};
+use hotspots_sim::{BucketHits, Scan, ScanResult};
 use hotspots_stats::CountHistogram;
-use hotspots_targeting::{SlammerScanner, TargetGenerator};
-use hotspots_telescope::BlockIndex;
+use hotspots_targeting::SlammerScanner;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use crate::scenarios::{figure_buckets, CoverageRow};
 
@@ -229,23 +231,31 @@ pub fn predicted_observation_fraction(blocks: &[AddressBlock]) -> Vec<(String, f
 }
 
 /// Figure 3a/3b: one host's probes, histogrammed per monitored /24 by
-/// actually walking its generator `probes` steps.
+/// actually walking its generator `probes` steps, and the [`Scan`]
+/// accounting. The probes route through an empty [`Environment`], which
+/// delivers every probe aimed at globally routable space.
 pub fn host_histogram(
     dll: SqlsortDll,
     seed: u32,
     probes: u64,
     blocks: &[AddressBlock],
-) -> CountHistogram<hotspots_ipspace::Bucket24> {
-    let index = BlockIndex::new(blocks.iter().map(|b| b.prefix()).collect());
+) -> (CountHistogram<Bucket24>, ScanResult) {
     let mut worm = SlammerScanner::new(dll, seed);
-    let mut hist = CountHistogram::new();
-    for _ in 0..probes {
-        let t = worm.next_target();
-        if index.find(t).is_some() {
-            hist.record(t.bucket24());
-        }
-    }
-    hist
+    let mut hits = BucketHits::new(blocks);
+    let mut scan = Scan::new();
+    // An empty environment draws nothing from the routing stream, and
+    // Slammer's targets do not depend on its own address.
+    let mut rng = StdRng::seed_from_u64(u64::from(seed));
+    scan.run(
+        &Environment::new(),
+        Locus::Public(Ip::MIN),
+        &mut worm,
+        Service::SLAMMER_SQL,
+        probes,
+        &mut rng,
+        &mut hits,
+    );
+    (hits.into_histogram(), scan.finish())
 }
 
 /// Figure 3c: the exact period of every cycle of the Slammer LCG for one
@@ -302,6 +312,7 @@ pub fn block_cycle_length_sums(blocks: &[AddressBlock]) -> Vec<(String, f64)> {
 mod tests {
     use super::*;
     use crate::scenarios::totals_by_block;
+    use hotspots_targeting::TargetGenerator;
 
     fn small_study() -> SlammerStudy {
         SlammerStudy {
@@ -381,6 +392,7 @@ mod tests {
         // the 4 targets
         let mut worm = SlammerScanner::new(SqlsortDll::Gold, seed);
         let targets: BTreeSet<Ip> = (0..8).map(|_| worm.next_target()).collect();
+        assert!(targets.len() <= 4);
         let blocks: Vec<AddressBlock> = targets
             .iter()
             .map(|t| Prefix::containing(*t, 24))
@@ -389,9 +401,14 @@ mod tests {
             .enumerate()
             .map(|(i, p)| AddressBlock::new(format!("S{i}"), p))
             .collect();
-        let hist = host_histogram(SqlsortDll::Gold, seed, 1000, &blocks);
-        assert_eq!(hist.total(), 1000, "every probe hits the monitored set");
-        assert!(hist.distinct() <= 4);
+        // Gold's short cycles sit next to its fixed point, in 0/8: the
+        // walk routes, so every probe dies unroutable at the first router
+        // and the blocks over the cycle's own targets see none of them.
+        assert!(targets.iter().all(|t| t.octets()[0] == 0));
+        let (hist, walk) = host_histogram(SqlsortDll::Gold, seed, 1000, &blocks);
+        assert_eq!(hist.total(), 0, "unroutable probes reached the telescope");
+        let unroutable = hotspots_netmodel::DropReason::UnroutableDestination;
+        assert_eq!(walk.ledger.dropped(unroutable), 1000);
     }
 
     #[test]
@@ -471,15 +488,11 @@ mod tests {
         let map = AffineMap::slammer(dll);
         let cycle_len = map.cycle_length(seed).unwrap();
         let host_id = map.cycle_id(seed).unwrap();
-        let index = BlockIndex::new(blocks.iter().map(|b| b.prefix()).collect());
-        let mut hit_buckets: BTreeSet<Prefix> = BTreeSet::new();
-        let mut worm = SlammerScanner::new(dll, seed);
-        for _ in 0..cycle_len {
-            let t = worm.next_target();
-            if index.find(t).is_some() {
-                hit_buckets.insert(Prefix::containing(t, 24));
-            }
-        }
+        let (hist, _) = host_histogram(dll, seed, cycle_len, &blocks);
+        let hit_buckets: BTreeSet<Prefix> = hist
+            .iter()
+            .map(|(bucket, _)| Prefix::containing(bucket.first_ip(), 24))
+            .collect();
         // closed form: buckets whose traversal set contains this cycle
         let mut predicted: BTreeSet<Prefix> = BTreeSet::new();
         for block in &blocks {

@@ -521,8 +521,9 @@ fn cmd_profile(parsed: &ParsedArgs, scale: Scale, threads: Option<usize>) {
     if spec.study.is_some() {
         die(&format!(
             "{target:?} is a study preset; profile traces engine-path scenarios \
-             (worm + population) only. Its per-phase totals are in the .phases of \
-             its run report: hotspots run {target} --report <file.jsonl>"
+             (worm + population) only. A study that routes probes reports its \
+             per-phase totals in the .phases of its run report: \
+             hotspots run {target} --report <file.jsonl>"
         ));
     }
     // --scaling sets the thread counts itself, and only its curve is

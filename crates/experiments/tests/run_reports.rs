@@ -69,6 +69,19 @@ fn assert_engine_phases(name: &str, report: &RunReport) {
     }
 }
 
+/// The measurement studies send their probes through the engine's
+/// stages with the scan driver, so their reports carry its three phase
+/// totals.
+fn assert_scan_phases(name: &str, report: &RunReport) {
+    for phase in ["target_gen", "routing", "observe"] {
+        assert!(
+            report.phases.iter().any(|(n, _)| n == phase),
+            "{name}: missing phase {phase}: {:?}",
+            report.phases
+        );
+    }
+}
+
 #[test]
 fn fig1_blaster_reports() {
     let report = check("fig1");
@@ -85,7 +98,12 @@ fn fig2_slammer_reports() {
 
 #[test]
 fn fig3_slammer_hosts_reports() {
-    check("fig3");
+    let report = check("fig3");
+    assert_eq!(
+        report.probes_sent, 0,
+        "the host walks stay out of the ledger"
+    );
+    assert_scan_phases("fig3", &report);
 }
 
 #[test]
@@ -94,6 +112,7 @@ fn fig4_codered_nat_reports() {
     // the NATed population probes private space: drops must appear
     assert!(report.probes_sent > 0);
     assert!(report.dropped_total() > 0, "{:?}", report.dropped);
+    assert_scan_phases("fig4", &report);
 }
 
 /// Figures 5(a) and 5(b) are two readings of one set of hit-list runs,
@@ -143,6 +162,7 @@ fn fig5c_nat_detection_reports() {
 fn sensitivity_reports() {
     let report = check("sensitivity");
     assert!(report.probes_sent > 0);
+    assert_scan_phases("sensitivity", &report);
 }
 
 #[test]
@@ -163,6 +183,7 @@ fn table2_filtering_reports() {
         "{:?}",
         report.dropped
     );
+    assert_scan_phases("table2", &report);
 }
 
 #[test]

@@ -157,8 +157,10 @@ pub enum Delivery {
 /// The network environment: NAT realms + filter policy + loss + faults.
 ///
 /// This is the single interface the simulator uses: every probe goes
-/// through [`Environment::route`], which composes all three environmental
-/// factor classes into a [`Delivery`] verdict.
+/// through [`Environment::route_batch`], which composes all three
+/// environmental factor classes into a [`Delivery`] verdict per probe.
+/// [`Environment::route`] is its one-probe reference: tests pin the
+/// batch form to it, verdicts and RNG draws alike.
 ///
 /// # Examples
 ///

@@ -27,10 +27,12 @@ use hotspots_ipspace::{ims_deployment, random_ims_deployment, AddressBlock, Buck
 use hotspots_netmodel::{DeliveryLedger, Environment, Service};
 use hotspots_prng::cycles::AffineMap;
 use hotspots_prng::SqlsortDll;
-use hotspots_sim::{HitListWorm, Outbreak, Population, PopulationError, SimConfig, SimResult};
+use hotspots_sim::{
+    HitListWorm, Outbreak, Population, PopulationError, ScanResult, SimConfig, SimResult,
+};
 use hotspots_stats::CountHistogram;
 use hotspots_targeting::HitList;
-use hotspots_telemetry::ReportBuilder;
+use hotspots_telemetry::{PhaseTimes, ReportBuilder};
 use hotspots_telescope::{DetectorField, SensorMode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -278,10 +280,22 @@ pub fn fold_sim_result(report: &mut ReportBuilder, result: &SimResult) {
         .add_population(result.population as u64)
         .add_infections(result.infected as u64)
         .add_sim_seconds(result.elapsed);
-    for (name, total, _) in result.telemetry.phases.iter() {
+    fold_phases(report, &result.telemetry.phases);
+    report.peak_step_seconds(result.telemetry.peak_step_seconds);
+}
+
+/// Folds a study's [`ScanResult`] into a report: its probe accounting
+/// and its per-phase timings.
+fn fold_scan(report: &mut ReportBuilder, scan: &ScanResult) {
+    fold_ledger(report, &scan.ledger);
+    fold_phases(report, &scan.phases);
+}
+
+/// Adds per-phase wall totals to the report's `.phases`.
+fn fold_phases(report: &mut ReportBuilder, phases: &PhaseTimes) {
+    for (name, total, _) in phases.iter() {
         report.add_phase_seconds(name, total.as_secs_f64());
     }
-    report.peak_step_seconds(result.telemetry.peak_step_seconds);
 }
 
 /// Folds a verdict ledger into a report: probes, deliveries, and the
@@ -544,8 +558,8 @@ fn run_study(
         }
         StudySpec::SlammerHosts { probes_per_host } => {
             let probes = *probes_per_host;
-            // raw scanner walks against the telescope index — no
-            // environment, so nothing enters the delivery accounting
+            // two single-host walks through an empty environment: the
+            // report takes their phase times, not their probe accounting
             out.config("probes_per_host", probes).add_population(2);
             let blocks = ims_deployment();
             // Host A: a seed on I's cycle; Host B: on the Z-block cycle —
@@ -561,12 +575,14 @@ fn run_study(
                 let cycle_len = AffineMap::slammer(dll)
                     .cycle_length(seed)
                     .expect("fixed point exists"); // hotspots-lint: allow(panic-path) reason="every Slammer-parameter map has a fixed point"
+                let (hist, walk) = host_histogram(dll, seed, probes, &blocks);
+                fold_phases(out, &walk.phases);
                 SlammerHostTrace {
                     name,
                     dll,
                     seed,
                     cycle_len,
-                    hist: host_histogram(dll, seed, probes, &blocks),
+                    hist,
                 }
             })
             .collect();
@@ -592,33 +608,35 @@ fn run_study(
                 .config("nat_fraction", study.nat_fraction)
                 .add_population(study.hosts as u64);
             let blocks = ims_deployment();
-            let (rows, ledger) = codered::sources_by_block(&study, &blocks)
+            let (rows, scan) = codered::sources_by_block(&study, &blocks)
                 .map_err(|e| SpecError::new("study.hosts", e.to_string()))?;
-            fold_ledger(out, &ledger);
-            // the quarantine runs scan straight into the telescope index
-            // (no environment), so only the mixed run's probes are ledgered
-            let quarantines = vec![
+            fold_scan(out, &scan);
+            // the quarantine runs are single-host walks through an empty
+            // environment: only the mixed run's probes are ledgered, but
+            // every walk's phase times are folded
+            let quarantines = [
+                (
+                    "4(b) public 57.20.3.9",
+                    Ip::from_octets(57, 20, 3, 9),
+                    *quarantine_probes_public,
+                ),
+                (
+                    "4(c) NATed 192.168.0.100",
+                    Ip::from_octets(192, 168, 0, 100),
+                    *quarantine_probes_natted,
+                ),
+            ]
+            .into_iter()
+            .map(|(label, source, probes)| {
+                let (hist, walk) = quarantine_run(source, probes, &blocks, *quarantine_seed);
+                fold_phases(out, &walk.phases);
                 QuarantineTrace {
-                    label: "4(b) public 57.20.3.9".to_owned(),
-                    probes: *quarantine_probes_public,
-                    hist: quarantine_run(
-                        Ip::from_octets(57, 20, 3, 9),
-                        *quarantine_probes_public,
-                        &blocks,
-                        *quarantine_seed,
-                    ),
-                },
-                QuarantineTrace {
-                    label: "4(c) NATed 192.168.0.100".to_owned(),
-                    probes: *quarantine_probes_natted,
-                    hist: quarantine_run(
-                        Ip::from_octets(192, 168, 0, 100),
-                        *quarantine_probes_natted,
-                        &blocks,
-                        *quarantine_seed,
-                    ),
-                },
-            ];
+                    label: label.to_owned(),
+                    probes,
+                    hist,
+                }
+            })
+            .collect();
             Ok(Outcome::CodeRedNat {
                 study,
                 rows,
@@ -722,8 +740,8 @@ fn run_study(
             out.config("infected_per_enterprise", study.infected_per_enterprise)
                 .config("infected_per_isp", study.infected_per_isp)
                 .config("probes_per_host", study.probes_per_host);
-            let (rows, ledger) = table2(&study);
-            fold_ledger(out, &ledger);
+            let (rows, scan) = table2(&study);
+            fold_scan(out, &scan);
             out.add_population(rows.iter().map(|r| r.infected_inside).sum::<u64>());
             Ok(Outcome::Filtering { study, rows })
         }
@@ -774,9 +792,10 @@ fn run_study(
             })?;
             let mut codered = Vec::new();
             for (trial, blocks, hosts, accounted) in codered_runs {
-                let (rows, trial_ledger) =
+                let (rows, scan) =
                     accounted.map_err(|e| SpecError::new("study.codered_hosts", e.to_string()))?;
-                ledger.merge(&trial_ledger);
+                ledger.merge(&scan.ledger);
+                fold_phases(out, &scan.phases);
                 out.add_population(hosts as u64);
                 codered.push(CodeRedTrial {
                     trial,

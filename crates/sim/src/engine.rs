@@ -49,7 +49,7 @@ pub struct SimConfig {
     pub rng_seed: u64,
     /// Worker threads for the probe phase. `1` (the default) runs the
     /// staged pipeline serially; larger values shard active hosts across
-    /// a persistent [`ShardExecutor`] pool. Every RNG stream is keyed by
+    /// a persistent worker pool. Every RNG stream is keyed by
     /// host id and shard results merge in fixed order, so this is a pure
     /// throughput knob: results are bit-identical at any setting.
     pub threads: usize,
@@ -273,18 +273,6 @@ impl Engine {
     /// Runs the outbreak to completion, feeding every probe to
     /// `observer`.
     ///
-    /// Creates a [`ShardExecutor`] sized to [`SimConfig::threads`] for
-    /// the duration of the run; to amortize pool start-up across many
-    /// runs (sweeps, benchmarks), build one executor and use
-    /// [`Engine::run_on`].
-    pub fn run<O: SimObserver>(&mut self, observer: &mut O) -> SimResult {
-        let mut executor = ShardExecutor::new(self.config.threads);
-        self.run_on(&mut executor, observer)
-    }
-
-    /// Runs the outbreak to completion on a caller-provided executor,
-    /// feeding every probe to `observer`.
-    ///
     /// The probe path is a staged pipeline: each host draws a step's
     /// worth of targets in one batch
     /// ([`hotspots_targeting::TargetGenerator::fill_targets`]), the
@@ -293,21 +281,13 @@ impl Engine {
     /// are resolved in one pass over those records, and the batch
     /// reaches the observer via [`SimObserver::on_probe_batch`].
     /// With [`SimConfig::threads`] > 1, active hosts are sharded across
-    /// `executor`'s persistent workers and results merge in fixed shard
+    /// a pool of persistent workers the run creates (a spawn failure
+    /// degrades to fewer shards) and results merge in fixed shard
     /// order; because every RNG stream is keyed by host id, the run is
     /// bit-identical to a serial one (only observer batch boundaries
     /// vary with thread count).
-    ///
-    /// The executor holds no simulation state — reusing one across runs
-    /// is bit-identical to building a fresh engine and pool per run.
-    /// Shard concurrency is the *minimum* of [`SimConfig::threads`] and
-    /// [`ShardExecutor::parallelism`], so a small pool caps a larger
-    /// thread setting.
-    pub fn run_on<O: SimObserver>(
-        &mut self,
-        executor: &mut ShardExecutor,
-        observer: &mut O,
-    ) -> SimResult {
+    pub fn run<O: SimObserver>(&mut self, observer: &mut O) -> SimResult {
+        let mut executor = ShardExecutor::new(self.config.threads);
         let n = self.population.len();
         let service = self.worm.service();
         let latency = self.env.latency();
@@ -435,7 +415,7 @@ impl Engine {
                     removed: Arc::clone(&removed_flags),
                     pending: Arc::clone(&pending_flags),
                 };
-                pipeline.run_step(executor, ctx, &mut active)
+                pipeline.run_step(&mut executor, ctx, &mut active)
             };
 
             // Stage 4 (observe) and infection bookkeeping: serial merge
@@ -627,37 +607,6 @@ mod tests {
         assert_eq!(a.probes_sent, b.probes_sent);
         assert_eq!(a.infected, b.infected);
         assert_eq!(a.infection_times, b.infection_times);
-    }
-
-    #[test]
-    fn pool_reuse_is_bit_identical_to_fresh_engines() {
-        // Two back-to-back runs on ONE executor must match two runs on
-        // fresh engines (and each other): the pool holds no simulation
-        // state, and carrier/scratch reuse never leaks across runs.
-        let config = SimConfig {
-            threads: 4,
-            ..hitlist_config()
-        };
-        let make = || {
-            Engine::new(
-                config,
-                dense_population(300),
-                Environment::new(),
-                Box::new(HitListWorm::new(hitlist())),
-            )
-        };
-        let fresh = make().run(&mut NullObserver);
-        let mut pool = ShardExecutor::new(config.threads);
-        let a = make().run_on(&mut pool, &mut NullObserver);
-        let b = make().run_on(&mut pool, &mut NullObserver);
-        for run in [&a, &b] {
-            assert_eq!(run.probes_sent, fresh.probes_sent);
-            assert_eq!(run.infected, fresh.infected);
-            assert_eq!(run.removed, fresh.removed);
-            assert_eq!(run.ledger, fresh.ledger);
-            assert_eq!(run.infection_times, fresh.infection_times);
-            assert_eq!(run.elapsed, fresh.elapsed);
-        }
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! Before this module existed the engine spawned a fresh set of scoped
 //! threads *every step*; profiling showed that spawn cost — not the
 //! serial merge — is what kept the parallel engine from winning. The
-//! executor here is created once per run (or shared across runs via
-//! [`Engine::run_on`](crate::Engine::run_on)): `parallelism - 1` workers
-//! park on their job channels between steps, and each step hands them
-//! owned shard payloads instead of borrowed slices.
+//! executor here is created once per run by
+//! [`Engine::run`](crate::Engine::run): `parallelism - 1` workers park
+//! on their job channels between steps, and each step hands them owned
+//! shard payloads instead of borrowed slices.
 //!
 //! Ownership transfer is what keeps the pool compatible with
 //! `#![forbid(unsafe_code)]`: a long-lived worker cannot borrow from the
@@ -33,6 +33,7 @@ use hotspots_netmodel::{Delivery, DeliveryLedger, Environment, Locus, Service};
 use hotspots_targeting::TargetGenerator;
 use hotspots_telemetry::Timer;
 use rand::rngs::StdRng;
+use rand::Rng;
 
 use crate::bitset::HostBits;
 use crate::population::Population;
@@ -53,6 +54,7 @@ pub(crate) struct InfectedHost {
 }
 
 /// Reusable per-shard scratch for one step of the staged probe pipeline.
+#[derive(Debug, Default)]
 pub(crate) struct ProbeBatch {
     pub(crate) targets: Vec<Ip>,
     pub(crate) probes: Vec<(Ip, Delivery)>,
@@ -64,16 +66,46 @@ pub(crate) struct ProbeBatch {
 }
 
 impl ProbeBatch {
-    pub(crate) fn new() -> ProbeBatch {
-        ProbeBatch {
-            targets: Vec::new(),
-            probes: Vec::new(),
-            candidates: Vec::new(),
-            ledger: DeliveryLedger::new(),
-            target_gen: Duration::ZERO,
-            routing: Duration::ZERO,
-            lookup: Duration::ZERO,
-        }
+    /// Stages 1–2 for one burst of `n` probes from `locus`: draws the
+    /// targets ([`TargetGenerator::fill_targets`]), routes them onto the
+    /// end of `probes` and into `ledger` ([`Environment::route_batch`]),
+    /// and adds each stage's wall time to `target_gen` and `routing`.
+    ///
+    /// Returns the burst's timer and its reading at the end of routing,
+    /// so a caller timing a later stage needs no clock read of its own
+    /// to start it: three reads here, one per stage after.
+    #[allow(clippy::too_many_arguments)] // one burst needs the full probe context
+    pub(crate) fn fill_and_route<G, R>(
+        &mut self,
+        env: &Environment,
+        locus: Locus,
+        generator: &mut G,
+        service: Service,
+        time: f64,
+        n: usize,
+        rng: &mut R,
+    ) -> (Timer, Duration)
+    where
+        G: TargetGenerator + ?Sized,
+        R: Rng + ?Sized,
+    {
+        let timer = Timer::start();
+        self.targets.clear();
+        generator.fill_targets(n, &mut self.targets);
+        let t_gen = timer.elapsed();
+        env.route_batch(
+            locus,
+            &self.targets,
+            service,
+            time,
+            rng,
+            &mut self.probes,
+            &mut self.ledger,
+        );
+        let t_route = timer.elapsed();
+        self.target_gen += t_gen;
+        self.routing += t_route.saturating_sub(t_gen);
+        (timer, t_route)
     }
 }
 
@@ -113,24 +145,19 @@ pub(crate) fn drive_shard(ctx: &StepCtx, hosts: &mut [InfectedHost], batch: &mut
         host.probe_credit -= burst as f64;
 
         // Four clock reads per burst: one start, one per stage boundary.
-        let timer = Timer::start();
-        batch.targets.clear();
-        host.generator.fill_targets(burst, &mut batch.targets);
-        let t_gen = timer.elapsed();
         // Routing appends the observers' probe records in place; the
         // lookup then walks this burst's records once (misses
         // short-circuit at the /16 presence bitmap).
         let start = batch.probes.len();
-        ctx.env.route_batch(
+        let (timer, t_route) = batch.fill_and_route(
+            &ctx.env,
             host.locus,
-            &batch.targets,
+            host.generator.as_mut(),
             ctx.service,
             ctx.time,
+            burst,
             &mut host.rng,
-            &mut batch.probes,
-            &mut batch.ledger,
         );
-        let t_route = timer.elapsed();
         for &(_, delivery) in &batch.probes[start..] {
             let victim = match delivery {
                 Delivery::Public(ip) => ctx.population.find_public(ip),
@@ -143,10 +170,7 @@ pub(crate) fn drive_shard(ctx: &StepCtx, hosts: &mut [InfectedHost], batch: &mut
                 }
             }
         }
-        let t_lookup = timer.elapsed();
-        batch.target_gen += t_gen;
-        batch.routing += t_route.saturating_sub(t_gen);
-        batch.lookup += t_lookup.saturating_sub(t_route);
+        batch.lookup += timer.elapsed().saturating_sub(t_route);
     }
 }
 
@@ -225,23 +249,10 @@ struct WorkerHandle {
     thread: std::thread::JoinHandle<()>,
 }
 
-/// A persistent pool of shard workers.
-///
-/// Created once and reused across steps — and, via
-/// [`Engine::run_on`](crate::Engine::run_on), across whole runs:
-/// `ShardExecutor::new(p)` spawns `p - 1` workers that park between
-/// jobs. The executor holds no simulation state, so reusing one is
-/// bit-identical to building a fresh engine per run (pinned by test).
-///
-/// # Examples
-///
-/// ```
-/// use hotspots_sim::ShardExecutor;
-///
-/// let pool = ShardExecutor::new(4);
-/// assert!(pool.parallelism() >= 1);
-/// ```
-pub struct ShardExecutor {
+/// A persistent pool of shard workers, created once per engine run and
+/// reused across its steps: `ShardExecutor::new(p)` spawns `p - 1`
+/// workers that park between jobs. It holds no simulation state.
+pub(crate) struct ShardExecutor {
     workers: Vec<WorkerHandle>,
     done_rx: Receiver<ShardDone>,
 }
@@ -260,7 +271,7 @@ impl ShardExecutor {
     /// workers (named `hotspots-worker-N`, so profilers attribute shard
     /// time to the pool) drive the rest. `0` and `1` both mean "no
     /// workers".
-    pub fn new(parallelism: usize) -> ShardExecutor {
+    pub(crate) fn new(parallelism: usize) -> ShardExecutor {
         let wanted = parallelism.saturating_sub(1);
         let (done_tx, done_rx) = channel();
         let mut workers = Vec::with_capacity(wanted);
@@ -285,7 +296,7 @@ impl ShardExecutor {
 
     /// How many shards can execute concurrently (the calling thread
     /// plus the pool workers). Always at least 1.
-    pub fn parallelism(&self) -> usize {
+    pub(crate) fn parallelism(&self) -> usize {
         self.workers.len() + 1
     }
 }
@@ -303,8 +314,7 @@ impl Drop for ShardExecutor {
 
 /// The per-run pipeline state: one scratch [`ProbeBatch`] per shard,
 /// carrier buffers for the ownership transfer, and the pool-phase
-/// accounting. The engine owns one per run; the executor it dispatches
-/// to may outlive it.
+/// accounting. The engine owns one per run, next to its executor.
 pub(crate) struct StepPipeline {
     /// Per-shard scratch, index 0 = the driving thread's shard. The
     /// merge loop walks `batches[..shard_count]` in index order.
@@ -325,7 +335,7 @@ impl StepPipeline {
     pub(crate) fn new(shards: usize) -> StepPipeline {
         let shards = shards.max(1);
         StepPipeline {
-            batches: (0..shards).map(|_| ProbeBatch::new()).collect(),
+            batches: (0..shards).map(|_| ProbeBatch::default()).collect(),
             carriers: (0..shards).map(|_| Vec::new()).collect(),
             slots: (0..shards).map(|_| None).collect(),
             park: Duration::ZERO,
@@ -388,7 +398,7 @@ impl StepPipeline {
         for shard in (1..used).rev() {
             let mut hosts = std::mem::take(&mut self.carriers[shard]);
             hosts.extend(active.drain(shard * chunk..));
-            let batch = std::mem::replace(&mut self.batches[shard], ProbeBatch::new());
+            let batch = std::mem::take(&mut self.batches[shard]);
             let job = ShardJob {
                 shard,
                 hosts,

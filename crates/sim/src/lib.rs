@@ -12,6 +12,11 @@
 //! [`SimResult`]: the verdict ledger counts each probe once, and
 //! `infection_times` holds every infection.
 //!
+//! The measurement studies, which watch hosts scan into a telescope
+//! without an outbreak, send their probes through the same target-gen
+//! and routing stages with [`Scan`], into an observer such as an
+//! [`hotspots_telescope::Observatory`] or [`BucketHits`].
+//!
 //! The paper's Figure 5 parameters are the defaults: 10 probes/second per
 //! infected host, 25 random seed hosts.
 //!
@@ -46,19 +51,20 @@ mod ipmap;
 mod observers;
 mod outbreak;
 mod population;
+mod scan;
 mod worms;
 
 pub use bitset::HostBits;
 pub use engine::{Engine, EngineTelemetry, SimConfig, SimResult};
-pub use executor::ShardExecutor;
 pub use ipmap::IpMap;
-pub use observers::{FieldObserver, NullObserver, SimObserver};
+pub use observers::{BucketHits, FieldObserver, NullObserver, SimObserver};
 pub use outbreak::Outbreak;
 pub use population::{
     apply_nat, apply_nat_shared, canonical_parts, occupied_slash16s, paper_codered_population,
     synthetic_codered_population, zipf_slash8_population, Population, PopulationError,
     PublicAddresses, PAPER_CODERED_SLASH8S,
 };
+pub use scan::{Scan, ScanResult};
 pub use worms::{
     BlasterWorm, BotWorm, CodeRed2Worm, HitListWorm, LocalPreferenceWorm, SlammerWorm, UniformWorm,
     WormModel,

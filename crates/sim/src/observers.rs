@@ -6,9 +6,10 @@
 //! [`crate::SimResult::infection_times`]. Observers exist for what the
 //! result cannot hold — sensors that react to where probes land.
 
-use hotspots_ipspace::Ip;
+use hotspots_ipspace::{AddressBlock, Bucket24, Ip};
 use hotspots_netmodel::{Delivery, Proto, Service};
-use hotspots_telescope::DetectorField;
+use hotspots_stats::CountHistogram;
+use hotspots_telescope::{BlockIndex, DetectorField, Observatory};
 
 /// A passive observer of the outbreak's probe stream.
 ///
@@ -70,6 +71,59 @@ impl SimObserver for FieldObserver {
             if let Delivery::Public(dst) = delivery {
                 self.field
                     .observe_packet(time, dst, self.first_packet_payload);
+            }
+        }
+    }
+}
+
+/// A telescope logs every probe delivered into one of its blocks,
+/// under the source the public path shows (a NATed host's gateway).
+impl SimObserver for Observatory {
+    fn on_probe_batch(&mut self, time: f64, probes: &[(Ip, Delivery)]) {
+        for &(src, delivery) in probes {
+            if let Delivery::Public(dst) = delivery {
+                self.observe(time, src, dst);
+            }
+        }
+    }
+}
+
+/// Counts the probes delivered into a set of monitored blocks, per
+/// destination /24: one host's footprint at the telescope (Figures 3
+/// and 4(b)/(c)). It counts packets; an [`Observatory`] counts unique
+/// sources.
+#[derive(Debug)]
+pub struct BucketHits {
+    index: BlockIndex,
+    hits: CountHistogram<Bucket24>,
+}
+
+impl BucketHits {
+    /// A counter over `blocks`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if blocks overlap.
+    pub fn new(blocks: &[AddressBlock]) -> BucketHits {
+        BucketHits {
+            index: BlockIndex::new(blocks.iter().map(AddressBlock::prefix).collect()),
+            hits: CountHistogram::new(),
+        }
+    }
+
+    /// The hit counts per monitored /24 (only /24s that were hit).
+    pub fn into_histogram(self) -> CountHistogram<Bucket24> {
+        self.hits
+    }
+}
+
+impl SimObserver for BucketHits {
+    fn on_probe_batch(&mut self, _time: f64, probes: &[(Ip, Delivery)]) {
+        for &(_, delivery) in probes {
+            if let Delivery::Public(dst) = delivery {
+                if self.index.find(dst).is_some() {
+                    self.hits.record(dst.bucket24());
+                }
             }
         }
     }

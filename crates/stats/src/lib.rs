@@ -32,13 +32,11 @@
 
 mod correlation;
 mod histogram;
-mod streaming;
 mod summary;
 mod timeseries;
 pub mod uniformity;
 
 pub use correlation::spearman;
 pub use histogram::CountHistogram;
-pub use streaming::Welford;
 pub use summary::Summary;
 pub use timeseries::TimeSeries;

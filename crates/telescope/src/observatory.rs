@@ -10,7 +10,7 @@ use crate::index::BlockIndex;
 /// What one darknet block has seen: packet counts, unique sources, and
 /// unique sources per destination /24 — the aggregation behind the
 /// paper's measurement figures.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SensorLog {
     packets: u64,
     sources: BTreeSet<Ip>,

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# Golden run-report check for every registry preset.
+# Golden run-report and rendered-output check for every registry preset.
 #
 # Runs each preset the `hotspots` CLI knows about at --quick scale,
 # normalizes the JSONL run report (host-timing fields stripped), and
 # diffs it against the checked-in golden under results/golden/. Any
 # drift in probe accounting, infections, config echo, or population
-# totals fails the check.
+# totals fails the check. The preset's rendered stdout, minus its
+# trailing run_report line, is pinned as results/golden/<name>.txt, so
+# study rows the report does not carry (table2's "CRII IPs seen", for
+# one) are pinned too.
 #
 # Usage:
 #   scripts/check_goldens.sh            # compare against goldens
@@ -50,15 +53,24 @@ PY
 fail=0
 for name in $("$HOTSPOTS" list | awk '/^  / {print $1}'); do
     raw="$tmp/$name.raw"
-    HOTSPOTS_RUN_REPORT= "$HOTSPOTS" run "$name" --quick --report "$raw" >/dev/null
+    HOTSPOTS_RUN_REPORT= "$HOTSPOTS" run "$name" --quick --report "$raw" >"$tmp/$name.stdout"
     normalize "$raw" "$tmp/$name.jsonl"
+    sed '${/^{"kind":"run_report"/d;}' "$tmp/$name.stdout" >"$tmp/$name.txt"
     if [ "$mode" = update ]; then
         cp "$tmp/$name.jsonl" "results/golden/$name.jsonl"
-        echo "updated results/golden/$name.jsonl"
-    elif ! diff -u "results/golden/$name.jsonl" "$tmp/$name.jsonl"; then
-        echo "MISMATCH: $name (regenerate with scripts/check_goldens.sh --update if intended)" >&2
-        fail=1
-    else
+        cp "$tmp/$name.txt" "results/golden/$name.txt"
+        echo "updated results/golden/$name.{jsonl,txt}"
+        continue
+    fi
+    ok=1
+    for ext in jsonl txt; do
+        if ! diff -u "results/golden/$name.$ext" "$tmp/$name.$ext"; then
+            echo "MISMATCH: $name.$ext (regenerate with scripts/check_goldens.sh --update if intended)" >&2
+            fail=1
+            ok=0
+        fi
+    done
+    if [ "$ok" = 1 ]; then
         echo "ok: $name"
     fi
 done

@@ -92,7 +92,7 @@ fn fig3_per_host_slammer_variance() {
     // Host B: a seed on the Z-block cycle, hammering it.
     let blocks = ims_deployment();
     let z_seed = Ip::from_octets(96, 1, 2, 3).to_le_state();
-    let host_b = slammer::host_histogram(SqlsortDll::Gold, z_seed, 100_000, &blocks);
+    let (host_b, _) = slammer::host_histogram(SqlsortDll::Gold, z_seed, 100_000, &blocks);
     assert!(
         host_b.total() > 30_000,
         "Z-cycle host should pour probes into the telescope, saw {}",
@@ -104,7 +104,7 @@ fn fig3_per_host_slammer_variance() {
         .fixed_point()
         .expect("fixed point exists")
         .wrapping_add(1 << 28);
-    let host_a = slammer::host_histogram(SqlsortDll::Gold, short_seed, 100_000, &blocks);
+    let (host_a, _) = slammer::host_histogram(SqlsortDll::Gold, short_seed, 100_000, &blocks);
     assert!(
         host_a.total() < host_b.total() / 100,
         "short-cycle host ({}) should see orders of magnitude less than \

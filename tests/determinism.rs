@@ -79,10 +79,12 @@ fn scenario_outputs_replay() {
         probes_per_host: 2_000,
         rng_seed: 5,
     };
-    assert_eq!(
-        codered::sources_by_block(&codered_study, &ims_deployment()).expect("public hosts"),
-        codered::sources_by_block(&codered_study, &ims_deployment()).expect("public hosts")
-    );
+    let (rows_a, scan_a) =
+        codered::sources_by_block(&codered_study, &ims_deployment()).expect("public hosts");
+    let (rows_b, scan_b) =
+        codered::sources_by_block(&codered_study, &ims_deployment()).expect("public hosts");
+    assert_eq!(rows_a, rows_b);
+    assert_eq!(scan_a.ledger, scan_b.ledger);
 }
 
 #[test]
@@ -161,7 +163,7 @@ fn engine_invariants_hold_across_configurations() {
 #[test]
 fn quarantine_runs_replay() {
     let blocks = ims_deployment();
-    let a = codered::quarantine_run(Ip::from_octets(192, 168, 0, 100), 100_000, &blocks, 6);
-    let b = codered::quarantine_run(Ip::from_octets(192, 168, 0, 100), 100_000, &blocks, 6);
+    let (a, _) = codered::quarantine_run(Ip::from_octets(192, 168, 0, 100), 100_000, &blocks, 6);
+    let (b, _) = codered::quarantine_run(Ip::from_octets(192, 168, 0, 100), 100_000, &blocks, 6);
     assert_eq!(a, b);
 }
