@@ -10,8 +10,8 @@
 //! ```
 //!
 //! Determinism contract: a spec names everything that affects the
-//! result, so the same spec + seed produces the same run report at any
-//! `--threads` count.
+//! result and nothing else, so the same spec + seed produces the same
+//! run report at any `--threads` count.
 
 use std::io::{ErrorKind, Write};
 use std::process::exit;
@@ -23,7 +23,7 @@ use hotspots_experiments::{
 use hotspots_scenario::cli::{parse_flags, usage, ArgError, FlagSpec, ParsedArgs};
 use hotspots_scenario::spec::SpecError;
 use hotspots_scenario::value::Value;
-use hotspots_scenario::{resolve_threads, ScenarioRun, ScenarioSpec, RUN_REPORT_ENV};
+use hotspots_scenario::{ScenarioRun, ScenarioSpec, RUN_REPORT_ENV};
 use hotspots_serve::{ServeConfig, Server};
 use hotspots_telemetry::{json, BenchSummary, MemoryStats, ScalingPoint};
 
@@ -101,7 +101,7 @@ fn flags() -> Vec<FlagSpec> {
             short: None,
             takes_value: true,
             repeatable: false,
-            help: "worker threads; 0 = auto (default: the spec / all cores)",
+            help: "worker threads; 0 = all cores (default: engine 1, study all cores)",
         },
         FlagSpec {
             name: "report",
@@ -260,11 +260,10 @@ fn main() {
         Ok(scale) => scale,
         Err(e) => die(&e.to_string()),
     };
-    // 0 is legal: auto, resolved to available parallelism at run time
-    // (the run report records what it resolved to).
+    // 0 is legal: all cores (`RunContext::threads_for` resolves it)
     let threads = parsed.value("threads").map(|t| match t.parse::<usize>() {
         Ok(n) => n,
-        _ => die("--threads needs a non-negative integer (0 = auto)"),
+        _ => die("--threads needs a non-negative integer (0 = all cores)"),
     });
 
     match command {
@@ -542,11 +541,9 @@ fn cmd_profile(parsed: &ParsedArgs, scale: Scale, threads: Option<usize>) {
             Ok(counts) => counts,
             Err(e) => fail(&e),
         },
-        // 0 (auto, from the flag or the spec) is resolved here so the
-        // banner and artifact names carry the count the run uses
-        None => vec![resolve_threads(
-            threads.unwrap_or(spec.sim.threads as usize),
-        )],
+        // resolved here so the banner and artifact names carry the
+        // count the run uses, never `--threads 0`
+        None => vec![context(threads).threads_for(&spec)],
     };
     let out_dir = parsed.value("out").unwrap_or(".").to_owned();
     if let Err(source) = std::fs::create_dir_all(&out_dir) {

@@ -182,6 +182,13 @@ fn error_paths_pin_exit_code_and_stderr_shape() {
             usage_dump: false,
         },
         Case {
+            label: "sweep over an engine section a study ignores",
+            args: &["sweep", "fig1", "--quick", "--param", "sim.seeds=7"],
+            code: 2,
+            stderr_has: "sim: a study scenario reads only [study]; remove [sim]",
+            usage_dump: false,
+        },
+        Case {
             label: "engine spec with more seeds than hosts",
             args: &[
                 "sweep",

@@ -268,47 +268,34 @@ fn two_thread_profile_runs_on_the_pool_and_matches_serial() {
     assert_eq!(pooled, serial, "2-thread report differs from serial");
 }
 
-/// `0` means auto wherever a thread count is given: a spec's
-/// `sim.threads = 0` and `--threads 0` both profile at the machine's
+/// `--threads 0` means all cores: the profile runs at the machine's
 /// available parallelism, and the banner and artifact names carry that
-/// resolved count, never the `0` sentinel.
+/// resolved count, never the `0`.
 #[test]
 fn auto_thread_count_is_resolved_before_profiling() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let dir = scratch("auto");
-    let spec = run_ok(&["spec", "bench-slammer", "--quick"]);
-    assert!(spec.contains("threads = 1\n"), "spec pins threads:\n{spec}");
-    let spec_path = dir.join("auto.toml");
-    fs::write(&spec_path, spec.replace("threads = 1\n", "threads = 0\n")).expect("write spec");
-
-    let from_spec = dir.join("from-spec");
-    let from_flag = dir.join("from-flag");
-    let runs = [
-        (&from_spec, vec![spec_path.to_str().expect("utf-8 path")]),
-        (
-            &from_flag,
-            vec!["bench-slammer", "--quick", "--threads", "0"],
-        ),
-    ];
-    for (out_dir, target) in runs {
-        let mut args = vec!["profile"];
-        args.extend(target);
-        args.extend(["--out", out_dir.to_str().expect("utf-8 path")]);
-        let stdout = run_ok(&args);
-        assert!(
-            stdout.contains(&format!("---- threads = {cores} ----")),
-            "{args:?}: banner should name {cores} threads:\n{stdout}"
-        );
-        assert_eq!(
-            artifacts(out_dir, ".trace.json"),
-            [format!("bench-slammer-{cores}t.trace.json")],
-            "{args:?}"
-        );
-        assert_eq!(
-            artifacts(out_dir, ".folded"),
-            [format!("bench-slammer-{cores}t.folded")],
-            "{args:?}"
-        );
-    }
+    let out_dir = dir.join("from-flag");
+    let stdout = run_ok(&[
+        "profile",
+        "bench-slammer",
+        "--quick",
+        "--threads",
+        "0",
+        "--out",
+        out_dir.to_str().expect("utf-8 path"),
+    ]);
+    assert!(
+        stdout.contains(&format!("---- threads = {cores} ----")),
+        "banner should name {cores} threads:\n{stdout}"
+    );
+    assert_eq!(
+        artifacts(&out_dir, ".trace.json"),
+        [format!("bench-slammer-{cores}t.trace.json")]
+    );
+    assert_eq!(
+        artifacts(&out_dir, ".folded"),
+        [format!("bench-slammer-{cores}t.folded")]
+    );
     let _ = fs::remove_dir_all(&dir);
 }

@@ -35,8 +35,7 @@
 //!
 //! Run it as `cargo run -p hotspots-lint -- --workspace` (exit nonzero
 //! on violations; `--json` or `--sarif` for machine-readable output,
-//! `--threads N` to parallelize the per-file phase, `--explain <rule>`
-//! for any rule's contract). Waive a violation in place with
+//! `--explain <rule>` for any rule's contract). Waive a violation in place with
 //! `// hotspots-lint: allow(<rule>) reason="…"` — the reason is
 //! mandatory and every waiver is listed in the run summary.
 //!
@@ -60,4 +59,4 @@ pub mod sarif;
 pub mod scan;
 
 pub use rules::{Diagnostic, RuleId};
-pub use scan::{lint_files, lint_files_with, lint_source, workspace_files, WorkspaceReport};
+pub use scan::{lint_files, lint_source, workspace_files, WorkspaceReport};

@@ -4,7 +4,6 @@
 //! cargo run -p hotspots-lint -- --workspace            # lint the tree
 //! cargo run -p hotspots-lint -- --workspace --json     # machine output
 //! cargo run -p hotspots-lint -- --workspace --sarif    # SARIF 2.1.0
-//! cargo run -p hotspots-lint -- --workspace --threads 2
 //! cargo run -p hotspots-lint -- --explain panic-reachability
 //! cargo run -p hotspots-lint -- path/to/file.rs …      # lint given files
 //! ```
@@ -21,15 +20,13 @@ const USAGE: &str = "\
 hotspots-lint: statically enforce the workspace's determinism invariants
 
 USAGE:
-    hotspots-lint [--workspace] [--json | --sarif] [--threads N] [PATH ...]
+    hotspots-lint [--workspace] [--json | --sarif] [PATH ...]
     hotspots-lint --explain <rule>
 
 OPTIONS:
     --workspace      lint every crate's src/ plus the root package
     --json           emit one JSON object instead of text diagnostics
     --sarif          emit a SARIF 2.1.0 log instead of text diagnostics
-    --threads N      analyze files on N worker threads (output is
-                     byte-identical to a serial run)
     --explain RULE   print a rule's guarantee, example, and waiver form
     --help           print this help
 
@@ -60,7 +57,6 @@ fn main() -> ExitCode {
     let mut workspace = false;
     let mut json = false;
     let mut sarif = false;
-    let mut threads = 1usize;
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -68,13 +64,6 @@ fn main() -> ExitCode {
             "--workspace" => workspace = true,
             "--json" => json = true,
             "--sarif" => sarif = true,
-            "--threads" => {
-                let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) else {
-                    eprintln!("hotspots-lint: --threads needs a positive integer\n\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                threads = n.max(1);
-            }
             "--explain" => {
                 let Some(r) = args.next().as_deref().and_then(RuleId::parse) else {
                     eprintln!(
@@ -118,7 +107,7 @@ fn main() -> ExitCode {
         files.push(abs);
     }
 
-    let report = scan::lint_files_with(&root, &files, threads);
+    let report = scan::lint_files(&root, &files);
     if json {
         println!("{}", report.render_json());
     } else if sarif {

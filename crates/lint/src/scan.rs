@@ -2,17 +2,13 @@
 //! and report assembly.
 //!
 //! The scan has two phases. The **per-file phase** is pure — lex,
-//! region recovery, item parsing, and every local rule (D1–D5, R7) —
-//! so it runs on a small worker pool under `--threads N`. The
-//! **workspace phase** ([`finalize`]) is serial: it builds the call
-//! graph over every file, runs the graph rules (R6, R8), applies
-//! the waiver pragmas, and sorts every finding by `(path, line, rule)`
-//! so the output is byte-identical whatever the thread count.
+//! region recovery, item parsing, and every local rule (D1–D5, R7).
+//! The **workspace phase** ([`finalize`]) builds the call graph over
+//! every file, runs the graph rules (R6, R8), applies the waiver
+//! pragmas, and sorts every finding by `(path, line, rule)`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use hotspots_telemetry::json::write_str;
 
@@ -448,52 +444,10 @@ fn analyze_path(root: &Path, f: &Path) -> FileAnalysis {
     }
 }
 
-/// Lints the given files (absolute or root-relative) serially,
-/// reporting paths relative to `root`.
+/// Lints the given files (absolute or root-relative), reporting paths
+/// relative to `root`.
 pub fn lint_files(root: &Path, files: &[PathBuf]) -> WorkspaceReport {
-    lint_files_with(root, files, 1)
-}
-
-/// Lints with a worker pool of `threads` (1 = serial). The per-file
-/// phase is pure and order-independent; results land in per-index
-/// slots, so the finalized report is byte-identical to a serial run.
-pub fn lint_files_with(root: &Path, files: &[PathBuf], threads: usize) -> WorkspaceReport {
-    let analyses: Vec<FileAnalysis> = if threads <= 1 || files.len() < 2 {
-        files.iter().map(|f| analyze_path(root, f)).collect()
-    } else {
-        let threads = threads.min(files.len());
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<FileAnalysis>>> =
-            Mutex::new((0..files.len()).map(|_| None).collect());
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= files.len() {
-                        break;
-                    }
-                    let a = analyze_path(root, &files[i]);
-                    if let Ok(mut s) = slots.lock() {
-                        s[i] = Some(a);
-                    }
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .unwrap_or_default()
-            .into_iter()
-            .enumerate()
-            .map(|(i, a)| {
-                a.unwrap_or_else(|| {
-                    // a poisoned slot (worker panicked) still yields a
-                    // deterministic report: re-run that file serially
-                    analyze_path(root, &files[i])
-                })
-            })
-            .collect()
-    };
-    finalize(analyses)
+    finalize(files.iter().map(|f| analyze_path(root, f)).collect())
 }
 
 #[cfg(test)]

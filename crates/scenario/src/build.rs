@@ -32,18 +32,6 @@ pub(crate) fn spec_u32(field: &str, v: u64) -> Result<u32, SpecError> {
     u32::try_from(v).map_err(|_| SpecError::new(field, format!("{v} exceeds 2^32 - 1")))
 }
 
-/// Resolves a thread-count setting: `0` means auto — the machine's
-/// available parallelism (1 if it cannot be queried). Any other value
-/// passes through, so the resolved count is always at least 1 and the
-/// engine config never sees the sentinel.
-pub fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    }
-}
-
 /// Building reuses the spec-validation error type: every failure names
 /// the spec field that caused it.
 pub type BuildError = SpecError;
@@ -128,8 +116,10 @@ impl ScenarioSpec {
             stop_at_fraction: self.sim.stop_at_fraction,
             removal_rate: self.sim.removal_rate,
             rng_seed: self.sim.rng_seed,
-            threads: resolve_threads(spec_usize("sim.threads", self.sim.threads)?),
-            trace: self.sim.trace,
+            // run options, not spec fields: `run_spec` sets both from
+            // its RunContext
+            threads: 1,
+            trace: false,
         };
 
         Ok(Outbreak {

@@ -102,7 +102,7 @@ mod tests {
 
     #[test]
     fn exit_codes_split_usage_from_runtime() {
-        let spec: HotspotsError = SpecError::new("sim.threads", "too large").into();
+        let spec: HotspotsError = SpecError::new("sim.seeds", "too large").into();
         assert_eq!(spec.exit_code(), 2);
         assert_eq!(HotspotsError::worker("a sweep").exit_code(), 1);
         let io = HotspotsError::Io {

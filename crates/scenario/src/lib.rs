@@ -26,11 +26,11 @@ pub mod run;
 pub mod spec;
 pub mod value;
 
-pub use build::{resolve_threads, BuildError};
+pub use build::BuildError;
 pub use cli::{parse_flags, usage, ArgError, FlagSpec, ParsedArgs, Scale};
 pub use error::HotspotsError;
 pub use registry::{find_preset, presets, Preset};
-pub use run::{fold_sim_result, run_spec, Outcome, RunContext, RunSet, ScenarioRun};
+pub use run::{fold_sim_result, run_spec, Outcome, RunContext, ScenarioRun};
 pub use spec::{
     DetectionParams, EnvSpec, FaultsSpec, MetaSpec, PopSpec, ScenarioSpec, SimSpec, SpecError,
     StudySpec, SweepSpec, TelescopeSpec, WormSpec,

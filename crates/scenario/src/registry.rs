@@ -580,7 +580,7 @@ static PRESETS: [Preset; 23] = [
         name: "bench-hitlist",
         artifact: "BENCH",
         scenario: "bench-hitlist",
-        title: "hit-list outbreak, 5k hosts / 100 s (Criterion workload)",
+        title: "hit-list outbreak, 5k hosts / 100 s",
         paper: "engine throughput workload (BENCH_engine.json; no paper artifact)",
         family: "bench",
         spec_fn: |scale| {

@@ -8,6 +8,7 @@
 //! [`Outcome`] carries the raw results for the presentation layer in
 //! `hotspots-experiments`.
 
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -37,24 +38,23 @@ use hotspots_telescope::{DetectorField, SensorMode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::build::{resolve_threads, spec_u32, spec_usize};
+use crate::build::{spec_u32, spec_usize};
 use crate::error::HotspotsError;
 use crate::spec::{parse_ip, DetectionParams, ScenarioSpec, SpecError, StudySpec};
 
-/// Front-end context for a run: the binary name stamped into the run
-/// report and an optional worker-thread override.
+/// How a front-end runs a spec: the binary name stamped into the run
+/// report, and the run options a spec does not hold — the worker-thread
+/// count and span tracing. Neither option changes a result.
 #[derive(Debug, Clone)]
 pub struct RunContext {
     /// The `binary` field of the emitted run report.
     pub binary: String,
-    /// Worker threads: overrides `sim.threads` on the engine path and
-    /// the sweep pool size on the study path. `None` = the spec's value
-    /// (engine) / all cores (sweeps). `Some(0)` = auto: resolve to the
-    /// machine's available parallelism and record the resolved count in
-    /// the report.
+    /// Worker threads: the engine's shards on the engine path, the run
+    /// set's workers on the study path. `None` keeps the defaults (a
+    /// serial engine; a study on all cores); `Some(0)` means all cores.
+    /// Results are bit-identical at any count, so no report records it.
     pub threads: Option<usize>,
-    /// Force span tracing on for engine runs (as if the spec had
-    /// `sim.trace = true`). Used by `hotspots profile`.
+    /// Record a span trace of an engine run. Used by `hotspots profile`.
     pub trace: bool,
 }
 
@@ -68,7 +68,7 @@ impl RunContext {
         }
     }
 
-    /// Overrides the worker-thread count (`0` = auto).
+    /// Overrides the worker-thread count (`0` = all cores).
     pub fn with_threads(mut self, threads: usize) -> RunContext {
         self.threads = Some(threads);
         self
@@ -78,6 +78,18 @@ impl RunContext {
     pub fn with_trace(mut self) -> RunContext {
         self.trace = true;
         self
+    }
+
+    /// The worker-thread count a run of `spec` uses under this context
+    /// (at least 1): the one place a thread count is decided.
+    pub fn threads_for(&self, spec: &ScenarioSpec) -> usize {
+        let all_cores = || std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        match self.threads {
+            Some(0) => all_cores(),
+            Some(threads) => threads,
+            None if spec.study.is_some() => all_cores(),
+            None => 1,
+        }
     }
 }
 
@@ -321,34 +333,16 @@ fn fold_ledger(report: &mut ReportBuilder, ledger: &DeliveryLedger) {
 /// workers. Jobs must be independently seeded (as every sweep behind
 /// [`run_spec`] is); `RunSet` adds no randomness of its own.
 #[derive(Debug, Clone, Copy)]
-pub struct RunSet {
+pub(crate) struct RunSet {
     threads: usize,
 }
 
-impl Default for RunSet {
-    fn default() -> RunSet {
-        RunSet::new()
-    }
-}
-
 impl RunSet {
-    /// A run set using all available cores.
-    pub fn new() -> RunSet {
-        RunSet {
-            threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        }
-    }
-
-    /// A run set with an explicit worker count (at least 1).
-    pub fn with_threads(threads: usize) -> RunSet {
+    /// A run set with `threads` workers (at least 1).
+    pub(crate) fn new(threads: usize) -> RunSet {
         RunSet {
             threads: threads.max(1),
         }
-    }
-
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Runs `job` over every input, in parallel, returning the results
@@ -363,7 +357,7 @@ impl RunSet {
     /// # Panics
     ///
     /// Propagates a panic from any job when the worker scope joins.
-    pub fn run<I, R, F>(&self, inputs: Vec<I>, job: F) -> Result<Vec<R>, HotspotsError>
+    pub(crate) fn run<I, R, F>(&self, inputs: Vec<I>, job: F) -> Result<Vec<R>, HotspotsError>
     where
         I: Send,
         R: Send,
@@ -423,36 +417,23 @@ pub fn run_spec(spec: &ScenarioSpec, ctx: &RunContext) -> Result<ScenarioRun, Ho
     if let Some(scale) = &spec.meta.scale {
         report.config("scale", scale);
     }
-    let runset = match ctx.threads {
-        // 0 = auto, same as no override: all cores.
-        Some(0) | None => RunSet::new(),
-        Some(t) => RunSet::with_threads(t),
-    };
+    let threads = ctx.threads_for(spec);
     let outcome = match &spec.study {
-        None => run_engine(spec, ctx, &mut report)?,
-        Some(study) => run_study(study, &runset, &mut report)?,
+        None => run_engine(spec, threads, ctx.trace, &mut report)?,
+        Some(study) => run_study(study, &RunSet::new(threads), &mut report)?,
     };
     Ok(ScenarioRun { report, outcome })
 }
 
 fn run_engine(
     spec: &ScenarioSpec,
-    ctx: &RunContext,
+    threads: usize,
+    trace: bool,
     report: &mut ReportBuilder,
 ) -> Result<Outcome, HotspotsError> {
     let mut outbreak = spec.build()?;
-    // `threads = 0` (spec or context) means auto. `build()` already
-    // resolved a spec-level 0, so the engine only ever sees a concrete
-    // count; remember the resolution so the report can record what
-    // actually ran (a report must replay without re-querying the host).
-    let mut auto_threads = (spec.sim.threads == 0).then_some(outbreak.config.threads);
-    if let Some(threads) = ctx.threads {
-        outbreak.config.threads = resolve_threads(threads);
-        auto_threads = (threads == 0).then_some(outbreak.config.threads);
-    }
-    if ctx.trace {
-        outbreak.config.trace = true;
-    }
+    outbreak.config.threads = threads;
+    outbreak.config.trace = trace;
     report
         .config("worm", outbreak.worm.name())
         .config("hosts", outbreak.population.len())
@@ -460,12 +441,6 @@ fn run_engine(
         .config("seeds", outbreak.config.seeds)
         .config("max_time", outbreak.config.max_time)
         .config("rng_seed", outbreak.config.rng_seed);
-    if let Some(resolved) = auto_threads {
-        // Recorded only when auto-resolved: explicit thread counts are
-        // a pure throughput knob and keep reports byte-stable across
-        // machines, but an auto run must disclose what it resolved to.
-        report.config("threads", resolved);
-    }
     if let Some(det) = &outbreak.detector {
         report.config("sensors", det.len());
     }
@@ -1000,16 +975,16 @@ mod tests {
 
     #[test]
     fn run_set_preserves_input_order() {
-        let set = RunSet::with_threads(4);
+        let set = RunSet::new(4);
         let out = set.run((0..64).collect(), |i| i * 2).expect("runs");
         assert_eq!(out, (0..64).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn run_set_single_thread_and_empty_inputs() {
-        let out = RunSet::with_threads(1).run(vec![3, 1], |i| i + 1).unwrap();
+        let out = RunSet::new(1).run(vec![3, 1], |i| i + 1).unwrap();
         assert_eq!(out, [4, 2]);
-        let empty: Vec<i32> = RunSet::with_threads(8).run(Vec::new(), |i: i32| i).unwrap();
+        let empty: Vec<i32> = RunSet::new(8).run(Vec::new(), |i: i32| i).unwrap();
         assert!(empty.is_empty());
     }
 
@@ -1099,7 +1074,8 @@ mod tests {
             .expect("runs")
             .report
             .build();
-        for threads in [2, 4] {
+        // 0 = all cores; no count, resolved or not, enters the report
+        for threads in [0, 2, 4] {
             let report = run_spec(&spec, &RunContext::new("t").with_threads(threads))
                 .expect("runs")
                 .report
@@ -1111,42 +1087,20 @@ mod tests {
     }
 
     #[test]
-    fn auto_threads_records_resolved_count() {
-        // threads = 0 (spec or CLI override) resolves to the machine's
-        // available parallelism, and the report must disclose the
-        // resolved count — never the 0 sentinel. Explicit counts record
-        // nothing, keeping reports byte-stable across machines.
-        let threads_entry = |report: &hotspots_telemetry::RunReport| {
-            report
-                .config
-                .iter()
-                .find(|(k, _)| k == "threads")
-                .map(|(_, v)| v.clone())
-        };
-        let spec = tiny_engine_spec();
-        let base = run_spec(&spec, &RunContext::new("t"))
-            .expect("runs")
-            .report
-            .build();
-        assert_eq!(threads_entry(&base), None);
-
-        let auto = run_spec(&spec, &RunContext::new("t").with_threads(0))
-            .expect("runs")
-            .report
-            .build();
-        let resolved = threads_entry(&auto).expect("auto run records threads");
-        assert!(resolved.parse::<usize>().expect("count") >= 1);
-        assert_eq!(auto.probes_sent, base.probes_sent);
-        assert_eq!(auto.infections, base.infections);
-
-        let mut spec_auto = tiny_engine_spec();
-        spec_auto.sim.threads = 0;
-        let from_spec = run_spec(&spec_auto, &RunContext::new("t"))
-            .expect("runs")
-            .report
-            .build();
-        assert_eq!(threads_entry(&from_spec), Some(resolved));
-        assert_eq!(from_spec.probes_sent, base.probes_sent);
+    fn the_context_alone_decides_the_thread_count() {
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let engine = tiny_engine_spec();
+        let mut study = ScenarioSpec::named("study");
+        study.study = Some(StudySpec::SlammerHosts {
+            probes_per_host: 10,
+        });
+        let ctx = RunContext::new("t");
+        assert_eq!(ctx.threads_for(&engine), 1);
+        assert_eq!(ctx.threads_for(&study), cores);
+        for spec in [&engine, &study] {
+            assert_eq!(ctx.clone().with_threads(0).threads_for(spec), cores);
+            assert_eq!(ctx.clone().with_threads(3).threads_for(spec), 3);
+        }
     }
 
     #[test]

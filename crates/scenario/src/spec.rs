@@ -61,16 +61,19 @@ pub struct ScenarioSpec {
     pub meta: MetaSpec,
     /// The worm targeting model (engine path only).
     pub worm: Option<WormSpec>,
-    /// The network environment. Defaults to a lossless direct internet.
+    /// The network environment (engine path only). Defaults to a
+    /// lossless direct internet.
     pub environment: EnvSpec,
-    /// Scheduled environmental faults. Defaults to none.
+    /// Scheduled environmental faults (engine path only). Defaults to
+    /// none.
     pub faults: FaultsSpec,
     /// The vulnerable population (engine path only).
     pub population: Option<PopSpec>,
-    /// The telescope deployment observing the outbreak.
+    /// The telescope deployment observing the outbreak (engine path
+    /// only).
     pub telescope: TelescopeSpec,
-    /// Engine configuration (ignored on the study path, which carries
-    /// its own timing parameters).
+    /// Engine configuration (engine path only; a study carries its own
+    /// timing parameters).
     pub sim: SimSpec,
     /// A figure/table study (study path only).
     pub study: Option<StudySpec>,
@@ -281,9 +284,12 @@ pub enum PlacementSpec {
     },
 }
 
-/// Engine configuration; mirrors [`hotspots_sim::SimConfig`] field for
-/// field, except `stop_at_fraction` defaults to `None` (a spec says so
-/// explicitly when it wants early stopping).
+/// The outbreak's model parameters: the fields of
+/// [`hotspots_sim::SimConfig`] that change a result. `stop_at_fraction`
+/// defaults to `None` (a spec says so explicitly when it wants early
+/// stopping). How a run executes — its thread count and span tracing —
+/// is not part of the scenario: it comes from the
+/// [`RunContext`](crate::run::RunContext).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimSpec {
     /// Mean probes per second per infected host.
@@ -302,14 +308,6 @@ pub struct SimSpec {
     pub removal_rate: f64,
     /// Master seed.
     pub rng_seed: u64,
-    /// Probe-phase worker threads. `0` means auto: resolve to the
-    /// machine's available parallelism at build time (the run report
-    /// records the resolved count, never the `0`).
-    pub threads: u64,
-    /// Record a span trace of the run. Off by default; `hotspots
-    /// profile` turns it on per run. Phase timing is collected either
-    /// way.
-    pub trace: bool,
 }
 
 impl Default for SimSpec {
@@ -323,8 +321,6 @@ impl Default for SimSpec {
             stop_at_fraction: None,
             removal_rate: 0.0,
             rng_seed: 0x4d53_2006,
-            threads: 1,
-            trace: false,
         }
     }
 }
@@ -685,7 +681,10 @@ impl ScenarioSpec {
     }
 
     /// Serializes to the generic value tree (tables keep scalar keys
-    /// before sub-tables so TOML emission is stable).
+    /// before sub-tables so TOML emission is stable). A section at its
+    /// default is omitted, except that an engine spec always spells out
+    /// its `[sim]`; so a valid study spec emits only `[meta]`, `[study]`
+    /// and `[sweep]`.
     pub fn to_value(&self) -> Value {
         let mut root = Value::table();
         root.set("meta", meta_to_value(&self.meta));
@@ -706,7 +705,9 @@ impl ScenarioSpec {
         if self.telescope != TelescopeSpec::None {
             root.set("telescope", telescope_to_value(&self.telescope));
         }
-        root.set("sim", sim_to_value(&self.sim));
+        if self.study.is_none() || self.sim != SimSpec::default() {
+            root.set("sim", sim_to_value(&self.sim));
+        }
         if let Some(study) = &self.study {
             root.set("study", study_to_value(study));
         }
@@ -851,10 +852,19 @@ impl ScenarioSpec {
                 }
             }
             (None, Some(_)) => {
-                if self.population.is_some() {
+                // A study builds its own population, network and timing,
+                // so an engine section would be ignored yet still hashed.
+                let engine_sections = [
+                    ("population", self.population.is_some()),
+                    ("environment", self.environment != EnvSpec::default()),
+                    ("faults", self.faults != FaultsSpec::default()),
+                    ("telescope", self.telescope != TelescopeSpec::None),
+                    ("sim", self.sim != SimSpec::default()),
+                ];
+                if let Some((section, _)) = engine_sections.iter().find(|(_, set)| *set) {
                     return Err(SpecError::new(
-                        "population",
-                        "study scenarios define their own population; remove [population]",
+                        *section,
+                        format!("a study scenario reads only [study]; remove [{section}]"),
                     ));
                 }
             }
@@ -1217,11 +1227,6 @@ fn sim_to_value(sim: &SimSpec) -> Value {
     }
     t.set("removal_rate", Value::Float(sim.removal_rate));
     t.set("rng_seed", int(sim.rng_seed));
-    t.set("threads", int(sim.threads));
-    // Emitted only when on: keeps existing pinned spec files byte-stable.
-    if sim.trace {
-        t.set("trace", Value::Bool(true));
-    }
     t
 }
 
@@ -1237,8 +1242,6 @@ fn sim_from_value(v: &Value) -> Result<SimSpec, SpecError> {
         stop_at_fraction: f.opt_f64("stop_at_fraction")?,
         removal_rate: f.f64_or("removal_rate", d.removal_rate)?,
         rng_seed: f.u64_or("rng_seed", d.rng_seed)?,
-        threads: f.u64_or("threads", d.threads)?,
-        trace: f.bool_or("trace", d.trace)?,
     };
     f.finish()?;
     Ok(sim)
@@ -1959,8 +1962,6 @@ fn validate_sim(sim: &SimSpec) -> Result<(), SpecError> {
     if sim.removal_rate < 0.0 || !sim.removal_rate.is_finite() {
         return Err(SpecError::new("sim.removal_rate", "must be non-negative"));
     }
-    // sim.threads = 0 is legal: "auto", resolved to the machine's
-    // available parallelism when the engine config is built.
     Ok(())
 }
 
@@ -2232,21 +2233,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_threads_spec_round_trips() {
-        // sim.threads = 0 is the "auto" sentinel: it must validate and
-        // survive serialization as the literal 0 — resolution to a
-        // concrete count happens at build time, never in the spec.
-        let mut spec = engine_spec();
-        spec.sim.threads = 0;
-        spec.validate().expect("0 = auto is valid");
-        let back = ScenarioSpec::from_toml(&spec.to_toml()).expect("parses");
-        assert_eq!(back.sim.threads, 0);
-        assert_eq!(spec, back);
-        let back = ScenarioSpec::from_json(&spec.to_json()).expect("parses");
-        assert_eq!(back.sim.threads, 0);
-    }
-
-    #[test]
     fn json_round_trips() {
         for spec in [engine_spec(), study_spec()] {
             let back = ScenarioSpec::from_json(&spec.to_json()).expect("parses");
@@ -2288,11 +2274,21 @@ mod tests {
 
     #[test]
     fn unknown_keys_are_named() {
-        let mut toml = engine_spec().to_toml();
-        toml.push_str("\n[sim]\nscna_rate = 3.0\n");
-        // Re-declaring [sim] replaces it; the typo key must be reported.
-        let err = ScenarioSpec::from_toml(&toml).unwrap_err();
-        assert_eq!(err.field, "sim.scna_rate");
+        // a typo, and the run options a spec does not hold: the thread
+        // count and tracing come from the run context
+        for (key, value) in [
+            ("scna_rate", Value::Float(3.0)),
+            ("threads", Value::Int(1)),
+            ("trace", Value::Bool(true)),
+        ] {
+            let path = format!("sim.{key}");
+            let mut tree = engine_spec().to_value();
+            tree.set_path(&path, value.clone()).expect("sim is a table");
+            let err = ScenarioSpec::from_toml(&value::to_toml(&tree)).unwrap_err();
+            assert_eq!(err.field, path);
+            let err = ScenarioSpec::from_json(&value::to_json(&tree)).unwrap_err();
+            assert_eq!(err.field, path);
+        }
     }
 
     #[test]
@@ -2324,6 +2320,32 @@ mod tests {
 
         let neither = ScenarioSpec::named("empty");
         assert_eq!(neither.validate().unwrap_err().field, "worm");
+
+        // a study reads only [study]: each engine section is named
+        let engine = engine_spec();
+        let mut with_sim = study_spec();
+        with_sim.sim.seeds = 7;
+        let mut with_environment = study_spec();
+        with_environment.environment.loss = Some(0.9);
+        let mut with_faults = study_spec();
+        with_faults.faults = engine.faults.clone();
+        let mut with_telescope = study_spec();
+        with_telescope.telescope = engine.telescope.clone();
+        let mut with_population = study_spec();
+        with_population.population = engine.population.clone();
+        for (spec, section) in [
+            (with_sim, "sim"),
+            (with_environment, "environment"),
+            (with_faults, "faults"),
+            (with_telescope, "telescope"),
+            (with_population, "population"),
+        ] {
+            assert_eq!(spec.validate().unwrap_err().field, section);
+            // the section survives serialization, so the text fails too
+            let err = ScenarioSpec::from_toml(&spec.to_toml()).unwrap_err();
+            assert_eq!(err.field, section);
+        }
+        assert!(!study_spec().to_toml().contains("[sim]"));
     }
 
     #[test]

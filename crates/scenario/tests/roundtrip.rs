@@ -195,8 +195,6 @@ fn arb_sim(rng: &mut StdRng) -> SimSpec {
         stop_at_fraction: rng.gen_bool(0.5).then(|| rng.gen_range(0.05..1.0)),
         removal_rate: rng.gen_range(0.0..0.1),
         rng_seed: arb_seed(rng),
-        threads: rng.gen_range(1u64..=8),
-        trace: rng.gen_bool(0.25),
     }
 }
 
@@ -286,9 +284,12 @@ fn arb_study(rng: &mut StdRng) -> StudySpec {
     }
 }
 
-fn arb_sweep(rng: &mut StdRng) -> SweepSpec {
+/// A sweep over a path the spec emits: `[sim]` on the engine path, and
+/// `meta.name` on either (a study spec has no `[sim]`).
+fn arb_sweep(rng: &mut StdRng, engine: bool) -> SweepSpec {
     let n = rng.gen_range(1usize..=4);
-    let (param, values): (&str, Vec<Value>) = match rng.gen_range(0u32..3) {
+    let axis = if engine { rng.gen_range(0u32..3) } else { 2 };
+    let (param, values): (&str, Vec<Value>) = match axis {
         0 => (
             "sim.scan_rate",
             (0..n)
@@ -302,11 +303,8 @@ fn arb_sweep(rng: &mut StdRng) -> SweepSpec {
                 .collect(),
         ),
         _ => (
-            // always present: the sim table is emitted on both paths
-            "sim.threads",
-            (0..n)
-                .map(|_| Value::Int(rng.gen_range(1i64..=8)))
-                .collect(),
+            "meta.name",
+            (0..n).map(|i| Value::Str(format!("point-{i}"))).collect(),
         ),
     };
     SweepSpec {
@@ -341,7 +339,7 @@ fn arb_spec(seed: u64) -> ScenarioSpec {
         spec.study = Some(arb_study(rng));
     }
     if rng.gen_bool(0.3) {
-        spec.sweep = Some(arb_sweep(rng));
+        spec.sweep = Some(arb_sweep(rng, spec.study.is_none()));
     }
     spec
 }
@@ -477,33 +475,33 @@ fn every_preset_round_trips_at_both_scales() {
 /// one byte of canonical TOML orphans every stored entry; these values
 /// pin the address across such changes.
 const PRESET_CONTENT_HASHES: &[(&str, u64, u64)] = &[
-    ("fig1", 0x21c7663c3bbf4489, 0x95f3b2e5a59b4add),
-    ("fig2", 0xa728f98294fbc761, 0xd8f2f32af79eb460),
-    ("fig3", 0xfa6549563cb63efd, 0x63dcd023131160da),
-    ("fig4", 0x2258e3b9778fe26c, 0x9e2550f60c3b2f6f),
-    ("fig5ab", 0x67df8b50d71071ea, 0x36ea82f69cc102d6),
-    ("fig5c", 0x56614f7e354612b0, 0x8ca9adfca950d886),
-    ("table1", 0xe8c948cec8946ffc, 0xab85ce1c113572cb),
-    ("table2", 0x14403f7f9c10625d, 0x1f8db48301520c17),
-    ("ablations", 0x1b84e68b3e798e0d, 0xbcd52b54b6423a07),
-    ("sensitivity", 0x9b5807f5105a08c4, 0x346750d6585d150a),
-    ("fig5-outage", 0xf3e037ddd1806dfa, 0x4b078184d87f72a6),
-    ("xmode-uniform", 0x91c735494a8841d6, 0x0733cbed17a42927),
-    ("xmode-blaster", 0x2a43b6b0ef82b34c, 0x62d8fb7b2da91a3b),
-    ("xmode-slammer", 0x7d564f7dd6133a9a, 0xcb1825911b15b3f5),
-    ("xmode-codered2-nat", 0xf747d2be4ff9e246, 0x1c3f7811d46e6189),
-    ("xmode-hitlist", 0x374adf6a6b3641c5, 0xef4fec0905b0f518),
+    ("fig1", 0xf024c355c86420f9, 0x2593a63225cb2655),
+    ("fig2", 0xe4853685880076b9, 0x1bfdd7ac7edd4860),
+    ("fig3", 0xb6ca68974781f375, 0x71c82dac14314f92),
+    ("fig4", 0x4d7b2765b8943794, 0x1b238ac337fb8c9f),
+    ("fig5ab", 0x8f2b4deab9b18632, 0x2df20e710f6156ce),
+    ("fig5c", 0xdba17d3f9225b680, 0x47d88ae233fd205e),
+    ("table1", 0x9b2c7c7c85976b98, 0xfbbe95fd9e4de15f),
+    ("table2", 0x2ec54a83a9e27f85, 0x0b4c8054663233af),
+    ("ablations", 0x7d61ca64f6b4de91, 0x484001eb1ff5d03b),
+    ("sensitivity", 0xa01e29b4e269a8c4, 0x220ce26e75ddca7a),
+    ("fig5-outage", 0x30989230ef872b43, 0xbb05e3e2ce150f3f),
+    ("xmode-uniform", 0x67faba3425fa01cf, 0x9e3f6c7e3768bb3e),
+    ("xmode-blaster", 0xf3fe127cbd1ff159, 0x04547ab98c4ea242),
+    ("xmode-slammer", 0x54d123e2f3bf9e23, 0xa01da7351ce1ff08),
+    ("xmode-codered2-nat", 0x38330cc9f5369f1f, 0x801801dfe01cf6ac),
+    ("xmode-hitlist", 0x0490fcbaf1b76678, 0x1aa1c95c143fac65),
     (
         "xmode-hitlist-latency",
-        0x4b3095a16e9380b6,
-        0x7a6dd845ff5f5d09,
+        0x25094c92a6d3a9ef,
+        0x8c77c4b58f948a2c,
     ),
-    ("xmode-outage", 0x85eef58948058cdd, 0xcdbc69a85def44ca),
-    ("xmode-blackhole", 0xf3dc5a414421747e, 0x4a0c3e15908c6757),
-    ("fig2-million", 0x9573ad7b0051eeec, 0xfe3fee5431c0c548),
-    ("bench-hitlist", 0x5e50d8e75d56bee6, 0x6f7c143b6423f4cb),
-    ("bench-slammer", 0x91a88e9cef636e5e, 0x07e296469b764e62),
-    ("bench-million", 0x0f566a0536462f5e, 0xf1e140e566a6e709),
+    ("xmode-outage", 0x44d69a4bc14f4060, 0x06bf1d4adabd9073),
+    ("xmode-blackhole", 0x384c47b9cc8d0dc7, 0x4a7748089932934e),
+    ("fig2-million", 0x62a4a44688d7b839, 0xfd83a417a84f6ab5),
+    ("bench-hitlist", 0x37200ef1ec9f53da, 0xff2dc5d3d46e145d),
+    ("bench-slammer", 0x4a9b48b7c75cba67, 0x017ce515650df21b),
+    ("bench-million", 0x3edb0573e62bcb67, 0x3a77f9d0e7d7342c),
 ];
 
 #[test]

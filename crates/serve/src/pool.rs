@@ -126,7 +126,7 @@ pub struct RunPool {
 impl RunPool {
     /// Spawns `workers` named run workers sharing a queue bounded at
     /// `queue_depth` pending jobs; each run executes with `threads`
-    /// engine threads (0 = auto).
+    /// worker threads (0 = all cores).
     #[must_use]
     pub fn new(workers: usize, queue_depth: usize, threads: usize) -> RunPool {
         let (tx, rx) = sync_channel::<RunJob>(queue_depth);

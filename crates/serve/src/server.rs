@@ -35,7 +35,8 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Bound on queued (not yet running) jobs.
     pub queue_depth: usize,
-    /// Engine threads per run (0 = auto).
+    /// Worker threads per run, passed to its `RunContext` (0 = all
+    /// cores). Not part of any spec, so it never moves a cache key.
     pub threads: usize,
 }
 

@@ -14,7 +14,7 @@
 //! sibling and atomically renamed into place, so a crash mid-write
 //! leaves either the old bytes or the new bytes, never a torn file.
 //! The manifest leads with a version line
-//! (`{"kind":"serve_manifest","version":1}`) and is rewritten — also
+//! (`{"kind":"serve_manifest","version":2}`) and is rewritten — also
 //! atomically — on every mutation; entry count is bounded, so the
 //! rewrite is cheap.
 //!
@@ -32,8 +32,12 @@ use hotspots_scenario::HotspotsError;
 use hotspots_telemetry::hash::{format_hash, parse_hash};
 use hotspots_telemetry::json::{self, Json};
 
-/// The manifest schema version this build reads and writes.
-pub const MANIFEST_VERSION: u64 = 1;
+/// The manifest schema version this build reads and writes. Bumped
+/// whenever the canonical spec form changes, because every content
+/// address moves with it: version 1 caches hold specs with
+/// `sim.threads`, and on study specs engine sections, which no longer
+/// parse or hash the same.
+pub const MANIFEST_VERSION: u64 = 2;
 
 /// One cached entry: the spec's `meta.name` and its LRU stamp.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -370,16 +374,22 @@ mod tests {
 
     #[test]
     fn future_manifest_versions_are_rejected() {
-        let (dir, store) = temp_store("version", 2);
-        drop(store);
-        fs::write(
-            dir.join("manifest.jsonl"),
-            "{\"kind\":\"serve_manifest\",\"version\":999}\n",
-        )
-        .expect("write");
-        let err = ResultStore::open(&dir, 2).expect_err("version 999 must not open");
-        assert!(err.to_string().contains("999"), "{err}");
-        fs::remove_dir_all(&dir).ok();
+        // 1: a cache keyed by the older canonical spec form
+        for version in [1, 999] {
+            let (dir, store) = temp_store("version", 2);
+            drop(store);
+            fs::write(
+                dir.join("manifest.jsonl"),
+                format!("{{\"kind\":\"serve_manifest\",\"version\":{version}}}\n"),
+            )
+            .expect("write");
+            let err = ResultStore::open(&dir, 2).expect_err("another version must not open");
+            assert!(
+                err.to_string().contains(&format!("version {version}")),
+                "{err}"
+            );
+            fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ fn tiny_spec(n: u64) -> String {
     format!(
         "[meta]\nname = \"serve-test-{n}\"\n\n[worm]\nkind = \"uniform\"\n\n\
          [population]\nkind = \"range\"\nbase = \"10.0.0.0\"\ncount = 64\nstride = 1\n\n\
-         [sim]\nscan_rate = 10.0\nseeds = 2\ndt = 1.0\nmax_time = 5.0\nrng_seed = 7\nthreads = 1\n"
+         [sim]\nscan_rate = 10.0\nseeds = 2\ndt = 1.0\nmax_time = 5.0\nrng_seed = 7\n"
     )
 }
 
