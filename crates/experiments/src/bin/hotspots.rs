@@ -803,22 +803,16 @@ fn cmd_sweep(parsed: &ParsedArgs, scale: Scale, threads: Option<usize>) {
         Ok(axes) => axes,
         Err(e) => fail(&e),
     };
-    out(&spec_banner(&base, scale));
     let scenario = base
         .meta
         .scenario
         .clone()
         .unwrap_or_else(|| base.meta.name.clone());
+    // every point of every axis is built and validated before the first
+    // one runs, so a bad value fails the sweep up front
+    let mut points: Vec<Vec<ScenarioSpec>> = Vec::with_capacity(axes.len());
     for (param, values) in &axes {
-        out(&format!(
-            "\nsweeping {param} over {} values: {}\n\n",
-            values.len(),
-            values
-                .iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
+        let mut axis = Vec::with_capacity(values.len());
         for value in values {
             let mut tree = base.to_value();
             if let Err(e) = tree.set_path(param, value.clone()) {
@@ -834,9 +828,28 @@ fn cmd_sweep(parsed: &ParsedArgs, scale: Scale, threads: Option<usize>) {
             // one report per point, distinguished by the scenario label
             spec.meta.scenario = Some(format!("{scenario} [{param}={value}]"));
             spec.sweep = None;
+            if let Err(e) = spec.validate() {
+                fail(&e.into());
+            }
+            axis.push(spec);
+        }
+        points.push(axis);
+    }
+    out(&spec_banner(&base, scale));
+    for ((param, values), axis) in axes.iter().zip(&points) {
+        out(&format!(
+            "\nsweeping {param} over {} values: {}\n\n",
+            values.len(),
+            values
+                .iter()
+                .map(|v| v.to_string())
+                .collect::<Vec<_>>()
+                .join(", ")
+        ));
+        for (value, spec) in values.iter().zip(axis) {
             out(&format!(
                 "---- {param} = {value} ----\n{}\n",
-                run_and_render(&spec, threads)
+                run_and_render(spec, threads)
             ));
         }
     }

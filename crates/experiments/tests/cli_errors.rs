@@ -535,6 +535,49 @@ fn malformed_spec_files_are_usage_errors() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A sweep builds and validates every point of every axis before the
+/// first one runs: an invalid later value exits 2 with no point
+/// rendered and no run report printed.
+#[test]
+fn sweep_validates_every_point_before_the_first_run() {
+    let invocations: [&[&str]; 2] = [
+        &[
+            "sweep",
+            "xmode-uniform",
+            "--quick",
+            "--param",
+            "sim.seeds=2,0",
+        ],
+        &[
+            "sweep",
+            "xmode-uniform",
+            "--quick",
+            "--param",
+            "sim.seeds=2",
+            "--param",
+            "sim.seeds=0",
+        ],
+    ];
+    for args in invocations {
+        let out = Command::new(env!("CARGO_BIN_EXE_hotspots"))
+            .args(args)
+            .env_remove("HOTSPOTS_RUN_REPORT")
+            .output()
+            .expect("run hotspots");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}\nstderr:\n{stderr}");
+        assert!(
+            stderr.contains("sim.seeds: must be positive"),
+            "{args:?}\nstderr:\n{stderr}"
+        );
+        assert!(
+            !stdout.contains("---- sim.seeds = 2 ----") && !stdout.contains("run_report"),
+            "{args:?} ran a point before failing:\n{stdout}"
+        );
+    }
+}
+
 /// A reader that closes stdout early (`hotspots run fig2 | head -1`)
 /// ends the run quietly: no panic, and the run report still reaches
 /// the `--report` file.

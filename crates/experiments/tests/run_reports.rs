@@ -193,6 +193,21 @@ fn ablations_reports() {
     assert_engine_phases("ablations", &report);
 }
 
+/// An engine run times its build (population synthesis, host store,
+/// environment, worm) as the `build` phase, next to the engine's own.
+#[test]
+fn bench_million_reports_its_build_phase() {
+    let report = check("bench-million");
+    assert!(report.population >= 1_000_000, "{}", report.population);
+    assert_engine_phases("bench-million", &report);
+    let build = report.phases.iter().find(|(n, _)| n == "build");
+    assert!(
+        build.is_some_and(|&(_, secs)| secs > 0.0),
+        "bench-million: no timed build phase: {:?}",
+        report.phases
+    );
+}
+
 #[test]
 fn run_report_env_appends_jsonl() {
     let dir = std::env::temp_dir().join(format!("hotspots-run-reports-{}", std::process::id()));

@@ -33,7 +33,7 @@ use hotspots_sim::{
 };
 use hotspots_stats::CountHistogram;
 use hotspots_targeting::HitList;
-use hotspots_telemetry::{PhaseTimes, ReportBuilder};
+use hotspots_telemetry::{PhaseTimes, ReportBuilder, Timer};
 use hotspots_telescope::{DetectorField, SensorMode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -431,7 +431,10 @@ fn run_engine(
     trace: bool,
     report: &mut ReportBuilder,
 ) -> Result<Outcome, HotspotsError> {
+    // population synthesis, the host store, the environment and the worm
+    let build = Timer::start();
     let mut outbreak = spec.build()?;
+    report.add_phase_seconds("build", build.elapsed().as_secs_f64());
     outbreak.config.threads = threads;
     outbreak.config.trace = trace;
     report

@@ -619,9 +619,14 @@ pub fn synthetic_codered_population<R: Rng + ?Sized>(
 /// into a dedup set and stalls once a /8's chosen /16s approach
 /// saturation — this generator apportions counts up front (largest
 /// shares first, capacity-capped), sizes each /8's /16 count to keep
-/// fill below ~35%, and draws distinct host offsets by
-/// sampling-without-replacement. It is exact and O(n · log n), so it
-/// synthesizes 1M+ hosts in well under a second.
+/// fill below ~35%, and draws distinct host offsets without
+/// replacement. Every /16's offsets come from one reused 65,536-slot
+/// draw table (a dense partial Fisher–Yates), set bits in one
+/// 65,536-bit bitmap, and are emitted by walking its set bits straight
+/// into the /16's precomputed place in the output. The
+/// /8s' and /16s' places follow from the shares and the drawn /16
+/// numbers alone, so nothing is sorted or hashed per host: the work is
+/// linear in `n` plus 1,024 bitmap words per /16.
 ///
 /// Returned addresses are globally routable, deduplicated by
 /// construction, and sorted ascending — exactly the canonical input
@@ -683,7 +688,19 @@ pub fn zipf_slash8_population<R: Rng + ?Sized>(n: usize, slash8s: usize, rng: &m
     // target (so distinct-offset sampling has room), at least 4 when
     // the /8 holds enough hosts to spread.
     const SLASH16_LOAD: f64 = 0.35;
-    let mut out: Vec<Ip> = Vec::with_capacity(n);
+
+    // Hosts come out ascending, so a /8's hosts start after those of
+    // every lower /8, and a /16's after those of every lower /16 in its
+    // /8: each place is a prefix sum of counts indexed by octet.
+    let mut slash8_start = [0usize; 256];
+    for (&octet, &share) in first_octets.iter().zip(&shares) {
+        slash8_start[usize::from(octet)] = share;
+    }
+    counts_to_starts(&mut slash8_start, 0);
+
+    let mut out = vec![Ip::new(0); n];
+    let mut table = OffsetTable::new();
+    let mut bits = [0u64; 1 << 10];
     for (&octet, &share) in first_octets.iter().zip(&shares) {
         if share == 0 {
             continue;
@@ -693,23 +710,102 @@ pub fn zipf_slash8_population<R: Rng + ?Sized>(n: usize, slash8s: usize, rng: &m
         let seconds = rand::seq::index::sample(rng, 256, slash16s);
         let base = share / slash16s;
         let extra = share % slash16s;
+        let hosts_in = |j: usize| base + usize::from(j < extra);
+        let mut slash16_start = [0usize; 256];
         for (j, second) in seconds.iter().enumerate() {
-            let count = base + usize::from(j < extra);
+            slash16_start[second] = hosts_in(j);
+        }
+        counts_to_starts(&mut slash16_start, slash8_start[usize::from(octet)]);
+        for (j, second) in seconds.iter().enumerate() {
+            let count = hosts_in(j);
             if count == 0 {
                 continue;
             }
-            for offset in rand::seq::index::sample(rng, 1 << 16, count).iter() {
-                out.push(Ip::from_octets(
-                    octet,
-                    second as u8,
-                    (offset >> 8) as u8,
-                    (offset & 0xff) as u8,
-                ));
+            for &offset in table.draw(rng, count) {
+                bits[usize::from(offset >> 6)] |= 1 << (offset & 63);
+            }
+            let prefix = (u32::from(octet) << 24) | ((second as u32) << 16);
+            let mut place = slash16_start[second];
+            for (w, word) in bits.iter_mut().enumerate() {
+                let mut set = std::mem::take(word);
+                while set != 0 {
+                    out[place] = Ip::new(prefix | ((w as u32) << 6) | set.trailing_zeros());
+                    place += 1;
+                    set &= set - 1;
+                }
             }
         }
     }
-    out.sort_unstable();
     out
+}
+
+/// Turns per-octet host counts into each octet's first output place,
+/// the places counted from `first`.
+fn counts_to_starts(counts: &mut [usize; 256], first: usize) {
+    let mut next = first;
+    for place in counts {
+        let hosts = *place;
+        *place = next;
+        next += hosts;
+    }
+}
+
+/// A reusable table of the 65,536 offsets in a /16 (or in the shared
+/// `192.168/16` realm), from which [`OffsetTable::draw`] takes distinct
+/// offsets by a dense partial Fisher–Yates.
+///
+/// A draw makes the same `gen_range` calls and returns the same offsets
+/// in the same order as `rand::seq::index::sample(rng, 1 << 16,
+/// count)`, which runs the same shuffle over a hash map of the swapped
+/// positions; here every swap is two array writes.
+struct OffsetTable {
+    /// A permutation of `0..=u16::MAX`, the identity but for the last
+    /// draw's swaps; its first `drawn` slots hold that draw.
+    slots: Vec<u16>,
+    drawn: usize,
+}
+
+impl OffsetTable {
+    const LEN: usize = 1 << 16;
+
+    fn new() -> OffsetTable {
+        OffsetTable {
+            slots: (0..=u16::MAX).collect(),
+            drawn: 0,
+        }
+    }
+
+    /// Draws `count` distinct offsets, returned in draw order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` exceeds 65,536.
+    fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R, count: usize) -> &[u16] {
+        assert!(count <= Self::LEN, "cannot draw {count} of 65,536 offsets");
+        self.reset();
+        for i in 0..count {
+            let j = rng.gen_range(i..Self::LEN);
+            self.slots.swap(i, j);
+        }
+        self.drawn = count;
+        &self.slots[..count]
+    }
+
+    /// Restores the identity in O(last draw). A slot at or past `drawn`
+    /// was ever swapped only if its own offset was drawn, so only the
+    /// drawn offsets and the first `drawn` slots need rewriting.
+    fn reset(&mut self) {
+        let drawn = std::mem::take(&mut self.drawn);
+        for i in 0..drawn {
+            let offset = self.slots[i];
+            if usize::from(offset) >= drawn {
+                self.slots[usize::from(offset)] = offset;
+            }
+        }
+        for (i, slot) in self.slots[..drawn].iter_mut().enumerate() {
+            *slot = i as u16;
+        }
+    }
 }
 
 /// The /8s [`paper_codered_population`] deals its /16s into.
@@ -910,15 +1006,18 @@ pub fn apply_nat_shared<R: Rng + ?Sized>(
             .expect("documentation gateway is public"), // hotspots-lint: allow(panic-path) reason="documentation gateway is public"
     );
     // distinct private addresses without replacement
-    let slots = rand::seq::index::sample(rng, SHARED_REALM_CAPACITY, count);
-    let mut slot_iter = slots.iter();
+    let mut table = OffsetTable::new();
+    let slots = table.draw(rng, count);
+    let mut next = 0;
     Ok(public_addrs
         .iter()
         .zip(selected)
         .map(|(&ip, natted)| {
             if natted {
-                let slot = slot_iter.next().expect("one slot per NATed host") as u32; // hotspots-lint: allow(panic-path) reason="one slot per NATed host"
-                let private = Ip::from_octets(192, 168, (slot >> 8) as u8, (slot & 0xff) as u8);
+                // `count` slots, one per NATed host, in draw order
+                let [hi, lo] = slots[next].to_be_bytes();
+                next += 1;
+                let private = Ip::from_octets(192, 168, hi, lo);
                 Locus::Private { realm, ip: private }
             } else {
                 Locus::Public(ip)
@@ -1289,7 +1388,149 @@ mod tests {
         assert_eq!(subs[0].to_string(), "10.1.0.0/16");
     }
 
+    /// `zipf_slash8_population` as it was written before the draw table:
+    /// `index::sample` per /16, then one sort over every host.
+    fn zipf_reference(n: usize, slash8s: usize, rng: &mut StdRng) -> Vec<Ip> {
+        let mut first_octets: Vec<u8> = (1u8..224)
+            .filter(|&o| special::is_globally_routable(Ip::from_octets(o, 1, 0, 0)))
+            .collect();
+        first_octets.shuffle(rng);
+        first_octets.truncate(slash8s);
+        let slash8s = first_octets.len();
+        const SLASH8_CAP: usize = 256 * 65_536;
+        let weights: Vec<f64> = (0..slash8s)
+            .map(|i| 1.0 / ((i + 1) as f64).powf(1.9))
+            .collect();
+        let total_weight: f64 = weights.iter().sum();
+        let mut shares: Vec<usize> = weights
+            .iter()
+            .map(|w| (((n as f64) * w / total_weight) as usize).min(SLASH8_CAP))
+            .collect();
+        let mut assigned: usize = shares.iter().sum();
+        let mut i = 0usize;
+        while assigned < n {
+            if shares[i] < SLASH8_CAP {
+                shares[i] += 1;
+                assigned += 1;
+            }
+            i = (i + 1) % slash8s;
+        }
+        let mut out: Vec<Ip> = Vec::with_capacity(n);
+        for (&octet, &share) in first_octets.iter().zip(&shares) {
+            if share == 0 {
+                continue;
+            }
+            let needed = ((share as f64) / (65_536.0 * 0.35)).ceil() as usize;
+            let slash16s = needed.clamp(4, 256).min(share);
+            let seconds = rand::seq::index::sample(rng, 256, slash16s);
+            let base = share / slash16s;
+            let extra = share % slash16s;
+            for (j, second) in seconds.iter().enumerate() {
+                let count = base + usize::from(j < extra);
+                for offset in rand::seq::index::sample(rng, 1 << 16, count).iter() {
+                    out.push(Ip::from_octets(
+                        octet,
+                        second as u8,
+                        (offset >> 8) as u8,
+                        (offset & 0xff) as u8,
+                    ));
+                }
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// `apply_nat_shared`'s private slots as `index::sample` drew them.
+    fn nat_shared_reference(
+        env: &mut Environment,
+        public_addrs: &[Ip],
+        fraction: f64,
+        rng: &mut StdRng,
+    ) -> Result<Vec<Locus>, PopulationError> {
+        let selected: Vec<bool> = public_addrs
+            .iter()
+            .map(|_| rng.gen::<f64>() < fraction)
+            .collect();
+        let count = selected.iter().filter(|&&s| s).count();
+        if count > SHARED_REALM_CAPACITY {
+            return Err(PopulationError::NatRealmFull { hosts: count });
+        }
+        let realm =
+            env.add_realm(NatRealm::home_192_168(Ip::from_octets(198, 51, 100, 1)).unwrap());
+        let mut slots = rand::seq::index::sample(rng, SHARED_REALM_CAPACITY, count).into_iter();
+        Ok(public_addrs
+            .iter()
+            .zip(selected)
+            .map(|(&ip, natted)| match natted {
+                true => {
+                    let slot = slots.next().unwrap();
+                    let ip = Ip::from_octets(192, 168, (slot >> 8) as u8, slot as u8);
+                    Locus::Private { realm, ip }
+                }
+                false => Locus::Public(ip),
+            })
+            .collect())
+    }
+
+    #[test]
+    fn offset_table_draws_match_index_sample_across_reuse() {
+        let mut table = OffsetTable::new();
+        let mut a = StdRng::seed_from_u64(11);
+        let mut b = StdRng::seed_from_u64(11);
+        for count in [0, 1, 65_536, 3, 40_000, 65_535, 2, 0, 7] {
+            let want = rand::seq::index::sample(&mut b, 1 << 16, count).into_vec();
+            let got: Vec<usize> = table
+                .draw(&mut a, count)
+                .iter()
+                .map(|&o| usize::from(o))
+                .collect();
+            assert_eq!(got, want, "count {count}");
+        }
+        table.reset();
+        assert!(table
+            .slots
+            .iter()
+            .enumerate()
+            .all(|(i, &o)| usize::from(o) == i));
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "streams stay in step");
+    }
+
     proptest::proptest! {
+        /// The draw-table synthesis emits exactly what `index::sample`
+        /// per /16 plus a sort did, and leaves the stream in step.
+        #[test]
+        fn zipf_population_matches_the_index_sample_reference(
+            scale in 1usize..=200_000,
+            shift in 0u32..=17,
+            slash8s in 1usize..=60,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let n = (scale >> shift).max(1);
+            let mut a = StdRng::seed_from_u64(seed);
+            let mut b = StdRng::seed_from_u64(seed);
+            let got = zipf_slash8_population(n, slash8s, &mut a);
+            proptest::prop_assert_eq!(got, zipf_reference(n, slash8s, &mut b));
+            proptest::prop_assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        }
+
+        /// The shared realm's slots come from the draw table in
+        /// `index::sample`'s order.
+        #[test]
+        fn nat_shared_loci_match_the_index_sample_reference(
+            hosts in 0usize..=20_000,
+            fraction in 0.0..1.0,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let public: Vec<Ip> = (0..hosts as u32).map(|i| Ip::new(0x0b00_0000 + 7 * i)).collect();
+            let mut a = StdRng::seed_from_u64(seed);
+            let mut b = StdRng::seed_from_u64(seed);
+            let got = apply_nat_shared(&mut Environment::new(), &public, fraction, &mut a);
+            let want = nat_shared_reference(&mut Environment::new(), &public, fraction, &mut b);
+            proptest::prop_assert_eq!(got, want);
+            proptest::prop_assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        }
+
         /// Satellite coverage: the dense and compressed stores agree on
         /// `find_public` / `find_private` / `locus` for arbitrary mixed
         /// populations, and rank ids round-trip through the /8→/16→/24

@@ -10,7 +10,9 @@
 #      (HOTSPOTS_SCALE_RSS_MB, default 512 MB);
 #   2. scale   — `hotspots run` on each million-host preset completes
 #      at 1M+ hosts end-to-end (Zipf synthesis, compressed lookup,
-#      full outbreak loop).
+#      full outbreak loop), and its report times the build (synthesis,
+#      store, environment, worm) as the `build` phase, printed beside
+#      the host count.
 #
 # The report-vs-golden diff for these presets rides in
 # scripts/check_goldens.sh with every other preset, and the
@@ -41,12 +43,18 @@ fail=0
 for name in bench-million fig2-million; do
     raw="$tmp/$name.raw"
     HOTSPOTS_RUN_REPORT= "$HOTSPOTS" run "$name" --quick --report "$raw" >/dev/null
-    hosts=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["population"])' "$raw")
+    read -r hosts build < <(python3 -c '
+import json, sys
+report = json.load(open(sys.argv[1]))
+print(report["population"], report["phases"].get("build", "none"))' "$raw")
     if [ "$hosts" -lt 1000000 ]; then
         echo "FAIL: $name ran only $hosts hosts (expected 1M+)" >&2
         fail=1
+    elif [ "$build" = none ]; then
+        echo "FAIL: $name's report has no build phase" >&2
+        fail=1
     else
-        echo "ok: $name completed at $hosts hosts"
+        echo "ok: $name completed at $hosts hosts (build ${build}s)"
     fi
 done
 
