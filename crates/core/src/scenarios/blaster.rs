@@ -16,7 +16,7 @@ use crate::scenarios::{figure_buckets, CoverageRow};
 use crate::seed_inference::scan_covers;
 
 /// Configuration for the Blaster measurement study.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlasterStudy {
     /// Number of persistently infected Blaster hosts.
     pub hosts: usize,

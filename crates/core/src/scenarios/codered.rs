@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use crate::scenarios::{figure_buckets, CoverageRow};
 
 /// Configuration for the CodeRedII measurement study.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CodeRedStudy {
     /// Number of persistently infected hosts.
     pub hosts: usize,

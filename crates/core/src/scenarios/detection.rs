@@ -7,7 +7,7 @@ use hotspots_netmodel::Environment;
 use hotspots_sim::{
     apply_nat, apply_nat_shared, occupied_slash16s, paper_codered_population,
     synthetic_codered_population, CodeRed2Worm, HitListWorm, Outbreak, Population, PopulationError,
-    SimConfig, SimResult,
+    SimConfig, SimResult, PAPER_CODERED_HOSTS,
 };
 use hotspots_stats::TimeSeries;
 use hotspots_targeting::HitList;
@@ -19,7 +19,7 @@ use rand::SeedableRng;
 /// Configuration shared by the Figure 5 experiments. Paper values:
 /// 134,586 vulnerable hosts in 47 /8s, 25 seeds, 10 probes/s, alert
 /// threshold 5.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectionStudy {
     /// Vulnerable population size (ignored when `paper_profile` is set).
     pub population: usize,
@@ -47,7 +47,7 @@ pub struct DetectionStudy {
 impl Default for DetectionStudy {
     fn default() -> DetectionStudy {
         DetectionStudy {
-            population: 134_586,
+            population: PAPER_CODERED_HOSTS,
             slash8s: 47,
             paper_profile: false,
             seeds: 25,
@@ -92,7 +92,7 @@ impl DetectionStudy {
     /// Effective population size (accounts for the paper profile).
     pub fn population_size(&self) -> usize {
         if self.paper_profile {
-            134_586
+            PAPER_CODERED_HOSTS
         } else {
             self.population
         }

@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use crate::seed_inference::scan_covers;
 
 /// Configuration for the Table 2 study.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FilteringStudy {
     /// Internally infected hosts per enterprise (the paper's premise:
     /// large networks inevitably harbor infections).

@@ -11,7 +11,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use hotspots_ipspace::{ims_deployment, AddressBlock, Bucket24, Deployment, Ip, Prefix};
-use hotspots_netmodel::{Environment, FilterRule, FilterTable, Locus, Service};
+use hotspots_netmodel::{Environment, Locus, Service};
 use hotspots_prng::cycles::{AffineMap, CycleBand, CycleId};
 use hotspots_prng::{SplitMix, SqlsortDll};
 use hotspots_sim::{BucketHits, Scan, ScanResult};
@@ -23,15 +23,14 @@ use rand::SeedableRng;
 use crate::scenarios::{figure_buckets, CoverageRow};
 
 /// Configuration for the Slammer measurement study.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlammerStudy {
     /// Number of persistently infected Slammer hosts (the paper observed
     /// tens of thousands of unique sources).
     pub hosts: usize,
-    /// Upstream filtering policy (the paper's M block was blocked for
-    /// UDP/1434 at its provider). Use
-    /// [`SlammerStudy::with_m_block_filter`] for the paper setup.
-    pub filters: FilterTable,
+    /// Apply the paper's upstream block: the M block's provider drops
+    /// UDP/1434 toward it, so the telescope sees no Slammer there.
+    pub m_block_filter: bool,
     /// Master seed.
     pub rng_seed: u64,
 }
@@ -40,23 +39,23 @@ impl Default for SlammerStudy {
     fn default() -> SlammerStudy {
         SlammerStudy {
             hosts: 75_000,
-            filters: FilterTable::new(),
+            m_block_filter: false,
             rng_seed: 0x51a3_3e12,
         }
     }
 }
 
 impl SlammerStudy {
-    /// Adds the paper's upstream block: drop UDP/1434 toward the M block.
+    /// The prefix the upstream filter hides, if the study installs it:
+    /// the IMS deployment's M block.
     // hotspots-lint: certifies(panic-free) reason="the IMS deployment literal always carries an M block"
-    pub fn with_m_block_filter(mut self) -> SlammerStudy {
-        let m = ims_deployment()
-            .by_label("M")
-            .expect("IMS deployment has an M block")
-            .prefix();
-        self.filters
-            .push(FilterRule::ingress(m, Some(Service::SLAMMER_SQL)));
-        self
+    fn filtered_prefix(&self) -> Option<Prefix> {
+        self.m_block_filter.then(|| {
+            ims_deployment()
+                .by_label("M")
+                .expect("IMS deployment has an M block")
+                .prefix()
+        })
     }
 }
 
@@ -126,15 +125,12 @@ pub fn cycles_through(prefix: Prefix) -> BTreeMap<SqlsortDll, BTreeSet<CycleId>>
 /// setup).
 pub fn sources_by_block(study: &SlammerStudy, blocks: &[AddressBlock]) -> Vec<CoverageRow> {
     let pop = draw_cycle_population(study);
+    let filtered = study.filtered_prefix();
     figure_buckets(blocks)
         .into_iter()
         .map(|(block, prefix)| {
             // upstream ingress filter kills observation entirely
-            let filtered = study
-                .filters
-                .check(Ip::MIN, prefix.base(), Service::SLAMMER_SQL)
-                .is_some();
-            let unique_sources = if filtered {
+            let unique_sources = if filtered.is_some_and(|f| f.contains(prefix.base())) {
                 0
             } else {
                 cycles_through(prefix)
@@ -163,14 +159,11 @@ pub fn unique_sources_per_block(
     blocks: &[AddressBlock],
 ) -> Vec<(String, u64)> {
     let pop = draw_cycle_population(study);
+    let filtered = study.filtered_prefix();
     blocks
         .iter()
         .map(|block| {
-            let filtered = study
-                .filters
-                .check(Ip::MIN, block.prefix().base(), Service::SLAMMER_SQL)
-                .is_some();
-            if filtered {
+            if filtered.is_some_and(|f| f.contains(block.prefix().base())) {
                 return (block.label().to_owned(), 0);
             }
             let mut ids: BTreeMap<SqlsortDll, BTreeSet<CycleId>> = BTreeMap::new();
@@ -365,7 +358,13 @@ mod tests {
 
     #[test]
     fn m_block_is_dark_with_upstream_filter() {
-        let rows = sources_by_block(&small_study().with_m_block_filter(), &ims_deployment());
+        let rows = sources_by_block(
+            &SlammerStudy {
+                m_block_filter: true,
+                ..small_study()
+            },
+            &ims_deployment(),
+        );
         let m_total: u64 = rows
             .iter()
             .filter(|r| r.block == "M")

@@ -277,17 +277,29 @@ fn main() {
     }
 }
 
-/// Resolves `run`/`sweep`/`spec`'s target: a registry preset name, or a
-/// path to a TOML spec file.
+/// Resolves `run`/`sweep`/`spec`/`profile`'s target: a registry preset
+/// name, or a path to a TOML spec file. A spec file states its own
+/// sizes, so `--quick`/`--paper` on one is an error, not ignored.
 ///
 /// Failure modes keep their typed exit codes: an unreadable spec file
-/// is an I/O failure (exit 1), while a malformed spec or an unknown
-/// target is a mistake the caller can fix (exit 2).
-fn resolve_spec(target: &str, scale: Scale) -> Result<ScenarioSpec, HotspotsError> {
+/// is an I/O failure (exit 1), while a malformed spec, a scale flag on
+/// a spec file or an unknown target is a mistake the caller can fix
+/// (exit 2).
+fn resolve_spec(
+    target: &str,
+    parsed: &ParsedArgs,
+    scale: Scale,
+) -> Result<ScenarioSpec, HotspotsError> {
     if let Some(preset) = find_preset(target) {
         return Ok(preset.spec(scale));
     }
     if target.ends_with(".toml") || std::path::Path::new(target).exists() {
+        if let Some(flag) = ["quick", "paper"].into_iter().find(|f| parsed.has(f)) {
+            return Err(ArgError::new(format!(
+                "--{flag} picks a preset's scale; the spec file {target} states its own sizes"
+            ))
+            .into());
+        }
         let text = std::fs::read_to_string(target).map_err(|e| HotspotsError::Io {
             context: format!("reading {target}"),
             source: e,
@@ -302,8 +314,8 @@ fn resolve_spec(target: &str, scale: Scale) -> Result<ScenarioSpec, HotspotsErro
 }
 
 /// `resolve_spec` for commands that exit on failure.
-fn resolve_spec_or_exit(target: &str, scale: Scale) -> ScenarioSpec {
-    match resolve_spec(target, scale) {
+fn resolve_spec_or_exit(target: &str, parsed: &ParsedArgs, scale: Scale) -> ScenarioSpec {
+    match resolve_spec(target, parsed, scale) {
         Ok(spec) => spec,
         Err(e) => fail(&e),
     }
@@ -317,7 +329,8 @@ fn context(threads: Option<usize>) -> RunContext {
     }
 }
 
-fn spec_banner(spec: &ScenarioSpec, scale: Scale) -> String {
+/// The run banner; only a preset target has a scale.
+fn spec_banner(target: &str, spec: &ScenarioSpec, scale: Scale) -> String {
     let artifact = spec.meta.artifact.as_deref().unwrap_or(&spec.meta.name);
     let title = spec
         .meta
@@ -325,7 +338,7 @@ fn spec_banner(spec: &ScenarioSpec, scale: Scale) -> String {
         .as_deref()
         .or(spec.meta.scenario.as_deref())
         .unwrap_or("scenario");
-    banner(artifact, title, scale)
+    banner(artifact, title, find_preset(target).map(|_| scale))
 }
 
 /// Runs `spec` and returns its rendered output followed by the report
@@ -350,8 +363,8 @@ fn cmd_run(parsed: &ParsedArgs, scale: Scale, threads: Option<usize>) {
     let [_, target] = &parsed.positional[..] else {
         die("run takes exactly one target: a preset name or spec file");
     };
-    let spec = resolve_spec_or_exit(target, scale);
-    out(&spec_banner(&spec, scale));
+    let spec = resolve_spec_or_exit(target, parsed, scale);
+    out(&spec_banner(target, &spec, scale));
     out(&run_and_render(&spec, threads));
 }
 
@@ -380,7 +393,7 @@ fn cmd_spec(parsed: &ParsedArgs, scale: Scale) {
     let [_, target] = &parsed.positional[..] else {
         die("spec takes exactly one target: a preset name or spec file");
     };
-    out(&resolve_spec_or_exit(target, scale).to_toml());
+    out(&resolve_spec_or_exit(target, parsed, scale).to_toml());
 }
 
 /// File stem for profile artifacts: the scenario name with anything
@@ -516,7 +529,7 @@ fn cmd_profile(parsed: &ParsedArgs, scale: Scale, threads: Option<usize>) {
     let [_, target] = &parsed.positional[..] else {
         die("profile takes exactly one target: a preset name or spec file");
     };
-    let spec = resolve_spec_or_exit(target, scale);
+    let spec = resolve_spec_or_exit(target, parsed, scale);
     if spec.study.is_some() {
         die(&format!(
             "{target:?} is a study preset; profile traces engine-path scenarios \
@@ -552,7 +565,7 @@ fn cmd_profile(parsed: &ParsedArgs, scale: Scale, threads: Option<usize>) {
             source,
         });
     }
-    out(&spec_banner(&spec, scale));
+    out(&spec_banner(target, &spec, scale));
     let stem = artifact_stem(&spec);
 
     let mut points: Vec<ProfilePoint> = Vec::new();
@@ -796,7 +809,7 @@ fn cmd_sweep(parsed: &ParsedArgs, scale: Scale, threads: Option<usize>) {
     let [_, target] = &parsed.positional[..] else {
         die("sweep takes exactly one target: a preset name or spec file");
     };
-    let base = resolve_spec_or_exit(target, scale);
+    let base = resolve_spec_or_exit(target, parsed, scale);
     // every --param occurrence is its own sweep axis, run in order;
     // without any, fall back to the spec's [sweep] section
     let axes = match parse_axes(&parsed.values("param"), &base) {
@@ -835,7 +848,7 @@ fn cmd_sweep(parsed: &ParsedArgs, scale: Scale, threads: Option<usize>) {
         }
         points.push(axis);
     }
-    out(&spec_banner(&base, scale));
+    out(&spec_banner(target, &base, scale));
     for ((param, values), axis) in axes.iter().zip(&points) {
         out(&format!(
             "\nsweeping {param} over {} values: {}\n\n",

@@ -22,14 +22,17 @@ pub use hotspots_scenario::{
     find_preset, presets, run_spec, HotspotsError, Outcome, RunContext, Scale,
 };
 
-/// An experiment banner with the figure/table it regenerates.
-pub fn banner(artifact: &str, title: &str, scale: Scale) -> String {
+/// An experiment banner with the figure/table it regenerates and the
+/// scale a preset runs at; `None` for a spec file, which states its own
+/// sizes.
+pub fn banner(artifact: &str, title: &str, scale: Option<Scale>) -> String {
     let rule = "================================================================";
     let scale = match scale {
-        Scale::Quick => "QUICK",
-        Scale::Paper => "paper",
+        Some(Scale::Quick) => "QUICK (pass --quick for a fast smoke run)",
+        Some(Scale::Paper) => "paper (pass --quick for a fast smoke run)",
+        None => "as the spec file states",
     };
-    format!("{rule}\n{artifact} — {title}\nscale: {scale} (pass --quick for a fast smoke run)\n{rule}\n")
+    format!("{rule}\n{artifact} — {title}\nscale: {scale}\n{rule}\n")
 }
 
 /// An aligned text table.

@@ -450,6 +450,20 @@ fn error_paths_pin_exit_code_and_stderr_shape() {
             stderr_has: "study.sensor_hosts: 10 seed hosts exceed the population",
             usage_dump: false,
         },
+        Case {
+            label: "scale flag on a spec file",
+            args: &[
+                "run",
+                concat!(
+                    env!("CARGO_MANIFEST_DIR"),
+                    "/../../examples/specs/fig2.toml"
+                ),
+                "--quick",
+            ],
+            code: 2,
+            stderr_has: "--quick picks a preset's scale",
+            usage_dump: false,
+        },
         // --- runtime failures: exit 1, no usage dump
         Case {
             label: "spec file that does not exist",
@@ -537,28 +551,49 @@ fn malformed_spec_files_are_usage_errors() {
 
 /// A sweep builds and validates every point of every axis before the
 /// first one runs: an invalid later value exits 2 with no point
-/// rendered and no run report printed.
+/// rendered and no run report printed. A seed count is checked against
+/// the population the spec states, before any population is built.
 #[test]
 fn sweep_validates_every_point_before_the_first_run() {
-    let invocations: [&[&str]; 2] = [
-        &[
-            "sweep",
-            "xmode-uniform",
-            "--quick",
-            "--param",
-            "sim.seeds=2,0",
-        ],
-        &[
-            "sweep",
-            "xmode-uniform",
-            "--quick",
-            "--param",
-            "sim.seeds=2",
-            "--param",
-            "sim.seeds=0",
-        ],
+    // (invocation, stderr diagnostic, the first point's block)
+    let rows: [(&[&str], &str, &str); 3] = [
+        (
+            &[
+                "sweep",
+                "xmode-uniform",
+                "--quick",
+                "--param",
+                "sim.seeds=2,0",
+            ],
+            "sim.seeds: must be positive",
+            "---- sim.seeds = 2 ----",
+        ),
+        (
+            &[
+                "sweep",
+                "xmode-uniform",
+                "--quick",
+                "--param",
+                "sim.seeds=2",
+                "--param",
+                "sim.seeds=0",
+            ],
+            "sim.seeds: must be positive",
+            "---- sim.seeds = 2 ----",
+        ),
+        (
+            &[
+                "sweep",
+                "bench-slammer",
+                "--quick",
+                "--param",
+                "sim.seeds=10,6000",
+            ],
+            "sim.seeds: 6000 seed hosts exceed the population of 5000",
+            "---- sim.seeds = 10 ----",
+        ),
     ];
-    for args in invocations {
+    for (args, diagnostic, first_point) in rows {
         let out = Command::new(env!("CARGO_BIN_EXE_hotspots"))
             .args(args)
             .env_remove("HOTSPOTS_RUN_REPORT")
@@ -567,12 +602,9 @@ fn sweep_validates_every_point_before_the_first_run() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}\nstderr:\n{stderr}");
+        assert!(stderr.contains(diagnostic), "{args:?}\nstderr:\n{stderr}");
         assert!(
-            stderr.contains("sim.seeds: must be positive"),
-            "{args:?}\nstderr:\n{stderr}"
-        );
-        assert!(
-            !stdout.contains("---- sim.seeds = 2 ----") && !stdout.contains("run_report"),
+            !stdout.contains(first_point) && !stdout.contains("run_report"),
             "{args:?} ran a point before failing:\n{stdout}"
         );
     }

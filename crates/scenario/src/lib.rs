@@ -32,8 +32,8 @@ pub use error::HotspotsError;
 pub use registry::{find_preset, presets, Preset};
 pub use run::{fold_sim_result, run_spec, Outcome, RunContext, ScenarioRun};
 pub use spec::{
-    DetectionParams, EnvSpec, FaultsSpec, MetaSpec, PopSpec, ScenarioSpec, SimSpec, SpecError,
-    StudySpec, SweepSpec, TelescopeSpec, WormSpec,
+    EnvSpec, FaultsSpec, MetaSpec, PopSpec, ScenarioSpec, SimSpec, SpecError, StudySpec, SweepSpec,
+    TelescopeSpec, WormSpec,
 };
 pub use value::{ParseError, Value};
 

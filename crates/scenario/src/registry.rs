@@ -8,10 +8,17 @@
 //! artifact; the golden reports under `results/golden/` pin each
 //! preset's run report at `--quick`.
 
+use hotspots::scenarios::blaster::BlasterStudy;
+use hotspots::scenarios::codered::CodeRedStudy;
+use hotspots::scenarios::detection::DetectionStudy;
+use hotspots::scenarios::filtering::FilteringStudy;
+use hotspots::scenarios::slammer::SlammerStudy;
+use hotspots_sim::PAPER_CODERED_HOSTS;
+
 use crate::cli::Scale;
 use crate::spec::{
-    DetectionParams, EnvSpec, FaultsSpec, LatencySpec, NatSpec, PlacementSpec, PopSpec,
-    ScenarioSpec, SimSpec, StudySpec, TelescopeSpec, WormSpec,
+    EnvSpec, FaultsSpec, LatencySpec, NatSpec, PlacementSpec, PopSpec, ScenarioSpec, SimSpec,
+    StudySpec, TelescopeSpec, WormSpec,
 };
 
 /// A named, registered scenario.
@@ -105,17 +112,12 @@ fn xmode_hitlist_worm() -> WormSpec {
     }
 }
 
-fn fig5_detection(scale: Scale, max_time_quick: f64, max_time_paper: f64) -> DetectionParams {
-    DetectionParams {
-        population: scale.pick(10_000, 134_586),
-        slash8s: 47,
+fn fig5_detection(scale: Scale, max_time_quick: f64, max_time_paper: f64) -> DetectionStudy {
+    DetectionStudy {
+        population: scale.pick(10_000, PAPER_CODERED_HOSTS),
         paper_profile: scale.pick(false, true),
-        seeds: 25,
-        scan_rate: 10.0,
-        alert_threshold: 5,
         max_time: scale.pick(max_time_quick, max_time_paper),
-        stop_at_fraction: 0.95,
-        rng_seed: 0xf15_2006,
+        ..DetectionStudy::default()
     }
 }
 
@@ -132,13 +134,11 @@ static PRESETS: [Preset; 23] = [
         paper: "Figure 1: Blaster hotspots from boot-time PRNG seeding (§3.1)",
         family: "figure",
         spec_fn: |scale| {
-            named_study(StudySpec::BlasterCoverage {
+            named_study(StudySpec::BlasterCoverage(BlasterStudy {
                 hosts: scale.pick(5_000, 60_000),
                 window_secs: scale.pick(7.0, 30.0) * 24.0 * 3600.0,
-                scan_rate: 11.0,
-                reboot_fraction: 0.5,
-                rng_seed: 0xb1a5_7e12,
-            })
+                ..BlasterStudy::default()
+            }))
         },
     },
     Preset {
@@ -149,11 +149,11 @@ static PRESETS: [Preset; 23] = [
         paper: "Figure 2: Slammer per-/24 bias from the broken LCG (§3.2)",
         family: "figure",
         spec_fn: |scale| {
-            named_study(StudySpec::SlammerCoverage {
+            named_study(StudySpec::SlammerCoverage(SlammerStudy {
                 hosts: scale.pick(20_000, 75_000),
                 m_block_filter: true,
-                rng_seed: 0x51a3_3e12,
-            })
+                ..SlammerStudy::default()
+            }))
         },
     },
     Preset {
@@ -178,10 +178,11 @@ static PRESETS: [Preset; 23] = [
         family: "figure",
         spec_fn: |scale| {
             named_study(StudySpec::CodeRedNat {
-                hosts: scale.pick(3_000, 12_000),
-                probes_per_host: scale.pick(8_000, 20_000),
-                nat_fraction: 0.15,
-                rng_seed: 0xc0de_4ed2,
+                study: CodeRedStudy {
+                    hosts: scale.pick(3_000, 12_000),
+                    probes_per_host: scale.pick(8_000, 20_000),
+                    ..CodeRedStudy::default()
+                },
                 quarantine_probes_public: scale.pick(500_000, 7_567_093),
                 quarantine_probes_natted: scale.pick(500_000, 7_567_361),
                 quarantine_seed: 4,
@@ -241,13 +242,12 @@ static PRESETS: [Preset; 23] = [
         paper: "Table 2: enterprise vs ISP filtering and observed sources (§3.5)",
         family: "table",
         spec_fn: |scale| {
-            named_study(StudySpec::Filtering {
+            named_study(StudySpec::Filtering(FilteringStudy {
                 infected_per_enterprise: scale.pick(100, 800),
                 infected_per_isp: scale.pick(1_000, 20_000),
                 probes_per_host: scale.pick(4_000, 12_000),
-                blaster_scan_len: (30.0 * 24.0 * 3600.0 * 11.0) as u64,
-                rng_seed: 0x7ab1e2,
-            })
+                ..FilteringStudy::default()
+            }))
         },
     },
     Preset {

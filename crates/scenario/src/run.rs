@@ -40,7 +40,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::build::{spec_u32, spec_usize};
 use crate::error::HotspotsError;
-use crate::spec::{parse_ip, DetectionParams, ScenarioSpec, SpecError, StudySpec};
+use crate::spec::{parse_ip, ScenarioSpec, SpecError, StudySpec};
 
 /// How a front-end runs a spec: the binary name stamped into the run
 /// report, and the run options a spec does not hold — the worker-thread
@@ -457,40 +457,14 @@ fn run_engine(
     })
 }
 
-fn detection_study(params: &DetectionParams) -> Result<DetectionStudy, SpecError> {
-    Ok(DetectionStudy {
-        population: spec_usize("study.population", params.population)?,
-        slash8s: spec_usize("study.slash8s", params.slash8s)?,
-        paper_profile: params.paper_profile,
-        seeds: spec_usize("study.seeds", params.seeds)?,
-        scan_rate: params.scan_rate,
-        alert_threshold: params.alert_threshold,
-        max_time: params.max_time,
-        stop_at_fraction: params.stop_at_fraction,
-        rng_seed: params.rng_seed,
-    })
-}
-
 fn run_study(
     study: &StudySpec,
     runset: &RunSet,
     out: &mut ReportBuilder,
 ) -> Result<Outcome, HotspotsError> {
     match study {
-        StudySpec::BlasterCoverage {
-            hosts,
-            window_secs,
-            scan_rate,
-            reboot_fraction,
-            rng_seed,
-        } => {
-            let study = BlasterStudy {
-                hosts: spec_usize("study.hosts", *hosts)?,
-                window_secs: *window_secs,
-                scan_rate: *scan_rate,
-                reboot_fraction: *reboot_fraction,
-                rng_seed: *rng_seed,
-            };
+        StudySpec::BlasterCoverage(study) => {
+            let study = *study;
             // interval-coverage study: closed form, nothing routed
             out.config("hosts", study.hosts)
                 .config("window_days", study.window_secs / 86_400.0)
@@ -500,23 +474,12 @@ fn run_study(
             let rows = blaster::sources_by_block(&study, &ims_deployment());
             Ok(Outcome::BlasterCoverage { study, rows })
         }
-        StudySpec::SlammerCoverage {
-            hosts,
-            m_block_filter,
-            rng_seed,
-        } => {
-            let mut study = SlammerStudy {
-                hosts: spec_usize("study.hosts", *hosts)?,
-                rng_seed: *rng_seed,
-                ..SlammerStudy::default()
-            };
-            if *m_block_filter {
-                study = study.with_m_block_filter();
-            }
+        StudySpec::SlammerCoverage(study) => {
+            let study = *study;
             // cycle-exact closed form: per-block coverage comes from the
             // LCG cycle structure, no probes are routed
             out.config("hosts", study.hosts)
-                .config("m_block_filter", m_block_filter)
+                .config("m_block_filter", study.m_block_filter)
                 .add_population(study.hosts as u64);
             let blocks = ims_deployment();
             let rows = slammer::sources_by_block(&study, &blocks);
@@ -567,20 +530,12 @@ fn run_study(
             Ok(Outcome::SlammerHosts { probes, hosts })
         }
         StudySpec::CodeRedNat {
-            hosts,
-            probes_per_host,
-            nat_fraction,
-            rng_seed,
+            study,
             quarantine_probes_public,
             quarantine_probes_natted,
             quarantine_seed,
         } => {
-            let study = CodeRedStudy {
-                hosts: spec_usize("study.hosts", *hosts)?,
-                nat_fraction: *nat_fraction,
-                probes_per_host: *probes_per_host,
-                rng_seed: *rng_seed,
-            };
+            let study = *study;
             out.config("hosts", study.hosts)
                 .config("probes_per_host", study.probes_per_host)
                 .config("nat_fraction", study.nat_fraction)
@@ -622,7 +577,7 @@ fn run_study(
             })
         }
         StudySpec::HitList { detection, sizes } => {
-            let study = detection_study(detection)?;
+            let study = *detection;
             let runs = hitlist_sweep(&study, sizes, runset)?;
             out.config("population", study.population_size())
                 .config("seeds", study.seeds)
@@ -640,7 +595,7 @@ fn run_study(
             sensors,
             top_k_slash8s,
         } => {
-            let study = detection_study(detection)?;
+            let study = *detection;
             let sensors = spec_usize("study.sensors", *sensors)?;
             let placements = vec![
                 Placement::Random { sensors },
@@ -698,23 +653,8 @@ fn run_study(
                 restricted: restricted as u64,
             })
         }
-        StudySpec::Filtering {
-            infected_per_enterprise,
-            infected_per_isp,
-            probes_per_host,
-            blaster_scan_len,
-            rng_seed,
-        } => {
-            let study = FilteringStudy {
-                infected_per_enterprise: spec_usize(
-                    "study.infected_per_enterprise",
-                    *infected_per_enterprise,
-                )?,
-                infected_per_isp: spec_usize("study.infected_per_isp", *infected_per_isp)?,
-                probes_per_host: *probes_per_host,
-                blaster_scan_len: *blaster_scan_len,
-                rng_seed: *rng_seed,
-            };
+        StudySpec::Filtering(study) => {
+            let study = *study;
             out.config("infected_per_enterprise", study.infected_per_enterprise)
                 .config("infected_per_isp", study.infected_per_isp)
                 .config("probes_per_host", study.probes_per_host);
@@ -761,9 +701,9 @@ fn run_study(
             let codered_runs = runset.run(codered_deployments, |(trial, blocks)| {
                 let study = CodeRedStudy {
                     hosts: codered_hosts,
-                    nat_fraction: 0.15,
                     probes_per_host: *codered_probes_per_host,
                     rng_seed: 1_000 + trial,
+                    ..CodeRedStudy::default()
                 };
                 let accounted = codered::sources_by_block(&study, &blocks);
                 (trial, blocks, study.hosts, accounted)

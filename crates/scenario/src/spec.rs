@@ -11,10 +11,17 @@
 
 use std::fmt;
 
+use hotspots::scenarios::blaster::BlasterStudy;
+use hotspots::scenarios::codered::CodeRedStudy;
+use hotspots::scenarios::detection::DetectionStudy;
+use hotspots::scenarios::filtering::FilteringStudy;
+use hotspots::scenarios::slammer::SlammerStudy;
 use hotspots_ipspace::{Ip, Prefix};
 use hotspots_netmodel::{FaultEvent, FaultKind, FaultWindow, FilterRule, Proto, Service};
+use hotspots_sim::{PopulationError, PAPER_CODERED_HOSTS};
 use hotspots_targeting::PreferenceEntry;
 
+use crate::build::spec_usize;
 use crate::value::{self, Value};
 
 /// A rejected spec: which field, and why.
@@ -325,55 +332,15 @@ impl Default for SimSpec {
     }
 }
 
-/// Parameters shared by the detection studies (Figure 5a/5b/5c), one
-/// for one with `hotspots::scenarios::DetectionStudy`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DetectionParams {
-    /// Vulnerable population size.
-    pub population: u64,
-    /// Occupied /8 count for the synthetic population.
-    pub slash8s: u64,
-    /// Use the paper-calibrated coverage profile instead.
-    pub paper_profile: bool,
-    /// Initial infected hosts.
-    pub seeds: u64,
-    /// Probes per second per infected host.
-    pub scan_rate: f64,
-    /// Sensor alert threshold.
-    pub alert_threshold: u64,
-    /// Hard stop time in seconds.
-    pub max_time: f64,
-    /// Early-stop infected fraction.
-    pub stop_at_fraction: f64,
-    /// Master seed.
-    pub rng_seed: u64,
-}
-
-/// A figure/table study: a whole multi-run experiment as data.
+/// A figure/table study: a whole multi-run experiment as data. The
+/// paper studies carry their core parameter structs, so a `[study]`
+/// key left out takes the struct's `Default`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StudySpec {
     /// Figure 1: Blaster scan coverage by monitored block.
-    BlasterCoverage {
-        /// Infected host count.
-        hosts: u64,
-        /// Observation window in seconds.
-        window_secs: f64,
-        /// Probes per second per host.
-        scan_rate: f64,
-        /// Fraction of hosts infected at reboot.
-        reboot_fraction: f64,
-        /// Master seed.
-        rng_seed: u64,
-    },
+    BlasterCoverage(BlasterStudy),
     /// Figure 2: Slammer scan density per monitored /24.
-    SlammerCoverage {
-        /// Infected host count.
-        hosts: u64,
-        /// Install the paper's M-block egress filter.
-        m_block_filter: bool,
-        /// Master seed.
-        rng_seed: u64,
-    },
+    SlammerCoverage(SlammerStudy),
     /// Figure 3: two individual Slammer hosts' probe footprints.
     SlammerHosts {
         /// Probes drawn per host.
@@ -382,14 +349,8 @@ pub enum StudySpec {
     /// Figure 4: CodeRedII sources under NAT, plus the two quarantined
     /// host traces.
     CodeRedNat {
-        /// Infected host count.
-        hosts: u64,
-        /// Probes drawn per host.
-        probes_per_host: u64,
-        /// Fraction of hosts behind NAT.
-        nat_fraction: f64,
-        /// Master seed.
-        rng_seed: u64,
+        /// The mixed-population study behind Figure 4(a).
+        study: CodeRedStudy,
         /// Quarantine trace length for the public host.
         quarantine_probes_public: u64,
         /// Quarantine trace length for the NATted host.
@@ -400,15 +361,15 @@ pub enum StudySpec {
     /// Figures 5a and 5b: infection speed and telescope alert speed vs
     /// hit-list size, both read from one set of runs.
     HitList {
-        /// Shared detection-study parameters.
-        detection: DetectionParams,
+        /// The detection study each hit-list run shares.
+        detection: DetectionStudy,
         /// Hit-list sizes; `None` (TOML `"full"`) = the whole population.
         sizes: Vec<Option<u64>>,
     },
     /// Figure 5c: sensor placement vs NAT-heavy populations.
     NatDetection {
-        /// Shared detection-study parameters.
-        detection: DetectionParams,
+        /// The detection study each placement run shares.
+        detection: DetectionStudy,
         /// Fraction of hosts behind NAT.
         nat_fraction: f64,
         /// Sensor count for the random/top-k placements.
@@ -426,18 +387,7 @@ pub enum StudySpec {
         drone: String,
     },
     /// Table 2: egress/upstream filtering at enterprise vs ISP scale.
-    Filtering {
-        /// Infected hosts inside the filtered enterprise.
-        infected_per_enterprise: u64,
-        /// Infected hosts inside the filtered ISP.
-        infected_per_isp: u64,
-        /// Probes drawn per host.
-        probes_per_host: u64,
-        /// Blaster scan length in probes.
-        blaster_scan_len: u64,
-        /// Master seed.
-        rng_seed: u64,
-    },
+    Filtering(FilteringStudy),
     /// The ablation suite: NAT topology, sensor mode, reboot fraction.
     Ablations {
         /// Population for the NAT-topology ablation.
@@ -469,14 +419,14 @@ pub enum StudySpec {
 impl StudySpec {
     fn kind(&self) -> &'static str {
         match self {
-            StudySpec::BlasterCoverage { .. } => "blaster-coverage",
-            StudySpec::SlammerCoverage { .. } => "slammer-coverage",
+            StudySpec::BlasterCoverage(_) => "blaster-coverage",
+            StudySpec::SlammerCoverage(_) => "slammer-coverage",
             StudySpec::SlammerHosts { .. } => "slammer-hosts",
             StudySpec::CodeRedNat { .. } => "codered-nat",
             StudySpec::HitList { .. } => "hitlist",
             StudySpec::NatDetection { .. } => "nat-detection",
             StudySpec::BotCommands { .. } => "bot-commands",
-            StudySpec::Filtering { .. } => "filtering",
+            StudySpec::Filtering(_) => "filtering",
             StudySpec::Ablations { .. } => "ablations",
             StudySpec::Sensitivity { .. } => "sensitivity",
         }
@@ -568,6 +518,19 @@ impl<'a> Fields<'a> {
         }
     }
 
+    fn usize(&mut self, key: &str) -> Result<usize, SpecError> {
+        let path = self.sub(key);
+        as_usize(&path, self.req(key)?)
+    }
+
+    fn usize_or(&mut self, key: &str, default: usize) -> Result<usize, SpecError> {
+        let path = self.sub(key);
+        match self.take(key) {
+            Some(v) => as_usize(&path, v),
+            None => Ok(default),
+        }
+    }
+
     fn f64(&mut self, key: &str) -> Result<f64, SpecError> {
         let path = self.sub(key);
         as_f64(&path, self.req(key)?)
@@ -641,6 +604,10 @@ fn as_u64(path: &str, v: &Value) -> Result<u64, SpecError> {
             format!("expected an integer, found {}", v.type_name()),
         )),
     }
+}
+
+fn as_usize(path: &str, v: &Value) -> Result<usize, SpecError> {
+    spec_usize(path, as_u64(path, v)?)
 }
 
 fn as_f64(path: &str, v: &Value) -> Result<f64, SpecError> {
@@ -874,11 +841,12 @@ impl ScenarioSpec {
         }
         validate_env(&self.environment)?;
         validate_faults(&self.faults)?;
-        if let Some(pop) = &self.population {
-            validate_pop(pop)?;
-        }
+        let hosts = self.population.as_ref().map(validate_pop).transpose()?;
         validate_telescope(&self.telescope)?;
         validate_sim(&self.sim)?;
+        if let Some(hosts) = hosts {
+            check_seeds("sim.seeds", spec_usize("sim.seeds", self.sim.seeds)?, hosts)?;
+        }
         if let Some(study) = &self.study {
             validate_study(study)?;
         }
@@ -1247,12 +1215,12 @@ fn sim_from_value(v: &Value) -> Result<SimSpec, SpecError> {
     Ok(sim)
 }
 
-fn detection_to_value(d: &DetectionParams) -> Value {
+fn detection_to_value(d: &DetectionStudy) -> Value {
     let mut t = Value::table();
-    t.set("population", int(d.population));
-    t.set("slash8s", int(d.slash8s));
+    t.set("population", int(d.population as u64));
+    t.set("slash8s", int(d.slash8s as u64));
     t.set("paper_profile", Value::Bool(d.paper_profile));
-    t.set("seeds", int(d.seeds));
+    t.set("seeds", int(d.seeds as u64));
     t.set("scan_rate", Value::Float(d.scan_rate));
     t.set("alert_threshold", int(d.alert_threshold));
     t.set("max_time", Value::Float(d.max_time));
@@ -1261,21 +1229,22 @@ fn detection_to_value(d: &DetectionParams) -> Value {
     t
 }
 
-fn detection_from_value(path: &str, v: &Value) -> Result<DetectionParams, SpecError> {
+fn detection_from_value(path: &str, v: &Value) -> Result<DetectionStudy, SpecError> {
     let mut f = Fields::new(path, v)?;
-    let d = DetectionParams {
-        population: f.u64("population")?,
-        slash8s: f.u64_or("slash8s", 47)?,
-        paper_profile: f.bool_or("paper_profile", false)?,
-        seeds: f.u64_or("seeds", 25)?,
-        scan_rate: f.f64_or("scan_rate", 10.0)?,
-        alert_threshold: f.u64_or("alert_threshold", 5)?,
+    let d = DetectionStudy::default();
+    let study = DetectionStudy {
+        population: f.usize("population")?,
+        slash8s: f.usize_or("slash8s", d.slash8s)?,
+        paper_profile: f.bool_or("paper_profile", d.paper_profile)?,
+        seeds: f.usize_or("seeds", d.seeds)?,
+        scan_rate: f.f64_or("scan_rate", d.scan_rate)?,
+        alert_threshold: f.u64_or("alert_threshold", d.alert_threshold)?,
         max_time: f.f64("max_time")?,
-        stop_at_fraction: f.f64_or("stop_at_fraction", 0.95)?,
-        rng_seed: f.u64_or("rng_seed", 0xf15_2006)?,
+        stop_at_fraction: f.f64_or("stop_at_fraction", d.stop_at_fraction)?,
+        rng_seed: f.u64_or("rng_seed", d.rng_seed)?,
     };
     f.finish()?;
-    Ok(d)
+    Ok(study)
 }
 
 /// TOML encoding of hit-list sizes: integers, with `"full"` for the
@@ -1320,44 +1289,31 @@ fn study_to_value(study: &StudySpec) -> Value {
     let mut t = Value::table();
     t.set("kind", Value::Str(study.kind().to_owned()));
     match study {
-        StudySpec::BlasterCoverage {
-            hosts,
-            window_secs,
-            scan_rate,
-            reboot_fraction,
-            rng_seed,
-        } => {
-            t.set("hosts", int(*hosts));
-            t.set("window_secs", Value::Float(*window_secs));
-            t.set("scan_rate", Value::Float(*scan_rate));
-            t.set("reboot_fraction", Value::Float(*reboot_fraction));
-            t.set("rng_seed", int(*rng_seed));
+        StudySpec::BlasterCoverage(b) => {
+            t.set("hosts", int(b.hosts as u64));
+            t.set("window_secs", Value::Float(b.window_secs));
+            t.set("scan_rate", Value::Float(b.scan_rate));
+            t.set("reboot_fraction", Value::Float(b.reboot_fraction));
+            t.set("rng_seed", int(b.rng_seed));
         }
-        StudySpec::SlammerCoverage {
-            hosts,
-            m_block_filter,
-            rng_seed,
-        } => {
-            t.set("hosts", int(*hosts));
-            t.set("m_block_filter", Value::Bool(*m_block_filter));
-            t.set("rng_seed", int(*rng_seed));
+        StudySpec::SlammerCoverage(sl) => {
+            t.set("hosts", int(sl.hosts as u64));
+            t.set("m_block_filter", Value::Bool(sl.m_block_filter));
+            t.set("rng_seed", int(sl.rng_seed));
         }
         StudySpec::SlammerHosts { probes_per_host } => {
             t.set("probes_per_host", int(*probes_per_host));
         }
         StudySpec::CodeRedNat {
-            hosts,
-            probes_per_host,
-            nat_fraction,
-            rng_seed,
+            study,
             quarantine_probes_public,
             quarantine_probes_natted,
             quarantine_seed,
         } => {
-            t.set("hosts", int(*hosts));
-            t.set("probes_per_host", int(*probes_per_host));
-            t.set("nat_fraction", Value::Float(*nat_fraction));
-            t.set("rng_seed", int(*rng_seed));
+            t.set("hosts", int(study.hosts as u64));
+            t.set("probes_per_host", int(study.probes_per_host));
+            t.set("nat_fraction", Value::Float(study.nat_fraction));
+            t.set("rng_seed", int(study.rng_seed));
             t.set("quarantine_probes_public", int(*quarantine_probes_public));
             t.set("quarantine_probes_natted", int(*quarantine_probes_natted));
             t.set("quarantine_seed", int(*quarantine_seed));
@@ -1386,18 +1342,15 @@ fn study_to_value(study: &StudySpec) -> Value {
             t.set("corpus_seed", int(*corpus_seed));
             t.set("drone", Value::Str(drone.clone()));
         }
-        StudySpec::Filtering {
-            infected_per_enterprise,
-            infected_per_isp,
-            probes_per_host,
-            blaster_scan_len,
-            rng_seed,
-        } => {
-            t.set("infected_per_enterprise", int(*infected_per_enterprise));
-            t.set("infected_per_isp", int(*infected_per_isp));
-            t.set("probes_per_host", int(*probes_per_host));
-            t.set("blaster_scan_len", int(*blaster_scan_len));
-            t.set("rng_seed", int(*rng_seed));
+        StudySpec::Filtering(fl) => {
+            t.set(
+                "infected_per_enterprise",
+                int(fl.infected_per_enterprise as u64),
+            );
+            t.set("infected_per_isp", int(fl.infected_per_isp as u64));
+            t.set("probes_per_host", int(fl.probes_per_host));
+            t.set("blaster_scan_len", int(fl.blaster_scan_len));
+            t.set("rng_seed", int(fl.rng_seed));
         }
         StudySpec::Ablations {
             nat_population,
@@ -1433,30 +1386,41 @@ fn study_from_value(v: &Value) -> Result<StudySpec, SpecError> {
     let mut f = Fields::new("study", v)?;
     let kind = f.str("kind")?;
     let study = match kind.as_str() {
-        "blaster-coverage" => StudySpec::BlasterCoverage {
-            hosts: f.u64("hosts")?,
-            window_secs: f.f64("window_secs")?,
-            scan_rate: f.f64_or("scan_rate", 11.0)?,
-            reboot_fraction: f.f64_or("reboot_fraction", 0.5)?,
-            rng_seed: f.u64_or("rng_seed", 0xb1a5_7e12)?,
-        },
-        "slammer-coverage" => StudySpec::SlammerCoverage {
-            hosts: f.u64("hosts")?,
-            m_block_filter: f.bool_or("m_block_filter", false)?,
-            rng_seed: f.u64_or("rng_seed", 0x51a3_3e12)?,
-        },
+        "blaster-coverage" => {
+            let d = BlasterStudy::default();
+            StudySpec::BlasterCoverage(BlasterStudy {
+                hosts: f.usize("hosts")?,
+                window_secs: f.f64("window_secs")?,
+                scan_rate: f.f64_or("scan_rate", d.scan_rate)?,
+                reboot_fraction: f.f64_or("reboot_fraction", d.reboot_fraction)?,
+                rng_seed: f.u64_or("rng_seed", d.rng_seed)?,
+            })
+        }
+        "slammer-coverage" => {
+            let d = SlammerStudy::default();
+            StudySpec::SlammerCoverage(SlammerStudy {
+                hosts: f.usize("hosts")?,
+                m_block_filter: f.bool_or("m_block_filter", d.m_block_filter)?,
+                rng_seed: f.u64_or("rng_seed", d.rng_seed)?,
+            })
+        }
         "slammer-hosts" => StudySpec::SlammerHosts {
             probes_per_host: f.u64("probes_per_host")?,
         },
-        "codered-nat" => StudySpec::CodeRedNat {
-            hosts: f.u64("hosts")?,
-            probes_per_host: f.u64("probes_per_host")?,
-            nat_fraction: f.f64_or("nat_fraction", 0.15)?,
-            rng_seed: f.u64_or("rng_seed", 0xc0de_4ed2)?,
-            quarantine_probes_public: f.u64("quarantine_probes_public")?,
-            quarantine_probes_natted: f.u64("quarantine_probes_natted")?,
-            quarantine_seed: f.u64_or("quarantine_seed", 4)?,
-        },
+        "codered-nat" => {
+            let d = CodeRedStudy::default();
+            StudySpec::CodeRedNat {
+                study: CodeRedStudy {
+                    hosts: f.usize("hosts")?,
+                    probes_per_host: f.u64("probes_per_host")?,
+                    nat_fraction: f.f64_or("nat_fraction", d.nat_fraction)?,
+                    rng_seed: f.u64_or("rng_seed", d.rng_seed)?,
+                },
+                quarantine_probes_public: f.u64("quarantine_probes_public")?,
+                quarantine_probes_natted: f.u64("quarantine_probes_natted")?,
+                quarantine_seed: f.u64_or("quarantine_seed", 4)?,
+            }
+        }
         "hitlist" => StudySpec::HitList {
             detection: detection_from_value("study.detection", f.req("detection")?)?,
             sizes: sizes_from_value("study.sizes", f.req("sizes")?)?,
@@ -1472,13 +1436,16 @@ fn study_from_value(v: &Value) -> Result<StudySpec, SpecError> {
             corpus_seed: f.u64_or("corpus_seed", 0x7ab1e)?,
             drone: f.str("drone")?,
         },
-        "filtering" => StudySpec::Filtering {
-            infected_per_enterprise: f.u64("infected_per_enterprise")?,
-            infected_per_isp: f.u64("infected_per_isp")?,
-            probes_per_host: f.u64("probes_per_host")?,
-            blaster_scan_len: f.u64_or("blaster_scan_len", (30 * 24 * 3600) as u64 * 11)?,
-            rng_seed: f.u64_or("rng_seed", 0x7ab1e2)?,
-        },
+        "filtering" => {
+            let d = FilteringStudy::default();
+            StudySpec::Filtering(FilteringStudy {
+                infected_per_enterprise: f.usize("infected_per_enterprise")?,
+                infected_per_isp: f.usize("infected_per_isp")?,
+                probes_per_host: f.u64("probes_per_host")?,
+                blaster_scan_len: f.u64_or("blaster_scan_len", d.blaster_scan_len)?,
+                rng_seed: f.u64_or("rng_seed", d.rng_seed)?,
+            })
+        }
         "ablations" => StudySpec::Ablations {
             nat_population: f.u64("nat_population")?,
             nat_max_time: f.f64("nat_max_time")?,
@@ -1718,6 +1685,16 @@ fn validate_positive(field: &str, x: f64) -> Result<(), SpecError> {
     }
 }
 
+/// Rejects more seed hosts than the population holds, in the engine's
+/// own words, before anything runs.
+fn check_seeds(field: &str, seeds: usize, hosts: usize) -> Result<(), SpecError> {
+    if seeds > hosts {
+        let e = PopulationError::FewerHostsThanSeeds { hosts, seeds };
+        return Err(SpecError::new(field, e.to_string()));
+    }
+    Ok(())
+}
+
 fn validate_worm(worm: &WormSpec) -> Result<(), SpecError> {
     match worm {
         WormSpec::Uniform | WormSpec::Slammer | WormSpec::CodeRed2 => Ok(()),
@@ -1812,7 +1789,8 @@ fn validate_faults(faults: &FaultsSpec) -> Result<(), SpecError> {
     Ok(())
 }
 
-fn validate_pop(pop: &PopSpec) -> Result<(), SpecError> {
+/// Validates `pop` and returns the number of hosts it states.
+fn validate_pop(pop: &PopSpec) -> Result<usize, SpecError> {
     match pop {
         PopSpec::Range {
             base,
@@ -1838,7 +1816,7 @@ fn validate_pop(pop: &PopSpec) -> Result<(), SpecError> {
                     format!("{stride} exceeds 2^32 - 1"),
                 ));
             }
-            Ok(())
+            spec_usize("population.count", *count)
         }
         PopSpec::Synthetic { size, slash8s, .. } => {
             if *size == 0 {
@@ -1850,17 +1828,20 @@ fn validate_pop(pop: &PopSpec) -> Result<(), SpecError> {
                     format!("must be in [1, 200], got {slash8s}"),
                 ));
             }
-            Ok(())
+            spec_usize("population.size", *size)
         }
-        PopSpec::Paper { .. } => Ok(()),
+        PopSpec::Paper { .. } => Ok(PAPER_CODERED_HOSTS),
         PopSpec::Hosts { addrs } => {
             if addrs.is_empty() {
                 return Err(SpecError::new("population.addrs", "must be non-empty"));
             }
-            for addr in addrs {
-                parse_ip("population.addrs", addr)?;
-            }
-            Ok(())
+            let mut ips = addrs
+                .iter()
+                .map(|a| parse_ip("population.addrs", a))
+                .collect::<Result<Vec<Ip>, SpecError>>()?;
+            ips.sort_unstable();
+            ips.dedup();
+            Ok(ips.len())
         }
         PopSpec::Zipf {
             size,
@@ -1890,7 +1871,7 @@ fn validate_pop(pop: &PopSpec) -> Result<(), SpecError> {
                     format!("unknown store {store:?} (expected dense or compressed)"),
                 ));
             }
-            Ok(())
+            spec_usize("population.size", *size)
         }
     }
 }
@@ -1965,7 +1946,7 @@ fn validate_sim(sim: &SimSpec) -> Result<(), SpecError> {
     Ok(())
 }
 
-fn validate_detection(d: &DetectionParams) -> Result<(), SpecError> {
+fn validate_detection(d: &DetectionStudy) -> Result<(), SpecError> {
     if d.population == 0 {
         return Err(SpecError::new(
             "study.detection.population",
@@ -1981,6 +1962,7 @@ fn validate_detection(d: &DetectionParams) -> Result<(), SpecError> {
     if d.seeds == 0 {
         return Err(SpecError::new("study.detection.seeds", "must be positive"));
     }
+    check_seeds("study.detection.seeds", d.seeds, d.population_size())?;
     if d.alert_threshold == 0 {
         return Err(SpecError::new(
             "study.detection.alert_threshold",
@@ -1995,22 +1977,16 @@ fn validate_detection(d: &DetectionParams) -> Result<(), SpecError> {
 
 fn validate_study(study: &StudySpec) -> Result<(), SpecError> {
     match study {
-        StudySpec::BlasterCoverage {
-            hosts,
-            window_secs,
-            scan_rate,
-            reboot_fraction,
-            ..
-        } => {
-            if *hosts == 0 {
+        StudySpec::BlasterCoverage(b) => {
+            if b.hosts == 0 {
                 return Err(SpecError::new("study.hosts", "must be positive"));
             }
-            validate_positive("study.window_secs", *window_secs)?;
-            validate_positive("study.scan_rate", *scan_rate)?;
-            validate_fraction("study.reboot_fraction", *reboot_fraction)?;
+            validate_positive("study.window_secs", b.window_secs)?;
+            validate_positive("study.scan_rate", b.scan_rate)?;
+            validate_fraction("study.reboot_fraction", b.reboot_fraction)?;
         }
-        StudySpec::SlammerCoverage { hosts, .. } => {
-            if *hosts == 0 {
+        StudySpec::SlammerCoverage(sl) => {
+            if sl.hosts == 0 {
                 return Err(SpecError::new("study.hosts", "must be positive"));
             }
         }
@@ -2019,19 +1995,14 @@ fn validate_study(study: &StudySpec) -> Result<(), SpecError> {
                 return Err(SpecError::new("study.probes_per_host", "must be positive"));
             }
         }
-        StudySpec::CodeRedNat {
-            hosts,
-            probes_per_host,
-            nat_fraction,
-            ..
-        } => {
-            if *hosts == 0 {
+        StudySpec::CodeRedNat { study, .. } => {
+            if study.hosts == 0 {
                 return Err(SpecError::new("study.hosts", "must be positive"));
             }
-            if *probes_per_host == 0 {
+            if study.probes_per_host == 0 {
                 return Err(SpecError::new("study.probes_per_host", "must be positive"));
             }
-            validate_fraction("study.nat_fraction", *nat_fraction)?;
+            validate_fraction("study.nat_fraction", study.nat_fraction)?;
         }
         StudySpec::HitList { detection, sizes } => {
             validate_detection(detection)?;
@@ -2063,11 +2034,11 @@ fn validate_study(study: &StudySpec) -> Result<(), SpecError> {
             // top-k one draws them from at most k of the population's /8s
             // (the random one from all routable space, which is larger).
             let slash8s = if detection.paper_profile {
-                hotspots_sim::PAPER_CODERED_SLASH8S as u64
+                hotspots_sim::PAPER_CODERED_SLASH8S
             } else {
                 detection.slash8s
             };
-            let capacity = (*top_k_slash8s).min(slash8s) << 16;
+            let capacity = (*top_k_slash8s).min(slash8s as u64) << 16;
             if *sensors > capacity {
                 return Err(SpecError::new(
                     "study.sensors",
@@ -2081,22 +2052,17 @@ fn validate_study(study: &StudySpec) -> Result<(), SpecError> {
         StudySpec::BotCommands { drone, .. } => {
             parse_ip("study.drone", drone)?;
         }
-        StudySpec::Filtering {
-            infected_per_enterprise,
-            infected_per_isp,
-            probes_per_host,
-            ..
-        } => {
-            if *infected_per_enterprise == 0 {
+        StudySpec::Filtering(fl) => {
+            if fl.infected_per_enterprise == 0 {
                 return Err(SpecError::new(
                     "study.infected_per_enterprise",
                     "must be positive",
                 ));
             }
-            if *infected_per_isp == 0 {
+            if fl.infected_per_isp == 0 {
                 return Err(SpecError::new("study.infected_per_isp", "must be positive"));
             }
-            if *probes_per_host == 0 {
+            if fl.probes_per_host == 0 {
                 return Err(SpecError::new("study.probes_per_host", "must be positive"));
             }
         }
@@ -2206,16 +2172,10 @@ mod tests {
     fn study_spec() -> ScenarioSpec {
         let mut spec = ScenarioSpec::named("fig5ab-test");
         spec.study = Some(StudySpec::HitList {
-            detection: DetectionParams {
+            detection: DetectionStudy {
                 population: 10_000,
-                slash8s: 47,
-                paper_profile: false,
-                seeds: 25,
-                scan_rate: 10.0,
-                alert_threshold: 5,
                 max_time: 4_000.0,
-                stop_at_fraction: 0.95,
-                rng_seed: 0xf15_2006,
+                ..DetectionStudy::default()
             },
             sizes: vec![Some(10), Some(100), Some(1000), None],
         });
@@ -2292,6 +2252,79 @@ mod tests {
     }
 
     #[test]
+    fn omitted_study_keys_take_the_core_defaults() {
+        let study = |body: &str| {
+            let text = format!("[meta]\nname = \"defaults\"\n\n[study]\n{body}");
+            ScenarioSpec::from_toml(&text)
+                .expect("required keys suffice")
+                .study
+                .expect("a study spec")
+        };
+        assert_eq!(
+            study("kind = \"blaster-coverage\"\nhosts = 7\nwindow_secs = 60.0\n"),
+            StudySpec::BlasterCoverage(BlasterStudy {
+                hosts: 7,
+                window_secs: 60.0,
+                ..BlasterStudy::default()
+            })
+        );
+        assert_eq!(
+            study("kind = \"slammer-coverage\"\nhosts = 7\n"),
+            StudySpec::SlammerCoverage(SlammerStudy {
+                hosts: 7,
+                ..SlammerStudy::default()
+            })
+        );
+        let StudySpec::CodeRedNat { study: codered, .. } = study(
+            "kind = \"codered-nat\"\nhosts = 7\nprobes_per_host = 9\n\
+             quarantine_probes_public = 1\nquarantine_probes_natted = 1\n",
+        ) else {
+            panic!("a codered-nat study");
+        };
+        assert_eq!(
+            codered,
+            CodeRedStudy {
+                hosts: 7,
+                probes_per_host: 9,
+                ..CodeRedStudy::default()
+            }
+        );
+        let detection = DetectionStudy {
+            population: 700,
+            max_time: 60.0,
+            ..DetectionStudy::default()
+        };
+        let detection_table = "[study.detection]\npopulation = 700\nmax_time = 60.0\n";
+        assert_eq!(
+            study(&format!(
+                "kind = \"hitlist\"\nsizes = [\"full\"]\n\n{detection_table}"
+            )),
+            StudySpec::HitList {
+                detection,
+                sizes: vec![None],
+            }
+        );
+        let StudySpec::NatDetection { detection: nat, .. } = study(&format!(
+            "kind = \"nat-detection\"\nsensors = 3\n\n{detection_table}"
+        )) else {
+            panic!("a nat-detection study");
+        };
+        assert_eq!(nat, detection);
+        assert_eq!(
+            study(
+                "kind = \"filtering\"\ninfected_per_enterprise = 7\n\
+                 infected_per_isp = 8\nprobes_per_host = 9\n"
+            ),
+            StudySpec::Filtering(FilteringStudy {
+                infected_per_enterprise: 7,
+                infected_per_isp: 8,
+                probes_per_host: 9,
+                ..FilteringStudy::default()
+            })
+        );
+    }
+
+    #[test]
     fn validation_names_fields() {
         let mut spec = engine_spec();
         spec.environment.nat.as_mut().unwrap().fraction = 1.5;
@@ -2310,6 +2343,18 @@ mod tests {
         spec.population = None;
         let err = spec.validate().unwrap_err();
         assert_eq!(err.field, "population");
+
+        // duplicate addresses collapse before the seed count is checked
+        let mut spec = engine_spec();
+        spec.population = Some(PopSpec::Hosts {
+            addrs: vec!["11.11.0.1".into(), "11.11.0.1".into()],
+        });
+        spec.sim.seeds = 2;
+        let err = spec.validate().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "sim.seeds: 2 seed hosts exceed the population of 1"
+        );
     }
 
     #[test]
@@ -2458,16 +2503,13 @@ mod tests {
         ] {
             let mut spec = ScenarioSpec::named("fig5c-test");
             let nat = |sensors| StudySpec::NatDetection {
-                detection: DetectionParams {
+                detection: DetectionStudy {
                     population: 10_000,
                     slash8s,
                     paper_profile,
-                    seeds: 25,
-                    scan_rate: 10.0,
-                    alert_threshold: 5,
                     max_time: 4_000.0,
-                    stop_at_fraction: 0.95,
                     rng_seed: 1,
+                    ..DetectionStudy::default()
                 },
                 nat_fraction: 0.15,
                 sensors,

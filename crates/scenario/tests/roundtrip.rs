@@ -7,9 +7,14 @@
 //! sweeps — keeping each draw inside the validated ranges so the
 //! property quantifies over specs a user could actually run.
 
+use hotspots::scenarios::blaster::BlasterStudy;
+use hotspots::scenarios::codered::CodeRedStudy;
+use hotspots::scenarios::detection::DetectionStudy;
+use hotspots::scenarios::filtering::FilteringStudy;
+use hotspots::scenarios::slammer::SlammerStudy;
 use hotspots_scenario::spec::{
-    DetectionParams, EnvSpec, FaultsSpec, LatencySpec, NatSpec, PlacementSpec, PopSpec, SimSpec,
-    StudySpec, SweepSpec, TelescopeSpec, WormSpec,
+    EnvSpec, FaultsSpec, LatencySpec, NatSpec, PlacementSpec, PopSpec, SimSpec, StudySpec,
+    SweepSpec, TelescopeSpec, WormSpec,
 };
 use hotspots_scenario::{presets, Scale, ScenarioSpec, Value};
 use proptest::prelude::*;
@@ -184,12 +189,23 @@ fn arb_telescope(rng: &mut StdRng) -> TelescopeSpec {
     }
 }
 
-fn arb_sim(rng: &mut StdRng) -> SimSpec {
+/// The fewest hosts `pop` can hold (duplicate `Hosts` addresses
+/// collapse into one), so a seed count up to it validates.
+fn min_hosts(pop: &PopSpec) -> u64 {
+    match pop {
+        PopSpec::Range { count, .. } => *count,
+        PopSpec::Synthetic { size, .. } | PopSpec::Zipf { size, .. } => *size,
+        PopSpec::Paper { .. } => u64::MAX,
+        PopSpec::Hosts { .. } => 1,
+    }
+}
+
+fn arb_sim(rng: &mut StdRng, max_seeds: u64) -> SimSpec {
     let dt = *pick(rng, &[0.1, 0.5, 1.0]);
     SimSpec {
         scan_rate: rng.gen_range(0.5..4_000.0),
         scan_rate_sigma: rng.gen_range(0.0..2.0),
-        seeds: rng.gen_range(1u64..=100),
+        seeds: rng.gen_range(1u64..=max_seeds.min(100)),
         dt,
         max_time: rng.gen_range(dt..10_000.0),
         stop_at_fraction: rng.gen_bool(0.5).then(|| rng.gen_range(0.05..1.0)),
@@ -198,12 +214,12 @@ fn arb_sim(rng: &mut StdRng) -> SimSpec {
     }
 }
 
-fn arb_detection(rng: &mut StdRng) -> DetectionParams {
-    DetectionParams {
-        population: rng.gen_range(100u64..=200_000),
-        slash8s: rng.gen_range(1u64..=64),
+fn arb_detection(rng: &mut StdRng) -> DetectionStudy {
+    DetectionStudy {
+        population: rng.gen_range(100usize..=200_000),
+        slash8s: rng.gen_range(1usize..=64),
         paper_profile: rng.gen_bool(0.3),
-        seeds: rng.gen_range(1u64..=50),
+        seeds: rng.gen_range(1usize..=50),
         scan_rate: rng.gen_range(0.5..100.0),
         alert_threshold: rng.gen_range(1u64..=20),
         max_time: rng.gen_range(10.0..10_000.0),
@@ -221,26 +237,28 @@ fn arb_sizes(rng: &mut StdRng) -> Vec<Option<u64>> {
 
 fn arb_study(rng: &mut StdRng) -> StudySpec {
     match rng.gen_range(0u32..10) {
-        0 => StudySpec::BlasterCoverage {
-            hosts: rng.gen_range(10u64..=100_000),
+        0 => StudySpec::BlasterCoverage(BlasterStudy {
+            hosts: rng.gen_range(10usize..=100_000),
             window_secs: rng.gen_range(60.0..7_200.0),
             scan_rate: rng.gen_range(0.5..100.0),
             reboot_fraction: rng.gen_range(0.0..1.0),
             rng_seed: arb_seed(rng),
-        },
-        1 => StudySpec::SlammerCoverage {
-            hosts: rng.gen_range(10u64..=100_000),
+        }),
+        1 => StudySpec::SlammerCoverage(SlammerStudy {
+            hosts: rng.gen_range(10usize..=100_000),
             m_block_filter: rng.gen_bool(0.5),
             rng_seed: arb_seed(rng),
-        },
+        }),
         2 => StudySpec::SlammerHosts {
             probes_per_host: rng.gen_range(1_000u64..=1_000_000),
         },
         3 => StudySpec::CodeRedNat {
-            hosts: rng.gen_range(10u64..=10_000),
-            probes_per_host: rng.gen_range(100u64..=100_000),
-            nat_fraction: rng.gen_range(0.0..1.0),
-            rng_seed: arb_seed(rng),
+            study: CodeRedStudy {
+                hosts: rng.gen_range(10usize..=10_000),
+                probes_per_host: rng.gen_range(100u64..=100_000),
+                nat_fraction: rng.gen_range(0.0..1.0),
+                rng_seed: arb_seed(rng),
+            },
             quarantine_probes_public: rng.gen_range(1_000u64..=2_000_000),
             quarantine_probes_natted: rng.gen_range(1_000u64..=2_000_000),
             quarantine_seed: arb_seed(rng),
@@ -260,13 +278,13 @@ fn arb_study(rng: &mut StdRng) -> StudySpec {
             corpus_seed: arb_seed(rng),
             drone: arb_ip(rng),
         },
-        7 => StudySpec::Filtering {
-            infected_per_enterprise: rng.gen_range(1u64..=10_000),
-            infected_per_isp: rng.gen_range(1u64..=10_000),
+        7 => StudySpec::Filtering(FilteringStudy {
+            infected_per_enterprise: rng.gen_range(1usize..=10_000),
+            infected_per_isp: rng.gen_range(1usize..=10_000),
             probes_per_host: rng.gen_range(100u64..=100_000),
             blaster_scan_len: rng.gen_range(100u64..=100_000),
             rng_seed: arb_seed(rng),
-        },
+        }),
         8 => StudySpec::Ablations {
             nat_population: rng.gen_range(10u64..=50_000),
             nat_max_time: rng.gen_range(10.0..10_000.0),
@@ -330,11 +348,12 @@ fn arb_spec(seed: u64) -> ScenarioSpec {
     if rng.gen_bool(0.5) {
         // engine path
         spec.worm = Some(arb_worm(rng));
-        spec.population = Some(arb_pop(rng));
+        let population = arb_pop(rng);
         spec.environment = arb_env(rng);
         spec.faults = arb_faults(rng);
         spec.telescope = arb_telescope(rng);
-        spec.sim = arb_sim(rng);
+        spec.sim = arb_sim(rng, min_hosts(&population));
+        spec.population = Some(population);
     } else {
         spec.study = Some(arb_study(rng));
     }

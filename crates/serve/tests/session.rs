@@ -328,7 +328,8 @@ fn spec_that_fails_to_build_is_a_spec_error_and_the_session_continues() {
         "{}\n[environment.nat]\nfraction = 1.0\ntopology = \"isolated\"\nseed = 1\n",
         tiny_spec(13)
     );
-    // 65 seed hosts cannot be drawn from 64: the engine refuses typed
+    // 65 seed hosts cannot be drawn from 64: validation refuses it typed,
+    // before any cache lookup or run
     let overseeded = tiny_spec(15).replace("seeds = 2", "seeds = 65");
     let responses = session(
         &server,
@@ -356,10 +357,10 @@ fn spec_that_fails_to_build_is_a_spec_error_and_the_session_continues() {
         "{}",
         responses[2]
     );
-    // the failed runs stored nothing
+    // the failed run stored nothing, and the refused spec never ran
     assert_eq!(
         responses[3],
-        "{\"ok\":true,\"entries\":1,\"hits\":0,\"misses\":3,\"runs\":3,\"rejected\":0,\"evictions\":0}"
+        "{\"ok\":true,\"entries\":1,\"hits\":0,\"misses\":2,\"runs\":2,\"rejected\":0,\"evictions\":0}"
     );
     cleanup(&config);
 }

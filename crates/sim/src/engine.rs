@@ -8,7 +8,7 @@ use std::time::Duration;
 use hotspots_netmodel::{DeliveryLedger, Environment};
 use hotspots_prng::SplitMix;
 use hotspots_stats::TimeSeries;
-use hotspots_telemetry::{Histogram, PhaseTimes, Timer, TraceSink};
+use hotspots_telemetry::{PhaseTimes, Timer, TraceSink};
 use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::{Rng, SeedableRng};
@@ -113,8 +113,6 @@ pub struct EngineTelemetry {
     /// jobs) and `wake` (dispatch-to-pickup latency); effectively serial
     /// runs omit both.
     pub phases: PhaseTimes,
-    /// Per-step wall time in microseconds, log-bucketed.
-    pub step_micros: Histogram,
     /// Slowest single step in wall seconds.
     pub peak_step_seconds: f64,
     /// Span trace of the run (only when [`SimConfig::trace`] was set):
@@ -324,7 +322,6 @@ impl Engine {
             Duration::ZERO,
             Duration::ZERO,
         );
-        let mut step_micros = Histogram::new();
         let mut peak_step = Duration::ZERO;
         let run_start = Timer::start();
         let mut trace = self.config.trace.then(TraceSink::new);
@@ -484,7 +481,6 @@ impl Engine {
             step_merge += t_spawn.elapsed();
             tel_merge += step_merge;
             let step = step_start.elapsed();
-            step_micros.record(step.as_micros() as u64);
             peak_step = peak_step.max(step);
             if let Some(t) = trace.as_mut() {
                 t.leaf("merge", step_index, 0, 0, step_merge);
@@ -526,7 +522,6 @@ impl Engine {
                 }
                 EngineTelemetry {
                     phases,
-                    step_micros,
                     peak_step_seconds: peak_step.as_secs_f64(),
                     trace,
                 }
@@ -953,12 +948,7 @@ mod tests {
         for phase in ["target_gen", "routing", "lookup", "observe", "merge"] {
             assert_eq!(tel.phases.spans(phase), 1, "{phase} missing");
         }
-        assert!(tel.step_micros.count() > 0);
         assert!(tel.peak_step_seconds > 0.0);
-        assert!(
-            tel.peak_step_seconds * 1e6 >= tel.step_micros.max().unwrap() as f64,
-            "peak must bound the histogram"
-        );
         assert!(tel.trace.is_none(), "no trace unless SimConfig::trace");
     }
 

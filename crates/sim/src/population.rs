@@ -811,6 +811,9 @@ impl OffsetTable {
 /// The /8s [`paper_codered_population`] deals its /16s into.
 pub const PAPER_CODERED_SLASH8S: usize = 47;
 
+/// The hosts [`paper_codered_population`] draws.
+pub const PAPER_CODERED_HOSTS: usize = 134_586;
+
 /// Synthesizes the CodeRedII vulnerable population calibrated to the
 /// paper's published **coverage profile**: 134,586 addresses across
 /// 4,481 occupied /16s, where the top-10 /16s hold 10.60% of hosts, the
@@ -831,7 +834,6 @@ pub const PAPER_CODERED_SLASH8S: usize = 47;
 /// assert_eq!(pop.len(), 134_586);
 /// ```
 pub fn paper_codered_population<R: Rng + ?Sized>(rng: &mut R) -> Vec<Ip> {
-    const N: usize = 134_586;
     // Rank bands with the paper's cumulative coverages at 10/100/1000/4481:
     // hosts are spread evenly within each band, so the greedy top-k
     // coverages match the published numbers exactly by construction.
@@ -843,19 +845,23 @@ pub fn paper_codered_population<R: Rng + ?Sized>(rng: &mut R) -> Vec<Ip> {
     ];
     let mut counts: Vec<usize> = Vec::with_capacity(4_481);
     for (width, mass) in BANDS {
-        let band_hosts = (mass * N as f64).round() as usize;
+        let band_hosts = (mass * PAPER_CODERED_HOSTS as f64).round() as usize;
         let base = band_hosts / width;
         let extra = band_hosts % width;
         for i in 0..width {
             counts.push((base + usize::from(i < extra)).max(1));
         }
     }
-    // rounding fix-up to land on exactly N, adjusting the tail band
+    // rounding fix-up to land on the exact host count, adjusting the tail band
     let mut total: isize = counts.iter().sum::<usize>() as isize;
     let mut i = counts.len();
-    while total != N as isize {
+    while total != PAPER_CODERED_HOSTS as isize {
         i = if i == 0 { counts.len() - 1 } else { i - 1 };
-        let adjust: isize = if total > N as isize { -1 } else { 1 };
+        let adjust: isize = if total > PAPER_CODERED_HOSTS as isize {
+            -1
+        } else {
+            1
+        };
         if counts[i] as isize + adjust >= 1 {
             counts[i] = (counts[i] as isize + adjust) as usize;
             total += adjust;

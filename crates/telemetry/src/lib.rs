@@ -1,5 +1,5 @@
-//! Observability core for the hotspots engine: counters, log-bucketed
-//! histograms, phase timers, span traces, and end-of-run reports.
+//! Observability core for the hotspots engine: phase timers, span
+//! traces, and end-of-run reports.
 //!
 //! Design rules (see `DESIGN.md`, "Observability"):
 //!
@@ -16,16 +16,15 @@
 //! # Examples
 //!
 //! ```
-//! use hotspots_telemetry::{Counter, Histogram};
+//! use hotspots_telemetry::{PhaseTimes, Timer};
 //!
-//! let mut delivered = Counter::new();
-//! let mut latency_us = Histogram::new();
-//! for probe in 0..1000u64 {
-//!     delivered.incr();
-//!     latency_us.record(probe * probe % 977);
+//! let mut phases = PhaseTimes::new();
+//! for _ in 0..3 {
+//!     let span = Timer::start();
+//!     std::hint::black_box((0..1000u64).sum::<u64>());
+//!     span.stop(&mut phases, "work");
 //! }
-//! assert_eq!(delivered.get(), 1000);
-//! assert!(latency_us.quantile_upper_bound(0.5) <= latency_us.max().unwrap());
+//! assert_eq!(phases.spans("work"), 3);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,6 +43,6 @@ mod trace;
 
 pub use bench::{BenchSummary, MemoryStats, ScalingPoint};
 pub use memory::resident_bytes;
-pub use metrics::{Counter, Histogram, PhaseTimes, Timer};
+pub use metrics::{PhaseTimes, Timer};
 pub use report::{EmitError, ReportBuilder, RunReport, RUN_REPORT_ENV};
 pub use trace::{stable_span_id, SpanRecord, SpanToken, TraceSink};

@@ -9,6 +9,7 @@
 //!
 //! Run with: `cargo run --release --example nat_hotspot`
 
+use hotspots::scenarios::codered::CodeRedStudy;
 use hotspots::scenarios::totals_by_block;
 use hotspots_ipspace::{ims_deployment, Prefix};
 use hotspots_scenario::run::QuarantineTrace;
@@ -20,10 +21,12 @@ fn main() {
     let mut spec = ScenarioSpec::named("nat-hotspot");
     spec.meta.scenario = Some("Figure 4 quarantine + mix".to_owned());
     spec.study = Some(StudySpec::CodeRedNat {
-        hosts: 4_000,
-        probes_per_host: 10_000,
-        nat_fraction: 0.15,
-        rng_seed: 99,
+        study: CodeRedStudy {
+            hosts: 4_000,
+            probes_per_host: 10_000,
+            rng_seed: 99,
+            ..CodeRedStudy::default()
+        },
         quarantine_probes_public: probes,
         quarantine_probes_natted: probes,
         quarantine_seed: 7,

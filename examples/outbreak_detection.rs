@@ -12,22 +12,20 @@
 //!
 //! Run with: `cargo run --release --example outbreak_detection`
 
-use hotspots_scenario::spec::{DetectionParams, StudySpec};
+use hotspots::scenarios::detection::DetectionStudy;
+use hotspots_scenario::spec::StudySpec;
 use hotspots_scenario::{run_spec, Outcome, RunContext, ScenarioSpec};
 use hotspots_telescope::QuorumPolicy;
 
 /// The shared reduced-scale detection study (Figure 5 at 20k hosts).
-fn detection() -> DetectionParams {
-    DetectionParams {
+fn detection() -> DetectionStudy {
+    DetectionStudy {
         population: 20_000,
         slash8s: 30,
-        paper_profile: false,
-        seeds: 25,
-        scan_rate: 10.0,
-        alert_threshold: 5,
         max_time: 6_000.0,
         stop_at_fraction: 0.9,
         rng_seed: 5,
+        ..DetectionStudy::default()
     }
 }
 

@@ -70,10 +70,9 @@ fn main() {
     println!("\n== Aggregate observation (Fig 2, reduced scale) ==");
     let study = slammer::SlammerStudy {
         hosts: 30_000,
+        m_block_filter: true,
         rng_seed: 1,
-        ..slammer::SlammerStudy::default()
-    }
-    .with_m_block_filter();
+    };
     let blocks = ims_deployment();
     let unique = slammer::unique_sources_per_block(&study, &blocks);
     let rows = slammer::sources_by_block(&study, &blocks);
@@ -95,7 +94,7 @@ fn main() {
     println!("  (M is dark: its upstream filters UDP/1434; H trails D and I per /24)");
     report
         .config("hosts", study.hosts)
-        .config("m_block_filter", true)
+        .config("m_block_filter", study.m_block_filter)
         .add_population(study.hosts as u64);
     if let Err(e) = report.try_emit() {
         eprintln!("error: {e}");

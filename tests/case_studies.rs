@@ -74,10 +74,9 @@ fn fig1_blaster_pipeline_produces_hotspots_with_plausible_seeds() {
 fn fig2_slammer_pipeline_h_deficit_and_m_dark() {
     let study = slammer::SlammerStudy {
         hosts: 12_000,
+        m_block_filter: true,
         rng_seed: 5,
-        ..slammer::SlammerStudy::default()
-    }
-    .with_m_block_filter();
+    };
     let rows = slammer::sources_by_block(&study, &ims_deployment());
     let rates: std::collections::HashMap<String, f64> =
         per_slash24_rates(&rows).into_iter().collect();
