@@ -556,7 +556,7 @@ fn malformed_spec_files_are_usage_errors() {
 #[test]
 fn sweep_validates_every_point_before_the_first_run() {
     // (invocation, stderr diagnostic, the first point's block)
-    let rows: [(&[&str], &str, &str); 3] = [
+    let rows: [(&[&str], &str, &str); 5] = [
         (
             &[
                 "sweep",
@@ -591,6 +591,28 @@ fn sweep_validates_every_point_before_the_first_run() {
             ],
             "sim.seeds: 6000 seed hosts exceed the population of 5000",
             "---- sim.seeds = 10 ----",
+        ),
+        (
+            &[
+                "sweep",
+                "ablations",
+                "--quick",
+                "--param",
+                "study.sensor_hosts=800,5",
+            ],
+            "study.sensor_hosts: 10 seed hosts exceed the population of 5",
+            "---- study.sensor_hosts = 800 ----",
+        ),
+        (
+            &[
+                "sweep",
+                "ablations",
+                "--quick",
+                "--param",
+                "study.nat_population=400,24",
+            ],
+            "study.nat_population: 25 seed hosts exceed the population of 24",
+            "---- study.nat_population = 400 ----",
         ),
     ];
     for (args, diagnostic, first_point) in rows {

@@ -49,6 +49,7 @@ mod ledger;
 pub mod loss;
 pub mod nat;
 pub mod orgs;
+mod route_table;
 mod service;
 
 pub use environment::{Delivery, DropReason, Environment, Locus};
@@ -59,4 +60,5 @@ pub use ledger::DeliveryLedger;
 pub use loss::LossModel;
 pub use nat::{NatRealm, RealmId};
 pub use orgs::{OrgKind, OrgRegistry, Organization};
+pub use route_table::RouteTables;
 pub use service::{Proto, Service};

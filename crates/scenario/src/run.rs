@@ -784,6 +784,10 @@ fn size_labels(sizes: &[Option<u64>]) -> String {
         .join(",")
 }
 
+/// Seed hosts of each sensor-mode ablation outbreak; `validate_study`
+/// checks `study.sensor_hosts` against it before anything runs.
+pub(crate) const ABLATION_SENSOR_SEEDS: usize = 10;
+
 // hotspots-lint: certifies(panic-free) reason="sensor prefixes and hit-list entries are literals that parse"
 fn run_ablations(
     nat_population: usize,
@@ -838,7 +842,7 @@ fn run_ablations(
             let (result, field) = Outbreak {
                 config: SimConfig {
                     scan_rate: 20.0,
-                    seeds: 10,
+                    seeds: ABLATION_SENSOR_SEEDS,
                     max_time: sensor_max_time,
                     stop_at_fraction: Some(0.9),
                     ..SimConfig::default()

@@ -2089,6 +2089,18 @@ fn validate_study(study: &StudySpec) -> Result<(), SpecError> {
                     format!("{sensor_hosts} exceeds the 65536 addresses of one /16"),
                 ));
             }
+            // the NAT-topology outbreaks seed `DetectionStudy`'s default
+            // count; the sensor-mode ones seed `ABLATION_SENSOR_SEEDS`
+            check_seeds(
+                "study.nat_population",
+                DetectionStudy::default().seeds,
+                usize::try_from(*nat_population).unwrap_or(usize::MAX),
+            )?;
+            check_seeds(
+                "study.sensor_hosts",
+                crate::run::ABLATION_SENSOR_SEEDS,
+                usize::try_from(*sensor_hosts).unwrap_or(usize::MAX),
+            )?;
             validate_positive("study.nat_max_time", *nat_max_time)?;
             validate_positive("study.sensor_max_time", *sensor_max_time)?;
         }

@@ -844,6 +844,81 @@ mod tests {
     }
 
     #[test]
+    fn chunked_steps_keep_the_outbreak() {
+        use crate::executor::CHUNK;
+        use hotspots_netmodel::{FaultEvent, FaultKind, FaultPlan, FaultWindow, LossModel};
+        // Dispersed rates put bursts above a whole chunk next to many
+        // small ones; loss, an outage on the other hit-list /16 and a
+        // blackhole cutting the population's /16 send probes down both
+        // routing lanes and the mixed-/16 fallback.
+        let config = SimConfig {
+            scan_rate: 800.0,
+            scan_rate_sigma: 1.2,
+            seeds: 5,
+            max_time: 12.0,
+            stop_at_fraction: Some(0.9),
+            rng_seed: 4_096,
+            ..SimConfig::default()
+        };
+        let run = |threads: usize| {
+            let mut env = Environment::new();
+            env.set_loss(LossModel::new(0.1).unwrap());
+            let mut plan = FaultPlan::new();
+            plan.push(FaultEvent::new(
+                FaultKind::SensorOutage {
+                    block: "66.66.0.0/16".parse().unwrap(),
+                },
+                FaultWindow::new(0.0, 6.0),
+            ));
+            plan.push(FaultEvent::new(
+                FaultKind::Blackhole {
+                    prefix: "11.11.1.0/24".parse().unwrap(),
+                },
+                FaultWindow::new(3.0, 9.0),
+            ));
+            env.set_faults(plan);
+            let list = HitList::new(vec![
+                "11.11.0.0/16".parse().unwrap(),
+                "66.66.0.0/16".parse().unwrap(),
+            ])
+            .unwrap();
+            let mut engine = Engine::new(
+                SimConfig { threads, ..config },
+                dense_population(400),
+                env,
+                Box::new(HitListWorm::new(list)),
+            );
+            let bursts: Vec<f64> = (0..400)
+                .map(|id| engine.spawn_host(id).probes_per_step)
+                .collect();
+            assert!(bursts.iter().any(|&b| b > CHUNK as f64));
+            assert!(bursts.iter().filter(|&&b| b < 100.0).count() > 20);
+            engine.run(&mut NullObserver)
+        };
+        let result = run(1);
+        // FNV-1a over every host's infection time (u64::MAX: never)
+        let digest = result
+            .infection_times
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, t| {
+                (h ^ t.map_or(u64::MAX, f64::to_bits)).wrapping_mul(0x0100_0000_01b3)
+            });
+        // the per-burst step before chunking produced exactly these
+        let ledger = &result.ledger;
+        assert_eq!(ledger.probes(), 886_838);
+        assert_eq!(ledger.delivered_public(), 676_566);
+        assert_eq!(ledger.dropped(DropReason::PacketLoss), 74_898);
+        assert_eq!(ledger.dropped(DropReason::SensorOutage), 79_446);
+        assert_eq!(ledger.dropped(DropReason::UpstreamBlackhole), 55_928);
+        assert_eq!(ledger.dropped_total(), 210_272);
+        assert_eq!(result.infected, 369);
+        assert_eq!(digest, 0x8c29_69e1_0fa7_9484);
+        let pooled = run(2);
+        assert_eq!(pooled.ledger, result.ledger);
+        assert_eq!(pooled.infection_times, result.infection_times);
+    }
+
+    #[test]
     fn nat_blocks_external_infection_but_allows_internal() {
         let mut env = Environment::new();
         let mut nat_rng = StdRng::seed_from_u64(5);

@@ -6,6 +6,10 @@ use hotspots_ipspace::{Ip, Prefix};
 /// "which block contains this address" queries — the per-probe hot path
 /// of every telescope.
 ///
+/// A bitmap of every /16 some block touches sits in front of the search,
+/// so an address outside those /16s — most probes, for a telescope — is
+/// answered by one bit test.
+///
 /// # Examples
 ///
 /// ```
@@ -23,6 +27,9 @@ use hotspots_ipspace::{Ip, Prefix};
 pub struct BlockIndex {
     /// (start, end-inclusive, original position), sorted by start.
     spans: Vec<(u32, u32, u32)>,
+    /// One bit per /16 (8 KiB): bit `i % 64` of word `i / 64` is set
+    /// when a block touches the /16 whose number is `i`.
+    slash16s: Box<[u64]>,
 }
 
 impl BlockIndex {
@@ -53,13 +60,23 @@ impl BlockIndex {
                 blocks[w[1].2 as usize]
             );
         }
-        BlockIndex { spans }
+        let mut slash16s = vec![0u64; 1 << 10].into_boxed_slice();
+        for &(start, end, _) in &spans {
+            for i in (start >> 16)..=(end >> 16) {
+                slash16s[(i >> 6) as usize] |= 1 << (i & 63);
+            }
+        }
+        BlockIndex { spans, slash16s }
     }
 
     /// Returns the original position of the block containing `ip`, if any.
     #[inline]
     pub fn find(&self, ip: Ip) -> Option<usize> {
         let v = ip.value();
+        let slash16 = v >> 16;
+        if (self.slash16s[(slash16 >> 6) as usize] >> (slash16 & 63)) & 1 == 0 {
+            return None;
+        }
         let i = self.spans.partition_point(|s| s.0 <= v);
         if i == 0 {
             return None;
@@ -123,12 +140,28 @@ mod tests {
 
     proptest! {
         #[test]
-        fn agrees_with_linear_scan(v in any::<u32>()) {
-            let blocks = vec![p("10.0.0.0/8"), p("131.107.0.0/20"), p("192.40.16.0/22"), p("96.0.0.0/8")];
+        fn agrees_with_linear_scan(v in any::<u32>(), near in any::<u32>()) {
+            // A /15 spanning two /16s, and blocks smaller than a /16
+            // sharing /16s with each other and with unmonitored space.
+            let blocks = vec![
+                p("10.0.0.0/8"),
+                p("131.107.0.0/20"),
+                p("192.40.16.0/22"),
+                p("96.0.0.0/8"),
+                p("198.18.0.0/15"),
+                p("131.107.64.0/24"),
+                p("66.66.0.0/24"),
+                p("66.66.255.252/30"),
+                p("203.0.113.7/32"),
+            ];
             let idx = BlockIndex::new(blocks.clone());
-            let ip = Ip::new(v);
-            let linear = blocks.iter().position(|b| b.contains(ip));
-            prop_assert_eq!(idx.find(ip), linear);
+            // Uniform addresses rarely land in the small blocks' /16s,
+            // so every block's /16 gets an address too.
+            let sixteens = blocks.iter().map(|b| (b.base().value() & 0xffff_0000) | (near & 0xffff));
+            for ip in std::iter::once(v).chain(sixteens).map(Ip::new) {
+                let linear = blocks.iter().position(|b| b.contains(ip));
+                prop_assert_eq!(idx.find(ip), linear, "{}", ip);
+            }
         }
     }
 }
