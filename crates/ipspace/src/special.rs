@@ -115,9 +115,11 @@ pub fn is_globally_routable(ip: Ip) -> bool {
     slash16_bit(&ROUTABLE_16, ip)
 }
 
-/// Every range that is never globally routed. All are /16 or coarser, so
-/// a table with one bit per /16 answers membership exactly.
-const UNROUTABLE_RANGES: [Prefix; 7] = [
+/// Every range that is never globally routed, the private ranges among
+/// them: [`is_globally_routable`] is `false` exactly inside these. All
+/// are /16 or coarser, so a table with one entry per /16 answers
+/// membership exactly.
+pub const UNROUTABLE_RANGES: [Prefix; 7] = [
     THIS_NET,
     PRIVATE_10,
     LOOPBACK,
