@@ -2,7 +2,7 @@
 //! simulation types.
 
 use hotspots_ipspace::{Ip, Prefix};
-use hotspots_netmodel::{Environment, FaultPlan, FilterRule, LatencyModel, LossModel};
+use hotspots_netmodel::{Environment, FaultPlan, LatencyModel, LossModel};
 use hotspots_prng::entropy::{HardwareGeneration, SeedModel};
 use hotspots_sim::{
     apply_nat, apply_nat_shared, canonical_parts, paper_codered_population,
@@ -16,8 +16,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::spec::{
-    parse_fault, parse_filter, parse_ip, parse_preference_entry, parse_prefix, parse_service,
-    PlacementSpec, PopSpec, ScenarioSpec, SpecError, TelescopeSpec, WormSpec,
+    parse_bot_command, parse_fault, parse_filter_entry, parse_hosts, parse_ip,
+    parse_preference_entry, parse_prefix, parse_service, PlacementSpec, PopSpec, ScenarioSpec,
+    SpecError, TelescopeSpec, WormSpec,
 };
 
 /// Converts a spec-supplied integer to `usize`, surfacing a dotted-path
@@ -61,11 +62,7 @@ impl ScenarioSpec {
             }
         }
         for (i, rule) in self.environment.filters.iter().enumerate() {
-            let parsed = parse_filter(&format!("environment.filters[{i}]"), rule)?;
-            let rule = match parsed.direction.as_str() {
-                "egress" => FilterRule::egress(parsed.prefix, parsed.service),
-                _ => FilterRule::ingress(parsed.prefix, parsed.service),
-            };
+            let rule = parse_filter_entry(&format!("environment.filters[{i}]"), rule)?;
             environment.filters_mut().push(rule);
         }
         if !self.faults.schedule.is_empty() {
@@ -163,15 +160,7 @@ fn build_addresses(pop: &PopSpec) -> Result<Vec<Ip>, SpecError> {
             let mut rng = StdRng::seed_from_u64(*seed);
             Ok(paper_codered_population(&mut rng))
         }
-        PopSpec::Hosts { addrs } => {
-            let mut ips = addrs
-                .iter()
-                .map(|a| parse_ip("population.addrs", a))
-                .collect::<Result<Vec<Ip>, SpecError>>()?;
-            ips.sort_unstable();
-            ips.dedup();
-            Ok(ips)
-        }
+        PopSpec::Hosts { addrs } => parse_hosts(addrs),
         PopSpec::Zipf {
             size,
             slash8s,
@@ -234,11 +223,7 @@ fn build_worm(worm: &WormSpec) -> Result<Box<dyn WormModel>, SpecError> {
             Box::new(w)
         }
         WormSpec::Bot { command } => {
-            let command = command.parse().map_err(|e| SpecError {
-                field: "worm.command".into(),
-                message: format!("{e}"),
-            })?;
-            Box::new(BotWorm::new(command))
+            Box::new(BotWorm::new(parse_bot_command("worm.command", command)?))
         }
     })
 }

@@ -18,7 +18,8 @@ use hotspots_sim::PAPER_CODERED_HOSTS;
 use crate::cli::Scale;
 use crate::spec::{
     EnvSpec, FaultsSpec, LatencySpec, NatSpec, PlacementSpec, PopSpec, ScenarioSpec, SimSpec,
-    StudySpec, TelescopeSpec, WormSpec,
+    StudySpec, TelescopeSpec, WormSpec, CORPUS_SEED, NAT_DETECTION_FRACTION, QUARANTINE_SEED,
+    SENSITIVITY_SEED, TOP_K_SLASH8S,
 };
 
 /// A named, registered scenario.
@@ -185,7 +186,7 @@ static PRESETS: [Preset; 23] = [
                 },
                 quarantine_probes_public: scale.pick(500_000, 7_567_093),
                 quarantine_probes_natted: scale.pick(500_000, 7_567_361),
-                quarantine_seed: 4,
+                quarantine_seed: QUARANTINE_SEED,
             })
         },
     },
@@ -213,9 +214,9 @@ static PRESETS: [Preset; 23] = [
         spec_fn: |scale| {
             named_study(StudySpec::NatDetection {
                 detection: fig5_detection(scale, 3_000.0, 12_000.0),
-                nat_fraction: 0.15,
+                nat_fraction: NAT_DETECTION_FRACTION,
                 sensors: scale.pick(1_000, 10_000),
-                top_k_slash8s: 20,
+                top_k_slash8s: TOP_K_SLASH8S,
             })
         },
     },
@@ -229,7 +230,7 @@ static PRESETS: [Preset; 23] = [
         spec_fn: |scale| {
             named_study(StudySpec::BotCommands {
                 synthetic_commands: scale.pick(40, 400),
-                corpus_seed: 0x7ab1e,
+                corpus_seed: CORPUS_SEED,
                 drone: "141.20.33.7".to_owned(),
             })
         },
@@ -280,7 +281,7 @@ static PRESETS: [Preset; 23] = [
                 codered_hosts: scale.pick(1_200, 6_000),
                 codered_probes_per_host: scale.pick(8_000, 15_000),
                 slammer_hosts: scale.pick(10_000, 40_000),
-                rng_seed: 0x5ee0,
+                rng_seed: SENSITIVITY_SEED,
             })
         },
     },

@@ -40,7 +40,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::build::{spec_u32, spec_usize};
 use crate::error::HotspotsError;
-use crate::spec::{parse_ip, ScenarioSpec, SpecError, StudySpec};
+use crate::spec::{parse_ip, ScenarioSpec, SpecError, StudySpec, NAT_DETECTION_FRACTION};
 
 /// How a front-end runs a spec: the binary name stamped into the run
 /// report, and the run options a spec does not hold — the worker-thread
@@ -784,7 +784,7 @@ fn size_labels(sizes: &[Option<u64>]) -> String {
         .join(",")
 }
 
-/// Seed hosts of each sensor-mode ablation outbreak; `validate_study`
+/// Seed hosts of each sensor-mode ablation outbreak; `validate`
 /// checks `study.sensor_hosts` against it before anything runs.
 pub(crate) const ABLATION_SENSOR_SEEDS: usize = 10;
 
@@ -804,9 +804,9 @@ fn run_ablations(
         max_time: nat_max_time,
         ..DetectionStudy::default()
     };
-    let mut nat = Vec::new();
+    let (mut nat, nat_fraction) = (Vec::new(), NAT_DETECTION_FRACTION);
     for topology in [NatTopology::Shared, NatTopology::Isolated] {
-        let run = nat_run(&nat_study, 0.15, Placement::Inside192, topology)
+        let run = nat_run(&nat_study, nat_fraction, Placement::Inside192, topology)
             .map_err(|e| SpecError::new("study.nat_population", e.to_string()))?;
         fold_sim_result(out, &run.result);
         nat.push((topology, run));

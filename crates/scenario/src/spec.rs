@@ -8,6 +8,11 @@
 //! encapsulates a whole multi-run experiment. Specs round-trip through
 //! TOML and JSON via [`value::Value`], and every deserialization or
 //! validation error names the offending field by dotted path.
+//!
+//! Each table of the schema is written once, as a `walk!` body below:
+//! its keys in canonical order, each with the field it fills and the
+//! rule it must meet. The reader, writer and checker in `fields` run
+//! those bodies for `from_value`, `to_value` and `validate`.
 
 use std::fmt;
 
@@ -23,6 +28,14 @@ use hotspots_targeting::PreferenceEntry;
 
 use crate::build::spec_usize;
 use crate::value::{self, Value};
+
+mod fields;
+
+use fields::{
+    any, each, ensure, fraction, grammar, non_empty, non_negative, nonempty_each, nonzero, one_of,
+    positive, slash8_count, some, u32_count, unknown, walk, Check, Checker, Reader, Section, Step,
+    Walker, Writer,
+};
 
 /// A rejected spec: which field, and why.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,7 +75,7 @@ impl std::error::Error for SpecError {}
 ///   populations internally.
 ///
 /// [`validate`]: ScenarioSpec::validate
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScenarioSpec {
     /// Identity and report labelling.
     pub meta: MetaSpec,
@@ -142,20 +155,6 @@ pub enum WormSpec {
     },
 }
 
-impl WormSpec {
-    fn kind(&self) -> &'static str {
-        match self {
-            WormSpec::Uniform => "uniform",
-            WormSpec::Slammer => "slammer",
-            WormSpec::CodeRed2 => "codered2",
-            WormSpec::Blaster { .. } => "blaster",
-            WormSpec::HitList { .. } => "hit-list",
-            WormSpec::LocalPreference { .. } => "local-preference",
-            WormSpec::Bot { .. } => "bot",
-        }
-    }
-}
-
 /// The network environment between infected hosts and their targets.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EnvSpec {
@@ -190,16 +189,16 @@ pub struct FaultsSpec {
 }
 
 /// Propagation delay: `base + U(0, jitter)` seconds per probe.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LatencySpec {
     /// Fixed per-probe delay in seconds.
     pub base_secs: f64,
-    /// Uniform jitter bound in seconds.
+    /// Uniform jitter bound in seconds (default 0).
     pub jitter_secs: f64,
 }
 
 /// NAT deployment over an engine-path population.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct NatSpec {
     /// Fraction of hosts moved behind NAT, in `[0, 1]`.
     pub fraction: f64,
@@ -219,7 +218,7 @@ pub enum PopSpec {
         base: String,
         /// Number of hosts.
         count: u64,
-        /// Address increment between consecutive hosts.
+        /// Address increment between consecutive hosts (default 1).
         stride: u64,
     },
     /// The knob-tunable synthetic CodeRedII-style population.
@@ -267,14 +266,16 @@ pub enum TelescopeSpec {
     Field {
         /// Where the sensor /24s sit.
         placement: PlacementSpec,
-        /// Probes a sensor must see before alerting.
+        /// Probes a sensor must see before alerting (default 5).
         alert_threshold: u64,
-        /// `"active"` or `"passive"`.
+        /// `"active"` (default) or `"passive"`.
         mode: String,
     },
 }
 
-/// Sensor placement for [`TelescopeSpec::Field`].
+/// Sensor placement for [`TelescopeSpec::Field`]. The default, an
+/// empty prefix list, is what a `[telescope]` table reads into before
+/// its required `placement` replaces it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlacementSpec {
     /// Explicit sensor prefixes.
@@ -289,6 +290,14 @@ pub enum PlacementSpec {
         /// RNG seed for the draw.
         seed: u64,
     },
+}
+
+impl Default for PlacementSpec {
+    fn default() -> PlacementSpec {
+        PlacementSpec::Prefixes {
+            prefixes: Vec::new(),
+        }
+    }
 }
 
 /// The outbreak's model parameters: the fields of
@@ -331,6 +340,17 @@ impl Default for SimSpec {
         }
     }
 }
+
+/// Default seed of Figure 4's quarantine traces.
+pub(crate) const QUARANTINE_SEED: u64 = 4;
+/// Default share of Figure 5(c)'s population behind NAT.
+pub(crate) const NAT_DETECTION_FRACTION: f64 = 0.15;
+/// Default `k` of Figure 5(c)'s top-/8s sensor placement.
+pub(crate) const TOP_K_SLASH8S: u64 = 20;
+/// Default seed of Table 1's synthetic command corpus.
+pub(crate) const CORPUS_SEED: u64 = 0x7ab1e;
+/// Default master seed of the sensitivity suite's deployment draws.
+pub(crate) const SENSITIVITY_SEED: u64 = 0x5ee0;
 
 /// A figure/table study: a whole multi-run experiment as data. The
 /// paper studies carry their core parameter structs, so a `[study]`
@@ -416,26 +436,9 @@ pub enum StudySpec {
     },
 }
 
-impl StudySpec {
-    fn kind(&self) -> &'static str {
-        match self {
-            StudySpec::BlasterCoverage(_) => "blaster-coverage",
-            StudySpec::SlammerCoverage(_) => "slammer-coverage",
-            StudySpec::SlammerHosts { .. } => "slammer-hosts",
-            StudySpec::CodeRedNat { .. } => "codered-nat",
-            StudySpec::HitList { .. } => "hitlist",
-            StudySpec::NatDetection { .. } => "nat-detection",
-            StudySpec::BotCommands { .. } => "bot-commands",
-            StudySpec::Filtering(_) => "filtering",
-            StudySpec::Ablations { .. } => "ablations",
-            StudySpec::Sensitivity { .. } => "sensitivity",
-        }
-    }
-}
-
 /// A parameter sweep: rerun the scenario once per value with the dotted
 /// `param` path overridden.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SweepSpec {
     /// Dotted path into the spec (`"sim.scan_rate"`).
     pub param: String,
@@ -444,207 +447,329 @@ pub struct SweepSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Field-tracking table reader
+// Table-specific rules and cross-field checks
 // ---------------------------------------------------------------------------
 
-/// Reads one `Value::Table`, tracking which keys were consumed so
-/// unknown keys (typos) become errors naming the field.
-struct Fields<'a> {
-    path: String,
-    entries: &'a [(String, Value)],
-    used: Vec<bool>,
+/// At least one hit-list size, and none zero.
+fn hit_list_sizes<T: AsRef<[Option<u64>]>>(sizes: &T) -> Check {
+    non_empty(sizes)?;
+    match sizes.as_ref().iter().position(|s| *s == Some(0)) {
+        Some(i) => Err(SpecError::new(format!("[{i}]"), "must be positive")),
+        None => Ok(()),
+    }
 }
 
-impl<'a> Fields<'a> {
-    fn new(path: &str, v: &'a Value) -> Result<Fields<'a>, SpecError> {
-        match v {
-            Value::Table(entries) => Ok(Fields {
-                path: path.to_owned(),
-                entries,
-                used: vec![false; entries.len()],
-            }),
-            other => Err(SpecError::new(
-                path,
-                format!("expected a table, found {}", other.type_name()),
-            )),
-        }
-    }
+/// The sensor-mode ablation hosts are distinct addresses in one /16.
+fn one_slash16(hosts: &u64) -> Check {
+    nonzero(hosts)?;
+    let message = format_args!("{hosts} exceeds the 65536 addresses of one /16");
+    ensure(*hosts <= 1 << 16, "", message)
+}
 
-    /// Dotted path of `key` under this table.
-    fn sub(&self, key: &str) -> String {
-        if self.path.is_empty() {
-            key.to_owned()
-        } else {
-            format!("{}.{key}", self.path)
-        }
-    }
+/// Rejects more seed hosts than the population holds, in the engine's
+/// own words, before anything runs.
+fn check_seeds(field: &str, seeds: usize, hosts: usize) -> Check {
+    let e = PopulationError::FewerHostsThanSeeds { hosts, seeds };
+    ensure(seeds <= hosts, field, format_args!("{e}"))
+}
 
-    fn take(&mut self, key: &str) -> Option<&'a Value> {
-        for (i, (k, v)) in self.entries.iter().enumerate() {
-            if k == key {
-                self.used[i] = true;
-                return Some(v);
+fn latency_sign(lat: &LatencySpec) -> Check {
+    let ok = lat.base_secs >= 0.0 && lat.jitter_secs >= 0.0;
+    ensure(ok, "", format_args!("delays must be non-negative"))
+}
+
+/// Each /8 holds at most 2^24 addresses.
+fn zipf_capacity(size: u64, n: u64) -> Check {
+    let message = format_args!("{size} hosts exceed the capacity of {n} /8s");
+    ensure(size <= n << 24, ".size", message)
+}
+
+/// Both Figure 5(c) placements need `sensors` disjoint /24s. The top-k
+/// one draws them from at most k of the population's /8s (the random
+/// one from all routable space, which is larger).
+fn sensor_capacity(detection: &DetectionStudy, sensors: u64, top_k: u64) -> Check {
+    let occupied = if detection.paper_profile {
+        hotspots_sim::PAPER_CODERED_SLASH8S
+    } else {
+        detection.slash8s
+    };
+    let k = top_k.min(occupied as u64);
+    let capacity = k << 16;
+    let message = format_args!("{sensors} exceeds the {capacity} disjoint /24s of the top {k} /8s");
+    ensure(sensors <= capacity, ".sensors", message)
+}
+
+/// The NAT-topology outbreaks seed `DetectionStudy`'s default count; the
+/// sensor-mode ones seed `ABLATION_SENSOR_SEEDS`.
+fn ablation_seeds(nat_population: u64, sensor_hosts: u64) -> Check {
+    let hosts = |n: u64| usize::try_from(n).unwrap_or(usize::MAX);
+    let nat_seeds = DetectionStudy::default().seeds;
+    check_seeds(".nat_population", nat_seeds, hosts(nat_population))?;
+    let sensor_seeds = crate::run::ABLATION_SENSOR_SEEDS;
+    check_seeds(".sensor_hosts", sensor_seeds, hosts(sensor_hosts))
+}
+
+impl PopSpec {
+    /// The number of distinct hosts the population states.
+    fn hosts(&self) -> Result<usize, SpecError> {
+        match self {
+            PopSpec::Range { count, .. } => spec_usize("population.count", *count),
+            PopSpec::Synthetic { size, .. } | PopSpec::Zipf { size, .. } => {
+                spec_usize("population.size", *size)
             }
+            PopSpec::Paper { .. } => Ok(PAPER_CODERED_HOSTS),
+            PopSpec::Hosts { addrs } => parse_hosts(addrs).map(|ips| ips.len()),
         }
-        None
-    }
-
-    fn req(&mut self, key: &str) -> Result<&'a Value, SpecError> {
-        let path = self.sub(key);
-        self.take(key)
-            .ok_or_else(|| SpecError::new(path, "missing required field"))
-    }
-
-    fn str(&mut self, key: &str) -> Result<String, SpecError> {
-        let path = self.sub(key);
-        as_str(&path, self.req(key)?)
-    }
-
-    fn opt_str(&mut self, key: &str) -> Result<Option<String>, SpecError> {
-        let path = self.sub(key);
-        self.take(key).map(|v| as_str(&path, v)).transpose()
-    }
-
-    fn u64(&mut self, key: &str) -> Result<u64, SpecError> {
-        let path = self.sub(key);
-        as_u64(&path, self.req(key)?)
-    }
-
-    fn u64_or(&mut self, key: &str, default: u64) -> Result<u64, SpecError> {
-        let path = self.sub(key);
-        match self.take(key) {
-            Some(v) => as_u64(&path, v),
-            None => Ok(default),
-        }
-    }
-
-    fn usize(&mut self, key: &str) -> Result<usize, SpecError> {
-        let path = self.sub(key);
-        as_usize(&path, self.req(key)?)
-    }
-
-    fn usize_or(&mut self, key: &str, default: usize) -> Result<usize, SpecError> {
-        let path = self.sub(key);
-        match self.take(key) {
-            Some(v) => as_usize(&path, v),
-            None => Ok(default),
-        }
-    }
-
-    fn f64(&mut self, key: &str) -> Result<f64, SpecError> {
-        let path = self.sub(key);
-        as_f64(&path, self.req(key)?)
-    }
-
-    fn f64_or(&mut self, key: &str, default: f64) -> Result<f64, SpecError> {
-        let path = self.sub(key);
-        match self.take(key) {
-            Some(v) => as_f64(&path, v),
-            None => Ok(default),
-        }
-    }
-
-    fn opt_f64(&mut self, key: &str) -> Result<Option<f64>, SpecError> {
-        let path = self.sub(key);
-        self.take(key).map(|v| as_f64(&path, v)).transpose()
-    }
-
-    fn bool_or(&mut self, key: &str, default: bool) -> Result<bool, SpecError> {
-        let path = self.sub(key);
-        match self.take(key) {
-            Some(v) => v.as_bool().ok_or_else(|| {
-                SpecError::new(&path, format!("expected a bool, found {}", v.type_name()))
-            }),
-            None => Ok(default),
-        }
-    }
-
-    fn str_array(&mut self, key: &str) -> Result<Vec<String>, SpecError> {
-        let path = self.sub(key);
-        match self.take(key) {
-            Some(v) => {
-                let arr = v.as_array().ok_or_else(|| {
-                    SpecError::new(&path, format!("expected an array, found {}", v.type_name()))
-                })?;
-                arr.iter()
-                    .enumerate()
-                    .map(|(i, item)| as_str(&format!("{path}[{i}]"), item))
-                    .collect()
-            }
-            None => Ok(Vec::new()),
-        }
-    }
-
-    /// Errors on any key never consumed — the typo catcher.
-    fn finish(self) -> Result<(), SpecError> {
-        for (i, (k, _)) in self.entries.iter().enumerate() {
-            if !self.used[i] {
-                return Err(SpecError::new(self.sub(k), "unknown field"));
-            }
-        }
-        Ok(())
     }
 }
 
-fn as_str(path: &str, v: &Value) -> Result<String, SpecError> {
-    v.as_str()
-        .map(str::to_owned)
-        .ok_or_else(|| SpecError::new(path, format!("expected a string, found {}", v.type_name())))
-}
-
-fn as_u64(path: &str, v: &Value) -> Result<u64, SpecError> {
-    match v.as_int() {
-        Some(i) if i >= 0 => Ok(i as u64),
-        Some(i) => Err(SpecError::new(
-            path,
-            format!("must be non-negative, got {i}"),
-        )),
-        None => Err(SpecError::new(
-            path,
-            format!("expected an integer, found {}", v.type_name()),
-        )),
-    }
-}
-
-fn as_usize(path: &str, v: &Value) -> Result<usize, SpecError> {
-    spec_usize(path, as_u64(path, v)?)
-}
-
-fn as_f64(path: &str, v: &Value) -> Result<f64, SpecError> {
-    v.as_float()
-        .ok_or_else(|| SpecError::new(path, format!("expected a number, found {}", v.type_name())))
-}
-
-fn int(v: u64) -> Value {
-    Value::Int(i64::try_from(v).expect("spec integer exceeds i64")) // hotspots-lint: allow(panic-path) reason="spec integers are validated to fit i64 on ingest"
-}
-
-fn strs(items: &[String]) -> Value {
-    Value::Array(items.iter().map(|s| Value::Str(s.clone())).collect())
+/// Parses [`PopSpec::Hosts`] addresses, sorted, duplicates collapsed.
+pub(crate) fn parse_hosts(addrs: &[String]) -> Result<Vec<Ip>, SpecError> {
+    let parse = |a: &String| parse_ip("population.addrs", a);
+    let mut ips = addrs.iter().map(parse).collect::<Result<Vec<Ip>, _>>()?;
+    ips.sort_unstable();
+    ips.dedup();
+    Ok(ips)
 }
 
 // ---------------------------------------------------------------------------
-// (De)serialization
+// The schema: one walk per table, with its kind table for an enum
+// ---------------------------------------------------------------------------
+
+walk! { MetaSpec, |meta, w| {
+    let MetaSpec { name, scenario, artifact, title, scale } = meta;
+    w.req("name", name, non_empty)?;
+    w.field("scenario", scenario, any)?;
+    w.field("artifact", artifact, any)?;
+    w.field("title", title, any)?;
+    w.field("scale", scale, any)
+}}
+
+walk! { WormSpec: "worm kind", listed = true, |w| {
+    "uniform" => Uniform {} => Ok(()),
+    "slammer" => Slammer {} => Ok(()),
+    "codered2" => CodeRed2 {} => Ok(()),
+    "blaster" => Blaster { hardware, model } => {
+        let generations = &["pentium-ii", "pentium-iii", "pentium-iv"];
+        w.req("hardware", hardware, one_of("generation", generations))?;
+        w.req("model", model, one_of("seed model", &["reboot", "population"]))
+    },
+    "hit-list" => HitList { prefixes, service } => {
+        w.field("prefixes", prefixes, nonempty_each(parse_prefix))?;
+        w.field("service", service, some(grammar(parse_service)))
+    },
+    "local-preference" => LocalPreference { entries, service } => {
+        w.field("entries", entries, nonempty_each(parse_preference_entry))?;
+        w.field("service", service, some(grammar(parse_service)))
+    },
+    "bot" => Bot { command } => w.req("command", command, grammar(parse_bot_command)),
+}}
+
+walk! { EnvSpec, |env, w| {
+    let EnvSpec { loss, filters, latency, nat } = env;
+    w.field("loss", loss, some(fraction))?;
+    w.field("filters", filters, each(parse_filter_entry))?;
+    w.field("latency", latency, any)?;
+    w.field("nat", nat, any)
+}}
+
+walk! { LatencySpec, |latency, w| {
+    let LatencySpec { base_secs, jitter_secs } = latency;
+    w.req("base_secs", base_secs, any)?;
+    w.field("jitter_secs", jitter_secs, any)?;
+    w.cross(|| latency_sign(latency))
+}}
+
+walk! { NatSpec, |nat, w| {
+    let NatSpec { fraction: share, topology, seed } = nat;
+    w.req("fraction", share, fraction)?;
+    w.req("topology", topology, one_of("topology", &["isolated", "shared"]))?;
+    w.req("seed", seed, any)
+}}
+
+walk! { FaultsSpec, |faults, w| {
+    let FaultsSpec { schedule } = faults;
+    w.field("schedule", schedule, each(parse_fault))
+}}
+
+walk! { PopSpec: "population kind", listed = true, |w| {
+    "range" => Range { base, count, stride } => {
+        w.req("base", base, grammar(parse_ip))?;
+        w.req("count", count, u32_count)?;
+        w.field_or("stride", stride, 1u64, u32_count)
+    },
+    "synthetic" => Synthetic { size, slash8s, seed } => {
+        w.req("size", size, nonzero)?;
+        w.req("slash8s", slash8s, slash8_count)?;
+        w.req("seed", seed, any)
+    },
+    "paper" => Paper { seed } => w.req("seed", seed, any),
+    // `PopSpec::hosts` parses the addresses, naming the list
+    "hosts" => Hosts { addrs } => w.field("addrs", addrs, non_empty),
+    "zipf" => Zipf { size, slash8s, seed, store } => {
+        w.req("size", size, nonzero)?;
+        w.req("slash8s", slash8s, slash8_count)?;
+        w.req("seed", seed, any)?;
+        w.field_or("store", store, "compressed", one_of("store", &["dense", "compressed"]))?;
+        w.cross(|| zipf_capacity(*size, *slash8s))
+    },
+}}
+
+walk! { TelescopeSpec: "telescope kind", listed = true, |w| {
+    "none" => None {} => Ok(()),
+    "field" => Field { placement, alert_threshold, mode } => {
+        w.field_or("alert_threshold", alert_threshold, 5u64, nonzero)?;
+        w.field_or("mode", mode, "active", one_of("mode", &["active", "passive"]))?;
+        w.req("placement", placement, any)
+    },
+}}
+
+walk! { PlacementSpec: "placement kind", listed = true, |w| {
+    "prefixes" => Prefixes { prefixes } => {
+        w.field("prefixes", prefixes, nonempty_each(parse_prefix))
+    },
+    "random" => Random { sensors, seed } => {
+        w.req("sensors", sensors, nonzero)?;
+        w.req("seed", seed, any)
+    },
+}}
+
+walk! { SimSpec, |sim, w| {
+    let SimSpec {
+        scan_rate, scan_rate_sigma, seeds, dt, max_time, stop_at_fraction, removal_rate, rng_seed,
+    } = sim;
+    w.field("scan_rate", scan_rate, positive)?;
+    w.field("scan_rate_sigma", scan_rate_sigma, non_negative)?;
+    w.field("seeds", seeds, nonzero)?;
+    w.field("dt", dt, positive)?;
+    w.field("max_time", max_time, any)?;
+    w.field("stop_at_fraction", stop_at_fraction, some(fraction))?;
+    w.field("removal_rate", removal_rate, non_negative)?;
+    w.field("rng_seed", rng_seed, any)?;
+    w.cross(|| ensure(sim.max_time >= sim.dt, ".max_time", format_args!("shorter than one step")))
+}}
+
+walk! { DetectionStudy, |d, w| {
+    let DetectionStudy {
+        population, slash8s, paper_profile, seeds, scan_rate, alert_threshold, max_time,
+        stop_at_fraction, rng_seed,
+    } = d;
+    w.req("population", population, nonzero)?;
+    w.field("slash8s", slash8s, slash8_count)?;
+    w.field("paper_profile", paper_profile, any)?;
+    w.field("seeds", seeds, nonzero)?;
+    w.field("scan_rate", scan_rate, positive)?;
+    w.field("alert_threshold", alert_threshold, nonzero)?;
+    w.req("max_time", max_time, positive)?;
+    w.field("stop_at_fraction", stop_at_fraction, fraction)?;
+    w.field("rng_seed", rng_seed, any)?;
+    w.cross(|| check_seeds(".seeds", d.seeds, d.population_size()))
+}}
+
+walk! { BlasterStudy, |b, w| {
+    let BlasterStudy { hosts, window_secs, scan_rate, reboot_fraction, rng_seed } = b;
+    w.req("hosts", hosts, nonzero)?;
+    w.req("window_secs", window_secs, positive)?;
+    w.field("scan_rate", scan_rate, positive)?;
+    w.field("reboot_fraction", reboot_fraction, fraction)?;
+    w.field("rng_seed", rng_seed, any)
+}}
+
+walk! { SlammerStudy, |s, w| {
+    let SlammerStudy { hosts, m_block_filter, rng_seed } = s;
+    w.req("hosts", hosts, nonzero)?;
+    w.field("m_block_filter", m_block_filter, any)?;
+    w.field("rng_seed", rng_seed, any)
+}}
+
+walk! { CodeRedStudy, |c, w| {
+    let CodeRedStudy { hosts, nat_fraction, probes_per_host, rng_seed } = c;
+    w.req("hosts", hosts, nonzero)?;
+    w.req("probes_per_host", probes_per_host, nonzero)?;
+    w.field("nat_fraction", nat_fraction, fraction)?;
+    w.field("rng_seed", rng_seed, any)
+}}
+
+walk! { FilteringStudy, |f, w| {
+    let FilteringStudy {
+        infected_per_enterprise, infected_per_isp, probes_per_host, blaster_scan_len, rng_seed,
+    } = f;
+    w.req("infected_per_enterprise", infected_per_enterprise, nonzero)?;
+    w.req("infected_per_isp", infected_per_isp, nonzero)?;
+    w.req("probes_per_host", probes_per_host, nonzero)?;
+    w.field("blaster_scan_len", blaster_scan_len, any)?;
+    w.field("rng_seed", rng_seed, any)
+}}
+
+walk! { StudySpec: "study kind", listed = false, |w| {
+    "blaster-coverage" => BlasterCoverage { 0: blaster } => w.flatten(blaster),
+    "slammer-coverage" => SlammerCoverage { 0: slammer } => w.flatten(slammer),
+    "slammer-hosts" => SlammerHosts { probes_per_host } => {
+        w.req("probes_per_host", probes_per_host, nonzero)
+    },
+    "codered-nat" => CodeRedNat {
+        study, quarantine_probes_public, quarantine_probes_natted, quarantine_seed,
+    } => {
+        w.flatten(study)?;
+        w.req("quarantine_probes_public", quarantine_probes_public, any)?;
+        w.req("quarantine_probes_natted", quarantine_probes_natted, any)?;
+        w.field_or("quarantine_seed", quarantine_seed, QUARANTINE_SEED, any)
+    },
+    "hitlist" => HitList { detection, sizes } => {
+        w.req("sizes", sizes, hit_list_sizes)?;
+        w.req("detection", detection, any)
+    },
+    "nat-detection" => NatDetection { detection, nat_fraction, sensors, top_k_slash8s } => {
+        w.field_or("nat_fraction", nat_fraction, NAT_DETECTION_FRACTION, fraction)?;
+        w.req("sensors", sensors, nonzero)?;
+        w.field_or("top_k_slash8s", top_k_slash8s, TOP_K_SLASH8S, nonzero)?;
+        w.req("detection", detection, any)?;
+        w.cross(|| sensor_capacity(detection, *sensors, *top_k_slash8s))
+    },
+    "bot-commands" => BotCommands { synthetic_commands, corpus_seed, drone } => {
+        w.req("synthetic_commands", synthetic_commands, any)?;
+        w.field_or("corpus_seed", corpus_seed, CORPUS_SEED, any)?;
+        w.req("drone", drone, grammar(parse_ip))
+    },
+    "filtering" => Filtering { 0: filtering } => w.flatten(filtering),
+    "ablations" => Ablations {
+        nat_population, nat_max_time, sensor_hosts, sensor_max_time, reboot_hosts,
+    } => {
+        w.req("nat_population", nat_population, nonzero)?;
+        w.req("nat_max_time", nat_max_time, positive)?;
+        w.req("sensor_hosts", sensor_hosts, one_slash16)?;
+        w.req("sensor_max_time", sensor_max_time, positive)?;
+        w.req("reboot_hosts", reboot_hosts, nonzero)?;
+        w.cross(|| ablation_seeds(*nat_population, *sensor_hosts))
+    },
+    "sensitivity" => Sensitivity {
+        trials, codered_hosts, codered_probes_per_host, slammer_hosts, rng_seed,
+    } => {
+        w.req("trials", trials, nonzero)?;
+        w.req("codered_hosts", codered_hosts, nonzero)?;
+        w.req("codered_probes_per_host", codered_probes_per_host, nonzero)?;
+        w.req("slammer_hosts", slammer_hosts, nonzero)?;
+        w.field_or("rng_seed", rng_seed, SENSITIVITY_SEED, any)
+    },
+}}
+
+walk! { SweepSpec, |sweep, w| {
+    let SweepSpec { param, values } = sweep;
+    w.req("param", param, any)?;
+    w.req("values", values, non_empty)
+}}
+
+// ---------------------------------------------------------------------------
+// The root table
 // ---------------------------------------------------------------------------
 
 impl ScenarioSpec {
     /// A minimal spec named `name`: default environment, no worm, no
     /// population, no telescope, default sim, no study.
     pub fn named(name: impl Into<String>) -> ScenarioSpec {
-        ScenarioSpec {
-            meta: MetaSpec {
-                name: name.into(),
-                ..MetaSpec::default()
-            },
-            worm: None,
-            environment: EnvSpec::default(),
-            faults: FaultsSpec::default(),
-            population: None,
-            telescope: TelescopeSpec::None,
-            sim: SimSpec::default(),
-            study: None,
-            sweep: None,
-        }
+        let mut spec = ScenarioSpec::default();
+        spec.meta.name = name.into();
+        spec
     }
 
     /// Serializes to the generic value tree (tables keep scalar keys
@@ -653,97 +778,43 @@ impl ScenarioSpec {
     /// its `[sim]`; so a valid study spec emits only `[meta]`, `[study]`
     /// and `[sweep]`.
     pub fn to_value(&self) -> Value {
-        let mut root = Value::table();
-        root.set("meta", meta_to_value(&self.meta));
-        if let Some(worm) = &self.worm {
-            root.set("worm", worm_to_value(worm));
-        }
+        let mut w = Writer::default();
+        w.put("meta", &self.meta);
+        w.put("worm", &self.worm);
         if self.environment != EnvSpec::default() {
-            root.set("environment", env_to_value(&self.environment));
+            w.put("environment", &self.environment);
         }
-        if !self.faults.schedule.is_empty() {
-            let mut t = Value::table();
-            t.set("schedule", strs(&self.faults.schedule));
-            root.set("faults", t);
+        if self.faults != FaultsSpec::default() {
+            w.put("faults", &self.faults);
         }
-        if let Some(pop) = &self.population {
-            root.set("population", pop_to_value(pop));
-        }
+        w.put("population", &self.population);
         if self.telescope != TelescopeSpec::None {
-            root.set("telescope", telescope_to_value(&self.telescope));
+            w.put("telescope", &self.telescope);
         }
         if self.study.is_none() || self.sim != SimSpec::default() {
-            root.set("sim", sim_to_value(&self.sim));
+            w.put("sim", &self.sim);
         }
-        if let Some(study) = &self.study {
-            root.set("study", study_to_value(study));
-        }
-        if let Some(sweep) = &self.sweep {
-            let mut t = Value::table();
-            t.set("param", Value::Str(sweep.param.clone()));
-            t.set("values", Value::Array(sweep.values.clone()));
-            root.set("sweep", t);
-        }
-        root
+        w.put("study", &self.study);
+        w.put("sweep", &self.sweep);
+        w.finish()
     }
 
     /// Deserializes from the generic value tree. Unknown keys anywhere
     /// in the tree are errors naming the field.
     pub fn from_value(v: &Value) -> Result<ScenarioSpec, SpecError> {
-        let mut root = Fields::new("", v)?;
-        let meta = meta_from_value(root.req("meta")?)?;
-        let worm = root.take("worm").map(worm_from_value).transpose()?;
-        let environment = match root.take("environment") {
-            Some(v) => env_from_value(v)?,
-            None => EnvSpec::default(),
-        };
-        let faults = match root.take("faults") {
-            Some(v) => {
-                let mut f = Fields::new("faults", v)?;
-                let spec = FaultsSpec {
-                    schedule: f.str_array("schedule")?,
-                };
-                f.finish()?;
-                spec
-            }
-            None => FaultsSpec::default(),
-        };
-        let population = root.take("population").map(pop_from_value).transpose()?;
-        let telescope = match root.take("telescope") {
-            Some(v) => telescope_from_value(v)?,
-            None => TelescopeSpec::None,
-        };
-        let sim = match root.take("sim") {
-            Some(v) => sim_from_value(v)?,
-            None => SimSpec::default(),
-        };
-        let study = root.take("study").map(study_from_value).transpose()?;
-        let sweep = match root.take("sweep") {
-            Some(v) => {
-                let mut f = Fields::new("sweep", v)?;
-                let param = f.str("param")?;
-                let values = f
-                    .req("values")?
-                    .as_array()
-                    .ok_or_else(|| SpecError::new("sweep.values", "expected an array"))?
-                    .to_vec();
-                f.finish()?;
-                Some(SweepSpec { param, values })
-            }
-            None => None,
-        };
-        root.finish()?;
-        Ok(ScenarioSpec {
-            meta,
-            worm,
-            environment,
-            faults,
-            population,
-            telescope,
-            sim,
-            study,
-            sweep,
-        })
+        let mut r = Reader::new("", v)?;
+        let mut spec = ScenarioSpec::default();
+        r.req("meta", &mut spec.meta, any)?;
+        r.field("worm", &mut spec.worm, any)?;
+        r.field("environment", &mut spec.environment, any)?;
+        r.field("faults", &mut spec.faults, any)?;
+        r.field("population", &mut spec.population, any)?;
+        r.field("telescope", &mut spec.telescope, any)?;
+        r.field("sim", &mut spec.sim, any)?;
+        r.field("study", &mut spec.study, any)?;
+        r.field("sweep", &mut spec.sweep, any)?;
+        r.finish()?;
+        Ok(spec)
     }
 
     /// Serializes to TOML.
@@ -793,13 +864,13 @@ impl ScenarioSpec {
         Ok(spec)
     }
 
-    /// Semantic validation: shape (engine path vs study path), ranges,
-    /// and every embedded mini-grammar (prefixes, services, preference
-    /// entries, filter rules). Errors name the offending field.
+    /// Semantic validation: shape (engine path vs study path), each
+    /// key's rule, the checks spanning several keys, and every embedded
+    /// mini-grammar (prefixes, services, preference entries, filter
+    /// rules, faults). Errors name the offending field.
     pub fn validate(&self) -> Result<(), SpecError> {
-        if self.meta.name.is_empty() {
-            return Err(SpecError::new("meta.name", "must be non-empty"));
-        }
+        let mut c = Checker::default();
+        c.req("meta", &self.meta, any)?;
         match (&self.worm, &self.study) {
             (Some(_), Some(_)) => {
                 return Err(SpecError::new(
@@ -836,24 +907,19 @@ impl ScenarioSpec {
                 }
             }
         }
-        if let Some(worm) = &self.worm {
-            validate_worm(worm)?;
-        }
-        validate_env(&self.environment)?;
-        validate_faults(&self.faults)?;
-        let hosts = self.population.as_ref().map(validate_pop).transpose()?;
-        validate_telescope(&self.telescope)?;
-        validate_sim(&self.sim)?;
+        c.field("worm", &self.worm, any)?;
+        c.field("environment", &self.environment, any)?;
+        c.field("faults", &self.faults, any)?;
+        c.field("population", &self.population, any)?;
+        let hosts = self.population.as_ref().map(PopSpec::hosts).transpose()?;
+        c.field("telescope", &self.telescope, any)?;
+        c.field("sim", &self.sim, any)?;
         if let Some(hosts) = hosts {
             check_seeds("sim.seeds", spec_usize("sim.seeds", self.sim.seeds)?, hosts)?;
         }
-        if let Some(study) = &self.study {
-            validate_study(study)?;
-        }
+        c.field("study", &self.study, any)?;
+        c.field("sweep", &self.sweep, any)?;
         if let Some(sweep) = &self.sweep {
-            if sweep.values.is_empty() {
-                return Err(SpecError::new("sweep.values", "must be non-empty"));
-            }
             if self.to_value().get_path(&sweep.param).is_none() {
                 return Err(SpecError::new(
                     "sweep.param",
@@ -863,612 +929,6 @@ impl ScenarioSpec {
         }
         Ok(())
     }
-}
-
-fn meta_to_value(meta: &MetaSpec) -> Value {
-    let mut t = Value::table();
-    t.set("name", Value::Str(meta.name.clone()));
-    if let Some(s) = &meta.scenario {
-        t.set("scenario", Value::Str(s.clone()));
-    }
-    if let Some(s) = &meta.artifact {
-        t.set("artifact", Value::Str(s.clone()));
-    }
-    if let Some(s) = &meta.title {
-        t.set("title", Value::Str(s.clone()));
-    }
-    if let Some(s) = &meta.scale {
-        t.set("scale", Value::Str(s.clone()));
-    }
-    t
-}
-
-fn meta_from_value(v: &Value) -> Result<MetaSpec, SpecError> {
-    let mut f = Fields::new("meta", v)?;
-    let meta = MetaSpec {
-        name: f.str("name")?,
-        scenario: f.opt_str("scenario")?,
-        artifact: f.opt_str("artifact")?,
-        title: f.opt_str("title")?,
-        scale: f.opt_str("scale")?,
-    };
-    f.finish()?;
-    Ok(meta)
-}
-
-fn worm_to_value(worm: &WormSpec) -> Value {
-    let mut t = Value::table();
-    t.set("kind", Value::Str(worm.kind().to_owned()));
-    match worm {
-        WormSpec::Uniform | WormSpec::Slammer | WormSpec::CodeRed2 => {}
-        WormSpec::Blaster { hardware, model } => {
-            t.set("hardware", Value::Str(hardware.clone()));
-            t.set("model", Value::Str(model.clone()));
-        }
-        WormSpec::HitList { prefixes, service } => {
-            t.set("prefixes", strs(prefixes));
-            if let Some(s) = service {
-                t.set("service", Value::Str(s.clone()));
-            }
-        }
-        WormSpec::LocalPreference { entries, service } => {
-            t.set("entries", strs(entries));
-            if let Some(s) = service {
-                t.set("service", Value::Str(s.clone()));
-            }
-        }
-        WormSpec::Bot { command } => {
-            t.set("command", Value::Str(command.clone()));
-        }
-    }
-    t
-}
-
-fn worm_from_value(v: &Value) -> Result<WormSpec, SpecError> {
-    let mut f = Fields::new("worm", v)?;
-    let kind = f.str("kind")?;
-    let worm = match kind.as_str() {
-        "uniform" => WormSpec::Uniform,
-        "slammer" => WormSpec::Slammer,
-        "codered2" => WormSpec::CodeRed2,
-        "blaster" => WormSpec::Blaster {
-            hardware: f.str("hardware")?,
-            model: f.str("model")?,
-        },
-        "hit-list" => WormSpec::HitList {
-            prefixes: f.str_array("prefixes")?,
-            service: f.opt_str("service")?,
-        },
-        "local-preference" => WormSpec::LocalPreference {
-            entries: f.str_array("entries")?,
-            service: f.opt_str("service")?,
-        },
-        "bot" => WormSpec::Bot {
-            command: f.str("command")?,
-        },
-        other => {
-            return Err(SpecError::new(
-                "worm.kind",
-                format!(
-                    "unknown worm kind {other:?} (expected uniform, slammer, codered2, \
-                     blaster, hit-list, local-preference, or bot)"
-                ),
-            ));
-        }
-    };
-    f.finish()?;
-    Ok(worm)
-}
-
-fn env_to_value(env: &EnvSpec) -> Value {
-    let mut t = Value::table();
-    if let Some(loss) = env.loss {
-        t.set("loss", Value::Float(loss));
-    }
-    if !env.filters.is_empty() {
-        t.set("filters", strs(&env.filters));
-    }
-    if let Some(lat) = &env.latency {
-        let mut l = Value::table();
-        l.set("base_secs", Value::Float(lat.base_secs));
-        l.set("jitter_secs", Value::Float(lat.jitter_secs));
-        t.set("latency", l);
-    }
-    if let Some(nat) = &env.nat {
-        let mut n = Value::table();
-        n.set("fraction", Value::Float(nat.fraction));
-        n.set("topology", Value::Str(nat.topology.clone()));
-        n.set("seed", int(nat.seed));
-        t.set("nat", n);
-    }
-    t
-}
-
-fn env_from_value(v: &Value) -> Result<EnvSpec, SpecError> {
-    let mut f = Fields::new("environment", v)?;
-    let loss = f.opt_f64("loss")?;
-    let filters = f.str_array("filters")?;
-    let latency = match f.take("latency") {
-        Some(v) => {
-            let mut l = Fields::new("environment.latency", v)?;
-            let lat = LatencySpec {
-                base_secs: l.f64("base_secs")?,
-                jitter_secs: l.f64_or("jitter_secs", 0.0)?,
-            };
-            l.finish()?;
-            Some(lat)
-        }
-        None => None,
-    };
-    let nat = match f.take("nat") {
-        Some(v) => {
-            let mut n = Fields::new("environment.nat", v)?;
-            let nat = NatSpec {
-                fraction: n.f64("fraction")?,
-                topology: n.str("topology")?,
-                seed: n.u64("seed")?,
-            };
-            n.finish()?;
-            Some(nat)
-        }
-        None => None,
-    };
-    f.finish()?;
-    Ok(EnvSpec {
-        loss,
-        filters,
-        latency,
-        nat,
-    })
-}
-
-fn pop_to_value(pop: &PopSpec) -> Value {
-    let mut t = Value::table();
-    match pop {
-        PopSpec::Range {
-            base,
-            count,
-            stride,
-        } => {
-            t.set("kind", Value::Str("range".into()));
-            t.set("base", Value::Str(base.clone()));
-            t.set("count", int(*count));
-            t.set("stride", int(*stride));
-        }
-        PopSpec::Synthetic {
-            size,
-            slash8s,
-            seed,
-        } => {
-            t.set("kind", Value::Str("synthetic".into()));
-            t.set("size", int(*size));
-            t.set("slash8s", int(*slash8s));
-            t.set("seed", int(*seed));
-        }
-        PopSpec::Paper { seed } => {
-            t.set("kind", Value::Str("paper".into()));
-            t.set("seed", int(*seed));
-        }
-        PopSpec::Hosts { addrs } => {
-            t.set("kind", Value::Str("hosts".into()));
-            t.set("addrs", strs(addrs));
-        }
-        PopSpec::Zipf {
-            size,
-            slash8s,
-            seed,
-            store,
-        } => {
-            t.set("kind", Value::Str("zipf".into()));
-            t.set("size", int(*size));
-            t.set("slash8s", int(*slash8s));
-            t.set("seed", int(*seed));
-            t.set("store", Value::Str(store.clone()));
-        }
-    }
-    t
-}
-
-fn pop_from_value(v: &Value) -> Result<PopSpec, SpecError> {
-    let mut f = Fields::new("population", v)?;
-    let kind = f.str("kind")?;
-    let pop = match kind.as_str() {
-        "range" => PopSpec::Range {
-            base: f.str("base")?,
-            count: f.u64("count")?,
-            stride: f.u64_or("stride", 1)?,
-        },
-        "synthetic" => PopSpec::Synthetic {
-            size: f.u64("size")?,
-            slash8s: f.u64("slash8s")?,
-            seed: f.u64("seed")?,
-        },
-        "paper" => PopSpec::Paper {
-            seed: f.u64("seed")?,
-        },
-        "hosts" => PopSpec::Hosts {
-            addrs: f.str_array("addrs")?,
-        },
-        "zipf" => PopSpec::Zipf {
-            size: f.u64("size")?,
-            slash8s: f.u64("slash8s")?,
-            seed: f.u64("seed")?,
-            store: f.opt_str("store")?.unwrap_or_else(|| "compressed".into()),
-        },
-        other => {
-            return Err(SpecError::new(
-                "population.kind",
-                format!(
-                    "unknown population kind {other:?} (expected range, synthetic, paper, hosts, or zipf)"
-                ),
-            ));
-        }
-    };
-    f.finish()?;
-    Ok(pop)
-}
-
-fn telescope_to_value(t: &TelescopeSpec) -> Value {
-    let mut out = Value::table();
-    match t {
-        TelescopeSpec::None => {
-            out.set("kind", Value::Str("none".into()));
-        }
-        TelescopeSpec::Field {
-            placement,
-            alert_threshold,
-            mode,
-        } => {
-            out.set("kind", Value::Str("field".into()));
-            out.set("alert_threshold", int(*alert_threshold));
-            out.set("mode", Value::Str(mode.clone()));
-            let mut p = Value::table();
-            match placement {
-                PlacementSpec::Prefixes { prefixes } => {
-                    p.set("kind", Value::Str("prefixes".into()));
-                    p.set("prefixes", strs(prefixes));
-                }
-                PlacementSpec::Random { sensors, seed } => {
-                    p.set("kind", Value::Str("random".into()));
-                    p.set("sensors", int(*sensors));
-                    p.set("seed", int(*seed));
-                }
-            }
-            out.set("placement", p);
-        }
-    }
-    out
-}
-
-fn telescope_from_value(v: &Value) -> Result<TelescopeSpec, SpecError> {
-    let mut f = Fields::new("telescope", v)?;
-    let kind = f.str("kind")?;
-    let t = match kind.as_str() {
-        "none" => TelescopeSpec::None,
-        "field" => {
-            let alert_threshold = f.u64_or("alert_threshold", 5)?;
-            let mode = f.opt_str("mode")?.unwrap_or_else(|| "active".into());
-            let mut p = Fields::new("telescope.placement", f.req("placement")?)?;
-            let pkind = p.str("kind")?;
-            let placement = match pkind.as_str() {
-                "prefixes" => PlacementSpec::Prefixes {
-                    prefixes: p.str_array("prefixes")?,
-                },
-                "random" => PlacementSpec::Random {
-                    sensors: p.u64("sensors")?,
-                    seed: p.u64("seed")?,
-                },
-                other => {
-                    return Err(SpecError::new(
-                        "telescope.placement.kind",
-                        format!("unknown placement kind {other:?} (expected prefixes or random)"),
-                    ));
-                }
-            };
-            p.finish()?;
-            TelescopeSpec::Field {
-                placement,
-                alert_threshold,
-                mode,
-            }
-        }
-        other => {
-            return Err(SpecError::new(
-                "telescope.kind",
-                format!("unknown telescope kind {other:?} (expected none or field)"),
-            ));
-        }
-    };
-    f.finish()?;
-    Ok(t)
-}
-
-fn sim_to_value(sim: &SimSpec) -> Value {
-    let mut t = Value::table();
-    t.set("scan_rate", Value::Float(sim.scan_rate));
-    t.set("scan_rate_sigma", Value::Float(sim.scan_rate_sigma));
-    t.set("seeds", int(sim.seeds));
-    t.set("dt", Value::Float(sim.dt));
-    t.set("max_time", Value::Float(sim.max_time));
-    if let Some(f) = sim.stop_at_fraction {
-        t.set("stop_at_fraction", Value::Float(f));
-    }
-    t.set("removal_rate", Value::Float(sim.removal_rate));
-    t.set("rng_seed", int(sim.rng_seed));
-    t
-}
-
-fn sim_from_value(v: &Value) -> Result<SimSpec, SpecError> {
-    let mut f = Fields::new("sim", v)?;
-    let d = SimSpec::default();
-    let sim = SimSpec {
-        scan_rate: f.f64_or("scan_rate", d.scan_rate)?,
-        scan_rate_sigma: f.f64_or("scan_rate_sigma", d.scan_rate_sigma)?,
-        seeds: f.u64_or("seeds", d.seeds)?,
-        dt: f.f64_or("dt", d.dt)?,
-        max_time: f.f64_or("max_time", d.max_time)?,
-        stop_at_fraction: f.opt_f64("stop_at_fraction")?,
-        removal_rate: f.f64_or("removal_rate", d.removal_rate)?,
-        rng_seed: f.u64_or("rng_seed", d.rng_seed)?,
-    };
-    f.finish()?;
-    Ok(sim)
-}
-
-fn detection_to_value(d: &DetectionStudy) -> Value {
-    let mut t = Value::table();
-    t.set("population", int(d.population as u64));
-    t.set("slash8s", int(d.slash8s as u64));
-    t.set("paper_profile", Value::Bool(d.paper_profile));
-    t.set("seeds", int(d.seeds as u64));
-    t.set("scan_rate", Value::Float(d.scan_rate));
-    t.set("alert_threshold", int(d.alert_threshold));
-    t.set("max_time", Value::Float(d.max_time));
-    t.set("stop_at_fraction", Value::Float(d.stop_at_fraction));
-    t.set("rng_seed", int(d.rng_seed));
-    t
-}
-
-fn detection_from_value(path: &str, v: &Value) -> Result<DetectionStudy, SpecError> {
-    let mut f = Fields::new(path, v)?;
-    let d = DetectionStudy::default();
-    let study = DetectionStudy {
-        population: f.usize("population")?,
-        slash8s: f.usize_or("slash8s", d.slash8s)?,
-        paper_profile: f.bool_or("paper_profile", d.paper_profile)?,
-        seeds: f.usize_or("seeds", d.seeds)?,
-        scan_rate: f.f64_or("scan_rate", d.scan_rate)?,
-        alert_threshold: f.u64_or("alert_threshold", d.alert_threshold)?,
-        max_time: f.f64("max_time")?,
-        stop_at_fraction: f.f64_or("stop_at_fraction", d.stop_at_fraction)?,
-        rng_seed: f.u64_or("rng_seed", d.rng_seed)?,
-    };
-    f.finish()?;
-    Ok(study)
-}
-
-/// TOML encoding of hit-list sizes: integers, with `"full"` for the
-/// whole population.
-fn sizes_to_value(sizes: &[Option<u64>]) -> Value {
-    Value::Array(
-        sizes
-            .iter()
-            .map(|s| match s {
-                Some(n) => int(*n),
-                None => Value::Str("full".into()),
-            })
-            .collect(),
-    )
-}
-
-fn sizes_from_value(path: &str, v: &Value) -> Result<Vec<Option<u64>>, SpecError> {
-    let arr = v.as_array().ok_or_else(|| {
-        SpecError::new(path, format!("expected an array, found {}", v.type_name()))
-    })?;
-    arr.iter()
-        .enumerate()
-        .map(|(i, item)| {
-            let path = format!("{path}[{i}]");
-            if let Some(s) = item.as_str() {
-                if s == "full" {
-                    Ok(None)
-                } else {
-                    Err(SpecError::new(
-                        path,
-                        format!("expected an integer or \"full\", got {s:?}"),
-                    ))
-                }
-            } else {
-                as_u64(&path, item).map(Some)
-            }
-        })
-        .collect()
-}
-
-fn study_to_value(study: &StudySpec) -> Value {
-    let mut t = Value::table();
-    t.set("kind", Value::Str(study.kind().to_owned()));
-    match study {
-        StudySpec::BlasterCoverage(b) => {
-            t.set("hosts", int(b.hosts as u64));
-            t.set("window_secs", Value::Float(b.window_secs));
-            t.set("scan_rate", Value::Float(b.scan_rate));
-            t.set("reboot_fraction", Value::Float(b.reboot_fraction));
-            t.set("rng_seed", int(b.rng_seed));
-        }
-        StudySpec::SlammerCoverage(sl) => {
-            t.set("hosts", int(sl.hosts as u64));
-            t.set("m_block_filter", Value::Bool(sl.m_block_filter));
-            t.set("rng_seed", int(sl.rng_seed));
-        }
-        StudySpec::SlammerHosts { probes_per_host } => {
-            t.set("probes_per_host", int(*probes_per_host));
-        }
-        StudySpec::CodeRedNat {
-            study,
-            quarantine_probes_public,
-            quarantine_probes_natted,
-            quarantine_seed,
-        } => {
-            t.set("hosts", int(study.hosts as u64));
-            t.set("probes_per_host", int(study.probes_per_host));
-            t.set("nat_fraction", Value::Float(study.nat_fraction));
-            t.set("rng_seed", int(study.rng_seed));
-            t.set("quarantine_probes_public", int(*quarantine_probes_public));
-            t.set("quarantine_probes_natted", int(*quarantine_probes_natted));
-            t.set("quarantine_seed", int(*quarantine_seed));
-        }
-        StudySpec::HitList { detection, sizes } => {
-            t.set("sizes", sizes_to_value(sizes));
-            t.set("detection", detection_to_value(detection));
-        }
-        StudySpec::NatDetection {
-            detection,
-            nat_fraction,
-            sensors,
-            top_k_slash8s,
-        } => {
-            t.set("nat_fraction", Value::Float(*nat_fraction));
-            t.set("sensors", int(*sensors));
-            t.set("top_k_slash8s", int(*top_k_slash8s));
-            t.set("detection", detection_to_value(detection));
-        }
-        StudySpec::BotCommands {
-            synthetic_commands,
-            corpus_seed,
-            drone,
-        } => {
-            t.set("synthetic_commands", int(*synthetic_commands));
-            t.set("corpus_seed", int(*corpus_seed));
-            t.set("drone", Value::Str(drone.clone()));
-        }
-        StudySpec::Filtering(fl) => {
-            t.set(
-                "infected_per_enterprise",
-                int(fl.infected_per_enterprise as u64),
-            );
-            t.set("infected_per_isp", int(fl.infected_per_isp as u64));
-            t.set("probes_per_host", int(fl.probes_per_host));
-            t.set("blaster_scan_len", int(fl.blaster_scan_len));
-            t.set("rng_seed", int(fl.rng_seed));
-        }
-        StudySpec::Ablations {
-            nat_population,
-            nat_max_time,
-            sensor_hosts,
-            sensor_max_time,
-            reboot_hosts,
-        } => {
-            t.set("nat_population", int(*nat_population));
-            t.set("nat_max_time", Value::Float(*nat_max_time));
-            t.set("sensor_hosts", int(*sensor_hosts));
-            t.set("sensor_max_time", Value::Float(*sensor_max_time));
-            t.set("reboot_hosts", int(*reboot_hosts));
-        }
-        StudySpec::Sensitivity {
-            trials,
-            codered_hosts,
-            codered_probes_per_host,
-            slammer_hosts,
-            rng_seed,
-        } => {
-            t.set("trials", int(*trials));
-            t.set("codered_hosts", int(*codered_hosts));
-            t.set("codered_probes_per_host", int(*codered_probes_per_host));
-            t.set("slammer_hosts", int(*slammer_hosts));
-            t.set("rng_seed", int(*rng_seed));
-        }
-    }
-    t
-}
-
-fn study_from_value(v: &Value) -> Result<StudySpec, SpecError> {
-    let mut f = Fields::new("study", v)?;
-    let kind = f.str("kind")?;
-    let study = match kind.as_str() {
-        "blaster-coverage" => {
-            let d = BlasterStudy::default();
-            StudySpec::BlasterCoverage(BlasterStudy {
-                hosts: f.usize("hosts")?,
-                window_secs: f.f64("window_secs")?,
-                scan_rate: f.f64_or("scan_rate", d.scan_rate)?,
-                reboot_fraction: f.f64_or("reboot_fraction", d.reboot_fraction)?,
-                rng_seed: f.u64_or("rng_seed", d.rng_seed)?,
-            })
-        }
-        "slammer-coverage" => {
-            let d = SlammerStudy::default();
-            StudySpec::SlammerCoverage(SlammerStudy {
-                hosts: f.usize("hosts")?,
-                m_block_filter: f.bool_or("m_block_filter", d.m_block_filter)?,
-                rng_seed: f.u64_or("rng_seed", d.rng_seed)?,
-            })
-        }
-        "slammer-hosts" => StudySpec::SlammerHosts {
-            probes_per_host: f.u64("probes_per_host")?,
-        },
-        "codered-nat" => {
-            let d = CodeRedStudy::default();
-            StudySpec::CodeRedNat {
-                study: CodeRedStudy {
-                    hosts: f.usize("hosts")?,
-                    probes_per_host: f.u64("probes_per_host")?,
-                    nat_fraction: f.f64_or("nat_fraction", d.nat_fraction)?,
-                    rng_seed: f.u64_or("rng_seed", d.rng_seed)?,
-                },
-                quarantine_probes_public: f.u64("quarantine_probes_public")?,
-                quarantine_probes_natted: f.u64("quarantine_probes_natted")?,
-                quarantine_seed: f.u64_or("quarantine_seed", 4)?,
-            }
-        }
-        "hitlist" => StudySpec::HitList {
-            detection: detection_from_value("study.detection", f.req("detection")?)?,
-            sizes: sizes_from_value("study.sizes", f.req("sizes")?)?,
-        },
-        "nat-detection" => StudySpec::NatDetection {
-            detection: detection_from_value("study.detection", f.req("detection")?)?,
-            nat_fraction: f.f64_or("nat_fraction", 0.15)?,
-            sensors: f.u64("sensors")?,
-            top_k_slash8s: f.u64_or("top_k_slash8s", 20)?,
-        },
-        "bot-commands" => StudySpec::BotCommands {
-            synthetic_commands: f.u64("synthetic_commands")?,
-            corpus_seed: f.u64_or("corpus_seed", 0x7ab1e)?,
-            drone: f.str("drone")?,
-        },
-        "filtering" => {
-            let d = FilteringStudy::default();
-            StudySpec::Filtering(FilteringStudy {
-                infected_per_enterprise: f.usize("infected_per_enterprise")?,
-                infected_per_isp: f.usize("infected_per_isp")?,
-                probes_per_host: f.u64("probes_per_host")?,
-                blaster_scan_len: f.u64_or("blaster_scan_len", d.blaster_scan_len)?,
-                rng_seed: f.u64_or("rng_seed", d.rng_seed)?,
-            })
-        }
-        "ablations" => StudySpec::Ablations {
-            nat_population: f.u64("nat_population")?,
-            nat_max_time: f.f64("nat_max_time")?,
-            sensor_hosts: f.u64("sensor_hosts")?,
-            sensor_max_time: f.f64("sensor_max_time")?,
-            reboot_hosts: f.u64("reboot_hosts")?,
-        },
-        "sensitivity" => StudySpec::Sensitivity {
-            trials: f.u64("trials")?,
-            codered_hosts: f.u64("codered_hosts")?,
-            codered_probes_per_host: f.u64("codered_probes_per_host")?,
-            slammer_hosts: f.u64("slammer_hosts")?,
-            rng_seed: f.u64_or("rng_seed", 0x5ee0)?,
-        },
-        other => {
-            return Err(SpecError::new(
-                "study.kind",
-                format!("unknown study kind {other:?}"),
-            ));
-        }
-    };
-    f.finish()?;
-    Ok(study)
 }
 
 // ---------------------------------------------------------------------------
@@ -1517,76 +977,77 @@ pub fn parse_preference_entry(field: &str, s: &str) -> Result<PreferenceEntry, S
     let weight: u32 = weight
         .parse()
         .map_err(|_| SpecError::new(field, format!("bad weight {weight:?}")))?;
-    if weight == 0 {
-        return Err(SpecError::new(field, "weight must be positive"));
-    }
+    ensure(weight > 0, field, format_args!("weight must be positive"))?;
     Ok(PreferenceEntry { mask, weight })
 }
 
-/// A parsed filter rule string.
-pub struct ParsedFilter {
-    /// `"egress"` or `"ingress"`.
-    pub direction: String,
-    /// The filtered prefix.
-    pub prefix: Prefix,
-    /// `None` = any service.
-    pub service: Option<Service>,
+/// Parses a bot scan command.
+pub(crate) fn parse_bot_command(
+    field: &str,
+    s: &str,
+) -> Result<hotspots_botnet::BotCommand, SpecError> {
+    s.parse().map_err(|e| SpecError::new(field, format!("{e}")))
 }
 
-/// Parses `"<direction> <prefix> <service>"` (`"egress 163.37.8.0/22
-/// udp/1434"`); service `"*"` matches any.
-pub fn parse_filter(field: &str, s: &str) -> Result<ParsedFilter, SpecError> {
-    let parts: Vec<&str> = s.split_whitespace().collect();
-    let [direction, prefix, service] = parts.as_slice() else {
-        return Err(SpecError::new(
-            field,
-            format!("expected \"<direction> <prefix> <service>\", got {s:?}"),
-        ));
+/// Parses a filter rule from its `<direction> <prefix> <service>`
+/// tokens (`egress 163.37.8.0/22 udp/1434`); service `*` matches any.
+/// Filter lists and flapping faults share it.
+pub fn parse_filter(
+    field: &str,
+    direction: &str,
+    prefix: &str,
+    service: &str,
+) -> Result<FilterRule, SpecError> {
+    let rule = match direction {
+        "egress" => FilterRule::egress,
+        "ingress" => FilterRule::ingress,
+        other => {
+            let directions = Some(&["egress", "ingress"][..]);
+            return Err(SpecError::new(
+                field,
+                unknown("direction", other, directions),
+            ));
+        }
     };
-    if *direction != "egress" && *direction != "ingress" {
-        return Err(SpecError::new(
-            field,
-            format!("unknown direction {direction:?} (expected egress or ingress)"),
-        ));
-    }
     let prefix = parse_prefix(field, prefix)?;
-    let service = if *service == "*" {
+    let service = if service == "*" {
         None
     } else {
         Some(parse_service(field, service)?)
     };
-    Ok(ParsedFilter {
-        direction: (*direction).to_owned(),
-        prefix,
-        service,
-    })
+    Ok(rule(prefix, service))
+}
+
+/// Parses one [`EnvSpec::filters`] entry,
+/// `"<direction> <prefix> <service>"`.
+pub fn parse_filter_entry(field: &str, s: &str) -> Result<FilterRule, SpecError> {
+    match s.split_whitespace().collect::<Vec<_>>().as_slice() {
+        [direction, prefix, service] => parse_filter(field, direction, prefix, service),
+        _ => Err(SpecError::new(
+            field,
+            format!("expected \"<direction> <prefix> <service>\", got {s:?}"),
+        )),
+    }
 }
 
 fn parse_time(field: &str, role: &str, s: &str) -> Result<f64, SpecError> {
     let x: f64 = s
         .parse()
         .map_err(|_| SpecError::new(field, format!("{role} {s:?} is not a number")))?;
-    if !x.is_finite() {
-        return Err(SpecError::new(field, format!("{role} must be finite")));
-    }
+    ensure(x.is_finite(), field, format_args!("{role} must be finite"))?;
     Ok(x)
 }
 
 fn parse_fault_window(field: &str, t0: &str, t1: &str) -> Result<FaultWindow, SpecError> {
     let t0 = parse_time(field, "t0", t0)?;
     let t1 = parse_time(field, "t1", t1)?;
-    if t0 < 0.0 {
-        return Err(SpecError::new(
-            field,
-            format!("t0 must be non-negative, got {t0}"),
-        ));
-    }
-    if t1 <= t0 {
-        return Err(SpecError::new(
-            field,
-            format!("window must be non-empty: t1 ({t1}) must exceed t0 ({t0})"),
-        ));
-    }
+    ensure(
+        t0 >= 0.0,
+        field,
+        format_args!("t0 must be non-negative, got {t0}"),
+    )?;
+    let empty = format_args!("window must be non-empty: t1 ({t1}) must exceed t0 ({t0})");
+    ensure(t1 > t0, field, empty)?;
     Ok(FaultWindow::new(t0, t1))
 }
 
@@ -1594,541 +1055,43 @@ fn parse_fault_window(field: &str, t0: &str, t1: &str) -> Result<FaultWindow, Sp
 /// grammar) into a netmodel [`FaultEvent`].
 pub fn parse_fault(field: &str, s: &str) -> Result<FaultEvent, SpecError> {
     let parts: Vec<&str> = s.split_whitespace().collect();
-    match parts.as_slice() {
-        ["outage", prefix, t0, t1] => Ok(FaultEvent::new(
-            FaultKind::SensorOutage {
-                block: parse_prefix(field, prefix)?,
-            },
-            parse_fault_window(field, t0, t1)?,
-        )),
-        ["blackhole", prefix, t0, t1] => Ok(FaultEvent::new(
-            FaultKind::Blackhole {
-                prefix: parse_prefix(field, prefix)?,
-            },
-            parse_fault_window(field, t0, t1)?,
-        )),
-        ["flap", direction, prefix, service, t0, t1, period, duty] => {
+    let (kind, t0, t1) = match parts.as_slice() {
+        ["outage", prefix, t0, t1] => {
+            let block = parse_prefix(field, prefix)?;
+            (FaultKind::SensorOutage { block }, t0, t1)
+        }
+        ["blackhole", prefix, t0, t1] => {
             let prefix = parse_prefix(field, prefix)?;
-            let service = if *service == "*" {
-                None
-            } else {
-                Some(parse_service(field, service)?)
-            };
-            let rule = match *direction {
-                "egress" => FilterRule::egress(prefix, service),
-                "ingress" => FilterRule::ingress(prefix, service),
-                other => {
-                    return Err(SpecError::new(
-                        field,
-                        format!("unknown direction {other:?} (expected egress or ingress)"),
-                    ));
-                }
-            };
+            (FaultKind::Blackhole { prefix }, t0, t1)
+        }
+        ["flap", direction, prefix, service, t0, t1, period, duty] => {
+            let rule = parse_filter(field, direction, prefix, service)?;
             let period = parse_time(field, "period", period)?;
-            if period <= 0.0 {
-                return Err(SpecError::new(
-                    field,
-                    format!("period must be positive, got {period}"),
-                ));
-            }
+            let message = format_args!("period must be positive, got {period}");
+            ensure(period > 0.0, field, message)?;
             let duty = parse_time(field, "duty", duty)?;
-            if !(duty > 0.0 && duty <= 1.0) {
-                return Err(SpecError::new(
-                    field,
-                    format!("duty must be in (0, 1], got {duty}"),
-                ));
-            }
-            Ok(FaultEvent::new(
-                FaultKind::FilterFlap { rule, period, duty },
-                parse_fault_window(field, t0, t1)?,
-            ))
+            let message = format_args!("duty must be in (0, 1], got {duty}");
+            ensure(duty > 0.0 && duty <= 1.0, field, message)?;
+            (FaultKind::FilterFlap { rule, period, duty }, t0, t1)
         }
         ["degraded", prefix, t0, t1, rate] => {
             let rate = parse_time(field, "rate", rate)?;
-            validate_fraction(field, rate)?;
-            Ok(FaultEvent::new(
-                FaultKind::DegradedLoss {
-                    prefix: parse_prefix(field, prefix)?,
-                    rate,
-                },
-                parse_fault_window(field, t0, t1)?,
-            ))
+            fraction(&rate).map_err(|e| SpecError::new(field, e.message))?;
+            let prefix = parse_prefix(field, prefix)?;
+            (FaultKind::DegradedLoss { prefix, rate }, t0, t1)
         }
-        _ => Err(SpecError::new(
-            field,
-            format!(
-                "expected \"outage <prefix> <t0> <t1>\", \"blackhole <prefix> <t0> <t1>\", \
-                 \"flap <direction> <prefix> <service> <t0> <t1> <period> <duty>\", or \
-                 \"degraded <prefix> <t0> <t1> <rate>\", got {s:?}"
-            ),
-        )),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Semantic validation
-// ---------------------------------------------------------------------------
-
-fn validate_fraction(field: &str, x: f64) -> Result<(), SpecError> {
-    if (0.0..=1.0).contains(&x) {
-        Ok(())
-    } else {
-        Err(SpecError::new(field, format!("must be in [0, 1], got {x}")))
-    }
-}
-
-fn validate_positive(field: &str, x: f64) -> Result<(), SpecError> {
-    if x > 0.0 && x.is_finite() {
-        Ok(())
-    } else {
-        Err(SpecError::new(field, format!("must be positive, got {x}")))
-    }
-}
-
-/// Rejects more seed hosts than the population holds, in the engine's
-/// own words, before anything runs.
-fn check_seeds(field: &str, seeds: usize, hosts: usize) -> Result<(), SpecError> {
-    if seeds > hosts {
-        let e = PopulationError::FewerHostsThanSeeds { hosts, seeds };
-        return Err(SpecError::new(field, e.to_string()));
-    }
-    Ok(())
-}
-
-fn validate_worm(worm: &WormSpec) -> Result<(), SpecError> {
-    match worm {
-        WormSpec::Uniform | WormSpec::Slammer | WormSpec::CodeRed2 => Ok(()),
-        WormSpec::Blaster { hardware, model } => {
-            if !matches!(
-                hardware.as_str(),
-                "pentium-ii" | "pentium-iii" | "pentium-iv"
-            ) {
-                return Err(SpecError::new(
-                    "worm.hardware",
-                    format!(
-                        "unknown generation {hardware:?} (expected pentium-ii, pentium-iii, \
-                         or pentium-iv)"
-                    ),
-                ));
-            }
-            if !matches!(model.as_str(), "reboot" | "population") {
-                return Err(SpecError::new(
-                    "worm.model",
-                    format!("unknown seed model {model:?} (expected reboot or population)"),
-                ));
-            }
-            Ok(())
-        }
-        WormSpec::HitList { prefixes, service } => {
-            if prefixes.is_empty() {
-                return Err(SpecError::new("worm.prefixes", "must be non-empty"));
-            }
-            for (i, p) in prefixes.iter().enumerate() {
-                parse_prefix(&format!("worm.prefixes[{i}]"), p)?;
-            }
-            if let Some(s) = service {
-                parse_service("worm.service", s)?;
-            }
-            Ok(())
-        }
-        WormSpec::LocalPreference { entries, service } => {
-            if entries.is_empty() {
-                return Err(SpecError::new("worm.entries", "must be non-empty"));
-            }
-            for (i, e) in entries.iter().enumerate() {
-                parse_preference_entry(&format!("worm.entries[{i}]"), e)?;
-            }
-            if let Some(s) = service {
-                parse_service("worm.service", s)?;
-            }
-            Ok(())
-        }
-        WormSpec::Bot { command } => {
-            command
-                .parse::<hotspots_botnet::BotCommand>()
-                .map_err(|e| SpecError::new("worm.command", format!("{e}")))?;
-            Ok(())
-        }
-    }
-}
-
-fn validate_env(env: &EnvSpec) -> Result<(), SpecError> {
-    if let Some(loss) = env.loss {
-        validate_fraction("environment.loss", loss)?;
-    }
-    for (i, rule) in env.filters.iter().enumerate() {
-        parse_filter(&format!("environment.filters[{i}]"), rule)?;
-    }
-    if let Some(lat) = &env.latency {
-        if lat.base_secs < 0.0 || lat.jitter_secs < 0.0 {
+        _ => {
             return Err(SpecError::new(
-                "environment.latency",
-                "delays must be non-negative",
-            ));
-        }
-    }
-    if let Some(nat) = &env.nat {
-        validate_fraction("environment.nat.fraction", nat.fraction)?;
-        if !matches!(nat.topology.as_str(), "isolated" | "shared") {
-            return Err(SpecError::new(
-                "environment.nat.topology",
+                field,
                 format!(
-                    "unknown topology {:?} (expected isolated or shared)",
-                    nat.topology
+                    "expected \"outage <prefix> <t0> <t1>\", \"blackhole <prefix> <t0> <t1>\", \
+                     \"flap <direction> <prefix> <service> <t0> <t1> <period> <duty>\", or \
+                     \"degraded <prefix> <t0> <t1> <rate>\", got {s:?}"
                 ),
             ));
         }
-    }
-    Ok(())
-}
-
-fn validate_faults(faults: &FaultsSpec) -> Result<(), SpecError> {
-    for (i, entry) in faults.schedule.iter().enumerate() {
-        parse_fault(&format!("faults.schedule[{i}]"), entry)?;
-    }
-    Ok(())
-}
-
-/// Validates `pop` and returns the number of hosts it states.
-fn validate_pop(pop: &PopSpec) -> Result<usize, SpecError> {
-    match pop {
-        PopSpec::Range {
-            base,
-            count,
-            stride,
-        } => {
-            parse_ip("population.base", base)?;
-            if *count == 0 {
-                return Err(SpecError::new("population.count", "must be positive"));
-            }
-            if u32::try_from(*count).is_err() {
-                return Err(SpecError::new(
-                    "population.count",
-                    format!("{count} exceeds 2^32 - 1"),
-                ));
-            }
-            if *stride == 0 {
-                return Err(SpecError::new("population.stride", "must be positive"));
-            }
-            if u32::try_from(*stride).is_err() {
-                return Err(SpecError::new(
-                    "population.stride",
-                    format!("{stride} exceeds 2^32 - 1"),
-                ));
-            }
-            spec_usize("population.count", *count)
-        }
-        PopSpec::Synthetic { size, slash8s, .. } => {
-            if *size == 0 {
-                return Err(SpecError::new("population.size", "must be positive"));
-            }
-            if !(1..=200).contains(slash8s) {
-                return Err(SpecError::new(
-                    "population.slash8s",
-                    format!("must be in [1, 200], got {slash8s}"),
-                ));
-            }
-            spec_usize("population.size", *size)
-        }
-        PopSpec::Paper { .. } => Ok(PAPER_CODERED_HOSTS),
-        PopSpec::Hosts { addrs } => {
-            if addrs.is_empty() {
-                return Err(SpecError::new("population.addrs", "must be non-empty"));
-            }
-            let mut ips = addrs
-                .iter()
-                .map(|a| parse_ip("population.addrs", a))
-                .collect::<Result<Vec<Ip>, SpecError>>()?;
-            ips.sort_unstable();
-            ips.dedup();
-            Ok(ips.len())
-        }
-        PopSpec::Zipf {
-            size,
-            slash8s,
-            store,
-            ..
-        } => {
-            if *size == 0 {
-                return Err(SpecError::new("population.size", "must be positive"));
-            }
-            if !(1..=200).contains(slash8s) {
-                return Err(SpecError::new(
-                    "population.slash8s",
-                    format!("must be in [1, 200], got {slash8s}"),
-                ));
-            }
-            // each /8 holds at most 2^24 addresses
-            if *size > slash8s * (1 << 24) {
-                return Err(SpecError::new(
-                    "population.size",
-                    format!("{size} hosts exceed the capacity of {slash8s} /8s"),
-                ));
-            }
-            if !matches!(store.as_str(), "dense" | "compressed") {
-                return Err(SpecError::new(
-                    "population.store",
-                    format!("unknown store {store:?} (expected dense or compressed)"),
-                ));
-            }
-            spec_usize("population.size", *size)
-        }
-    }
-}
-
-fn validate_telescope(t: &TelescopeSpec) -> Result<(), SpecError> {
-    match t {
-        TelescopeSpec::None => Ok(()),
-        TelescopeSpec::Field {
-            placement,
-            alert_threshold,
-            mode,
-        } => {
-            if *alert_threshold == 0 {
-                return Err(SpecError::new(
-                    "telescope.alert_threshold",
-                    "must be positive",
-                ));
-            }
-            if !matches!(mode.as_str(), "active" | "passive") {
-                return Err(SpecError::new(
-                    "telescope.mode",
-                    format!("unknown mode {mode:?} (expected active or passive)"),
-                ));
-            }
-            match placement {
-                PlacementSpec::Prefixes { prefixes } => {
-                    if prefixes.is_empty() {
-                        return Err(SpecError::new(
-                            "telescope.placement.prefixes",
-                            "must be non-empty",
-                        ));
-                    }
-                    for (i, p) in prefixes.iter().enumerate() {
-                        parse_prefix(&format!("telescope.placement.prefixes[{i}]"), p)?;
-                    }
-                }
-                PlacementSpec::Random { sensors, .. } => {
-                    if *sensors == 0 {
-                        return Err(SpecError::new(
-                            "telescope.placement.sensors",
-                            "must be positive",
-                        ));
-                    }
-                }
-            }
-            Ok(())
-        }
-    }
-}
-
-fn validate_sim(sim: &SimSpec) -> Result<(), SpecError> {
-    validate_positive("sim.scan_rate", sim.scan_rate)?;
-    if sim.scan_rate_sigma < 0.0 || !sim.scan_rate_sigma.is_finite() {
-        return Err(SpecError::new(
-            "sim.scan_rate_sigma",
-            "must be non-negative",
-        ));
-    }
-    if sim.seeds == 0 {
-        return Err(SpecError::new("sim.seeds", "must be positive"));
-    }
-    validate_positive("sim.dt", sim.dt)?;
-    if sim.max_time < sim.dt {
-        return Err(SpecError::new("sim.max_time", "shorter than one step"));
-    }
-    if let Some(f) = sim.stop_at_fraction {
-        validate_fraction("sim.stop_at_fraction", f)?;
-    }
-    if sim.removal_rate < 0.0 || !sim.removal_rate.is_finite() {
-        return Err(SpecError::new("sim.removal_rate", "must be non-negative"));
-    }
-    Ok(())
-}
-
-fn validate_detection(d: &DetectionStudy) -> Result<(), SpecError> {
-    if d.population == 0 {
-        return Err(SpecError::new(
-            "study.detection.population",
-            "must be positive",
-        ));
-    }
-    if !(1..=200).contains(&d.slash8s) {
-        return Err(SpecError::new(
-            "study.detection.slash8s",
-            format!("must be in [1, 200], got {}", d.slash8s),
-        ));
-    }
-    if d.seeds == 0 {
-        return Err(SpecError::new("study.detection.seeds", "must be positive"));
-    }
-    check_seeds("study.detection.seeds", d.seeds, d.population_size())?;
-    if d.alert_threshold == 0 {
-        return Err(SpecError::new(
-            "study.detection.alert_threshold",
-            "must be positive",
-        ));
-    }
-    validate_positive("study.detection.scan_rate", d.scan_rate)?;
-    validate_positive("study.detection.max_time", d.max_time)?;
-    validate_fraction("study.detection.stop_at_fraction", d.stop_at_fraction)?;
-    Ok(())
-}
-
-fn validate_study(study: &StudySpec) -> Result<(), SpecError> {
-    match study {
-        StudySpec::BlasterCoverage(b) => {
-            if b.hosts == 0 {
-                return Err(SpecError::new("study.hosts", "must be positive"));
-            }
-            validate_positive("study.window_secs", b.window_secs)?;
-            validate_positive("study.scan_rate", b.scan_rate)?;
-            validate_fraction("study.reboot_fraction", b.reboot_fraction)?;
-        }
-        StudySpec::SlammerCoverage(sl) => {
-            if sl.hosts == 0 {
-                return Err(SpecError::new("study.hosts", "must be positive"));
-            }
-        }
-        StudySpec::SlammerHosts { probes_per_host } => {
-            if *probes_per_host == 0 {
-                return Err(SpecError::new("study.probes_per_host", "must be positive"));
-            }
-        }
-        StudySpec::CodeRedNat { study, .. } => {
-            if study.hosts == 0 {
-                return Err(SpecError::new("study.hosts", "must be positive"));
-            }
-            if study.probes_per_host == 0 {
-                return Err(SpecError::new("study.probes_per_host", "must be positive"));
-            }
-            validate_fraction("study.nat_fraction", study.nat_fraction)?;
-        }
-        StudySpec::HitList { detection, sizes } => {
-            validate_detection(detection)?;
-            if sizes.is_empty() {
-                return Err(SpecError::new("study.sizes", "must be non-empty"));
-            }
-            if let Some(i) = sizes.iter().position(|s| *s == Some(0)) {
-                return Err(SpecError::new(
-                    format!("study.sizes[{i}]"),
-                    "must be positive",
-                ));
-            }
-        }
-        StudySpec::NatDetection {
-            detection,
-            nat_fraction,
-            sensors,
-            top_k_slash8s,
-        } => {
-            validate_detection(detection)?;
-            validate_fraction("study.nat_fraction", *nat_fraction)?;
-            if *sensors == 0 {
-                return Err(SpecError::new("study.sensors", "must be positive"));
-            }
-            if *top_k_slash8s == 0 {
-                return Err(SpecError::new("study.top_k_slash8s", "must be positive"));
-            }
-            // Both sensor placements need `sensors` disjoint /24s. The
-            // top-k one draws them from at most k of the population's /8s
-            // (the random one from all routable space, which is larger).
-            let slash8s = if detection.paper_profile {
-                hotspots_sim::PAPER_CODERED_SLASH8S
-            } else {
-                detection.slash8s
-            };
-            let capacity = (*top_k_slash8s).min(slash8s as u64) << 16;
-            if *sensors > capacity {
-                return Err(SpecError::new(
-                    "study.sensors",
-                    format!(
-                        "{sensors} exceeds the {capacity} disjoint /24s of the top {} /8s",
-                        capacity >> 16
-                    ),
-                ));
-            }
-        }
-        StudySpec::BotCommands { drone, .. } => {
-            parse_ip("study.drone", drone)?;
-        }
-        StudySpec::Filtering(fl) => {
-            if fl.infected_per_enterprise == 0 {
-                return Err(SpecError::new(
-                    "study.infected_per_enterprise",
-                    "must be positive",
-                ));
-            }
-            if fl.infected_per_isp == 0 {
-                return Err(SpecError::new("study.infected_per_isp", "must be positive"));
-            }
-            if fl.probes_per_host == 0 {
-                return Err(SpecError::new("study.probes_per_host", "must be positive"));
-            }
-        }
-        StudySpec::Ablations {
-            nat_population,
-            nat_max_time,
-            sensor_hosts,
-            sensor_max_time,
-            reboot_hosts,
-        } => {
-            if *nat_population == 0 {
-                return Err(SpecError::new("study.nat_population", "must be positive"));
-            }
-            if *sensor_hosts == 0 {
-                return Err(SpecError::new("study.sensor_hosts", "must be positive"));
-            }
-            if *reboot_hosts == 0 {
-                return Err(SpecError::new("study.reboot_hosts", "must be positive"));
-            }
-            // the sensor-mode hosts are distinct addresses in one /16
-            if *sensor_hosts > 1 << 16 {
-                return Err(SpecError::new(
-                    "study.sensor_hosts",
-                    format!("{sensor_hosts} exceeds the 65536 addresses of one /16"),
-                ));
-            }
-            // the NAT-topology outbreaks seed `DetectionStudy`'s default
-            // count; the sensor-mode ones seed `ABLATION_SENSOR_SEEDS`
-            check_seeds(
-                "study.nat_population",
-                DetectionStudy::default().seeds,
-                usize::try_from(*nat_population).unwrap_or(usize::MAX),
-            )?;
-            check_seeds(
-                "study.sensor_hosts",
-                crate::run::ABLATION_SENSOR_SEEDS,
-                usize::try_from(*sensor_hosts).unwrap_or(usize::MAX),
-            )?;
-            validate_positive("study.nat_max_time", *nat_max_time)?;
-            validate_positive("study.sensor_max_time", *sensor_max_time)?;
-        }
-        StudySpec::Sensitivity {
-            trials,
-            codered_hosts,
-            codered_probes_per_host,
-            slammer_hosts,
-            ..
-        } => {
-            if *trials == 0 {
-                return Err(SpecError::new("study.trials", "must be positive"));
-            }
-            if *codered_hosts == 0 {
-                return Err(SpecError::new("study.codered_hosts", "must be positive"));
-            }
-            if *slammer_hosts == 0 {
-                return Err(SpecError::new("study.slammer_hosts", "must be positive"));
-            }
-            if *codered_probes_per_host == 0 {
-                return Err(SpecError::new(
-                    "study.codered_probes_per_host",
-                    "must be positive",
-                ));
-            }
-        }
-    }
-    Ok(())
+    };
+    Ok(FaultEvent::new(kind, parse_fault_window(field, t0, t1)?))
 }
 
 #[cfg(test)]
@@ -2430,13 +1393,20 @@ mod tests {
 
     #[test]
     fn filter_grammar_parses() {
-        let f = parse_filter("x", "egress 163.37.8.0/22 udp/1434").unwrap();
-        assert_eq!(f.direction, "egress");
+        let f = parse_filter_entry("x", "egress 163.37.8.0/22 udp/1434").unwrap();
+        assert!(
+            f.src.is_some() && f.dst.is_none(),
+            "egress matches the source"
+        );
         assert_eq!(f.service, Some(Service::SLAMMER_SQL));
-        let f = parse_filter("x", "ingress 10.0.0.0/8 *").unwrap();
+        let f = parse_filter_entry("x", "ingress 10.0.0.0/8 *").unwrap();
+        assert!(
+            f.src.is_none() && f.dst.is_some(),
+            "ingress matches the destination"
+        );
         assert!(f.service.is_none());
-        assert!(parse_filter("x", "sideways 10.0.0.0/8 *").is_err());
-        assert!(parse_filter("x", "egress 10.0.0.0/8").is_err());
+        assert!(parse_filter_entry("x", "sideways 10.0.0.0/8 *").is_err());
+        assert!(parse_filter_entry("x", "egress 10.0.0.0/8").is_err());
     }
 
     #[test]

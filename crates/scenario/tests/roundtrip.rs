@@ -542,3 +542,303 @@ fn preset_content_hashes_are_pinned() {
         }
     }
 }
+
+/// A spec built through the API can hold integers that `Value::Int`
+/// cannot: each row sets one integer of a valid preset above `i64::MAX`
+/// and must fail `validate` naming it (text input cannot get there, as
+/// every parsed integer is an `i64`).
+#[test]
+fn integers_above_i64_fail_validation() {
+    type Edit = fn(&mut ScenarioSpec, u64);
+    let rows: [(&str, Edit, &str); 5] = [
+        ("bench-slammer", |s, n| s.sim.rng_seed = n, "sim.rng_seed"),
+        (
+            "bench-million",
+            |s, n| {
+                if let Some(PopSpec::Zipf { seed, .. }) = &mut s.population {
+                    *seed = n;
+                }
+            },
+            "population.seed",
+        ),
+        (
+            "fig2",
+            |s, n| {
+                if let Some(StudySpec::SlammerCoverage(study)) = &mut s.study {
+                    study.rng_seed = n;
+                }
+            },
+            "study.rng_seed",
+        ),
+        (
+            "fig5ab",
+            |s, n| {
+                if let Some(StudySpec::HitList { detection, .. }) = &mut s.study {
+                    detection.rng_seed = n;
+                }
+            },
+            "study.detection.rng_seed",
+        ),
+        (
+            "fig5ab",
+            |s, n| {
+                if let Some(StudySpec::HitList { sizes, .. }) = &mut s.study {
+                    sizes.push(Some(n));
+                }
+            },
+            "study.sizes",
+        ),
+    ];
+    for (preset, edit, field) in rows {
+        let base = hotspots_scenario::find_preset(preset)
+            .expect("a registry preset")
+            .spec(Scale::Quick);
+        let mut at_bound = base.clone();
+        edit(&mut at_bound, i64::MAX as u64);
+        at_bound
+            .validate()
+            .unwrap_or_else(|e| panic!("{preset}: i64::MAX is a valid {field}: {e}"));
+        let mut above = base;
+        edit(&mut above, u64::MAX);
+        assert_eq!(
+            above.validate().unwrap_err().to_string(),
+            format!("{field}: {} exceeds 2^63 - 1", u64::MAX),
+            "{preset}"
+        );
+    }
+}
+
+/// One defect in an otherwise valid preset: the preset whose quick-scale
+/// tree is the base, the dotted path set, the value set there (as JSON,
+/// so a row can replace a whole table), and the exact `field: message`
+/// both `from_toml` and `from_json` must reject it with.
+const MESSAGE_PINS: &[(&str, &str, &str, &str)] = &[
+    // the root table
+    ("xmode-uniform", "simulation", "1", "simulation: unknown field"),
+    ("xmode-uniform", "sim", "5", "sim: expected a table, found integer"),
+    ("xmode-uniform", "study", r#"{"kind":"slammer-hosts","probes_per_host":9}"#, "study: study scenarios define their own worm; remove [worm]"),
+    ("fig1", "sim.seeds", "7", "sim: a study scenario reads only [study]; remove [sim]"),
+    ("fig1", "environment.loss", "0.5", "environment: a study scenario reads only [study]; remove [environment]"),
+    // meta
+    ("xmode-uniform", "meta.name", r#""""#, "meta.name: must be non-empty"),
+    ("xmode-uniform", "meta.nmae", r#""x""#, "meta.nmae: unknown field"),
+    ("xmode-uniform", "meta", r#"{"scenario":"x"}"#, "meta.name: missing required field"),
+    ("xmode-uniform", "meta.title", "5", "meta.title: expected a string, found integer"),
+    // worm, each kind
+    ("xmode-uniform", "worm.kind", r#""wormy""#, "worm.kind: unknown worm kind \"wormy\" (expected uniform, slammer, codered2, blaster, hit-list, local-preference, or bot)"),
+    ("xmode-uniform", "worm.kind", "3", "worm.kind: expected a string, found integer"),
+    ("xmode-uniform", "worm.hardware", r#""pentium-iv""#, "worm.hardware: unknown field"),
+    ("xmode-blaster", "worm.hardware", r#""pentium-v""#, "worm.hardware: unknown generation \"pentium-v\" (expected pentium-ii, pentium-iii, or pentium-iv)"),
+    ("xmode-blaster", "worm.model", r#""uptime""#, "worm.model: unknown seed model \"uptime\" (expected reboot or population)"),
+    ("xmode-blaster", "worm", r#"{"kind":"blaster","model":"reboot"}"#, "worm.hardware: missing required field"),
+    ("xmode-hitlist", "worm.prefixes", "[]", "worm.prefixes: must be non-empty"),
+    ("xmode-hitlist", "worm.prefixes", r#"["11.0.0.0/33"]"#, "worm.prefixes[0]: bad prefix \"11.0.0.0/33\": prefix length 33 out of range (expected 0..=32)"),
+    ("xmode-hitlist", "worm.prefixes", r#""11.0.0.0/8""#, "worm.prefixes: expected an array, found string"),
+    ("xmode-hitlist", "worm.prefixes", r#"["11.0.0.0/8", 3]"#, "worm.prefixes[1]: expected a string, found integer"),
+    ("xmode-hitlist", "worm.service", r#""icmp/1""#, "worm.service: unknown protocol \"icmp\" (expected tcp or udp)"),
+    ("xmode-hitlist", "worm.service", r#""tcp/http""#, "worm.service: bad port \"http\""),
+    ("xmode-hitlist", "worm.service", r#""tcp80""#, "worm.service: expected \"proto/port\", got \"tcp80\""),
+    ("xmode-uniform", "worm", r#"{"kind":"local-preference","entries":[]}"#, "worm.entries: must be non-empty"),
+    ("xmode-uniform", "worm", r#"{"kind":"local-preference","entries":["255.0.0.0*0"]}"#, "worm.entries[0]: weight must be positive"),
+    ("xmode-uniform", "worm", r#"{"kind":"local-preference","entries":["255.0.0.0"]}"#, "worm.entries[0]: expected \"<mask>*<weight>\", got \"255.0.0.0\""),
+    ("xmode-uniform", "worm", r#"{"kind":"local-preference","entries":["255.0.0*2"]}"#, "worm.entries[0]: bad address \"255.0.0\": invalid IPv4 address syntax: \"255.0.0\""),
+    ("xmode-uniform", "worm", r#"{"kind":"bot","command":"bogus 1 2"}"#, "worm.command: unknown command verb: \"bogus\""),
+    ("xmode-uniform", "worm", r#"{"kind":"bot"}"#, "worm.command: missing required field"),
+    // environment, with its latency and nat sub-tables
+    ("xmode-blaster", "environment.loss", "1.5", "environment.loss: must be in [0, 1], got 1.5"),
+    ("xmode-blaster", "environment.loss", "-0.1", "environment.loss: must be in [0, 1], got -0.1"),
+    ("xmode-blaster", "environment.loss", r#""x""#, "environment.loss: expected a number, found string"),
+    ("xmode-blaster", "environment.los", "0.1", "environment.los: unknown field"),
+    ("xmode-blaster", "environment.filters", r#"["sideways 10.0.0.0/8 *"]"#, "environment.filters[0]: unknown direction \"sideways\" (expected egress or ingress)"),
+    ("xmode-blaster", "environment.filters", r#"["egress 10.0.0.0/8"]"#, "environment.filters[0]: expected \"<direction> <prefix> <service>\", got \"egress 10.0.0.0/8\""),
+    ("xmode-blaster", "environment.filters", r#"["egress 10.0.0.0/8 tcp/99999"]"#, "environment.filters[0]: bad port \"99999\""),
+    ("xmode-blaster", "environment.filters", r#""egress 10.0.0.0/8 *""#, "environment.filters: expected an array, found string"),
+    ("xmode-hitlist-latency", "environment.latency.base_secs", "-1.0", "environment.latency: delays must be non-negative"),
+    ("xmode-hitlist-latency", "environment.latency.jitter_secs", "-1.0", "environment.latency: delays must be non-negative"),
+    ("xmode-hitlist-latency", "environment.latency.jitter", "1.0", "environment.latency.jitter: unknown field"),
+    ("xmode-hitlist-latency", "environment.latency", r#"{"jitter_secs":1.0}"#, "environment.latency.base_secs: missing required field"),
+    ("xmode-hitlist-latency", "environment.latency", "1.0", "environment.latency: expected a table, found float"),
+    ("xmode-codered2-nat", "environment.nat.fraction", "1.5", "environment.nat.fraction: must be in [0, 1], got 1.5"),
+    ("xmode-codered2-nat", "environment.nat.topology", r#""mesh""#, "environment.nat.topology: unknown topology \"mesh\" (expected isolated or shared)"),
+    ("xmode-codered2-nat", "environment.nat.topology", "1", "environment.nat.topology: expected a string, found integer"),
+    ("xmode-codered2-nat", "environment.nat.seed", "-1", "environment.nat.seed: must be non-negative, got -1"),
+    ("xmode-codered2-nat", "environment.nat.sead", "1", "environment.nat.sead: unknown field"),
+    ("xmode-codered2-nat", "environment.nat", r#"{"fraction":0.5,"topology":"isolated"}"#, "environment.nat.seed: missing required field"),
+    // faults
+    ("xmode-outage", "faults.schedule", r#"["flap sideways 10.0.0.0/8 * 0 100 5 0.5"]"#, "faults.schedule[0]: unknown direction \"sideways\" (expected egress or ingress)"),
+    ("xmode-outage", "faults.schedule", r#"["flap egress 10.0.0.0/33 * 0 100 5 0.5"]"#, "faults.schedule[0]: bad prefix \"10.0.0.0/33\": prefix length 33 out of range (expected 0..=32)"),
+    ("xmode-outage", "faults.schedule", r#"["flap egress 10.0.0.0/8 udp/x 0 100 5 0.5"]"#, "faults.schedule[0]: bad port \"x\""),
+    ("xmode-outage", "faults.schedule", r#"["flap egress 10.0.0.0/8 * 0 100 0 0.5"]"#, "faults.schedule[0]: period must be positive, got 0"),
+    ("xmode-outage", "faults.schedule", r#"["flap egress 10.0.0.0/8 * 0 100 5 1.5"]"#, "faults.schedule[0]: duty must be in (0, 1], got 1.5"),
+    ("xmode-outage", "faults.schedule", r#"["outage 66.66.0.0/16 300 100"]"#, "faults.schedule[0]: window must be non-empty: t1 (100) must exceed t0 (300)"),
+    ("xmode-outage", "faults.schedule", r#"["outage 66.66.0.0/16 -5 100"]"#, "faults.schedule[0]: t0 must be non-negative, got -5"),
+    ("xmode-outage", "faults.schedule", r#"["outage 66.66.0.0/16 x 100"]"#, "faults.schedule[0]: t0 \"x\" is not a number"),
+    ("xmode-outage", "faults.schedule", r#"["degraded 88.0.0.0/8 10 20 1.5"]"#, "faults.schedule[0]: must be in [0, 1], got 1.5"),
+    ("xmode-outage", "faults.schedule", r#"["meteor 88.0.0.0/8 10 20"]"#, "faults.schedule[0]: expected \"outage <prefix> <t0> <t1>\", \"blackhole <prefix> <t0> <t1>\", \"flap <direction> <prefix> <service> <t0> <t1> <period> <duty>\", or \"degraded <prefix> <t0> <t1> <rate>\", got \"meteor 88.0.0.0/8 10 20\""),
+    ("xmode-outage", "faults.schedule", r#""outage 66.66.0.0/16 0 9""#, "faults.schedule: expected an array, found string"),
+    ("xmode-outage", "faults.scheduel", "[]", "faults.scheduel: unknown field"),
+    // population, each kind
+    ("xmode-uniform", "population.kind", r#""grid""#, "population.kind: unknown population kind \"grid\" (expected range, synthetic, paper, hosts, or zipf)"),
+    ("xmode-uniform", "population.base", r#""300.0.0.0""#, "population.base: bad address \"300.0.0.0\": invalid IPv4 address syntax: \"300.0.0.0\""),
+    ("xmode-uniform", "population.count", "0", "population.count: must be positive"),
+    ("xmode-uniform", "population.count", "4294967296", "population.count: 4294967296 exceeds 2^32 - 1"),
+    ("xmode-uniform", "population.count", "1.5", "population.count: expected an integer, found float"),
+    ("xmode-uniform", "population.count", "4", "sim.seeds: 8 seed hosts exceed the population of 4"),
+    ("xmode-uniform", "population.stride", "0", "population.stride: must be positive"),
+    ("xmode-uniform", "population.stride", "4294967296", "population.stride: 4294967296 exceeds 2^32 - 1"),
+    ("xmode-uniform", "population.cnt", "4", "population.cnt: unknown field"),
+    ("xmode-uniform", "population", r#"{"kind":"range","base":"11.11.0.0"}"#, "population.count: missing required field"),
+    ("xmode-uniform", "population", r#"{"kind":"synthetic","size":0,"slash8s":4,"seed":1}"#, "population.size: must be positive"),
+    ("xmode-uniform", "population", r#"{"kind":"synthetic","size":100,"slash8s":0,"seed":1}"#, "population.slash8s: must be in [1, 200], got 0"),
+    ("xmode-uniform", "population", r#"{"kind":"synthetic","size":100,"slash8s":201,"seed":1}"#, "population.slash8s: must be in [1, 200], got 201"),
+    ("xmode-uniform", "population", r#"{"kind":"paper"}"#, "population.seed: missing required field"),
+    ("xmode-uniform", "population", r#"{"kind":"hosts","addrs":[]}"#, "population.addrs: must be non-empty"),
+    ("xmode-uniform", "population", r#"{"kind":"hosts","addrs":["1.2.3"]}"#, "population.addrs: bad address \"1.2.3\": invalid IPv4 address syntax: \"1.2.3\""),
+    ("xmode-uniform", "population", r#"{"kind":"hosts","addrs":["11.0.0.1","11.0.0.1"]}"#, "sim.seeds: 8 seed hosts exceed the population of 1"),
+    ("bench-million", "population.size", "0", "population.size: must be positive"),
+    ("bench-million", "population.slash8s", "0", "population.slash8s: must be in [1, 200], got 0"),
+    ("bench-million", "population.slash8s", "300", "population.slash8s: must be in [1, 200], got 300"),
+    ("bench-million", "population.store", r#""sparse""#, "population.store: unknown store \"sparse\" (expected dense or compressed)"),
+    ("bench-million", "population", r#"{"kind":"zipf","size":16777217,"slash8s":1,"seed":1}"#, "population.size: 16777217 hosts exceed the capacity of 1 /8s"),
+    // telescope and its placement
+    ("xmode-uniform", "telescope.kind", r#""array""#, "telescope.kind: unknown telescope kind \"array\" (expected none or field)"),
+    ("fig5-outage", "telescope.alert_threshold", "0", "telescope.alert_threshold: must be positive"),
+    ("fig5-outage", "telescope.alert_threshold", r#""5""#, "telescope.alert_threshold: expected an integer, found string"),
+    ("fig5-outage", "telescope.mode", r#""loud""#, "telescope.mode: unknown mode \"loud\" (expected active or passive)"),
+    ("fig5-outage", "telescope.modes", r#""active""#, "telescope.modes: unknown field"),
+    ("fig5-outage", "telescope", r#"{"kind":"field"}"#, "telescope.placement: missing required field"),
+    ("fig5-outage", "telescope.placement", r#""x""#, "telescope.placement: expected a table, found string"),
+    ("fig5-outage", "telescope.placement.kind", r#""grid""#, "telescope.placement.kind: unknown placement kind \"grid\" (expected prefixes or random)"),
+    ("fig5-outage", "telescope.placement.prefixes", "[]", "telescope.placement.prefixes: must be non-empty"),
+    ("fig5-outage", "telescope.placement.prefixes", r#"["66.66.0.0/24", "bad"]"#, "telescope.placement.prefixes[1]: bad prefix \"bad\": invalid prefix length (expected 0..=32): \"bad\""),
+    ("fig5-outage", "telescope.placement", r#"{"kind":"random","sensors":0,"seed":1}"#, "telescope.placement.sensors: must be positive"),
+    ("fig5-outage", "telescope.placement", r#"{"kind":"random","sensors":5}"#, "telescope.placement.seed: missing required field"),
+    ("fig5-outage", "telescope.placement", r#"{"kind":"random","sensors":5,"seed":1,"seeds":2}"#, "telescope.placement.seeds: unknown field"),
+    // sim
+    ("xmode-uniform", "sim.scan_rate", "0.0", "sim.scan_rate: must be positive, got 0"),
+    ("xmode-uniform", "sim.scan_rate", "-3.0", "sim.scan_rate: must be positive, got -3"),
+    ("xmode-uniform", "sim.scan_rate_sigma", "-1.0", "sim.scan_rate_sigma: must be non-negative"),
+    ("xmode-uniform", "sim.seeds", "0", "sim.seeds: must be positive"),
+    ("xmode-uniform", "sim.seeds", "2.5", "sim.seeds: expected an integer, found float"),
+    ("xmode-uniform", "sim.dt", "0.0", "sim.dt: must be positive, got 0"),
+    ("xmode-uniform", "sim.max_time", "0.5", "sim.max_time: shorter than one step"),
+    ("xmode-uniform", "sim.stop_at_fraction", "1.5", "sim.stop_at_fraction: must be in [0, 1], got 1.5"),
+    ("xmode-uniform", "sim.removal_rate", "-0.1", "sim.removal_rate: must be non-negative"),
+    ("xmode-uniform", "sim.rng_seed", "-1", "sim.rng_seed: must be non-negative, got -1"),
+    ("xmode-uniform", "sim.rng_seed", r#""x""#, "sim.rng_seed: expected an integer, found string"),
+    ("xmode-uniform", "sim.threads", "2", "sim.threads: unknown field"),
+    // study.detection
+    ("fig5ab", "study.detection.population", "0", "study.detection.population: must be positive"),
+    ("fig5ab", "study.detection.population", "3", "study.detection.seeds: 25 seed hosts exceed the population of 3"),
+    ("fig5ab", "study.detection.slash8s", "0", "study.detection.slash8s: must be in [1, 200], got 0"),
+    ("fig5ab", "study.detection.slash8s", "201", "study.detection.slash8s: must be in [1, 200], got 201"),
+    ("fig5ab", "study.detection.paper_profile", "1", "study.detection.paper_profile: expected a bool, found integer"),
+    ("fig5ab", "study.detection.seeds", "0", "study.detection.seeds: must be positive"),
+    ("fig5ab", "study.detection.scan_rate", "0.0", "study.detection.scan_rate: must be positive, got 0"),
+    ("fig5ab", "study.detection.alert_threshold", "0", "study.detection.alert_threshold: must be positive"),
+    ("fig5ab", "study.detection.max_time", "0.0", "study.detection.max_time: must be positive, got 0"),
+    ("fig5ab", "study.detection.stop_at_fraction", "1.5", "study.detection.stop_at_fraction: must be in [0, 1], got 1.5"),
+    ("fig5ab", "study.detection.rng_seed", "-2", "study.detection.rng_seed: must be non-negative, got -2"),
+    ("fig5ab", "study.detection.popluation", "5", "study.detection.popluation: unknown field"),
+    ("fig5ab", "study.detection", r#"{"max_time":60.0}"#, "study.detection.population: missing required field"),
+    ("fig5ab", "study.detection", "[1]", "study.detection: expected a table, found array"),
+    // each study kind
+    ("fig1", "study.kind", r#""fig9""#, "study.kind: unknown study kind \"fig9\""),
+    ("fig1", "study.kind", "9", "study.kind: expected a string, found integer"),
+    ("fig1", "study", r#"{"hosts":7}"#, "study.kind: missing required field"),
+    ("fig1", "study.hosts", "0", "study.hosts: must be positive"),
+    ("fig1", "study.hosts", r#""x""#, "study.hosts: expected an integer, found string"),
+    ("fig1", "study.hots", "7", "study.hots: unknown field"),
+    ("fig1", "study.window_secs", "0.0", "study.window_secs: must be positive, got 0"),
+    ("fig1", "study.scan_rate", "0.0", "study.scan_rate: must be positive, got 0"),
+    ("fig1", "study.reboot_fraction", "1.5", "study.reboot_fraction: must be in [0, 1], got 1.5"),
+    ("fig1", "study", r#"{"kind":"blaster-coverage","hosts":7}"#, "study.window_secs: missing required field"),
+    ("fig2", "study.hosts", "0", "study.hosts: must be positive"),
+    ("fig2", "study.m_block_filter", r#""yes""#, "study.m_block_filter: expected a bool, found string"),
+    ("fig2", "study.rng_seed", "-1", "study.rng_seed: must be non-negative, got -1"),
+    ("fig3", "study.probes_per_host", "0", "study.probes_per_host: must be positive"),
+    ("fig3", "study", r#"{"kind":"slammer-hosts"}"#, "study.probes_per_host: missing required field"),
+    ("fig4", "study.hosts", "0", "study.hosts: must be positive"),
+    ("fig4", "study.probes_per_host", "0", "study.probes_per_host: must be positive"),
+    ("fig4", "study.nat_fraction", "1.5", "study.nat_fraction: must be in [0, 1], got 1.5"),
+    ("fig4", "study.quarantine_probes_public", "1.5", "study.quarantine_probes_public: expected an integer, found float"),
+    ("fig4", "study", r#"{"kind":"codered-nat","hosts":7,"probes_per_host":9,"quarantine_probes_public":1}"#, "study.quarantine_probes_natted: missing required field"),
+    ("fig5ab", "study.sizes", "[]", "study.sizes: must be non-empty"),
+    ("fig5ab", "study.sizes", r#"[10, 0]"#, "study.sizes[1]: must be positive"),
+    ("fig5ab", "study.sizes", r#"["half"]"#, "study.sizes[0]: expected an integer or \"full\", got \"half\""),
+    ("fig5ab", "study.sizes", "[-1]", "study.sizes[0]: must be non-negative, got -1"),
+    ("fig5ab", "study.sizes", "10", "study.sizes: expected an array, found integer"),
+    ("fig5c", "study.nat_fraction", "1.5", "study.nat_fraction: must be in [0, 1], got 1.5"),
+    ("fig5c", "study.sensors", "0", "study.sensors: must be positive"),
+    ("fig5c", "study.sensors", "100000000", "study.sensors: 100000000 exceeds the 1310720 disjoint /24s of the top 20 /8s"),
+    ("fig5c", "study.top_k_slash8s", "0", "study.top_k_slash8s: must be positive"),
+    ("fig5c", "study.top_k_slash8s", "1.0", "study.top_k_slash8s: expected an integer, found float"),
+    ("table1", "study.drone", r#""1.2.3""#, "study.drone: bad address \"1.2.3\": invalid IPv4 address syntax: \"1.2.3\""),
+    ("table1", "study.synthetic_commands", "-4", "study.synthetic_commands: must be non-negative, got -4"),
+    ("table1", "study", r#"{"kind":"bot-commands","synthetic_commands":4}"#, "study.drone: missing required field"),
+    ("table2", "study.infected_per_enterprise", "0", "study.infected_per_enterprise: must be positive"),
+    ("table2", "study.infected_per_isp", "0", "study.infected_per_isp: must be positive"),
+    ("table2", "study.probes_per_host", "0", "study.probes_per_host: must be positive"),
+    ("table2", "study.blaster_scan_len", "1.5", "study.blaster_scan_len: expected an integer, found float"),
+    ("ablations", "study.nat_population", "0", "study.nat_population: must be positive"),
+    ("ablations", "study.nat_population", "5", "study.nat_population: 25 seed hosts exceed the population of 5"),
+    ("ablations", "study.nat_max_time", "0.0", "study.nat_max_time: must be positive, got 0"),
+    ("ablations", "study.sensor_hosts", "0", "study.sensor_hosts: must be positive"),
+    ("ablations", "study.sensor_hosts", "5", "study.sensor_hosts: 10 seed hosts exceed the population of 5"),
+    ("ablations", "study.sensor_hosts", "70000", "study.sensor_hosts: 70000 exceeds the 65536 addresses of one /16"),
+    ("ablations", "study.sensor_max_time", "0.0", "study.sensor_max_time: must be positive, got 0"),
+    ("ablations", "study.reboot_hosts", "0", "study.reboot_hosts: must be positive"),
+    ("ablations", "study.reboot_host", "5", "study.reboot_host: unknown field"),
+    ("sensitivity", "study.trials", "0", "study.trials: must be positive"),
+    ("sensitivity", "study.codered_hosts", "0", "study.codered_hosts: must be positive"),
+    ("sensitivity", "study.codered_probes_per_host", "0", "study.codered_probes_per_host: must be positive"),
+    ("sensitivity", "study.slammer_hosts", "0", "study.slammer_hosts: must be positive"),
+    ("sensitivity", "study.rng_seed", "0.5", "study.rng_seed: expected an integer, found float"),
+    // sweep
+    ("xmode-uniform", "sweep", r#"{"param":"sim.scan_rate","values":[]}"#, "sweep.values: must be non-empty"),
+    ("xmode-uniform", "sweep", r#"{"param":"sim.scan_rte","values":[1.0]}"#, "sweep.param: path \"sim.scan_rte\" not present in this spec"),
+    ("xmode-uniform", "sweep", r#"{"param":"sim.scan_rate","values":1.0}"#, "sweep.values: expected an array"),
+    ("xmode-uniform", "sweep", r#"{"param":"sim.scan_rate"}"#, "sweep.values: missing required field"),
+    ("xmode-uniform", "sweep", r#"{"param":3,"values":[1.0]}"#, "sweep.param: expected a string, found integer"),
+    ("xmode-uniform", "sweep", r#"{"param":"sim.scan_rate","values":[1.0],"valeus":[]}"#, "sweep.valeus: unknown field"),
+];
+
+/// Every bound, enumeration and table-shape rule of the spec schema,
+/// pinned to its exact message: each row breaks one key of a valid
+/// preset and must fail the same way through TOML and through JSON.
+#[test]
+fn every_validation_message_is_pinned() {
+    let mut wrong = Vec::new();
+    for &(preset, path, json, want) in MESSAGE_PINS {
+        let mut tree = hotspots_scenario::find_preset(preset)
+            .unwrap_or_else(|| panic!("{preset}: no such preset"))
+            .spec(Scale::Quick)
+            .to_value();
+        let value = hotspots_scenario::value::from_json(&format!("{{\"v\": {json}}}"))
+            .unwrap_or_else(|e| panic!("{path} = {json}: {e}"))
+            .get("v")
+            .cloned()
+            .expect("the wrapper holds v");
+        tree.set_path(path, value)
+            .unwrap_or_else(|e| panic!("{preset}: {e}"));
+        let toml = ScenarioSpec::from_toml(&hotspots_scenario::value::to_toml(&tree));
+        let json_err = ScenarioSpec::from_json(&hotspots_scenario::value::to_json(&tree));
+        for (format, got) in [("toml", toml), ("json", json_err)] {
+            let got = match got {
+                Ok(_) => "accepted".to_owned(),
+                Err(e) => e.to_string(),
+            };
+            if got != want {
+                wrong.push(format!(
+                    "({preset:?}, {path:?}, {json:?}) via {format}: {got:?}"
+                ));
+            }
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "{} rows differ:\n{}",
+        wrong.len(),
+        wrong.join("\n")
+    );
+}

@@ -1,8 +1,9 @@
 //! The shipped example spec files stay parseable and valid.
 //!
 //! `examples/specs/*.toml` are generated with `hotspots spec <name>`;
-//! this suite guards against the registry drifting away from the files
-//! (or a hand edit breaking them) without anyone noticing.
+//! this suite guards against the registry or the canonical form
+//! drifting away from the files (or a hand edit breaking them) without
+//! anyone noticing.
 
 use hotspots_scenario::ScenarioSpec;
 use std::path::PathBuf;
@@ -61,6 +62,10 @@ fn every_spec_file_parses_validates_and_round_trips() {
     }
 }
 
+/// Each file is, byte for byte, the canonical TOML `hotspots spec
+/// <name>` prints for its registry preset at paper scale, so a drift in
+/// the canonical form shows here as a line, not only as a moved content
+/// hash.
 #[test]
 fn every_spec_file_matches_its_registry_preset() {
     for path in spec_files() {
@@ -68,12 +73,24 @@ fn every_spec_file_matches_its_registry_preset() {
         let preset = hotspots_scenario::find_preset(&name)
             .unwrap_or_else(|| panic!("{name}: spec file has no registry preset"));
         let text = std::fs::read_to_string(&path).expect("readable spec file");
-        let from_file = ScenarioSpec::from_toml(&text).expect("spec file parses");
-        let from_registry = preset.spec(hotspots_scenario::Scale::Paper);
+        let canonical = preset.spec(hotspots_scenario::Scale::Paper).to_toml();
+        let (file, registry): (Vec<_>, Vec<_>) =
+            (text.lines().collect(), canonical.lines().collect());
+        if let Some(line) =
+            (0..file.len().max(registry.len())).find(|&i| file.get(i) != registry.get(i))
+        {
+            panic!(
+                "{}: stale — regenerate with `hotspots spec {name}`; line {}:\n  file:     {:?}\n  registry: {:?}",
+                path.display(),
+                line + 1,
+                file.get(line),
+                registry.get(line),
+            );
+        }
         assert_eq!(
-            from_registry,
-            from_file,
-            "{}: stale — regenerate with `hotspots spec {name}`",
+            text,
+            canonical,
+            "{}: line endings or final newline differ",
             path.display()
         );
     }
