@@ -17,8 +17,8 @@ use rand::SeedableRng;
 
 use crate::spec::{
     parse_bot_command, parse_fault, parse_filter_entry, parse_hosts, parse_ip,
-    parse_preference_entry, parse_prefix, parse_service, PlacementSpec, PopSpec, ScenarioSpec,
-    SpecError, TelescopeSpec, WormSpec,
+    parse_preference_entry, parse_prefix, parse_service, unknown, PlacementSpec, PopSpec,
+    ScenarioSpec, SpecError, TelescopeSpec, WormSpec,
 };
 
 /// Converts a spec-supplied integer to `usize`, surfacing a dotted-path
@@ -77,16 +77,19 @@ impl ScenarioSpec {
         }
 
         let addrs = build_addresses(pop_spec)?;
-        let compressed = matches!(pop_spec, PopSpec::Zipf { store, .. } if store == "compressed");
+        let compressed = match pop_spec {
+            PopSpec::Zipf { store, .. } => compressed_store(store)?,
+            _ => false,
+        };
         // Population construction surfaces duplicate addresses (and any
         // other store-build failure) as a typed spec error naming the
         // population field, instead of panicking mid-build.
         let population = match &self.environment.nat {
             Some(nat) => {
                 let mut rng = StdRng::seed_from_u64(nat.seed);
-                let loci = match nat.topology.as_str() {
-                    "shared" => apply_nat_shared(&mut environment, &addrs, nat.fraction, &mut rng),
-                    _ => apply_nat(&mut environment, &addrs, nat.fraction, &mut rng),
+                let loci = match shared_nat(&nat.topology)? {
+                    true => apply_nat_shared(&mut environment, &addrs, nat.fraction, &mut rng),
+                    false => apply_nat(&mut environment, &addrs, nat.fraction, &mut rng),
                 }
                 .map_err(|e| SpecError::new("environment.nat", e.to_string()))?;
                 if compressed {
@@ -182,18 +185,10 @@ fn build_worm(worm: &WormSpec) -> Result<Box<dyn WormModel>, SpecError> {
         WormSpec::Uniform => Box::new(UniformWorm),
         WormSpec::Slammer => Box::new(SlammerWorm),
         WormSpec::CodeRed2 => Box::new(CodeRed2Worm),
-        WormSpec::Blaster { hardware, model } => {
-            let generation = match hardware.as_str() {
-                "pentium-ii" => HardwareGeneration::PentiumIi,
-                "pentium-iii" => HardwareGeneration::PentiumIii,
-                _ => HardwareGeneration::PentiumIv,
-            };
-            let seed_model = match model.as_str() {
-                "population" => SeedModel::blaster_population(generation),
-                _ => SeedModel::blaster_reboot(generation),
-            };
-            Box::new(BlasterWorm::new(seed_model))
-        }
+        WormSpec::Blaster { hardware, model } => Box::new(BlasterWorm::new(seed_model(
+            model,
+            hardware_generation(hardware)?,
+        )?)),
         WormSpec::HitList { prefixes, service } => {
             let prefixes: Vec<Prefix> = prefixes
                 .iter()
@@ -252,16 +247,65 @@ fn build_detector(telescope: &TelescopeSpec) -> Result<Option<DetectorField>, Sp
                     .map_err(|e| SpecError::new("telescope.placement.sensors", e.to_string()))?
                 }
             };
-            let mode = match mode.as_str() {
-                "passive" => SensorMode::Passive,
-                _ => SensorMode::Active,
-            };
             Ok(Some(DetectorField::with_mode(
                 blocks,
                 *alert_threshold,
-                mode,
+                sensor_mode(mode)?,
             )))
         }
+    }
+}
+
+// The enumerated strings below are the `one_of` lists of the walks in
+// spec.rs. Validation rejects any other value first; a value added to
+// a list there and not mapped here fails the build naming its field
+// instead of building as some other value.
+
+/// The error for a value `validate` accepted but the build cannot map.
+fn unmapped(field: &str, what: &str, value: &str) -> SpecError {
+    SpecError::new(field, unknown(what, value, None))
+}
+
+fn hardware_generation(hardware: &str) -> Result<HardwareGeneration, SpecError> {
+    match hardware {
+        "pentium-ii" => Ok(HardwareGeneration::PentiumIi),
+        "pentium-iii" => Ok(HardwareGeneration::PentiumIii),
+        "pentium-iv" => Ok(HardwareGeneration::PentiumIv),
+        other => Err(unmapped("worm.hardware", "generation", other)),
+    }
+}
+
+fn seed_model(model: &str, generation: HardwareGeneration) -> Result<SeedModel, SpecError> {
+    match model {
+        "reboot" => Ok(SeedModel::blaster_reboot(generation)),
+        "population" => Ok(SeedModel::blaster_population(generation)),
+        other => Err(unmapped("worm.model", "seed model", other)),
+    }
+}
+
+fn sensor_mode(mode: &str) -> Result<SensorMode, SpecError> {
+    match mode {
+        "active" => Ok(SensorMode::Active),
+        "passive" => Ok(SensorMode::Passive),
+        other => Err(unmapped("telescope.mode", "mode", other)),
+    }
+}
+
+/// Whether a NAT topology pools its hosts into one shared realm.
+fn shared_nat(topology: &str) -> Result<bool, SpecError> {
+    match topology {
+        "shared" => Ok(true),
+        "isolated" => Ok(false),
+        other => Err(unmapped("environment.nat.topology", "topology", other)),
+    }
+}
+
+/// Whether a Zipf population's `store` picks the compressed store.
+fn compressed_store(store: &str) -> Result<bool, SpecError> {
+    match store {
+        "compressed" => Ok(true),
+        "dense" => Ok(false),
+        other => Err(unmapped("population.store", "store", other)),
     }
 }
 
@@ -389,6 +433,110 @@ mod tests {
         };
         let det = spec.build().unwrap().detector.unwrap();
         assert_eq!(det.len(), 10);
+    }
+
+    /// The field `validate` names for an unlisted value, which the
+    /// build's own error for it must name too.
+    fn validate_field(edit: impl FnOnce(&mut ScenarioSpec)) -> String {
+        let mut spec = base_spec();
+        edit(&mut spec);
+        spec.validate().unwrap_err().field
+    }
+
+    fn blaster(hardware: &str, model: &str) -> Option<WormSpec> {
+        Some(WormSpec::Blaster {
+            hardware: hardware.into(),
+            model: model.into(),
+        })
+    }
+
+    #[test]
+    fn hardware_generations_map_or_name_the_field() {
+        assert_eq!(
+            hardware_generation("pentium-ii"),
+            Ok(HardwareGeneration::PentiumIi)
+        );
+        assert_eq!(
+            hardware_generation("pentium-iii"),
+            Ok(HardwareGeneration::PentiumIii)
+        );
+        assert_eq!(
+            hardware_generation("pentium-iv"),
+            Ok(HardwareGeneration::PentiumIv)
+        );
+        let err = hardware_generation("pentium-v").unwrap_err();
+        assert_eq!(err.message, "unknown generation \"pentium-v\"");
+        let field = validate_field(|s| s.worm = blaster("pentium-v", "reboot"));
+        assert_eq!(err.field, field);
+    }
+
+    #[test]
+    fn seed_models_map_or_name_the_field() {
+        let gen = HardwareGeneration::PentiumIii;
+        assert_eq!(
+            seed_model("reboot", gen),
+            Ok(SeedModel::blaster_reboot(gen))
+        );
+        assert_eq!(
+            seed_model("population", gen),
+            Ok(SeedModel::blaster_population(gen))
+        );
+        let err = seed_model("cold-boot", gen).unwrap_err();
+        assert_eq!(err.message, "unknown seed model \"cold-boot\"");
+        let field = validate_field(|s| s.worm = blaster("pentium-iv", "cold-boot"));
+        assert_eq!(err.field, field);
+    }
+
+    #[test]
+    fn sensor_modes_map_or_name_the_field() {
+        assert_eq!(sensor_mode("active"), Ok(SensorMode::Active));
+        assert_eq!(sensor_mode("passive"), Ok(SensorMode::Passive));
+        let err = sensor_mode("stealth").unwrap_err();
+        assert_eq!(err.message, "unknown mode \"stealth\"");
+        let field = validate_field(|s| {
+            s.telescope = TelescopeSpec::Field {
+                placement: PlacementSpec::Random {
+                    sensors: 1,
+                    seed: 1,
+                },
+                alert_threshold: 5,
+                mode: "stealth".into(),
+            }
+        });
+        assert_eq!(err.field, field);
+    }
+
+    #[test]
+    fn nat_topologies_map_or_name_the_field() {
+        assert_eq!(shared_nat("shared"), Ok(true));
+        assert_eq!(shared_nat("isolated"), Ok(false));
+        let err = shared_nat("carrier-grade").unwrap_err();
+        assert_eq!(err.message, "unknown topology \"carrier-grade\"");
+        let field = validate_field(|s| {
+            s.environment.nat = Some(NatSpec {
+                fraction: 0.5,
+                topology: "carrier-grade".into(),
+                seed: 1,
+            })
+        });
+        assert_eq!(err.field, field);
+    }
+
+    #[test]
+    fn population_stores_map_or_name_the_field() {
+        assert_eq!(compressed_store("compressed"), Ok(true));
+        assert_eq!(compressed_store("dense"), Ok(false));
+        let err = compressed_store("sparse").unwrap_err();
+        assert_eq!(err.message, "unknown store \"sparse\"");
+        let field = validate_field(|s| {
+            s.population = Some(PopSpec::Zipf {
+                size: 1_000,
+                slash8s: 4,
+                seed: 1,
+                store: "sparse".into(),
+            })
+        });
+        assert_eq!(err.field, field);
     }
 
     #[test]

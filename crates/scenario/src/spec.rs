@@ -31,10 +31,11 @@ use crate::value::{self, Value};
 
 mod fields;
 
+pub(crate) use fields::unknown;
 use fields::{
     any, each, ensure, fraction, grammar, non_empty, non_negative, nonempty_each, nonzero, one_of,
-    positive, slash8_count, some, u32_count, unknown, walk, Check, Checker, Reader, Section, Step,
-    Walker, Writer,
+    positive, slash8_count, some, u32_count, walk, Check, Checker, Reader, Section, Step, Walker,
+    Writer,
 };
 
 /// A rejected spec: which field, and why.

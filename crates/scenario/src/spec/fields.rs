@@ -502,7 +502,7 @@ pub(super) fn non_empty<T: AsRef<[E]>, E>(v: &T) -> Check {
 }
 
 /// `unknown <what> "<value>" (expected a, b, or c)`.
-pub(super) fn unknown(what: &str, value: &str, choices: Option<&[&str]>) -> String {
+pub(crate) fn unknown(what: &str, value: &str, choices: Option<&[&str]>) -> String {
     let expected = match choices {
         Some([a, b]) => format!(" (expected {a} or {b})"),
         Some([init @ .., last]) => format!(" (expected {}, or {last})", init.join(", ")),

@@ -1,27 +1,16 @@
-//! A fast open-addressed map from 32-bit addresses to host indices.
+//! A fast open-addressed map from 32-bit addresses to host indices: the
+//! per-realm index of NATed hosts' private addresses.
 //!
-//! Population lookup is the per-probe hot path of the engine; `std`'s
-//! SipHash-based `HashMap` spends more time hashing one `u32` than the
-//! rest of the probe pipeline combined. This map uses a SplitMix-style
+//! `std`'s SipHash-based `HashMap` spends more time hashing one `u32`
+//! than a probe's routing; this map uses a SplitMix-style
 //! multiplicative hash and linear probing over a power-of-two table.
 
 /// An open-addressed `u32 → u32` map specialized for address lookup.
 ///
 /// Insert-only (populations don't shrink mid-outbreak). Keys are
 /// arbitrary 32-bit values; values are host indices.
-///
-/// # Examples
-///
-/// ```
-/// use hotspots_sim::IpMap;
-///
-/// let mut m = IpMap::with_capacity(100);
-/// m.insert(0xc0a80001, 7);
-/// assert_eq!(m.get(0xc0a80001), Some(7));
-/// assert_eq!(m.get(0xc0a80002), None);
-/// ```
 #[derive(Debug, Clone)]
-pub struct IpMap {
+pub(crate) struct IpMap {
     /// slot = (key, value); EMPTY key sentinel handled via `occupied` mask
     /// packed into value (u64: high 32 = key, low 32 = value, EMPTY = u64::MAX).
     slots: Vec<u64>,
@@ -40,16 +29,6 @@ impl IpMap {
             mask: table - 1,
             len: 0,
         }
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` if no entries are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     #[inline]
@@ -105,22 +84,9 @@ impl IpMap {
         }
     }
 
-    /// Returns `true` if `key` is present.
-    #[inline]
-    pub fn contains(&self, key: u32) -> bool {
-        self.get(key).is_some()
-    }
-
     /// Heap bytes held by the slot table.
     pub fn heap_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<u64>()
-    }
-
-    /// Slot-table bytes a map built with [`IpMap::with_capacity`] for
-    /// `capacity` entries would hold — the analytic cost used when
-    /// comparing store layouts without building one.
-    pub fn table_bytes_for(capacity: usize) -> usize {
-        (capacity.max(8) * 2).next_power_of_two() * std::mem::size_of::<u64>()
     }
 
     fn grow(&mut self) {
@@ -142,17 +108,6 @@ impl Default for IpMap {
     }
 }
 
-impl FromIterator<(u32, u32)> for IpMap {
-    fn from_iter<I: IntoIterator<Item = (u32, u32)>>(iter: I) -> IpMap {
-        let iter = iter.into_iter();
-        let mut m = IpMap::with_capacity(iter.size_hint().0);
-        for (k, v) in iter {
-            m.insert(k, v);
-        }
-        m
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,13 +117,13 @@ mod tests {
     #[test]
     fn insert_get_roundtrip() {
         let mut m = IpMap::with_capacity(4);
-        assert!(m.is_empty());
+        assert_eq!(m.len, 0);
         assert_eq!(m.insert(1, 10), None);
         assert_eq!(m.insert(2, 20), None);
         assert_eq!(m.get(1), Some(10));
         assert_eq!(m.get(2), Some(20));
         assert_eq!(m.get(3), None);
-        assert_eq!(m.len(), 2);
+        assert_eq!(m.len, 2);
     }
 
     #[test]
@@ -177,7 +132,7 @@ mod tests {
         m.insert(5, 1);
         assert_eq!(m.insert(5, 2), Some(1));
         assert_eq!(m.get(5), Some(2));
-        assert_eq!(m.len(), 1);
+        assert_eq!(m.len, 1);
     }
 
     #[test]
@@ -186,7 +141,7 @@ mod tests {
         for i in 0..10_000u32 {
             m.insert(i.wrapping_mul(2_654_435_761), i);
         }
-        assert_eq!(m.len(), 10_000);
+        assert_eq!(m.len, 10_000);
         for i in 0..10_000u32 {
             assert_eq!(m.get(i.wrapping_mul(2_654_435_761)), Some(i));
         }
@@ -214,7 +169,7 @@ mod tests {
             for (&k, &v) in &reference {
                 prop_assert_eq!(ours.get(k), Some(v));
             }
-            prop_assert_eq!(ours.len(), reference.len());
+            prop_assert_eq!(ours.len, reference.len());
         }
     }
 }

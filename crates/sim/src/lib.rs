@@ -56,7 +56,6 @@ mod worms;
 
 pub use bitset::HostBits;
 pub use engine::{Engine, EngineTelemetry, SimConfig, SimResult};
-pub use ipmap::IpMap;
 pub use observers::{BucketHits, FieldObserver, NullObserver, SimObserver};
 pub use outbreak::Outbreak;
 pub use population::{

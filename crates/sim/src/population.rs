@@ -2,18 +2,22 @@
 //!
 //! A [`Population`] hides one of two stores behind the same lookup API:
 //!
-//! * the **dense** store — per-host [`Locus`] records plus an
-//!   open-addressed address→id hash index ([`IpMap`]) and a flat /16
-//!   occupancy bitmap pre-filter. Supports arbitrary locus orderings
-//!   (NAT topologies interleave public and private hosts) at ~28 bytes
-//!   per host.
+//! * the **dense** store — per-host [`Locus`] records, a [`HostSet`] of
+//!   the public addresses, and a rank → id table. Host ids are input
+//!   positions, so it supports arbitrary locus orderings (NAT
+//!   topologies interleave public and private hosts), at 12 bytes per
+//!   host for the loci plus 4 per public host for the id table plus the
+//!   `HostSet`.
 //! * the **compressed** store — public addresses held in a rank-indexed
-//!   [`HostSet`] (/8 → /16 → /24 occupancy hierarchy, ~1 byte per
-//!   host). Host ids for public hosts *are* their ranks in sorted
-//!   address order, so `find_public` is a hierarchy probe + rank query
-//!   with no hash table at all; private (NATed) hosts follow the public
+//!   [`HostSet`] alone. Host ids for public hosts *are* their ranks in
+//!   sorted address order; private (NATed) hosts follow the public
 //!   block. This is the store Internet-scale populations (1M+ hosts)
 //!   run on.
+//!
+//! On both stores `find_public` is the `HostSet` walk — a bit test and
+//! popcount rank per radix level, with no hashing and no search — and
+//! on the dense store one more table read. Private addresses are found
+//! per NAT realm through a hash index.
 //!
 //! Both stores answer [`Population::find_public`],
 //! [`Population::find_private`], and [`Population::locus`] identically;
@@ -148,13 +152,10 @@ impl From<HostSetError> for PopulationError {
 enum Store {
     Dense {
         loci: Vec<Locus>,
-        public_index: IpMap,
-        /// Occupancy bitmap over /16 prefixes of the public hosts
-        /// (8 KiB, cache-resident). Worm scans cover far more address
-        /// space than any population occupies, so most `find_public`
-        /// calls are misses; one bit test rejects them without touching
-        /// the hash table.
-        public_slash16: Box<[u64; 1024]>,
+        /// The public hosts' addresses.
+        public: HostSet,
+        /// `public_ids[rank]`: the id of the public host with that rank.
+        public_ids: Vec<u32>,
     },
     Compressed {
         /// Public hosts; host id = rank in sorted address order.
@@ -237,31 +238,39 @@ impl Population {
         if u32::try_from(loci.len()).is_err() {
             return Err(PopulationError::TooLarge { hosts: loci.len() });
         }
-        let mut public_index = IpMap::with_capacity(loci.len());
+        // One sort of (address, id) keys puts the public hosts in rank
+        // order; copies of an address land side by side, ids ascending.
+        let mut keys: Vec<u64> = Vec::with_capacity(loci.len());
         let mut realm_index: BTreeMap<RealmId, IpMap> = BTreeMap::new();
-        let mut public_slash16 = Box::new([0u64; 1024]);
-        for (i, locus) in loci.iter().enumerate() {
-            let idx = i as u32;
-            let clash = match *locus {
-                Locus::Public(ip) => {
-                    let slash16 = (ip.value() >> 16) as usize;
-                    public_slash16[slash16 >> 6] |= 1u64 << (slash16 & 63);
-                    public_index.insert(ip.value(), idx)
+        // The first id at which an address repeats, in input order.
+        let mut clash: Option<u32> = None;
+        for (id, locus) in (0u32..).zip(&loci) {
+            match *locus {
+                Locus::Public(ip) => keys.push((u64::from(ip.value()) << 32) | u64::from(id)),
+                Locus::Private { realm, ip } => {
+                    let realm = realm_index
+                        .entry(realm)
+                        .or_insert_with(|| IpMap::with_capacity(16));
+                    if clash.is_none() && realm.insert(ip.value(), id).is_some() {
+                        clash = Some(id);
+                    }
                 }
-                Locus::Private { realm, ip } => realm_index
-                    .entry(realm)
-                    .or_insert_with(|| IpMap::with_capacity(16))
-                    .insert(ip.value(), idx),
-            };
-            if clash.is_some() {
-                return Err(PopulationError::Duplicate { locus: *locus });
             }
         }
+        keys.sort_unstable();
+        let repeats = keys.windows(2).filter(|w| w[0] >> 32 == w[1] >> 32);
+        if let Some(id) = repeats.map(|w| w[1] as u32).chain(clash).min() {
+            return Err(PopulationError::Duplicate {
+                locus: loci[id as usize],
+            });
+        }
+        let public = HostSet::from_sorted_unique(keys.iter().map(|&k| Ip::new((k >> 32) as u32)))?;
+        let public_ids = keys.iter().map(|&k| k as u32).collect();
         Ok(Population {
             store: Store::Dense {
                 loci,
-                public_index,
-                public_slash16,
+                public,
+                public_ids,
             },
             realm_index,
         })
@@ -294,7 +303,7 @@ impl Population {
         public: &[Ip],
         private: I,
     ) -> Result<Population, PopulationError> {
-        let set = HostSet::from_sorted_unique(public)?;
+        let set = HostSet::from_sorted_unique(public.iter().copied())?;
         let private_loci: Vec<(RealmId, Ip)> = private.into_iter().collect();
         let total = public.len() + private_loci.len();
         if u32::try_from(total).is_err() {
@@ -341,8 +350,7 @@ impl Population {
     /// Number of public (directly connected) hosts.
     pub fn public_len(&self) -> usize {
         match &self.store {
-            Store::Dense { public_index, .. } => public_index.len(),
-            Store::Compressed { public, .. } => public.len() as usize,
+            Store::Dense { public, .. } | Store::Compressed { public, .. } => public.len() as usize,
         }
     }
 
@@ -375,20 +383,15 @@ impl Population {
     /// Finds the host with public address `ip`, if any.
     #[inline]
     pub fn find_public(&self, ip: Ip) -> Option<usize> {
-        match &self.store {
+        // One `find` for both stores keeps the walk inlined once.
+        let (public, public_ids) = match &self.store {
             Store::Dense {
-                public_index,
-                public_slash16,
-                ..
-            } => {
-                let slash16 = (ip.value() >> 16) as usize;
-                if public_slash16[slash16 >> 6] & (1u64 << (slash16 & 63)) == 0 {
-                    return None;
-                }
-                public_index.get(ip.value()).map(|v| v as usize)
-            }
-            Store::Compressed { public, .. } => public.find(ip).map(|rank| rank as usize),
-        }
+                public, public_ids, ..
+            } => (public, public_ids.as_slice()),
+            Store::Compressed { public, .. } => (public, &[][..]),
+        };
+        let rank = public.find(ip)? as usize;
+        Some(public_ids.get(rank).map_or(rank, |&id| id as usize))
     }
 
     /// Finds the host with private address `ip` inside `realm`, if any.
@@ -430,12 +433,12 @@ impl Population {
         let store = match &self.store {
             Store::Dense {
                 loci,
-                public_index,
-                public_slash16,
+                public,
+                public_ids,
             } => {
                 loci.capacity() * std::mem::size_of::<Locus>()
-                    + public_index.heap_bytes()
-                    + std::mem::size_of_val(&**public_slash16)
+                    + public.heap_bytes()
+                    + public_ids.capacity() * std::mem::size_of::<u32>()
             }
             Store::Compressed {
                 public,
@@ -448,14 +451,17 @@ impl Population {
     }
 
     /// What the same population would cost in the dense store: per-host
-    /// `Locus` records, the public hash index at its power-of-two table
-    /// size, and the flat /16 bitmap. The compressed-vs-dense memory
-    /// ratio in `BENCH_engine.json` is `store_bytes / this`.
+    /// `Locus` records, the public hosts' `HostSet` (both stores build
+    /// the same one) and the rank → id table. The compressed-vs-dense
+    /// memory ratio in `BENCH_engine.json` is `store_bytes / this`.
     pub fn dense_equivalent_bytes(&self) -> usize {
         let realm_bytes: usize = self.realm_index.values().map(IpMap::heap_bytes).sum();
+        let public = match &self.store {
+            Store::Dense { public, .. } | Store::Compressed { public, .. } => public,
+        };
         self.len() * std::mem::size_of::<Locus>()
-            + IpMap::table_bytes_for(self.len())
-            + std::mem::size_of::<[u64; 1024]>()
+            + public.heap_bytes()
+            + self.public_len() * std::mem::size_of::<u32>()
             + realm_bytes
     }
 }
@@ -1070,6 +1076,37 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_error_names_the_first_repeat_in_input_order() {
+        let mut env = Environment::new();
+        let realm = env.add_realm(NatRealm::home_192_168(Ip::from_octets(9, 0, 0, 1)).unwrap());
+        let low = Locus::Public(Ip::from_octets(9, 0, 0, 1));
+        let high = Locus::Public(Ip::from_octets(9, 0, 0, 9));
+        let private = Locus::Private {
+            realm,
+            ip: Ip::from_octets(192, 168, 0, 1),
+        };
+        // `high` sorts after `low` but repeats first; the private copy
+        // repeats between them, or first, or last.
+        let cases = [
+            (vec![high, low, high, low], high),
+            (vec![high, low, low, high], low),
+            (vec![private, high, low, high, private, low], high),
+            (vec![private, high, low, private, high, low], private),
+            (vec![high, private, low, low, private, high], low),
+        ];
+        for (loci, first_repeat) in cases {
+            let err = Population::try_from_loci(loci.iter().copied()).unwrap_err();
+            assert_eq!(
+                err,
+                PopulationError::Duplicate {
+                    locus: first_repeat
+                },
+                "{loci:?}"
+            );
+        }
+    }
+
+    #[test]
     fn compressed_store_requires_sorted_publics() {
         let a = Ip::from_octets(9, 0, 0, 1);
         let b = Ip::from_octets(9, 0, 0, 2);
@@ -1608,6 +1645,44 @@ mod tests {
             let compressed_iter: Vec<Ip> = compressed.public_addresses_iter().collect();
             prop_assert_eq!(dense_iter, public.clone());
             prop_assert_eq!(compressed_iter, public);
+        }
+
+        /// The dense store keeps input-order ids for shuffled public
+        /// addresses: `find_public` answers as a `BTreeMap` from address
+        /// to input position does, for members and for probes that miss.
+        #[test]
+        fn dense_store_finds_shuffled_publics(
+            raw in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..400),
+            probes in proptest::collection::vec(proptest::prelude::any::<u32>(), 64),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use proptest::prop_assert_eq;
+
+            let mut addrs: Vec<Ip> = raw
+                .iter()
+                .map(|&v| Ip::new(v))
+                .collect::<std::collections::BTreeSet<Ip>>()
+                .into_iter()
+                .collect();
+            addrs.shuffle(&mut StdRng::seed_from_u64(seed));
+            let want: BTreeMap<Ip, usize> = addrs.iter().enumerate().map(|(id, &ip)| (ip, id)).collect();
+            let pop = Population::try_from_public(addrs.iter().copied()).unwrap();
+            prop_assert_eq!(pop.public_len(), addrs.len());
+            for (id, &ip) in addrs.iter().enumerate() {
+                prop_assert_eq!(pop.find_public(ip), Some(id));
+                prop_assert_eq!(pop.locus(id), Locus::Public(ip));
+            }
+            // probes uniform, and inside members' /24s and /16s
+            let near = addrs.iter().zip(&probes).flat_map(|(ip, &p)| {
+                let v = ip.value();
+                [(v & !0xff) | (p & 0xff), (v & !0xffff) | (p & 0xffff)]
+            });
+            for v in probes.iter().copied().chain(near) {
+                let ip = Ip::new(v);
+                prop_assert_eq!(pop.find_public(ip), want.get(&ip).copied());
+            }
+            let iterated: Vec<Ip> = pop.public_addresses_iter().collect();
+            prop_assert_eq!(iterated, addrs);
         }
     }
 

@@ -34,8 +34,9 @@ impl fmt::Display for HitListError {
 
 impl std::error::Error for HitListError {}
 
-/// An ordered set of disjoint CIDR prefixes with O(log n) uniform
-/// sampling over the union of their addresses.
+/// An ordered set of disjoint CIDR prefixes with uniform sampling over
+/// the union of their addresses: O(1) when every prefix has one size
+/// (every [`HitList::top_k_slash16`] list), O(log n) otherwise.
 ///
 /// Bots in the paper's Table 1 carry hit-lists like `192.s.s.s` (one /8)
 /// or `advscan … 194.x.x` ranges; the Fig 5 simulations use lists of /16
@@ -66,6 +67,9 @@ pub struct HitList {
     /// (start, inclusive end) spans sorted by start, for O(log n) lookup
     sorted_spans: Vec<(u32, u32)>,
     total: u64,
+    /// log2 of the prefix size when every prefix has the same size:
+    /// [`HitList::nth`] then finds the prefix with a shift, not a search.
+    uniform_shift: Option<u32>,
 }
 
 impl HitList {
@@ -97,11 +101,17 @@ impl HitList {
             .iter()
             .map(|p| (p.base().value(), p.last_ip().value()))
             .collect();
+        let len = prefixes[0].len();
+        let uniform_shift = prefixes
+            .iter()
+            .all(|p| p.len() == len)
+            .then(|| 32 - u32::from(len));
         Ok(HitList {
             prefixes,
             cumulative,
             sorted_spans,
             total,
+            uniform_shift,
         })
     }
 
@@ -167,9 +177,20 @@ impl HitList {
     /// # Panics
     ///
     /// Panics if `index >= self.address_count()`.
+    #[inline]
     pub fn nth(&self, index: u64) -> Ip {
         assert!(index < self.total, "hit-list index {index} out of range");
-        // binary search the cumulative offsets
+        match self.uniform_shift {
+            Some(shift) => {
+                self.prefixes[(index >> shift) as usize].nth(index & ((1u64 << shift) - 1))
+            }
+            None => self.nth_searched(index),
+        }
+    }
+
+    /// [`HitList::nth`] by a binary search of the cumulative offsets:
+    /// the draw for lists whose prefixes differ in size.
+    fn nth_searched(&self, index: u64) -> Ip {
         let i = match self.cumulative.binary_search(&index) {
             Ok(i) => i,
             Err(i) => i - 1,
@@ -378,6 +399,36 @@ mod tests {
             for &i in &indices {
                 let ip = list.nth(i % list.address_count());
                 prop_assert!(list.contains(ip));
+            }
+        }
+
+        /// The shift draw picks the address the binary search picks, on
+        /// lists of equal-size prefixes (the shift applies) and of mixed
+        /// sizes (it does not).
+        #[test]
+        fn nth_agrees_with_the_binary_search(
+            slash16s in proptest::collection::vec(any::<u16>(), 1..40),
+            lens in proptest::collection::vec(16u8..=32, 40),
+            uniform in any::<bool>(),
+            draws in proptest::collection::vec(any::<u64>(), 64),
+        ) {
+            let mut seen = std::collections::BTreeSet::new();
+            let prefixes: Vec<Prefix> = slash16s
+                .iter()
+                .filter(|&&s| seen.insert(s))
+                .zip(&lens)
+                .map(|(&s, &len)| {
+                    let len = if uniform { lens[0] } else { len };
+                    Prefix::new(Ip::new(u32::from(s) << 16), len).unwrap()
+                })
+                .collect();
+            let list = HitList::new(prefixes).unwrap();
+            let equal = list.prefixes().iter().all(|q| q.len() == list.prefixes()[0].len());
+            prop_assert_eq!(list.uniform_shift.is_some(), equal);
+            let total = list.address_count();
+            let edges = list.cumulative.iter().flat_map(|&c| [c, c.saturating_sub(1)]);
+            for i in draws.iter().map(|&d| d % total).chain(edges).chain([total - 1]) {
+                prop_assert_eq!(list.nth(i), list.nth_searched(i), "index {}", i);
             }
         }
 
