@@ -8,6 +8,7 @@ use rand::Rng;
 use crate::fault::{FaultPlan, FaultView};
 use crate::filtering::FilterTable;
 use crate::latency::LatencyModel;
+use crate::ledger::DeliveryLedger;
 use crate::loss::LossModel;
 use crate::nat::{NatRealm, RealmId};
 use crate::route_table::{self, RouteTables};
@@ -342,26 +343,33 @@ impl Environment {
     }
 
     /// Routes a batch of probes sharing one source, appending one probe
-    /// record `(public source, verdict)` per target to `out` (the record
-    /// `hotspots_sim::SimObserver::on_probe_batch` reads) and recording
-    /// every verdict into `ledger` in the same pass.
+    /// record `(public source, verdict)` to `out` per *delivered* probe,
+    /// public or local (the records
+    /// `hotspots_sim::SimObserver::on_probe_batch` reads), and filing
+    /// every verdict, drops included, into `ledger`. A dropped probe
+    /// leaves no record: it is counted in the ledger and nowhere else.
     ///
     /// The verdicts — and the RNG draws (one loss draw per probe that
     /// survives routability and policy) — are exactly those of calling
-    /// [`Environment::route`] once per target in order, so batch size
-    /// never changes a simulation's outcome. Two lanes:
+    /// [`Environment::route`] once per target in order: the records are
+    /// its non-dropped verdicts in target order, so batch size never
+    /// changes a simulation's outcome. Two lanes:
     ///
     /// - **Clean**: a public sender with no fault in effect, no filter
     ///   rule and no loss. Each probe is one routability bit test, the
-    ///   ledger is updated in bulk, and no RNG is drawn.
+    ///   routable ones stream into `out`, the ledger is updated in bulk,
+    ///   and no RNG is drawn.
     /// - **Table**: everything else. `tables` resolves each destination
     ///   /16 once into a class for this sender, service and set of
-    ///   faults in effect (see [`RouteTables`]). A probe then costs one
-    ///   table load, plus the base-loss draw or the realm check its class
-    ///   calls for. A /16 that a narrower prefix cuts, or that a degraded
-    ///   path touches, is mixed: its probes go through
-    ///   [`Environment::route`]'s own chain from step 3 on, with the
-    ///   faults in effect resolved once per batch.
+    ///   faults in effect (see [`RouteTables`]). A fixed drop, or a
+    ///   delivery when there is no base loss, costs one table load, one
+    ///   tally increment and one record write that only a delivery
+    ///   keeps, with no branch on the verdict. Private space takes the
+    ///   realm check and a lossy delivery the base-loss draw. A /16 that
+    ///   a narrower prefix cuts, or that a degraded path touches, is
+    ///   mixed: its probes go through [`Environment::route`]'s own chain
+    ///   from step 3 on, with the faults in effect resolved once per
+    ///   batch.
     #[allow(clippy::too_many_arguments)] // a routing verdict needs the full probe context
     pub fn route_batch<R: Rng + ?Sized>(
         &self,
@@ -371,31 +379,25 @@ impl Environment {
         time: f64,
         rng: &mut R,
         out: &mut Vec<(Ip, Delivery)>,
-        ledger: &mut crate::ledger::DeliveryLedger,
+        ledger: &mut DeliveryLedger,
         tables: &mut RouteTables,
     ) {
-        out.reserve(targets.len());
         let public_src = from.public_source(self);
         let faults = self.faults.view_at(time);
+        let mut tally = [0u64; DeliveryLedger::TALLY_SLOTS];
         if matches!(from, Locus::Public(_))
             && faults.is_inert()
             && self.filters.rules().is_empty()
             && self.loss.rate() <= 0.0
         {
-            let mut delivered = 0u64;
-            // TrustedLen extend: one reserve for the whole slice, then
-            // streaming record writes with no per-probe capacity check.
-            out.extend(targets.iter().map(|&to| {
-                let ok = special::is_globally_routable(to);
-                delivered += u64::from(ok);
-                let verdict = if ok {
-                    Delivery::Public(to)
-                } else {
-                    Delivery::Dropped(DropReason::UnroutableDestination)
-                };
-                (public_src, verdict)
-            }));
-            ledger.record_clean_sweep(targets.len() as u64, delivered);
+            let start = out.len();
+            append_delivered(out, public_src, targets, |to| {
+                (Delivery::Public(to), special::is_globally_routable(to))
+            });
+            let delivered = (out.len() - start) as u64;
+            tally[DeliveryLedger::PUBLIC_SLOT] = delivered;
+            tally[DropReason::UnroutableDestination.index()] = targets.len() as u64 - delivered;
+            ledger.record_tally(&tally);
             return;
         }
 
@@ -404,8 +406,20 @@ impl Environment {
             Locus::Public(_) => None,
         };
         let classes = tables.classes(self, public_src, service, time);
-        for &to in targets {
-            let verdict = match classes[(to.value() >> 16) as usize] {
+        // Classes below `tallied` are a fixed verdict: the fixed drops,
+        // and delivery when no loss draw can drop it.
+        let tallied = if self.loss.rate() <= 0.0 {
+            route_table::DELIVER + 1
+        } else {
+            route_table::DELIVER
+        };
+        append_delivered(out, public_src, targets, |to| {
+            let class = classes[(to.value() >> 16) as usize];
+            if class < tallied {
+                tally[usize::from(class)] += 1;
+                return (Delivery::Public(to), class == route_table::DELIVER);
+            }
+            let verdict = match class {
                 route_table::DELIVER => {
                     if self.loss.drops(rng) {
                         Delivery::Dropped(DropReason::PacketLoss)
@@ -417,14 +431,45 @@ impl Environment {
                     Some((realm, nat)) if nat.contains(to) => Delivery::Local { realm, ip: to },
                     _ => Delivery::Dropped(DropReason::UnroutableDestination),
                 },
-                // Steps 1–2 paint over every other class, so a mixed
-                // /16 is routable.
-                route_table::MIXED => self.route_routable(public_src, to, service, &faults, rng),
-                class => Delivery::Dropped(route_table::drop_reason(class)),
+                // MIXED: steps 1–2 paint over every other class, so a
+                // mixed /16 is routable.
+                _ => self.route_routable(public_src, to, service, &faults, rng),
             };
             ledger.record(verdict);
-            out.push((public_src, verdict));
+            (verdict, !matches!(verdict, Delivery::Dropped(_)))
+        });
+        ledger.record_tally(&tally);
+    }
+}
+
+/// Appends to `out`, in target order, a record `(src, verdict)` for each
+/// target that `route` says is delivered. `route` answers each target
+/// with its verdict and whether it was delivered; it is called once per
+/// target, in order.
+///
+/// Each block of targets is written to a stack buffer with no branch on
+/// that answer (only a delivered record moves the cursor past its
+/// slot), and the block's kept records are copied out in one slice. A
+/// branch per record mispredicts on every unpredictable drop, and
+/// sizing `out` for every target first costs a second write per record.
+#[inline(always)]
+fn append_delivered(
+    out: &mut Vec<(Ip, Delivery)>,
+    src: Ip,
+    targets: &[Ip],
+    mut route: impl FnMut(Ip) -> (Delivery, bool),
+) {
+    const BLOCK: usize = 32;
+    out.reserve(targets.len());
+    let mut block = [(src, Delivery::Public(Ip::MIN)); BLOCK];
+    for chunk in targets.chunks(BLOCK) {
+        let mut kept = 0;
+        for &to in chunk {
+            let (verdict, delivered) = route(to);
+            block[kept] = (src, verdict);
+            kept += usize::from(delivered);
         }
+        out.extend_from_slice(&block[..kept]);
     }
 }
 
@@ -696,8 +741,30 @@ mod tests {
             }
         }
 
+        /// Routes `targets` from `from` one probe at a time, filing every
+        /// verdict in a ledger, and returns the records of the delivered
+        /// probes in target order: what a batch must append.
+        fn scalar_records<R: Rng>(
+            env: &Environment,
+            from: Locus,
+            targets: &[Ip],
+            service: Service,
+            time: f64,
+            rng: &mut R,
+            ledger: &mut DeliveryLedger,
+        ) -> Vec<(Ip, Delivery)> {
+            targets
+                .iter()
+                .map(|&to| env.route(from, to, service, time, rng))
+                .inspect(|&v| ledger.record(v))
+                .filter(|v| !matches!(v, Delivery::Dropped(_)))
+                .map(|v| (from.public_source(env), v))
+                .collect()
+        }
+
         /// Routes `targets` from `from` in one batch and one probe at a
-        /// time, and requires equal records, ledgers and RNG use.
+        /// time, and requires equal delivered records, ledgers and RNG
+        /// use.
         fn assert_batch_matches_scalar(
             env: &Environment,
             from: Locus,
@@ -707,17 +774,20 @@ mod tests {
         ) -> Result<(), TestCaseError> {
             let mut scalar_rng = StdRng::seed_from_u64(9);
             let mut batch_rng = StdRng::seed_from_u64(9);
-            let mut scalar_ledger = crate::ledger::DeliveryLedger::new();
-            let scalar: Vec<(Ip, Delivery)> = targets
-                .iter()
-                .map(|&to| {
-                    let v = env.route(from, to, Service::BOT_SMB, time, &mut scalar_rng);
-                    scalar_ledger.record(v);
-                    (from.public_source(env), v)
-                })
-                .collect();
-            let mut batch = Vec::new();
-            let mut batch_ledger = crate::ledger::DeliveryLedger::new();
+            let mut scalar_ledger = DeliveryLedger::new();
+            let scalar = scalar_records(
+                env,
+                from,
+                targets,
+                Service::BOT_SMB,
+                time,
+                &mut scalar_rng,
+                &mut scalar_ledger,
+            );
+            // Records already in the buffer stay ahead of the batch's.
+            let lead = (Ip::MAX, Delivery::Public(Ip::MIN));
+            let mut batch = vec![lead];
+            let mut batch_ledger = DeliveryLedger::new();
             env.route_batch(
                 from,
                 targets,
@@ -728,7 +798,8 @@ mod tests {
                 &mut batch_ledger,
                 tables,
             );
-            prop_assert_eq!(&batch, &scalar, "from {} at {}", from, time);
+            prop_assert_eq!(batch[0], lead);
+            prop_assert_eq!(&batch[1..], &scalar[..], "from {} at {}", from, time);
             prop_assert_eq!(batch_ledger, scalar_ledger);
             // identical rng consumption: both streams are at the same
             // point afterwards
@@ -897,11 +968,16 @@ mod tests {
                     Locus::Public(Ip::from_octets(180, 1, 2, 3)),
                 ];
                 // One cache across every time and sender: it is rebuilt
-                // whenever the in-effect set changes, mid-sequence.
+                // whenever the in-effect set changes, mid-sequence. The
+                // second pass is lossless, where a delivery is a fixed
+                // verdict like the drops.
                 let mut tables = RouteTables::new();
-                for &time in &times {
-                    for from in senders {
-                        assert_batch_matches_scalar(&env, from, &targets, time, &mut tables)?;
+                for pass_loss in [loss, 0.0] {
+                    env.set_loss(LossModel::new(pass_loss).unwrap());
+                    for &time in &times {
+                        for from in senders {
+                            assert_batch_matches_scalar(&env, from, &targets, time, &mut tables)?;
+                        }
                     }
                 }
                 // A NATed sender in an otherwise clean environment.
@@ -919,8 +995,9 @@ mod tests {
                 dsts in proptest::collection::vec(any::<u32>(), 0..128),
             ) {
                 // The clean-environment fast lane (public sender, no
-                // faults/filters/loss) must agree with the scalar router
-                // record-for-record and in the ledger, and like the
+                // faults/filters/loss) must record exactly the scalar
+                // router's delivered verdicts, in order, agree with it in
+                // the ledger, and like the
                 // scalar path it must consume no RNG. Random addresses
                 // almost never sit on a range edge, so every special
                 // range's first and last address, ±1, lead the batch.
@@ -936,17 +1013,18 @@ mod tests {
                 let targets: Vec<Ip> = edges.chain(dsts.iter().copied().map(Ip::new)).collect();
                 let mut scalar_rng = StdRng::seed_from_u64(4);
                 let mut batch_rng = StdRng::seed_from_u64(4);
-                let mut scalar_ledger = crate::ledger::DeliveryLedger::new();
-                let scalar: Vec<(Ip, Delivery)> = targets
-                    .iter()
-                    .map(|&to| {
-                        let v = env.route(from, to, Service::SLAMMER_SQL, 0.0, &mut scalar_rng);
-                        scalar_ledger.record(v);
-                        (from.public_source(&env), v)
-                    })
-                    .collect();
+                let mut scalar_ledger = DeliveryLedger::new();
+                let scalar = scalar_records(
+                    &env,
+                    from,
+                    &targets,
+                    Service::SLAMMER_SQL,
+                    0.0,
+                    &mut scalar_rng,
+                    &mut scalar_ledger,
+                );
                 let mut batch = Vec::new();
-                let mut batch_ledger = crate::ledger::DeliveryLedger::new();
+                let mut batch_ledger = DeliveryLedger::new();
                 env.route_batch(
                     from,
                     &targets,

@@ -8,7 +8,10 @@ use crate::environment::{Delivery, DropReason};
 ///
 /// This is the accounting substrate of the run reports: the invariant
 /// `delivered() + dropped_total() == probes()` holds by construction,
-/// because [`DeliveryLedger::record`] files every verdict exactly once.
+/// because [`DeliveryLedger::record`] files every verdict exactly once
+/// and [`DeliveryLedger::record_tally`] files a count of verdicts per
+/// class. A dropped probe is counted here and nowhere else: the batch
+/// router keeps no record of it.
 ///
 /// # Examples
 ///
@@ -48,21 +51,25 @@ impl DeliveryLedger {
         }
     }
 
-    /// Files the verdicts of a clean public sweep in bulk: `delivered`
-    /// public deliveries plus `total - delivered` unroutable-destination
-    /// drops, exactly as `total` calls to [`DeliveryLedger::record`]
-    /// would. This is the accounting half of the batch router's fast
-    /// lane, where those are the only two verdicts possible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delivered > total` — that would fabricate probes.
+    /// Slots of a per-class verdict tally ([`DeliveryLedger::record_tally`]):
+    /// one per [`DropReason`], in [`DropReason::ALL`] order, then
+    /// [`DeliveryLedger::PUBLIC_SLOT`].
+    pub const TALLY_SLOTS: usize = DropReason::ALL.len() + 1;
+
+    /// The tally slot that counts public deliveries.
+    pub const PUBLIC_SLOT: usize = DropReason::ALL.len();
+
+    /// Files a per-class tally in bulk: `tally[r.index()]` drops under
+    /// each reason `r` and `tally[PUBLIC_SLOT]` public deliveries,
+    /// exactly as that many calls to [`DeliveryLedger::record`] would.
+    /// The batch router counts the probes it never records this way.
     #[inline]
-    pub fn record_clean_sweep(&mut self, total: u64, delivered: u64) {
-        assert!(delivered <= total, "delivered exceeds probes");
-        self.probes += total;
-        self.delivered_public += delivered;
-        self.drops[DropReason::UnroutableDestination.index()] += total - delivered;
+    pub fn record_tally(&mut self, tally: &[u64; DeliveryLedger::TALLY_SLOTS]) {
+        self.probes += tally.iter().sum::<u64>();
+        self.delivered_public += tally[DeliveryLedger::PUBLIC_SLOT];
+        for (mine, count) in self.drops.iter_mut().zip(tally) {
+            *mine += count;
+        }
     }
 
     /// Folds another ledger into this one.
@@ -164,6 +171,40 @@ mod tests {
             (DropReason::IngressFiltered, 1)
         );
         assert_eq!(breakdown[DropReason::PacketLoss.index()].1, 0);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn tally_fold_matches_per_verdict_records(
+            counts in proptest::collection::vec(0u64..40, DeliveryLedger::TALLY_SLOTS),
+            start in proptest::collection::vec(0u64..40, DeliveryLedger::TALLY_SLOTS),
+        ) {
+            // A ledger that already holds verdicts, so the fold must add
+            // to every field rather than overwrite it.
+            let verdict = |slot: usize| match DropReason::ALL.get(slot) {
+                Some(&reason) => Delivery::Dropped(reason),
+                None => Delivery::Public(Ip::from_octets(198, 51, 100, 1)),
+            };
+            let mut folded = DeliveryLedger::new();
+            folded.record(Delivery::Local {
+                realm: RealmId(0),
+                ip: Ip::from_octets(192, 168, 0, 1),
+            });
+            for (slot, &n) in start.iter().enumerate() {
+                (0..n).for_each(|_| folded.record(verdict(slot)));
+            }
+            let mut recorded = folded;
+            let tally: [u64; DeliveryLedger::TALLY_SLOTS] = counts.clone().try_into().unwrap();
+            folded.record_tally(&tally);
+            for (slot, &n) in counts.iter().enumerate() {
+                (0..n).for_each(|_| recorded.record(verdict(slot)));
+            }
+            proptest::prop_assert_eq!(folded, recorded);
+            proptest::prop_assert_eq!(
+                folded.delivered() + folded.dropped_total(),
+                folded.probes()
+            );
+        }
     }
 
     #[test]

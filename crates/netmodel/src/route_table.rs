@@ -16,13 +16,16 @@ use hotspots_ipspace::{special, Ip, Prefix};
 use crate::environment::{DropReason, Environment};
 use crate::fault::{FaultEvent, FaultKind};
 use crate::filtering::FilterRule;
+use crate::ledger::DeliveryLedger;
 use crate::service::Service;
 
 /// Class bytes below this are a fixed drop: `DropReason::ALL[class]`.
 const DROPS: u8 = DropReason::ALL.len() as u8;
 /// Routable, and no condition touches the /16: the base-loss draw, then
-/// delivery.
+/// delivery. Every class up to this one is also its slot in a ledger
+/// tally ([`DeliveryLedger::record_tally`]).
 pub(crate) const DELIVER: u8 = DROPS;
+const _: () = assert!(DELIVER as usize == DeliveryLedger::PUBLIC_SLOT);
 /// RFC 1918 space: delivered locally inside the sender's realm,
 /// unroutable from anywhere else.
 pub(crate) const PRIVATE: u8 = DROPS + 1;
@@ -30,12 +33,6 @@ pub(crate) const PRIVATE: u8 = DROPS + 1;
 /// draws per probe (a degraded path touches it): the scalar router
 /// decides each probe.
 pub(crate) const MIXED: u8 = DROPS + 2;
-
-/// The fixed drop a class byte below [`DELIVER`] stands for.
-#[inline]
-pub(crate) fn drop_reason(class: u8) -> DropReason {
-    DropReason::ALL[usize::from(class)]
-}
 
 /// One class byte per destination /16, for one sender signature and one
 /// service.

@@ -1,7 +1,7 @@
 //! Cross-mode determinism: the staged probe pipeline must produce
 //! bit-identical results whether it runs serially (`threads = 1`) or
 //! sharded across worker threads — same infection times, same ledger,
-//! same observer-visible probe stream.
+//! same observer-visible stream of delivered probes.
 //!
 //! Each mode is an `xmode-*` registry preset, so the exact scenarios the
 //! suite pins are runnable by hand (`hotspots run xmode-slammer`) and
@@ -14,6 +14,8 @@ use hotspots_sim::{Engine, SimObserver, SimResult};
 
 /// Everything the engine hands an observer, aggregated, so cross-mode
 /// equality covers the observer-visible stream and not just `SimResult`.
+/// The stream holds delivered probes only: a dropped record fails the
+/// run.
 #[derive(Default)]
 struct EventTally {
     probes: u64,
@@ -30,7 +32,7 @@ impl SimObserver for EventTally {
             match delivery {
                 Delivery::Public(_) => self.publics += 1,
                 Delivery::Local { .. } => self.locals += 1,
-                Delivery::Dropped(_) => {}
+                Delivery::Dropped(reason) => panic!("observer handed a {reason} drop"),
             }
         }
     }
@@ -94,11 +96,16 @@ fn assert_cross_mode_identical(name: &str) {
     }
 }
 
-/// The observer saw exactly the probes the engine's ledger counted:
-/// the ledger is the one tally, and the observer stream agrees with it.
+/// The observer saw exactly the deliveries the engine's ledger counted:
+/// the ledger is the one tally, drops included, and the observer stream
+/// agrees with its delivered part.
 fn assert_tally_matches_ledger(name: &str, threads: usize, result: &SimResult, tally: &EventTally) {
     let ledger = &result.ledger;
-    assert_eq!(tally.probes, ledger.probes(), "{name} @ {threads} threads");
+    assert_eq!(
+        tally.probes,
+        ledger.delivered(),
+        "{name} @ {threads} threads"
+    );
     assert_eq!(
         tally.publics,
         ledger.delivered_public(),

@@ -268,16 +268,18 @@ impl Engine {
         }
     }
 
-    /// Runs the outbreak to completion, feeding every probe to
+    /// Runs the outbreak to completion, feeding every delivered probe to
     /// `observer`.
     ///
     /// The probe path is a staged pipeline: each host draws a step's
     /// worth of targets in one batch
     /// ([`hotspots_targeting::TargetGenerator::fill_targets`]), the
-    /// environment verdicts the whole slice straight into the probe
-    /// records observers read ([`Environment::route_batch`]), victims
-    /// are resolved in one pass over those records, and the batch
-    /// reaches the observer via [`SimObserver::on_probe_batch`].
+    /// environment verdicts the whole slice, writing the delivered
+    /// probes straight into the records observers read and counting
+    /// every verdict, drops included, in the ledger
+    /// ([`Environment::route_batch`]), victims are resolved in one pass
+    /// over those records, and the batch reaches the observer via
+    /// [`SimObserver::on_probe_batch`].
     /// With [`SimConfig::threads`] > 1, active hosts are sharded across
     /// a pool of persistent workers the run creates (a spawn failure
     /// degrades to fewer shards) and results merge in fixed shard
@@ -416,7 +418,8 @@ impl Engine {
             };
 
             // Stage 4 (observe) and infection bookkeeping: serial merge
-            // in fixed shard order.
+            // in fixed shard order. Observers get the delivered records;
+            // drops reach the run only through the batch ledgers.
             newly_infected.clear();
             for (shard, batch) in pipeline.batches_mut()[..shard_count].iter_mut().enumerate() {
                 let t_batch = Timer::start();
@@ -1100,11 +1103,14 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_every_probe() {
+    fn observer_sees_every_delivered_probe() {
         #[derive(Default)]
         struct Counter(u64);
         impl SimObserver for Counter {
             fn on_probe_batch(&mut self, _t: f64, probes: &[(Ip, Delivery)]) {
+                for &(_, delivery) in probes {
+                    assert!(!matches!(delivery, Delivery::Dropped(_)), "{delivery:?}");
+                }
                 self.0 += probes.len() as u64;
             }
         }
@@ -1121,6 +1127,8 @@ mod tests {
         let mut engine = Engine::new(config, pop, Environment::new(), Box::new(UniformWorm));
         let mut counter = Counter::default();
         let result = engine.run(&mut counter);
-        assert_eq!(counter.0, result.probes_sent);
+        assert_eq!(counter.0, result.ledger.delivered());
+        // uniform targets hit unroutable space, so some probes dropped
+        assert!(counter.0 < result.probes_sent);
     }
 }

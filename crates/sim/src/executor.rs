@@ -70,6 +70,7 @@ pub(crate) struct ProbeBatch {
     ends: Vec<usize>,
     /// The routing lane's per-/16 class tables, built on first use.
     tables: RouteTables,
+    /// The delivered probes' records, `(public source, verdict)`.
     pub(crate) probes: Vec<(Ip, Delivery)>,
     pub(crate) candidates: Vec<usize>,
     pub(crate) ledger: DeliveryLedger,
@@ -93,8 +94,9 @@ impl ProbeBatch {
     }
 
     /// Stage 2 for one burst: routes the chunk's targets in `burst` from
-    /// `locus`, drawing from `rng`, onto the end of `probes` and into
-    /// `ledger` ([`Environment::route_batch`]).
+    /// `locus`, drawing from `rng`, appending a record to `probes` for
+    /// each delivered probe and filing every verdict, drops included,
+    /// in `ledger` ([`Environment::route_batch`]).
     pub(crate) fn route<R: Rng + ?Sized>(
         &mut self,
         env: &Environment,
@@ -175,7 +177,8 @@ pub(crate) fn drive_shard(ctx: &StepCtx, hosts: &mut [InfectedHost], batch: &mut
         rest = tail;
         let t_gen = timer.elapsed();
         // Stage 2: each burst routed with its own host's RNG. Routing
-        // appends the observers' probe records in place.
+        // appends the observers' records of the delivered probes in
+        // place; drops are counted in the batch's ledger only.
         let first = batch.probes.len();
         let mut start = 0;
         for (i, host) in chunk.iter_mut().enumerate() {
@@ -194,12 +197,12 @@ pub(crate) fn drive_shard(ctx: &StepCtx, hosts: &mut [InfectedHost], batch: &mut
         }
         let t_route = timer.elapsed();
         batch.add_stage_times(t_gen, t_route);
-        // Stage 3: the chunk's records in one pass (misses
-        // short-circuit at the /16 presence bitmap).
+        // Stage 3: the chunk's delivered records in one pass.
         for &(_, delivery) in &batch.probes[first..] {
             let victim = match delivery {
                 Delivery::Public(ip) => ctx.population.find_public(ip),
                 Delivery::Local { realm, ip } => ctx.population.find_private(realm, ip),
+                // Never recorded: routing keeps deliveries only.
                 Delivery::Dropped(_) => None,
             };
             if let Some(v) = victim {

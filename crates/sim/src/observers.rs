@@ -4,7 +4,9 @@
 //! once, in the ledger the routing stage fills and
 //! [`crate::SimResult::ledger`] returns, and every infection is in
 //! [`crate::SimResult::infection_times`]. Observers exist for what the
-//! result cannot hold — sensors that react to where probes land.
+//! result cannot hold — sensors that react to where probes land. So
+//! they see delivered probes only; a dropped probe lands nowhere, and
+//! lives in the ledger alone.
 
 use hotspots_ipspace::{AddressBlock, Bucket24, Ip};
 use hotspots_netmodel::{Delivery, Proto, Service};
@@ -16,10 +18,12 @@ use hotspots_telescope::{BlockIndex, DetectorField, Observatory};
 /// The engine is generic over its observer, so observation costs nothing
 /// when unused ([`NullObserver`]).
 pub trait SimObserver {
-    /// Called once per engine pipeline batch with every probe routed in
-    /// it, in emission order: the source as seen on the wire and the
-    /// delivery verdict. All probes in a batch share one simulation
-    /// step, hence one `time`.
+    /// Called once per engine pipeline batch with every probe delivered
+    /// in it, public or local, in emission order: the source as seen on
+    /// the wire and the delivery verdict. Dropped probes are not in the
+    /// batch (no record is ever [`Delivery::Dropped`]); they are counted
+    /// in the run's ledger only. All probes in a batch share one
+    /// simulation step, hence one `time`.
     fn on_probe_batch(&mut self, time: f64, probes: &[(Ip, Delivery)]);
 }
 
@@ -132,7 +136,6 @@ impl SimObserver for BucketHits {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hotspots_netmodel::DropReason;
 
     #[test]
     fn null_observer_is_inert() {
@@ -144,10 +147,8 @@ mod tests {
         let field = DetectorField::new(vec!["10.0.0.0/24".parse().unwrap()], 1);
         let mut obs = FieldObserver::with_service(field, Service::SLAMMER_SQL);
         let dst = Ip::from_octets(10, 0, 0, 5);
-        obs.on_probe_batch(
-            1.0,
-            &[(Ip::MIN, Delivery::Dropped(DropReason::EgressFiltered))],
-        );
+        let realm = hotspots_netmodel::RealmId(0);
+        obs.on_probe_batch(1.0, &[(Ip::MIN, Delivery::Local { realm, ip: dst })]);
         assert_eq!(obs.field().alerted(), 0);
         obs.on_probe_batch(2.0, &[(Ip::MIN, Delivery::Public(dst))]);
         assert_eq!(obs.field().alerted(), 1);

@@ -6,9 +6,11 @@
 //! the engine's victim lookup and merge have nothing to do. The probe
 //! path is the same, though. [`Scan`] runs stages 1–2 with the chunk
 //! size and the fill and route steps `drive_shard` runs (draw targets,
-//! then route them into probe records and the ledger), then hands each
-//! chunk to the observer through [`SimObserver::on_probe_batch`], as
-//! the engine's stage 4 does. Its phase totals carry the engine's names.
+//! then route them: delivered probes into records, every verdict into
+//! the ledger), then hands each chunk's delivered records to the
+//! observer through [`SimObserver::on_probe_batch`], as the engine's
+//! stage 4 does. Drops live in the ledger alone. Its phase totals carry
+//! the engine's names.
 
 use std::time::Duration;
 
@@ -57,7 +59,8 @@ impl Scan {
     }
 
     /// Sends `probes` probes from the host at `locus`, drawn from
-    /// `generator`, through `env` on `service` into `observer`.
+    /// `generator`, through `env` on `service`: the delivered ones reach
+    /// `observer`, and every verdict is filed in the scan's ledger.
     ///
     /// `rng` is the stream routing draws loss from; an environment
     /// without loss or faults draws nothing from it.
@@ -122,7 +125,9 @@ mod tests {
     use super::*;
     use crate::population::apply_nat;
     use hotspots_ipspace::{ims_deployment, Ip};
-    use hotspots_netmodel::{Delivery, DropReason, FilterRule};
+    use hotspots_netmodel::{
+        Delivery, DropReason, FaultEvent, FaultKind, FaultPlan, FaultWindow, FilterRule, LossModel,
+    };
     use hotspots_prng::{SplitMix, SqlsortDll};
     use hotspots_targeting::{CodeRed2Scanner, SlammerScanner};
     use hotspots_telescope::Observatory;
@@ -164,7 +169,87 @@ mod tests {
         ]
     }
 
+    /// Keeps every record it is handed, in order.
+    #[derive(Default)]
+    struct Records(Vec<(Ip, Delivery)>);
+
+    impl SimObserver for Records {
+        fn on_probe_batch(&mut self, _time: f64, probes: &[(Ip, Delivery)]) {
+            self.0.extend_from_slice(probes);
+        }
+    }
+
     proptest! {
+        #[test]
+        fn scan_hands_its_observer_the_delivered_probes(
+            seed in any::<u64>(),
+            probes in CHUNK as u64 / 2..3 * CHUNK as u64,
+        ) {
+            // Egress filters and faults in effect at the scan's time 0,
+            // once without and once with base loss: each drop class is
+            // filed in the ledger, and the observer gets exactly the
+            // delivered verdicts `Environment::route` gives, in order.
+            let mut env = Environment::new();
+            let mut nat_rng = StdRng::seed_from_u64(seed);
+            let natted = [Ip::from_octets(57, 20, 3, 9)];
+            let public = [Ip::from_octets(57, 31, 0, 200), Ip::from_octets(130, 10, 1, 1)];
+            let mut loci = apply_nat(&mut env, &natted, 1.0, &mut nat_rng).unwrap();
+            loci.extend(apply_nat(&mut env, &public, 0.0, &mut nat_rng).unwrap());
+            env.filters_mut()
+                .push(FilterRule::egress("57.0.0.0/8".parse().unwrap(), None));
+            let mut faults = FaultPlan::new();
+            for kind in [
+                FaultKind::Blackhole { prefix: "200.0.0.0/5".parse().unwrap() },
+                // Both halves of the public scanner's own /16, where its
+                // CodeRedII scanner aims 3 probes in 8.
+                FaultKind::SensorOutage { block: "130.10.0.0/17".parse().unwrap() },
+                FaultKind::DegradedLoss { prefix: "130.10.128.0/17".parse().unwrap(), rate: 0.5 },
+            ] {
+                faults.push(FaultEvent::new(kind, FaultWindow::new(0.0, 1.0)));
+            }
+            env.set_faults(faults);
+            for loss in [0.0, 0.2] {
+                env.set_loss(LossModel::new(loss).unwrap());
+                let mut want = Vec::new();
+                let mut want_ledger = DeliveryLedger::new();
+                let mut want_rng = StdRng::seed_from_u64(seed ^ 1);
+                let mut seen = Records::default();
+                let mut scan = Scan::new();
+                let mut rng = StdRng::seed_from_u64(seed ^ 1);
+                let (mut mix_a, mut mix_b) = (SplitMix::new(seed), SplitMix::new(seed));
+                for &locus in &loci {
+                    let src = locus.public_source(&env);
+                    let pairs = scanners(locus, &mut mix_a).into_iter().zip(scanners(locus, &mut mix_b));
+                    for ((mut scalar, service), (mut batched, _)) in pairs {
+                        for _ in 0..probes {
+                            let verdict =
+                                env.route(locus, scalar.next_target(), service, 0.0, &mut want_rng);
+                            want_ledger.record(verdict);
+                            if !matches!(verdict, Delivery::Dropped(_)) {
+                                want.push((src, verdict));
+                            }
+                        }
+                        scan.run(&env, locus, batched.as_mut(), service, probes, &mut rng, &mut seen);
+                    }
+                }
+                let result = scan.finish();
+                prop_assert_eq!(seen.0.len() as u64, result.ledger.delivered());
+                prop_assert_eq!(&seen.0, &want);
+                prop_assert_eq!(result.ledger, want_ledger);
+                prop_assert_eq!(rng.gen::<u64>(), want_rng.gen::<u64>());
+                prop_assert!(result.ledger.delivered() < result.ledger.probes());
+                prop_assert!(result.ledger.dropped(DropReason::EgressFiltered) > 0);
+                for reason in [
+                    DropReason::UpstreamBlackhole,
+                    DropReason::SensorOutage,
+                    DropReason::DegradedLoss,
+                ] {
+                    prop_assert!(result.ledger.dropped(reason) > 0, "no {} drops", reason);
+                }
+                prop_assert!(result.ledger.delivered_local() > 0);
+            }
+        }
+
         #[test]
         fn scan_matches_the_scalar_study_loop(
             seed in any::<u64>(),
