@@ -609,7 +609,8 @@ fn cmd_profile(parsed: &ParsedArgs, scale: Scale, threads: Option<usize>) {
         );
         let mut text = String::new();
         // Population memory accounting: store bytes from a fresh build
-        // (deterministic), resident set sampled after the runs above.
+        // (deterministic), and the process's peak resident set, which
+        // covers the runs above.
         if let Ok(built) = spec.build() {
             let memory = MemoryStats {
                 hosts: built.population.len() as u64,

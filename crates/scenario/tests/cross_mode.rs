@@ -1,7 +1,8 @@
 //! Cross-mode determinism: the staged probe pipeline must produce
 //! bit-identical results whether it runs serially (`threads = 1`) or
-//! sharded across worker threads — same infection times, same ledger,
-//! same observer-visible stream of delivered probes.
+//! sharded across worker threads — same infection log (hosts, times
+//! and order), same ledger, same observer-visible stream of delivered
+//! probes.
 //!
 //! Each mode is an `xmode-*` registry preset, so the exact scenarios the
 //! suite pins are runnable by hand (`hotspots run xmode-slammer`) and
@@ -72,8 +73,8 @@ fn assert_cross_mode_identical(name: &str) {
     for threads in [2, 4, 64] {
         let (other, tally) = run_with_threads(name, threads);
         assert_eq!(
-            base.infection_times, other.infection_times,
-            "{name}: infection times diverge at {threads} threads"
+            base.infections, other.infections,
+            "{name}: infection logs diverge at {threads} threads"
         );
         assert_eq!(
             base.probes_sent, other.probes_sent,

@@ -1,7 +1,7 @@
 //! Cross-store determinism: the dense and compressed population stores
-//! must produce bit-identical outbreaks — same infection times, same
-//! ledger, same curve — on every cross-mode preset and at every thread
-//! count.
+//! must produce bit-identical outbreaks — same infection log (hosts,
+//! times and order), same ledger, same curve — on every cross-mode
+//! preset and at every thread count.
 //!
 //! Host ids are the population's RNG-stream keys, so the comparison
 //! fixes one canonical id assignment (sorted public addresses first,
@@ -51,8 +51,8 @@ fn assert_stores_identical(spec: &ScenarioSpec, label: &str) {
         let compressed = run_store(spec, threads, true);
         assert!(dense.probes_sent > 0, "{label}: run emitted no probes");
         assert_eq!(
-            dense.infection_times, compressed.infection_times,
-            "{label}: infection times diverge across stores at {threads} threads"
+            dense.infections, compressed.infections,
+            "{label}: infection logs diverge across stores at {threads} threads"
         );
         assert_eq!(
             dense.probes_sent, compressed.probes_sent,

@@ -1,11 +1,13 @@
 //! Packed per-host state bits for the engine's streaming phases.
 //!
-//! The step loop tracks three boolean facts per host (infected,
-//! removed, pending activation). As populations grow to millions of
-//! hosts, `Vec<bool>` burns a cache line per 64 hosts; a packed
-//! [`HostBits`] keeps the whole infection state of a 1M-host run in
-//! ~125 KB per flag — small enough that the batched lookup/observe
-//! phases stream it from L2 instead of main memory.
+//! The step loop tracks one boolean fact per host: whether it is
+//! claimed (seeded, infected, removed or awaiting activation), i.e.
+//! whether a probe can still infect it. As populations grow to millions
+//! of hosts, `Vec<bool>` burns a cache line per 64 hosts; a packed
+//! [`HostBits`] keeps that state of a 1M-host run in ~125 KB — small
+//! enough that the batched lookup/merge phases stream it from L2
+//! instead of main memory. Bits are only ever set: a claimed host stays
+//! claimed for the rest of the run.
 
 /// A fixed-length packed bitset indexed by host id.
 ///
@@ -18,8 +20,7 @@
 /// assert!(!bits.get(7));
 /// bits.set(7);
 /// assert!(bits.get(7));
-/// bits.clear(7);
-/// assert!(!bits.get(7));
+/// assert!(!bits.get(8));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostBits {
@@ -68,17 +69,6 @@ impl HostBits {
         self.words[i >> 6] |= 1u64 << (i & 63);
     }
 
-    /// Sets bit `i` to 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len`.
-    #[inline]
-    pub fn clear(&mut self, i: usize) {
-        assert!(i < self.len, "bit index {i} out of range");
-        self.words[i >> 6] &= !(1u64 << (i & 63));
-    }
-
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -95,20 +85,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn set_get_clear_across_word_boundaries() {
+    fn set_get_across_word_boundaries() {
         let mut bits = HostBits::new(200);
         assert_eq!(bits.len(), 200);
         assert!(!bits.is_empty());
-        for i in [0, 1, 63, 64, 65, 127, 128, 199] {
+        for i in [0, 1, 63, 65, 127, 128, 199] {
             assert!(!bits.get(i));
             bits.set(i);
             assert!(bits.get(i));
         }
-        assert_eq!(bits.count_ones(), 8);
-        bits.clear(64);
-        assert!(!bits.get(64));
-        assert!(bits.get(63) && bits.get(65), "neighbours untouched");
         assert_eq!(bits.count_ones(), 7);
+        assert!(!bits.get(64), "neighbours untouched");
+        bits.set(64);
+        assert!(bits.get(63) && bits.get(64) && bits.get(65));
+        assert_eq!(bits.count_ones(), 8);
+        bits.set(64);
+        assert_eq!(bits.count_ones(), 8, "setting a set bit is a no-op");
     }
 
     #[test]

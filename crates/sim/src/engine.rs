@@ -139,9 +139,13 @@ pub struct SimResult {
     /// Every probe's verdict: deliveries (public/local) and drops by
     /// reason. `ledger.probes() == probes_sent` always.
     pub ledger: DeliveryLedger,
-    /// Infection time per host id (`None` = never infected). With
-    /// latency, this is the *activation* time.
-    pub infection_times: Vec<Option<f64>>,
+    /// Every infection as `(host id, time)`, in the order the run
+    /// committed it: the seeds at t = 0, then step by step the pending
+    /// activations (at their activation time, with latency) and the
+    /// merge's direct infections (at the step time). One entry per
+    /// infected host, so `infections.len() == infected`; its length is
+    /// the outbreak's size, not the population's.
+    pub infections: Vec<(usize, f64)>,
     /// Simulated seconds elapsed.
     pub elapsed: f64,
     /// Engine phase timings.
@@ -256,7 +260,6 @@ impl Engine {
         ));
         let probes_per_step = self.host_rate(&mut rng);
         InfectedHost {
-            id,
             locus,
             generator: self.worm.generator(
                 locus,
@@ -298,17 +301,17 @@ impl Engine {
         // phase ran on one thread or many.
         let mut lat_rng = StdRng::seed_from_u64(derive_seed(self.config.rng_seed, LATENCY_SALT, 0));
 
-        // Packed infection-state bits: the whole per-host state of a
-        // 1M-host run is ~375 KB across the three sets, streamed from
-        // cache by the batched lookup/merge phases. Wrapped in `Arc` so
-        // the step fan-out can hand workers a snapshot without copying;
-        // every worker clone is dropped before the merge starts, so the
-        // serial mutation sites below (`Arc::make_mut`) always find a
-        // unique Arc and mutate in place.
-        let mut infected_flags = Arc::new(HostBits::new(n));
-        let mut removed_flags = Arc::new(HostBits::new(n));
-        let mut pending_flags = Arc::new(HostBits::new(n));
-        let mut infection_times: Vec<Option<f64>> = vec![None; n];
+        // The run's only per-host state: one bit per host, set when the
+        // host is seeded, made pending or infected directly, and never
+        // cleared (a removed host keeps its bit), so a set bit means "no
+        // probe can infect this host again". A 1M-host run holds ~125 KB,
+        // streamed from cache by the batched lookup/merge phases. Wrapped
+        // in `Arc` so the step fan-out can hand workers a snapshot
+        // without copying; every worker clone is dropped before the
+        // merge starts, so the serial mutation sites below
+        // (`Arc::make_mut`) always find a unique Arc and mutate in place.
+        let mut claimed = Arc::new(HostBits::new(n));
+        let mut infections: Vec<(usize, f64)> = Vec::new();
         let mut active: Vec<InfectedHost> = Vec::new();
         // pending activations ordered by time (microseconds for total order)
         let mut pending: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
@@ -332,8 +335,8 @@ impl Engine {
 
         // Seed hosts.
         for idx in sample(&mut rng, n, self.config.seeds) {
-            Arc::make_mut(&mut infected_flags).set(idx);
-            infection_times[idx] = Some(0.0);
+            Arc::make_mut(&mut claimed).set(idx);
+            infections.push((idx, 0.0));
             ever_infected += 1;
             active.push(self.spawn_host(idx));
         }
@@ -356,12 +359,10 @@ impl Engine {
                     break;
                 }
                 pending.pop();
-                Arc::make_mut(&mut pending_flags).clear(idx);
-                if infected_flags.get(idx) || removed_flags.get(idx) {
-                    continue;
-                }
-                Arc::make_mut(&mut infected_flags).set(idx);
-                infection_times[idx] = Some(due);
+                // Claimed when it was queued, so no probe has infected
+                // it since and no other entry for it is queued.
+                debug_assert!(claimed.get(idx), "pending host {idx} unclaimed");
+                infections.push((idx, due));
                 ever_infected += 1;
                 activated = true;
                 active.push(self.spawn_host(idx));
@@ -384,13 +385,12 @@ impl Engine {
             let mut step_merge = Duration::ZERO;
 
             // Removal: infected hosts get patched/cleaned and turn
-            // immune. Each host draws from its own stream, so outcomes
-            // are independent of iteration interleaving.
+            // immune (they stay claimed). Each host draws from its own
+            // stream, so outcomes are independent of iteration
+            // interleaving.
             if removal_prob > 0.0 {
-                let flags = Arc::make_mut(&mut removed_flags);
                 active.retain_mut(|host| {
                     if host.rng.gen::<f64>() < removal_prob {
-                        flags.set(host.id);
                         removed += 1;
                         false
                     } else {
@@ -402,17 +402,15 @@ impl Engine {
             // Stages 1–3 (target-gen / routing / victim lookup), sharded
             // across the persistent pool when `threads > 1`. The ctx and
             // all its Arc clones are consumed inside `run_step`, so the
-            // flag Arcs are unique again when the merge below mutates
-            // them.
+            // claimed set's Arc is unique again when the merge below
+            // mutates it.
             let shard_count = {
                 let ctx = StepCtx {
                     env: Arc::clone(&self.env),
                     population: Arc::clone(&self.population),
                     service,
                     time,
-                    infected: Arc::clone(&infected_flags),
-                    removed: Arc::clone(&removed_flags),
-                    pending: Arc::clone(&pending_flags),
+                    claimed: Arc::clone(&claimed),
                 };
                 pipeline.run_step(&mut executor, ctx, &mut active)
             };
@@ -421,6 +419,7 @@ impl Engine {
             // in fixed shard order. Observers get the delivered records;
             // drops reach the run only through the batch ledgers.
             newly_infected.clear();
+            let claimed_now = Arc::make_mut(&mut claimed);
             for (shard, batch) in pipeline.batches_mut()[..shard_count].iter_mut().enumerate() {
                 let t_batch = Timer::start();
                 ledger.merge(&batch.ledger);
@@ -446,21 +445,20 @@ impl Engine {
                 batch.ledger = DeliveryLedger::new();
                 batch.probes.clear();
 
-                // Candidates carry start-of-step flag state; re-check
-                // against live flags so duplicates collapse exactly as
-                // in a fully serial probe loop.
+                // Candidates were unclaimed at the start of the step;
+                // re-check against the live set so duplicates collapse
+                // exactly as in a fully serial probe loop.
                 for &v in &batch.candidates {
-                    if infected_flags.get(v) || removed_flags.get(v) || pending_flags.get(v) {
+                    if claimed_now.get(v) {
                         continue;
                     }
+                    claimed_now.set(v);
                     let delay = latency.sample(&mut lat_rng);
                     if delay <= 0.0 {
-                        Arc::make_mut(&mut infected_flags).set(v);
-                        infection_times[v] = Some(time);
+                        infections.push((v, time));
                         ever_infected += 1;
                         newly_infected.push(v);
                     } else {
-                        Arc::make_mut(&mut pending_flags).set(v);
                         let due_us = ((time + delay) * 1e6) as u64;
                         pending.push(Reverse((due_us, v)));
                     }
@@ -507,7 +505,7 @@ impl Engine {
             infection_curve: curve,
             probes_sent: ledger.probes(),
             ledger,
-            infection_times,
+            infections,
             elapsed: time,
             telemetry: {
                 let mut phases = PhaseTimes::new();
@@ -604,7 +602,7 @@ mod tests {
         let b = run();
         assert_eq!(a.probes_sent, b.probes_sent);
         assert_eq!(a.infected, b.infected);
-        assert_eq!(a.infection_times, b.infection_times);
+        assert_eq!(a.infections, b.infections);
     }
 
     #[test]
@@ -780,8 +778,8 @@ mod tests {
             Box::new(HitListWorm::new(hitlist())),
         );
         let result = engine.run(&mut NullObserver);
-        let count = result.infection_times.iter().flatten().count();
-        assert_eq!(count, result.infected);
+        assert_eq!(result.infections.len(), result.infected);
+        assert_eq!(distinct_hosts(&result), result.infected);
         assert!(result.infected <= 200);
     }
 
@@ -899,13 +897,15 @@ mod tests {
             engine.run(&mut NullObserver)
         };
         let result = run(1);
-        // FNV-1a over every host's infection time (u64::MAX: never)
-        let digest = result
-            .infection_times
-            .iter()
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, t| {
-                (h ^ t.map_or(u64::MAX, f64::to_bits)).wrapping_mul(0x0100_0000_01b3)
-            });
+        // FNV-1a over every host's infection time (u64::MAX: never), in
+        // host-id order
+        let mut times = vec![None; 400];
+        for &(id, t) in &result.infections {
+            assert!(times[id].replace(t).is_none(), "host {id} infected twice");
+        }
+        let digest = times.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, t| {
+            (h ^ t.map_or(u64::MAX, f64::to_bits)).wrapping_mul(0x0100_0000_01b3)
+        });
         // the per-burst step before chunking produced exactly these
         let ledger = &result.ledger;
         assert_eq!(ledger.probes(), 886_838);
@@ -918,7 +918,7 @@ mod tests {
         assert_eq!(digest, 0x8c29_69e1_0fa7_9484);
         let pooled = run(2);
         assert_eq!(pooled.ledger, result.ledger);
-        assert_eq!(pooled.infection_times, result.infection_times);
+        assert_eq!(pooled.infections, result.infections);
     }
 
     #[test]
@@ -952,18 +952,59 @@ mod tests {
             Box::new(HitListWorm::new(hitlist())),
         );
         let result = engine.run(&mut NullObserver);
-        let infected_count = result
-            .infection_times
-            .iter()
-            .filter(|t| t.is_some())
-            .count();
-        assert_eq!(infected_count, result.infected);
-        let zeros = result
-            .infection_times
-            .iter()
-            .filter(|t| **t == Some(0.0))
-            .count();
+        assert_eq!(result.infections.len(), result.infected);
+        assert_eq!(distinct_hosts(&result), result.infected);
+        let zeros = result.infections.iter().filter(|&&(_, t)| t == 0.0).count();
         assert_eq!(zeros, 5);
+    }
+
+    /// Number of distinct host ids in the run's infection log.
+    fn distinct_hosts(result: &SimResult) -> usize {
+        let ids: std::collections::BTreeSet<usize> =
+            result.infections.iter().map(|&(id, _)| id).collect();
+        ids.len()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn infection_log_is_an_ordered_set_of_hosts(
+            seed in proptest::prelude::any::<u64>(),
+            with_latency in proptest::prelude::any::<bool>(),
+            latency in (0.0f64..3.0, 0.0f64..3.0),
+            with_removal in proptest::prelude::any::<bool>(),
+            removal_rate in 0.0f64..0.1,
+        ) {
+            let run = |threads: usize| {
+                let mut env = Environment::new();
+                if with_latency {
+                    env.set_latency(LatencyModel::new(latency.0, latency.1).unwrap());
+                }
+                let config = SimConfig {
+                    removal_rate: if with_removal { removal_rate } else { 0.0 },
+                    rng_seed: seed,
+                    threads,
+                    ..hitlist_config()
+                };
+                let mut engine = Engine::new(
+                    config,
+                    dense_population(200),
+                    env,
+                    Box::new(HitListWorm::new(hitlist())),
+                );
+                engine.run(&mut NullObserver)
+            };
+            let result = run(1);
+            let log = &result.infections;
+            proptest::prop_assert_eq!(log.len(), result.infected);
+            proptest::prop_assert_eq!(distinct_hosts(&result), result.infected);
+            let seeds = hitlist_config().seeds;
+            proptest::prop_assert!(log[..seeds].iter().all(|&(_, t)| t == 0.0));
+            for pair in log.windows(2) {
+                proptest::prop_assert!(pair[0].1 <= pair[1].1, "time went back: {pair:?}");
+            }
+            proptest::prop_assert!(log.iter().all(|&(_, t)| (0.0..=result.elapsed).contains(&t)));
+            proptest::prop_assert_eq!(&run(2).infections, log);
+        }
     }
 
     #[test]

@@ -44,7 +44,6 @@ use crate::population::Population;
 /// runs; all its randomness is keyed by host id, so *where* it executes
 /// never changes *what* it does.
 pub(crate) struct InfectedHost {
-    pub(crate) id: usize,
     pub(crate) locus: Locus,
     pub(crate) generator: Box<dyn TargetGenerator + Send>,
     /// This host's private stream (rate dispersion, removal, loss
@@ -128,7 +127,7 @@ impl ProbeBatch {
 
 /// Read-only state every shard sees during one step's probe phase,
 /// shipped to workers as `Arc` clones (a worker cannot hold a borrow of
-/// the engine's stack). Shards see the start-of-step infection flags;
+/// the engine's stack). Shards see the start-of-step claimed set;
 /// duplicate infection candidates collapse at the serial merge.
 ///
 /// Every clone handed out for a step is dropped before
@@ -143,9 +142,9 @@ pub(crate) struct StepCtx {
     /// The step's simulation time, set serially before shards fan out —
     /// every shard routes against the same fault-schedule instant.
     pub(crate) time: f64,
-    pub(crate) infected: Arc<HostBits>,
-    pub(crate) removed: Arc<HostBits>,
-    pub(crate) pending: Arc<HostBits>,
+    /// Hosts no probe can infect: seeded, infected (removed ones
+    /// included) or awaiting activation.
+    pub(crate) claimed: Arc<HostBits>,
 }
 
 /// Drives one shard of active hosts through the target-gen → routing →
@@ -206,7 +205,7 @@ pub(crate) fn drive_shard(ctx: &StepCtx, hosts: &mut [InfectedHost], batch: &mut
                 Delivery::Dropped(_) => None,
             };
             if let Some(v) = victim {
-                if !ctx.infected.get(v) && !ctx.removed.get(v) && !ctx.pending.get(v) {
+                if !ctx.claimed.get(v) {
                     batch.candidates.push(v);
                 }
             }

@@ -10,7 +10,8 @@
 //!
 //! Every report is derived from the one record a run keeps, its
 //! [`SimResult`]: the verdict ledger counts each probe once, and
-//! `infection_times` holds every infection.
+//! `infections` logs every infection, in the order the run committed
+//! it.
 //!
 //! The measurement studies, which watch hosts scan into a telescope
 //! without an outbreak, send their probes through the same target-gen

@@ -3,7 +3,7 @@
 //! Probe accounting is not an observer's job: every verdict is counted
 //! once, in the ledger the routing stage fills and
 //! [`crate::SimResult::ledger`] returns, and every infection is in
-//! [`crate::SimResult::infection_times`]. Observers exist for what the
+//! [`crate::SimResult::infections`]. Observers exist for what the
 //! result cannot hold — sensors that react to where probes land. So
 //! they see delivered probes only; a dropped probe lands nowhere, and
 //! lives in the ledger alone.

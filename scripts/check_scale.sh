@@ -6,8 +6,9 @@
 #
 #   1. memory  — the compressed store's bytes stay at or below 1/4 of
 #      the dense-equivalent layout for the same hosts, and the whole
-#      profiled process stays under a resident-set ceiling
-#      (HOTSPOTS_SCALE_RSS_MB, default 512 MB);
+#      profiled process's peak resident set (VmHWM, so the runs' own
+#      buffers count) stays under a ceiling (HOTSPOTS_SCALE_RSS_MB,
+#      default 512 MB);
 #   2. scale   — `hotspots run` on each million-host preset completes
 #      at 1M+ hosts end-to-end (Zipf synthesis, compressed lookup,
 #      full outbreak loop), and its report times the build (synthesis,
@@ -84,9 +85,9 @@ rss = mem.get("resident_bytes")
 if rss is None:
     print("warn: no resident_bytes (not a Linux /proc host?); skipping ceiling")
 else:
-    print(f"resident set: {rss / 2**20:.1f} MiB (ceiling {ceiling_mb} MiB)")
+    print(f"peak resident set: {rss / 2**20:.1f} MiB (ceiling {ceiling_mb} MiB)")
     if rss > ceiling_mb * 2**20:
-        sys.exit(f"FAIL: resident set {rss} B exceeds {ceiling_mb} MiB ceiling")
+        sys.exit(f"FAIL: peak resident set {rss} B exceeds {ceiling_mb} MiB ceiling")
 PY
 
 exit "$fail"

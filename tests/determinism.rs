@@ -43,7 +43,7 @@ fn engine_runs_replay_across_constructions() {
             Box::new(SlammerWorm),
         );
         let result = engine.run(&mut NullObserver);
-        (result.probes_sent, result.infected, result.infection_times)
+        (result.probes_sent, result.infected, result.infections)
     };
     assert_eq!(run(7), run(7));
     assert_ne!(run(7).2, run(8).2);
@@ -153,11 +153,11 @@ fn engine_invariants_hold_across_configurations() {
         assert!(w[1].1 >= w[0].1, "ever-infected must be monotone");
         assert!(w[1].0 >= w[0].0);
     }
-    let times: Vec<f64> = result.infection_times.iter().flatten().copied().collect();
-    assert_eq!(times.len(), result.infected);
-    assert!(times
+    assert_eq!(result.infections.len(), result.infected);
+    assert!(result
+        .infections
         .iter()
-        .all(|&t| t >= 0.0 && t <= result.elapsed + 1e-9));
+        .all(|&(_, t)| t >= 0.0 && t <= result.elapsed + 1e-9));
 }
 
 #[test]

@@ -62,12 +62,12 @@ fn sim_result_ledger_accounts_every_verdict() {
     assert!(ledger.delivered_local() > 0, "NAT-local deliveries");
     assert!(ledger.dropped_total() > 0, "loss + unroutable drops");
 
-    // every infection is in `infection_times`, including those hidden
+    // every infection is in the log, once, including those hidden
     // behind NATs
-    let infected: Vec<usize> = (0..loci.len())
-        .filter(|&id| result.infection_times[id].is_some())
-        .collect();
+    let infected: std::collections::BTreeSet<usize> =
+        result.infections.iter().map(|&(id, _)| id).collect();
     assert_eq!(infected.len(), result.infected);
+    assert_eq!(result.infections.len(), result.infected);
     assert!(
         infected
             .iter()
