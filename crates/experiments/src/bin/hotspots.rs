@@ -614,16 +614,14 @@ fn cmd_profile(parsed: &ParsedArgs, scale: Scale, threads: Option<usize>) {
         if let Ok(built) = spec.build() {
             let memory = MemoryStats {
                 hosts: built.population.len() as u64,
-                store: built.population.store_label().to_owned(),
                 store_bytes: built.population.store_bytes() as u64,
                 dense_store_bytes: built.population.dense_equivalent_bytes() as u64,
                 resident_bytes: hotspots_telemetry::resident_bytes(),
             };
             text += &format!(
-                "population memory: {} hosts, {} store, {} store bytes \
+                "population memory: {} hosts, {} store bytes \
                  ({:.1}% of dense-equivalent {})\n",
                 memory.hosts,
-                memory.store,
                 memory.store_bytes,
                 100.0 * memory.store_bytes as f64 / memory.dense_store_bytes.max(1) as f64,
                 memory.dense_store_bytes,

@@ -3,9 +3,9 @@
 //! A [`HostSet`] stores a set of IPv4 addresses as a four-level
 //! /8 → /16 → /24 → host occupancy radix instead of a flat `Vec<Ip>`
 //! plus hash index. Every member has a *rank* — its position in sorted
-//! address order — and ranks are the host ids the compressed
-//! population store hands to the simulation engine (the dense store
-//! maps them to its own ids through one table).
+//! address order — and ranks are the host ids a population hands to
+//! the simulation engine (a population numbered in another order maps
+//! them to its own ids through one table).
 //!
 //! A lookup has no search and no hash: it is a /8 bit test, a /16 bit
 //! test plus popcount rank, a /24 bit test plus popcount rank, and a

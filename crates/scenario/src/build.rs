@@ -300,7 +300,8 @@ fn shared_nat(topology: &str) -> Result<bool, SpecError> {
     }
 }
 
-/// Whether a Zipf population's `store` picks the compressed store.
+/// Whether a Zipf population's `store` picks the canonical build
+/// (sorted publics, then NATed hosts) over input-order ids.
 fn compressed_store(store: &str) -> Result<bool, SpecError> {
     match store {
         "compressed" => Ok(true),

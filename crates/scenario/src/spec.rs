@@ -243,8 +243,8 @@ pub enum PopSpec {
     },
     /// An Internet-scale population: `size` hosts Zipf-distributed over
     /// `slash8s` /8 networks with per-/16 clustering (Chen & Ji's
-    /// measured shape). Scales to millions of hosts; pairs with the
-    /// compressed rank-indexed population store.
+    /// measured shape). Scales to millions of hosts: the draw comes out
+    /// sorted, so it streams straight into the population's `HostSet`.
     Zipf {
         /// Number of hosts (may exceed a million).
         size: u64,
@@ -252,7 +252,11 @@ pub enum PopSpec {
         slash8s: u64,
         /// RNG seed for the draw.
         seed: u64,
-        /// Population store: `"compressed"` (default) or `"dense"`.
+        /// How hosts are numbered: `"compressed"` (default) builds from
+        /// the sorted draw and numbers NATed hosts after the public
+        /// ones; `"dense"` numbers hosts in draw order, which keeps id
+        /// tables once a NAT interleaves private hosts. Without
+        /// `[environment.nat]` both build the same population.
         store: String,
     },
 }

@@ -38,8 +38,10 @@ fn run_store(spec: &ScenarioSpec, threads: usize, compressed: bool) -> SimResult
         .expect("canonical loci feed the dense store")
     };
     assert_eq!(
-        population.store_label(),
-        if compressed { "compressed" } else { "dense" }
+        population.store_bytes(),
+        Population::try_compressed_from_parts(&public, private.iter().copied())
+            .expect("canonical parts feed the compressed store")
+            .store_bytes()
     );
     let mut engine = Engine::new(built.config, population, built.environment, built.worm);
     engine.run(&mut NullObserver)
@@ -123,14 +125,16 @@ fn store_knob_selects_equivalent_stores() {
     *size = 20_000;
     spec.sim.max_time = 10.0;
     let compressed = spec.build().expect("builds compressed");
-    assert_eq!(compressed.population.store_label(), "compressed");
 
     let Some(hotspots_scenario::PopSpec::Zipf { store, .. }) = &mut spec.population else {
         unreachable!()
     };
     *store = "dense".to_owned();
     let dense = spec.build().expect("builds dense");
-    assert_eq!(dense.population.store_label(), "dense");
+    assert_eq!(
+        dense.population.store_bytes(),
+        compressed.population.store_bytes()
+    );
 
     // same addresses, same ids, either way
     assert_eq!(dense.population.len(), compressed.population.len());

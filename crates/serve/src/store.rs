@@ -80,8 +80,8 @@ fn atomic_write(path: &Path, bytes: &str) -> Result<(), HotspotsError> {
 
 impl ResultStore {
     /// Opens (or initializes) the store rooted at `dir`, replaying the
-    /// manifest if one exists. Manifest entries whose directories have
-    /// vanished are dropped silently; `max_entries` is enforced on the
+    /// manifest if one exists. Manifest entries whose directory, or
+    /// either file in it, has vanished are dropped silently; `max_entries` is enforced on the
     /// next insert, not retroactively at open.
     ///
     /// # Errors
@@ -141,7 +141,13 @@ impl ResultStore {
                 .get("seq")
                 .and_then(Json::as_u64)
                 .ok_or_else(|| data_err(context(), format!("entry without a seq in {line:?}")))?;
-            if store.entry_dir(hash).is_dir() {
+            // An eviction cut short can leave part of the entry dir:
+            // adopt only entries whose files are both in place.
+            let dir = store.entry_dir(hash);
+            if ["spec.toml", "report.jsonl"]
+                .iter()
+                .all(|f| dir.join(f).is_file())
+            {
                 store.seq = store.seq.max(last_used + 1);
                 store.entries.insert(hash, Entry { name, last_used });
             }
@@ -308,6 +314,8 @@ impl ResultStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::{check, ServeConfig};
+    use hotspots_scenario::{run_spec, RunContext, ScenarioSpec};
 
     fn temp_store(label: &str, max_entries: usize) -> (PathBuf, ResultStore) {
         let dir =
@@ -403,5 +411,125 @@ mod tests {
         assert!(!store.contains(1));
         assert!(store.contains(2));
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A spec that runs in milliseconds, for entries `check` re-runs.
+    const TINY_SPEC: &str = "[meta]\nname = \"store-crash\"\n\n[worm]\nkind = \"uniform\"\n\n\
+        [population]\nkind = \"range\"\nbase = \"10.0.0.0\"\ncount = 64\nstride = 1\n\n\
+        [sim]\nscan_rate = 10.0\nseeds = 2\ndt = 1.0\nmax_time = 5.0\nrng_seed = 7\n";
+
+    /// Lists a directory's file names, sorted.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .expect("read dir")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Each write an insert, an eviction or a manifest rewrite makes is
+    /// a `.tmp` sibling renamed into place, so a crash leaves one of
+    /// the states below. From each, the store must open, answer a
+    /// lookup (a miss or the stored report, never an error), take the
+    /// same spec again, and pass `check` clean, with no `.tmp` file
+    /// left behind.
+    #[test]
+    fn every_crash_point_reopens_and_checks_clean() {
+        type Crash = fn(&Path, &Path, &str, &str);
+        let spec = ScenarioSpec::from_toml(TINY_SPEC).expect("tiny spec parses");
+        let (hash, name) = (spec.content_hash(), spec.meta.name.clone());
+        let canonical = spec.canonical_toml();
+        let run = run_spec(&spec, &RunContext::new("hotspots-serve")).expect("tiny spec runs");
+        let report = run.report.build().canonicalized().to_jsonl();
+        // (state, entry listed in the manifest before the crash, crash)
+        let crashes: [(&str, bool, Crash); 6] = [
+            (
+                "insert died writing spec.toml",
+                false,
+                |_, entry, spec, _| {
+                    fs::create_dir_all(entry).expect("mkdir");
+                    fs::write(entry.join("spec.tmp"), &spec[..spec.len() / 2]).expect("write");
+                },
+            ),
+            (
+                "insert died writing report.jsonl",
+                false,
+                |_, entry, spec, report| {
+                    fs::create_dir_all(entry).expect("mkdir");
+                    fs::write(entry.join("spec.toml"), spec).expect("write");
+                    fs::write(entry.join("report.tmp"), &report[..report.len() / 2])
+                        .expect("write");
+                },
+            ),
+            (
+                "insert died before the manifest",
+                false,
+                |_, entry, spec, report| {
+                    fs::create_dir_all(entry).expect("mkdir");
+                    fs::write(entry.join("spec.toml"), spec).expect("write");
+                    fs::write(entry.join("report.jsonl"), report).expect("write");
+                },
+            ),
+            (
+                "manifest rewrite died before its rename",
+                true,
+                |root, _, _, _| {
+                    fs::write(root.join("manifest.tmp"), "{\"kind\":\"serve_man").expect("write");
+                },
+            ),
+            (
+                "eviction died before the manifest",
+                true,
+                |_, entry, _, _| {
+                    fs::remove_dir_all(entry).expect("evict");
+                },
+            ),
+            (
+                "eviction died inside the entry dir",
+                true,
+                |_, entry, _, _| {
+                    fs::remove_file(entry.join("report.jsonl")).expect("evict");
+                },
+            ),
+        ];
+        for (i, (state, listed, crash)) in crashes.into_iter().enumerate() {
+            let (root, store) = temp_store(&format!("crash-{i}"), 4);
+            let entry = root.join(format_hash(hash));
+            if listed {
+                let mut store = store;
+                store
+                    .insert(hash, &name, &canonical, &report)
+                    .expect("insert");
+            }
+            crash(&root, &entry, &canonical, &report);
+
+            let mut store = ResultStore::open(&root, 4).unwrap_or_else(|e| panic!("{state}: {e}"));
+            match store.get(hash) {
+                Ok(None) => {}
+                Ok(Some(stored)) => assert_eq!(stored, report, "{state}"),
+                Err(e) => panic!("{state}: lookup failed: {e}"),
+            }
+            store
+                .insert(hash, &name, &canonical, &report)
+                .unwrap_or_else(|e| panic!("{state}: re-insert failed: {e}"));
+            drop(store);
+            let config = ServeConfig {
+                cache_dir: root.clone(),
+                ..ServeConfig::default()
+            };
+            let outcomes = check(&config).unwrap_or_else(|e| panic!("{state}: check: {e}"));
+            assert_eq!(outcomes.len(), 1, "{state}");
+            assert_eq!(outcomes[0].failure, None, "{state}");
+            let files = vec![format_hash(hash), "manifest.jsonl".to_owned()];
+            assert_eq!(listing(&root), files, "{state}");
+            assert_eq!(listing(&entry), ["report.jsonl", "spec.toml"], "{state}");
+            fs::remove_dir_all(&root).ok();
+        }
     }
 }

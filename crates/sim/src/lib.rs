@@ -62,7 +62,7 @@ pub use outbreak::Outbreak;
 pub use population::{
     apply_nat, apply_nat_shared, canonical_parts, occupied_slash16s, paper_codered_population,
     synthetic_codered_population, zipf_slash8_population, Population, PopulationError,
-    PublicAddresses, PAPER_CODERED_HOSTS, PAPER_CODERED_SLASH8S,
+    PAPER_CODERED_HOSTS, PAPER_CODERED_SLASH8S,
 };
 pub use scan::{Scan, ScanResult};
 pub use worms::{

@@ -1,34 +1,14 @@
 //! Vulnerable populations and their placement in the topology.
 //!
-//! A [`Population`] hides one of two stores behind the same lookup API:
-//!
-//! * the **dense** store — per-host [`Locus`] records, a [`HostSet`] of
-//!   the public addresses, and a rank → id table. Host ids are input
-//!   positions, so it supports arbitrary locus orderings (NAT
-//!   topologies interleave public and private hosts), at 12 bytes per
-//!   host for the loci plus 4 per public host for the id table plus the
-//!   `HostSet`.
-//! * the **compressed** store — public addresses held in a rank-indexed
-//!   [`HostSet`] alone. Host ids for public hosts *are* their ranks in
-//!   sorted address order; private (NATed) hosts follow the public
-//!   block. This is the store Internet-scale populations (1M+ hosts)
-//!   run on.
-//!
-//! On both stores `find_public` is the `HostSet` walk — a bit test and
-//! popcount rank per radix level, with no hashing and no search — and
-//! on the dense store one more table read. Private addresses are found
-//! per NAT realm through a hash index.
-//!
-//! Both stores answer [`Population::find_public`],
-//! [`Population::find_private`], and [`Population::locus`] identically;
-//! the engine is store-agnostic and results are bit-identical (see the
-//! cross-store suite in `hotspots-scenario`).
+//! A [`Population`] holds the vulnerable hosts in one compact layout
+//! (its docs describe it); the synthesizers draw the address sets the
+//! presets place in it, and the NAT helpers move hosts into realms.
 
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use hotspots_ipspace::{special, HostSet, HostSetError, HostSetIter, Ip, Prefix};
+use hotspots_ipspace::{special, HostSet, HostSetError, Ip, Prefix};
 use hotspots_netmodel::{Environment, Locus, NatRealm, RealmId};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -43,8 +23,8 @@ pub enum PopulationError {
         /// The clashing locus.
         locus: Locus,
     },
-    /// The compressed store requires its public addresses in ascending
-    /// order; this one was not.
+    /// [`Population::try_compressed_from_parts`] requires its public
+    /// addresses in ascending order; this one was not.
     UnsortedPublic {
         /// The out-of-order address.
         ip: Ip,
@@ -147,26 +127,26 @@ impl From<HostSetError> for PopulationError {
     }
 }
 
-/// The two population representations. See the [module docs](self).
-#[derive(Debug, Clone)]
-enum Store {
-    Dense {
-        loci: Vec<Locus>,
-        /// The public hosts' addresses.
-        public: HostSet,
-        /// `public_ids[rank]`: the id of the public host with that rank.
-        public_ids: Vec<u32>,
-    },
-    Compressed {
-        /// Public hosts; host id = rank in sorted address order.
-        public: HostSet,
-        /// Private hosts, ids `public.len()..len`, in input order.
-        private_loci: Vec<(RealmId, Ip)>,
-    },
-}
-
 /// The vulnerable host population: each host's [`Locus`] plus fast
 /// address→host lookup for probe resolution.
+///
+/// A population has one layout. Public hosts sit in a [`HostSet`],
+/// which finds an address's rank in sorted address order with a bit
+/// test and popcount rank per radix level (no hashing, no search).
+/// Private (NATed) hosts sit in a list of `(realm, address)` pairs, found
+/// per NAT realm through a hash index.
+///
+/// Host ids are **canonical** when sorted public addresses take ids
+/// `0..public_len` (id = rank) and private hosts follow in order. Every
+/// public-only synthesis emits sorted addresses, and
+/// [`Population::try_compressed_from_parts`] always numbers hosts this
+/// way, so those populations hold no per-host table at all. When the
+/// input order is not canonical (a NAT topology interleaves public and
+/// private hosts, and [`Population::try_from_loci`] keeps input-order
+/// ids), two id tables are kept: rank → id for `find_public`, and id →
+/// slot (rank, or `public_len` plus the private index) for
+/// [`Population::locus`]. That is 4 bytes per public host plus 4 per
+/// host.
 ///
 /// # Examples
 ///
@@ -180,7 +160,18 @@ enum Store {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Population {
-    store: Store,
+    /// The public hosts' addresses; a host's rank is its place in
+    /// sorted address order.
+    public: HostSet,
+    /// `public_ids[rank]`: the id of the public host with that rank.
+    /// Empty when ids are canonical (id = rank).
+    public_ids: Vec<u32>,
+    /// `slots[id]`: the host's rank if it is public, else
+    /// `public_len()` plus its index in `private`. Empty when ids are
+    /// canonical (slot = id).
+    slots: Vec<u32>,
+    /// The private hosts, in id order.
+    private: Vec<(RealmId, Ip)>,
     /// (realm, private ip) → host, keyed by realm in the outer map.
     /// A `BTreeMap` so any iteration over realms is deterministic by
     /// construction.
@@ -211,8 +202,8 @@ impl Population {
         }
     }
 
-    /// Builds a dense-store population of public hosts, reporting
-    /// duplicates as typed errors.
+    /// Builds a population of public hosts with input-order ids,
+    /// reporting duplicates as typed errors.
     ///
     /// # Errors
     ///
@@ -223,8 +214,9 @@ impl Population {
         Population::try_from_loci(addrs.into_iter().map(Locus::Public))
     }
 
-    /// Builds a dense-store population from explicit loci, reporting
-    /// duplicates as typed errors.
+    /// Builds a population from explicit loci, host `i` being the
+    /// `i`-th locus, reporting duplicates as typed errors. The id
+    /// tables are kept only when that numbering is not canonical.
     ///
     /// # Errors
     ///
@@ -234,51 +226,71 @@ impl Population {
     pub fn try_from_loci<I: IntoIterator<Item = Locus>>(
         loci: I,
     ) -> Result<Population, PopulationError> {
-        let loci: Vec<Locus> = loci.into_iter().collect();
-        if u32::try_from(loci.len()).is_err() {
-            return Err(PopulationError::TooLarge { hosts: loci.len() });
-        }
         // One sort of (address, id) keys puts the public hosts in rank
         // order; copies of an address land side by side, ids ascending.
-        let mut keys: Vec<u64> = Vec::with_capacity(loci.len());
+        let mut keys: Vec<u64> = Vec::new();
+        let mut private: Vec<(RealmId, Ip)> = Vec::new();
         let mut realm_index: BTreeMap<RealmId, IpMap> = BTreeMap::new();
-        // The first id at which an address repeats, in input order.
-        let mut clash: Option<u32> = None;
-        for (id, locus) in (0u32..).zip(&loci) {
-            match *locus {
+        // The first private host whose address repeats in its realm.
+        let mut clash: Option<(u32, Locus)> = None;
+        let mut hosts = 0usize;
+        for locus in loci {
+            // Wraps only past 2³² hosts, which fails below.
+            let id = hosts as u32;
+            hosts += 1;
+            match locus {
                 Locus::Public(ip) => keys.push((u64::from(ip.value()) << 32) | u64::from(id)),
                 Locus::Private { realm, ip } => {
+                    private.push((realm, ip));
                     let realm = realm_index
                         .entry(realm)
                         .or_insert_with(|| IpMap::with_capacity(16));
                     if clash.is_none() && realm.insert(ip.value(), id).is_some() {
-                        clash = Some(id);
+                        clash = Some((id, locus));
                     }
                 }
             }
         }
+        if u32::try_from(hosts).is_err() {
+            return Err(PopulationError::TooLarge { hosts });
+        }
         keys.sort_unstable();
         let repeats = keys.windows(2).filter(|w| w[0] >> 32 == w[1] >> 32);
-        if let Some(id) = repeats.map(|w| w[1] as u32).chain(clash).min() {
-            return Err(PopulationError::Duplicate {
-                locus: loci[id as usize],
-            });
+        let repeats = repeats.map(|w| (w[1] as u32, Locus::Public(Ip::new((w[1] >> 32) as u32))));
+        if let Some((_, locus)) = repeats.chain(clash).min_by_key(|&(id, _)| id) {
+            return Err(PopulationError::Duplicate { locus });
         }
+        // Canonical ids give the rank-r public host id r, so the private
+        // hosts hold the ids after them, in order: no table is needed.
+        let canonical = (0u32..).zip(&keys).all(|(rank, &k)| k as u32 == rank);
+        let (public_ids, slots) = if canonical {
+            (Vec::new(), Vec::new())
+        } else {
+            let mut slots = vec![u32::MAX; hosts];
+            for (rank, &k) in (0u32..).zip(&keys) {
+                slots[k as u32 as usize] = rank;
+            }
+            // The slots left are the private hosts', in id order.
+            let unclaimed = slots.iter_mut().filter(|slot| **slot == u32::MAX);
+            for (slot, index) in unclaimed.zip(keys.len() as u32..) {
+                *slot = index;
+            }
+            (keys.iter().map(|&k| k as u32).collect(), slots)
+        };
         let public = HostSet::from_sorted_unique(keys.iter().map(|&k| Ip::new((k >> 32) as u32)))?;
-        let public_ids = keys.iter().map(|&k| k as u32).collect();
+        private.shrink_to_fit();
         Ok(Population {
-            store: Store::Dense {
-                loci,
-                public,
-                public_ids,
-            },
+            public,
+            public_ids,
+            slots,
+            private,
             realm_index,
         })
     }
 
-    /// Builds a compressed-store population of public hosts. Host ids
-    /// are ranks in sorted address order, so `public` must be strictly
-    /// ascending.
+    /// Builds a population of public hosts numbered canonically: host
+    /// ids are ranks in sorted address order, so `public` must be
+    /// strictly ascending.
     ///
     /// # Errors
     ///
@@ -289,10 +301,10 @@ impl Population {
         Population::try_compressed_from_parts(public, [])
     }
 
-    /// Builds a compressed-store population from strictly ascending
-    /// public addresses plus private (NATed) hosts. Public host ids are
-    /// ranks `0..public.len()`; private hosts take the following ids in
-    /// input order.
+    /// Builds a canonically numbered population from strictly
+    /// ascending public addresses plus private (NATed) hosts. Public
+    /// host ids are ranks `0..public.len()`; private hosts take the
+    /// following ids in input order. No id table is built.
     ///
     /// # Errors
     ///
@@ -304,13 +316,13 @@ impl Population {
         private: I,
     ) -> Result<Population, PopulationError> {
         let set = HostSet::from_sorted_unique(public.iter().copied())?;
-        let private_loci: Vec<(RealmId, Ip)> = private.into_iter().collect();
-        let total = public.len() + private_loci.len();
+        let mut private: Vec<(RealmId, Ip)> = private.into_iter().collect();
+        let total = public.len() + private.len();
         if u32::try_from(total).is_err() {
             return Err(PopulationError::TooLarge { hosts: total });
         }
         let mut realm_index: BTreeMap<RealmId, IpMap> = BTreeMap::new();
-        for (i, &(realm, ip)) in private_loci.iter().enumerate() {
+        for (i, &(realm, ip)) in private.iter().enumerate() {
             let idx = (public.len() + i) as u32;
             let clash = realm_index
                 .entry(realm)
@@ -322,24 +334,19 @@ impl Population {
                 });
             }
         }
+        private.shrink_to_fit();
         Ok(Population {
-            store: Store::Compressed {
-                public: set,
-                private_loci,
-            },
+            public: set,
+            public_ids: Vec::new(),
+            slots: Vec::new(),
+            private,
             realm_index,
         })
     }
 
     /// Number of vulnerable hosts.
     pub fn len(&self) -> usize {
-        match &self.store {
-            Store::Dense { loci, .. } => loci.len(),
-            Store::Compressed {
-                public,
-                private_loci,
-            } => public.len() as usize + private_loci.len(),
-        }
+        self.public_len() + self.private.len()
     }
 
     /// Returns `true` if the population is empty.
@@ -349,33 +356,25 @@ impl Population {
 
     /// Number of public (directly connected) hosts.
     pub fn public_len(&self) -> usize {
-        match &self.store {
-            Store::Dense { public, .. } | Store::Compressed { public, .. } => public.len() as usize,
-        }
+        self.public.len() as usize
     }
 
-    /// The locus of host `id`.
+    /// The locus of host `id`: one table read when ids are not
+    /// canonical, then a [`HostSet::select`] or a private-list read.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
     pub fn locus(&self, id: usize) -> Locus {
-        match &self.store {
-            Store::Dense { loci, .. } => loci[id],
-            Store::Compressed {
-                public,
-                private_loci,
-            } => {
-                let npub = public.len() as usize;
-                if id < npub {
-                    match public.select(id as u32) {
-                        Some(ip) => Locus::Public(ip),
-                        None => unreachable!("rank {id} below set length"),
-                    }
-                } else {
-                    let (realm, ip) = private_loci[id - npub];
-                    Locus::Private { realm, ip }
-                }
+        let slot = self.slots.get(id).map_or(id, |&slot| slot as usize);
+        match slot.checked_sub(self.public_len()) {
+            None => match self.public.select(slot as u32) {
+                Some(ip) => Locus::Public(ip),
+                None => unreachable!("rank {slot} below set length"),
+            },
+            Some(index) => {
+                let (realm, ip) = self.private[index];
+                Locus::Private { realm, ip }
             }
         }
     }
@@ -383,15 +382,8 @@ impl Population {
     /// Finds the host with public address `ip`, if any.
     #[inline]
     pub fn find_public(&self, ip: Ip) -> Option<usize> {
-        // One `find` for both stores keeps the walk inlined once.
-        let (public, public_ids) = match &self.store {
-            Store::Dense {
-                public, public_ids, ..
-            } => (public, public_ids.as_slice()),
-            Store::Compressed { public, .. } => (public, &[][..]),
-        };
-        let rank = public.find(ip)? as usize;
-        Some(public_ids.get(rank).map_or(rank, |&id| id as usize))
+        let rank = self.public.find(ip)? as usize;
+        Some(self.public_ids.get(rank).map_or(rank, |&id| id as usize))
     }
 
     /// Finds the host with private address `ip` inside `realm`, if any.
@@ -403,109 +395,37 @@ impl Population {
             .map(|v| v as usize)
     }
 
-    /// Iterates the public addresses of all public hosts without
-    /// allocating (the hit-list and placement builders' input).
-    ///
-    /// Order is store-defined: insertion order on the dense store, rank
-    /// (ascending address) order on the compressed store.
-    pub fn public_addresses_iter(&self) -> PublicAddresses<'_> {
-        PublicAddresses {
-            inner: match &self.store {
-                Store::Dense { loci, .. } => PublicAddressesInner::Dense(loci.iter()),
-                Store::Compressed { public, .. } => PublicAddressesInner::Compressed(public.iter()),
-            },
-        }
-    }
-
-    /// Which store backs this population: `"dense"` or `"compressed"`.
-    pub fn store_label(&self) -> &'static str {
-        match &self.store {
-            Store::Dense { .. } => "dense",
-            Store::Compressed { .. } => "compressed",
-        }
-    }
-
-    /// Heap bytes held by the store and its indices. Deterministic
+    /// Heap bytes held by the population and its indices. Deterministic
     /// (computed from capacities, no allocator probing) — the number
     /// `BENCH_engine.json` records as `store_bytes`.
     pub fn store_bytes(&self) -> usize {
         let realm_bytes: usize = self.realm_index.values().map(IpMap::heap_bytes).sum();
-        let store = match &self.store {
-            Store::Dense {
-                loci,
-                public,
-                public_ids,
-            } => {
-                loci.capacity() * std::mem::size_of::<Locus>()
-                    + public.heap_bytes()
-                    + public_ids.capacity() * std::mem::size_of::<u32>()
-            }
-            Store::Compressed {
-                public,
-                private_loci,
-            } => {
-                public.heap_bytes() + private_loci.capacity() * std::mem::size_of::<(RealmId, Ip)>()
-            }
-        };
-        store + realm_bytes
+        self.public.heap_bytes()
+            + (self.public_ids.capacity() + self.slots.capacity()) * std::mem::size_of::<u32>()
+            + self.private.capacity() * std::mem::size_of::<(RealmId, Ip)>()
+            + realm_bytes
     }
 
-    /// What the same population would cost in the dense store: per-host
-    /// `Locus` records, the public hosts' `HostSet` (both stores build
-    /// the same one) and the rank → id table. The compressed-vs-dense
-    /// memory ratio in `BENCH_engine.json` is `store_bytes / this`.
+    /// What the same population would cost in a per-host layout: one
+    /// [`Locus`] record per host, the public hosts' `HostSet`, and a
+    /// rank → id entry per public host. The memory ratio in
+    /// `BENCH_engine.json` is `store_bytes / this`, which
+    /// `scripts/check_scale.sh` holds to at most 1/4 at a million hosts.
     pub fn dense_equivalent_bytes(&self) -> usize {
         let realm_bytes: usize = self.realm_index.values().map(IpMap::heap_bytes).sum();
-        let public = match &self.store {
-            Store::Dense { public, .. } | Store::Compressed { public, .. } => public,
-        };
         self.len() * std::mem::size_of::<Locus>()
-            + public.heap_bytes()
+            + self.public.heap_bytes()
             + self.public_len() * std::mem::size_of::<u32>()
             + realm_bytes
     }
 }
 
-/// Non-allocating iterator over a population's public addresses,
-/// created by [`Population::public_addresses_iter`].
-#[derive(Debug, Clone)]
-pub struct PublicAddresses<'a> {
-    inner: PublicAddressesInner<'a>,
-}
-
-#[derive(Debug, Clone)]
-enum PublicAddressesInner<'a> {
-    Dense(std::slice::Iter<'a, Locus>),
-    Compressed(HostSetIter<'a>),
-}
-
-impl Iterator for PublicAddresses<'_> {
-    type Item = Ip;
-
-    fn next(&mut self) -> Option<Ip> {
-        match &mut self.inner {
-            PublicAddressesInner::Dense(iter) => iter.find_map(|locus| match locus {
-                Locus::Public(ip) => Some(*ip),
-                Locus::Private { .. } => None,
-            }),
-            PublicAddressesInner::Compressed(iter) => iter.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.inner {
-            PublicAddressesInner::Dense(iter) => (0, Some(iter.len())),
-            PublicAddressesInner::Compressed(iter) => iter.size_hint(),
-        }
-    }
-}
-
-/// Splits loci into the compressed store's canonical shape: sorted
-/// public addresses first, then private hosts in input order. Feeding
-/// the canonical shape to [`Population::from_loci`] (as
-/// `Locus::Public` entries followed by `Locus::Private`) and to
-/// [`Population::try_compressed_from_parts`] yields identical host-id
-/// assignments, which is what the cross-store bit-identity tests pin.
+/// Splits loci into canonical order: sorted public addresses first,
+/// then private hosts in input order. Feeding the parts to
+/// [`Population::from_loci`] (as `Locus::Public` entries followed by
+/// `Locus::Private`) and to [`Population::try_compressed_from_parts`]
+/// yields the same population with no id table, which is what the
+/// cross-store bit-identity tests pin.
 pub fn canonical_parts(loci: &[Locus]) -> (Vec<Ip>, Vec<(RealmId, Ip)>) {
     let mut public = Vec::new();
     let mut private = Vec::new();
@@ -585,7 +505,9 @@ pub fn synthetic_codered_population<R: Rng + ?Sized>(
             continue;
         }
         let slash16s = rng.gen_range(4..=40usize);
-        let subnets: Vec<u8> = (0..slash16s).map(|_| rng.gen::<u8>()).collect();
+        let subnets: Vec<u8> = (0..slash16s)
+            .map(|_| routable_second_octet(octet, rng))
+            .collect();
         // Rejection sampling below only ends if the share fits the
         // distinct /16s drawn (the draw may repeat a /16).
         let distinct = subnets
@@ -610,10 +532,29 @@ pub fn synthetic_codered_population<R: Rng + ?Sized>(
     }
     // Rounding may leave a few unplaced: scatter them in the heaviest /8.
     while out.len() < n {
-        let ip = Ip::from_octets(first_octets[0], rng.gen(), rng.gen(), rng.gen());
+        let octet = first_octets[0];
+        let ip = Ip::from_octets(
+            octet,
+            routable_second_octet(octet, rng),
+            rng.gen(),
+            rng.gen(),
+        );
         out.insert(ip);
     }
     Ok(out.into_iter().collect())
+}
+
+/// Draws a second octet that puts `octet.b.0.0/16` in globally routable
+/// space: `172/8` and `192/8` hold private /16s, which are redrawn. On
+/// every other routable /8 the first draw stands, so the stream is
+/// the one a plain `rng.gen::<u8>()` takes.
+fn routable_second_octet<R: Rng + ?Sized>(octet: u8, rng: &mut R) -> u8 {
+    loop {
+        let b: u8 = rng.gen();
+        if special::is_globally_routable(Ip::from_octets(octet, b, 0, 0)) {
+            return b;
+        }
+    }
 }
 
 /// Synthesizes an Internet-scale vulnerable population: `n` unique
@@ -1122,8 +1063,6 @@ mod tests {
         let addrs: Vec<Ip> = (0..500u32).map(|i| Ip::new(0x0b0b_0000 + i * 7)).collect();
         let dense = Population::from_public(addrs.iter().copied());
         let compressed = Population::try_compressed_from_public(&addrs).unwrap();
-        assert_eq!(compressed.store_label(), "compressed");
-        assert_eq!(dense.store_label(), "dense");
         assert_eq!(dense.len(), compressed.len());
         assert_eq!(dense.public_len(), compressed.public_len());
         for (id, &ip) in addrs.iter().enumerate() {
@@ -1158,21 +1097,25 @@ mod tests {
             .map(|i| Ip::new(0x0b00_0000 + i * 11))
             .collect();
         let compressed = Population::try_compressed_from_public(&addrs).unwrap();
-        let dense = Population::from_public(addrs.iter().copied());
         assert!(
             compressed.store_bytes() * 4 <= compressed.dense_equivalent_bytes(),
             "compressed {} vs dense-equivalent {}",
             compressed.store_bytes(),
             compressed.dense_equivalent_bytes()
         );
-        // the analytic dense equivalent tracks the real dense store
-        let actual = dense.store_bytes() as f64;
-        let analytic = dense.dense_equivalent_bytes() as f64;
-        let ratio = analytic / actual;
-        assert!(
-            (0.8..1.2).contains(&ratio),
-            "analytic {analytic} vs actual {actual}"
+        // sorted input keeps no id table on either constructor
+        let sorted = Population::from_public(addrs.iter().copied());
+        assert_eq!(sorted.store_bytes(), compressed.store_bytes());
+        // shuffled input keeps rank → id and id → slot, 4 bytes each per
+        // host, still below the per-host `Locus` layout
+        let mut shuffled = addrs.clone();
+        shuffled.shuffle(&mut StdRng::seed_from_u64(3));
+        let tabled = Population::from_public(shuffled);
+        assert_eq!(
+            tabled.store_bytes(),
+            compressed.store_bytes() + 8 * addrs.len()
         );
+        assert!(tabled.store_bytes() < tabled.dense_equivalent_bytes());
     }
 
     #[test]
@@ -1334,6 +1277,19 @@ mod tests {
         c8.sort_unstable_by(|a, b| b.cmp(a));
         let top20 = c8.iter().take(20).sum::<u64>() as f64 / total;
         assert!((0.85..=1.0).contains(&top20), "top-20 /8 share {top20}");
+    }
+
+    /// The paper-calibrated generator's addresses are globally
+    /// routable for several seeds.
+    #[test]
+    #[ignore = "paper_codered_population draws 172.16/12 (seed 1) and 192.168/16 (seed 2006) \
+                /16s; a fix changes its draws and so may move goldens"]
+    fn paper_population_is_globally_routable() {
+        for seed in [1, 2006, 7, 42, 99] {
+            let pop = paper_codered_population(&mut StdRng::seed_from_u64(seed));
+            let stray = pop.iter().find(|&&ip| !special::is_globally_routable(ip));
+            assert_eq!(stray, None, "seed {seed}");
+        }
     }
 
     #[test]
@@ -1574,33 +1530,35 @@ mod tests {
             proptest::prop_assert_eq!(a.gen::<u64>(), b.gen::<u64>());
         }
 
-        /// Satellite coverage: the dense and compressed stores agree on
-        /// `find_public` / `find_private` / `locus` for arbitrary mixed
-        /// populations, and rank ids round-trip through the /8→/16→/24
-        /// hierarchy (`select(find(ip)) == ip`).
+        /// Every constructor answers `len` / `find_public` /
+        /// `find_private` / `locus` as a `BTreeMap` from locus to input
+        /// position does, for shuffled and canonical mixes of public
+        /// and private hosts across up to 3 realms; rank ids round-trip
+        /// through the /8→/16→/24 hierarchy. Canonical input keeps no
+        /// id table: `try_from_loci` then costs exactly what
+        /// `try_compressed_from_parts` does, and any other order costs
+        /// more.
         #[test]
         fn stores_agree_for_arbitrary_populations(
-            raw in proptest::collection::vec(proptest::prelude::any::<u32>(), 1..400)
+            raw in proptest::collection::vec(proptest::prelude::any::<u32>(), 1..400),
+            realm_count in 1u32..=3,
+            shuffled in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
         ) {
             use proptest::prop_assert_eq;
             use std::collections::BTreeSet;
 
-            let values: BTreeSet<u32> = raw.into_iter().collect();
             let mut env = Environment::new();
-            let ra = env.add_realm(
-                NatRealm::home_192_168(Ip::from_octets(7, 0, 0, 1)).unwrap(),
-            );
-            let rb = env.add_realm(
-                NatRealm::home_192_168(Ip::from_octets(7, 0, 0, 2)).unwrap(),
-            );
+            let realms: Vec<RealmId> = (0..realm_count)
+                .map(|i| env.add_realm(NatRealm::home_192_168(Ip::new(0x0700_0001 + i)).unwrap()))
+                .collect();
             let mut public: BTreeSet<Ip> = BTreeSet::new();
             let mut private: Vec<(RealmId, Ip)> = Vec::new();
-            let mut seen_private: BTreeSet<(RealmId, Ip)> = BTreeSet::new();
-            for (i, &v) in values.iter().enumerate() {
+            for (i, &v) in raw.iter().enumerate() {
                 if i % 3 == 0 {
-                    let realm = if i % 2 == 0 { ra } else { rb };
+                    let realm = realms[(v >> 16) as usize % realms.len()];
                     let ip = Ip::from_octets(192, 168, (v >> 8) as u8, v as u8);
-                    if seen_private.insert((realm, ip)) {
+                    if !private.contains(&(realm, ip)) {
                         private.push((realm, ip));
                     }
                 } else {
@@ -1609,45 +1567,85 @@ mod tests {
                 }
             }
             let public: Vec<Ip> = public.into_iter().collect();
-            let loci: Vec<Locus> = public
+            let canonical: Vec<Locus> = public
                 .iter()
                 .copied()
                 .map(Locus::Public)
                 .chain(private.iter().map(|&(realm, ip)| Locus::Private { realm, ip }))
                 .collect();
-            let dense = Population::try_from_loci(loci.iter().copied()).unwrap();
+            let mut loci = canonical.clone();
+            if shuffled {
+                loci.shuffle(&mut StdRng::seed_from_u64(seed));
+            }
+            let pop = Population::try_from_loci(loci.iter().copied()).unwrap();
             let compressed =
                 Population::try_compressed_from_parts(&public, private.iter().copied()).unwrap();
-            prop_assert_eq!(dense.len(), compressed.len());
-            prop_assert_eq!(dense.public_len(), compressed.public_len());
-            for (id, &ip) in public.iter().enumerate() {
-                prop_assert_eq!(dense.find_public(ip), Some(id));
-                prop_assert_eq!(compressed.find_public(ip), Some(id));
-                // rank id round-trips through the hierarchy
-                prop_assert_eq!(compressed.locus(id), Locus::Public(ip));
-                prop_assert_eq!(dense.locus(id), compressed.locus(id));
+            // each population against the positions of its own input
+            for (pop, input) in [(&pop, &loci), (&compressed, &canonical)] {
+                let mut public_model: BTreeMap<Ip, usize> = BTreeMap::new();
+                let mut private_model: BTreeMap<(RealmId, Ip), usize> = BTreeMap::new();
+                for (id, &locus) in input.iter().enumerate() {
+                    prop_assert_eq!(pop.locus(id), locus);
+                    match locus {
+                        Locus::Public(ip) => public_model.insert(ip, id),
+                        Locus::Private { realm, ip } => private_model.insert((realm, ip), id),
+                    };
+                }
+                prop_assert_eq!(pop.len(), input.len());
+                prop_assert_eq!(pop.public_len(), public.len());
+                // members and near misses: public addresses one bit
+                // away, and every private address asked of every realm
+                let near = public.iter().flat_map(|ip| [*ip, Ip::new(ip.value() ^ 1)]);
+                for probe in near.chain(private.iter().map(|&(_, ip)| ip)) {
+                    prop_assert_eq!(pop.find_public(probe), public_model.get(&probe).copied());
+                }
+                for &(_, ip) in &private {
+                    for &realm in &realms {
+                        let want = private_model.get(&(realm, ip)).copied();
+                        prop_assert_eq!(pop.find_private(realm, ip), want);
+                    }
+                }
             }
-            for (i, &(realm, ip)) in private.iter().enumerate() {
-                let id = public.len() + i;
-                prop_assert_eq!(dense.find_private(realm, ip), Some(id));
-                prop_assert_eq!(compressed.find_private(realm, ip), Some(id));
-                prop_assert_eq!(dense.locus(id), compressed.locus(id));
-                // private addresses never resolve as public
-                prop_assert_eq!(dense.find_public(ip), compressed.find_public(ip));
-            }
-            // probes that miss the population agree across stores too
-            for &v in values.iter().take(64) {
-                let probe = Ip::new(0x0d00_0000 | (v & 0x00ff_ffff));
-                prop_assert_eq!(dense.find_public(probe), compressed.find_public(probe));
-            }
-            // both stores iterate the same public addresses
-            let dense_iter: Vec<Ip> = dense.public_addresses_iter().collect();
-            let compressed_iter: Vec<Ip> = compressed.public_addresses_iter().collect();
-            prop_assert_eq!(dense_iter, public.clone());
-            prop_assert_eq!(compressed_iter, public);
+            // canonical ids (the sorted publics first) keep no table;
+            // any other order keeps both
+            let canonical_ids = loci[..public.len()]
+                .iter()
+                .copied()
+                .eq(public.iter().copied().map(Locus::Public));
+            prop_assert_eq!(pop.store_bytes() == compressed.store_bytes(), canonical_ids);
         }
 
-        /// The dense store keeps input-order ids for shuffled public
+        /// Every address the CodeRedII generator draws is globally
+        /// routable. With up to 200 /8s it draws 172/8 and 192/8,
+        /// whose private /16s (172.16/12, 192.168/16) it must skip.
+        #[test]
+        fn synthetic_population_is_globally_routable(
+            n in 1usize..=20_000,
+            slash8s in 1usize..=200,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pop = synthetic_codered_population(n, slash8s, &mut rng).unwrap();
+            let stray = pop.iter().find(|&&ip| !special::is_globally_routable(ip));
+            proptest::prop_assert_eq!(stray, None);
+        }
+
+        /// The same for the Zipf generator.
+        #[test]
+        #[ignore = "zipf_slash8_population draws 172.16/12 and 192.168/16 /16s; \
+                    a fix changes its draws and so may move goldens"]
+        fn zipf_population_is_globally_routable(
+            n in 1usize..=200_000,
+            slash8s in 1usize..=200,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pop = zipf_slash8_population(n, slash8s, &mut rng);
+            let stray = pop.iter().find(|&&ip| !special::is_globally_routable(ip));
+            proptest::prop_assert_eq!(stray, None);
+        }
+
+        /// `try_from_public` keeps input-order ids for shuffled public
         /// addresses: `find_public` answers as a `BTreeMap` from address
         /// to input position does, for members and for probes that miss.
         #[test]
@@ -1681,35 +1679,6 @@ mod tests {
                 let ip = Ip::new(v);
                 prop_assert_eq!(pop.find_public(ip), want.get(&ip).copied());
             }
-            let iterated: Vec<Ip> = pop.public_addresses_iter().collect();
-            prop_assert_eq!(iterated, addrs);
         }
-    }
-
-    #[test]
-    fn public_addresses_iter_filters_private_without_allocating() {
-        let mut env = Environment::new();
-        let realm = env.add_realm(NatRealm::home_192_168(Ip::from_octets(9, 0, 0, 1)).unwrap());
-        let pop = Population::from_loci([
-            Locus::Public(Ip::from_octets(1, 1, 1, 1)),
-            Locus::Private {
-                realm,
-                ip: Ip::from_octets(192, 168, 0, 1),
-            },
-            Locus::Public(Ip::from_octets(2, 2, 2, 2)),
-        ]);
-        let publics: Vec<Ip> = pop.public_addresses_iter().collect();
-        assert_eq!(
-            publics,
-            vec![Ip::from_octets(1, 1, 1, 1), Ip::from_octets(2, 2, 2, 2)]
-        );
-        // compressed store iterates in rank order
-        let compressed = Population::try_compressed_from_parts(
-            &[Ip::from_octets(1, 1, 1, 1), Ip::from_octets(2, 2, 2, 2)],
-            [(realm, Ip::from_octets(192, 168, 0, 1))],
-        )
-        .unwrap();
-        let ranks: Vec<Ip> = compressed.public_addresses_iter().collect();
-        assert_eq!(ranks, publics);
     }
 }

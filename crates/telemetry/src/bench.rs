@@ -20,17 +20,16 @@ pub struct ScalingPoint {
 }
 
 /// Population memory accounting for a benchmark run — how many hosts
-/// the workload held, which store backed them, and what that cost.
+/// the workload held and what that cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryStats {
     /// Vulnerable host count.
     pub hosts: u64,
-    /// Population store label: `"dense"` or `"compressed"`.
-    pub store: String,
     /// Heap bytes held by the population store and its indices.
     pub store_bytes: u64,
-    /// What the same population would cost in the dense store (the
-    /// compressed-vs-dense ratio is `store_bytes / dense_store_bytes`).
+    /// What the same population would cost with a `Locus` record per
+    /// host (the ratio `check_scale.sh` bounds is `store_bytes /
+    /// dense_store_bytes`).
     pub dense_store_bytes: u64,
     /// Process peak resident set (`VmHWM`) up to the end of the run,
     /// when the platform exposes it.
@@ -124,8 +123,6 @@ impl BenchSummary {
         if let Some(mem) = &self.memory {
             out.push_str(",\"memory\":{\"hosts\":");
             out.push_str(&mem.hosts.to_string());
-            out.push_str(",\"store\":");
-            json::write_str(&mut out, &mem.store);
             out.push_str(",\"store_bytes\":");
             out.push_str(&mem.store_bytes.to_string());
             out.push_str(",\"dense_store_bytes\":");
@@ -192,11 +189,6 @@ impl BenchSummary {
                     .get("hosts")
                     .and_then(Json::as_u64)
                     .ok_or("memory missing hosts")?,
-                store: mem
-                    .get("store")
-                    .and_then(Json::as_str)
-                    .ok_or("memory missing store")?
-                    .to_owned(),
                 store_bytes: mem
                     .get("store_bytes")
                     .and_then(Json::as_u64)
@@ -314,7 +306,6 @@ mod tests {
     fn memory_stats_round_trip() {
         let summary = sample().with_memory(MemoryStats {
             hosts: 1_050_000,
-            store: "compressed".to_owned(),
             store_bytes: 1_100_000,
             dense_store_bytes: 45_000_000,
             resident_bytes: Some(80_000_000),
@@ -323,7 +314,6 @@ mod tests {
         let back = BenchSummary::from_json(&text).unwrap();
         let mem = back.memory.unwrap();
         assert_eq!(mem.hosts, 1_050_000);
-        assert_eq!(mem.store, "compressed");
         assert_eq!(mem.store_bytes, 1_100_000);
         assert_eq!(mem.dense_store_bytes, 45_000_000);
         assert_eq!(mem.resident_bytes, Some(80_000_000));
