@@ -5,10 +5,9 @@ use hotspots_ipspace::{Ip, Prefix};
 use hotspots_netmodel::{Environment, FaultPlan, LatencyModel, LossModel};
 use hotspots_prng::entropy::{HardwareGeneration, SeedModel};
 use hotspots_sim::{
-    apply_nat, apply_nat_shared, canonical_parts, paper_codered_population,
-    synthetic_codered_population, zipf_slash8_population, BlasterWorm, BotWorm, CodeRed2Worm,
-    HitListWorm, LocalPreferenceWorm, Outbreak, Population, SimConfig, SlammerWorm, UniformWorm,
-    WormModel,
+    apply_nat, apply_nat_shared, paper_codered_population, synthetic_codered_population,
+    zipf_slash8_population, BlasterWorm, BotWorm, CodeRed2Worm, HitListWorm, LocalPreferenceWorm,
+    Outbreak, Population, SimConfig, SlammerWorm, UniformWorm, WormModel,
 };
 use hotspots_targeting::HitList;
 use hotspots_telescope::{placement, DetectorField, SensorMode};
@@ -77,13 +76,10 @@ impl ScenarioSpec {
         }
 
         let addrs = build_addresses(pop_spec)?;
-        let compressed = match pop_spec {
-            PopSpec::Zipf { store, .. } => compressed_store(store)?,
-            _ => false,
-        };
-        // Population construction surfaces duplicate addresses (and any
-        // other store-build failure) as a typed spec error naming the
-        // population field, instead of panicking mid-build.
+        // Population construction surfaces duplicate addresses as a
+        // typed spec error naming the population field, instead of
+        // panicking mid-build. Without `[environment.nat]` the addresses
+        // go in as they are, so a sorted draw is built without a copy.
         let population = match &self.environment.nat {
             Some(nat) => {
                 let mut rng = StdRng::seed_from_u64(nat.seed);
@@ -92,14 +88,8 @@ impl ScenarioSpec {
                     false => apply_nat(&mut environment, &addrs, nat.fraction, &mut rng),
                 }
                 .map_err(|e| SpecError::new("environment.nat", e.to_string()))?;
-                if compressed {
-                    let (public, private) = canonical_parts(&loci);
-                    Population::try_compressed_from_parts(&public, private)
-                } else {
-                    Population::try_from_loci(loci)
-                }
+                Population::try_from_loci(loci)
             }
-            None if compressed => Population::try_compressed_from_public(&addrs),
             None => Population::try_from_public(addrs),
         }
         .map_err(|e| SpecError::new("population", e.to_string()))?;
@@ -297,16 +287,6 @@ fn shared_nat(topology: &str) -> Result<bool, SpecError> {
         "shared" => Ok(true),
         "isolated" => Ok(false),
         other => Err(unmapped("environment.nat.topology", "topology", other)),
-    }
-}
-
-/// Whether a Zipf population's `store` picks the canonical build
-/// (sorted publics, then NATed hosts) over input-order ids.
-fn compressed_store(store: &str) -> Result<bool, SpecError> {
-    match store {
-        "compressed" => Ok(true),
-        "dense" => Ok(false),
-        other => Err(unmapped("population.store", "store", other)),
     }
 }
 
@@ -525,19 +505,32 @@ mod tests {
 
     #[test]
     fn population_stores_map_or_name_the_field() {
-        assert_eq!(compressed_store("compressed"), Ok(true));
-        assert_eq!(compressed_store("dense"), Ok(false));
-        let err = compressed_store("sparse").unwrap_err();
-        assert_eq!(err.message, "unknown store \"sparse\"");
-        let field = validate_field(|s| {
-            s.population = Some(PopSpec::Zipf {
+        let zipf = |store: &str| {
+            Some(PopSpec::Zipf {
                 size: 1_000,
                 slash8s: 4,
                 seed: 1,
-                store: "sparse".into(),
+                store: store.into(),
             })
-        });
-        assert_eq!(err.field, field);
+        };
+        // both accepted values build the same population, NATed or not
+        for nat in [None, Some(0.5)] {
+            let build = |store: &str| {
+                let mut spec = base_spec();
+                spec.population = zipf(store);
+                spec.environment.nat = nat.map(|fraction| NatSpec {
+                    fraction,
+                    topology: "shared".into(),
+                    seed: 3,
+                });
+                spec.build().unwrap().population
+            };
+            let (compressed, dense) = (build("compressed"), build("dense"));
+            assert_eq!(compressed.len(), dense.len());
+            assert!((0..dense.len()).all(|i| compressed.locus(i) == dense.locus(i)));
+        }
+        let field = validate_field(|s| s.population = zipf("sparse"));
+        assert_eq!(field, "population.store");
     }
 
     #[test]

@@ -252,11 +252,10 @@ pub enum PopSpec {
         slash8s: u64,
         /// RNG seed for the draw.
         seed: u64,
-        /// How hosts are numbered: `"compressed"` (default) builds from
-        /// the sorted draw and numbers NATed hosts after the public
-        /// ones; `"dense"` numbers hosts in draw order, which keeps id
-        /// tables once a NAT interleaves private hosts. Without
-        /// `[environment.nat]` both build the same population.
+        /// `"compressed"` (default) or `"dense"`. Both build the same
+        /// population, numbered canonically (sorted public addresses,
+        /// then NATed hosts in draw order); the field is kept because it
+        /// is part of the spec schema and its content hash.
         store: String,
     },
 }

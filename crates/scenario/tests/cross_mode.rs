@@ -6,11 +6,13 @@
 //!
 //! Each mode is an `xmode-*` registry preset, so the exact scenarios the
 //! suite pins are runnable by hand (`hotspots run xmode-slammer`) and
-//! serialize to TOML like any other spec.
+//! serialize to TOML like any other spec. One more input is
+//! `bench-million`'s Zipf population, shrunk to a size the debug-mode
+//! suite can run at every thread count.
 
 use hotspots_ipspace::Ip;
 use hotspots_netmodel::Delivery;
-use hotspots_scenario::{find_preset, Scale};
+use hotspots_scenario::{find_preset, PopSpec, Scale, ScenarioSpec};
 use hotspots_sim::{Engine, SimObserver, SimResult};
 
 /// Everything the engine hands an observer, aggregated, so cross-mode
@@ -41,10 +43,11 @@ impl SimObserver for EventTally {
 
 fn run_with_threads(preset: &str, threads: usize) -> (SimResult, EventTally) {
     let preset = find_preset(preset).expect("registered preset");
-    let mut built = preset
-        .spec(Scale::Quick)
-        .build()
-        .expect("cross-mode presets build");
+    run_spec_with_threads(&preset.spec(Scale::Quick), threads)
+}
+
+fn run_spec_with_threads(spec: &ScenarioSpec, threads: usize) -> (SimResult, EventTally) {
+    let mut built = spec.build().expect("cross-mode specs build");
     built.config.threads = threads;
     let mut engine = Engine::new(
         built.config,
@@ -61,7 +64,14 @@ fn run_with_threads(preset: &str, threads: usize) -> (SimResult, EventTally) {
 /// 4 worker threads (plus a more-threads-than-hosts configuration), and
 /// asserts every deterministic output is identical.
 fn assert_cross_mode_identical(name: &str) {
-    let (base, base_tally) = run_with_threads(name, 1);
+    let spec = find_preset(name)
+        .expect("registered preset")
+        .spec(Scale::Quick);
+    assert_spec_cross_mode_identical(&spec, name);
+}
+
+fn assert_spec_cross_mode_identical(spec: &ScenarioSpec, name: &str) {
+    let (base, base_tally) = run_spec_with_threads(spec, 1);
     assert!(base.probes_sent > 0, "{name}: run emitted no probes");
     assert!(
         base_tally.batch_calls > 0,
@@ -71,7 +81,7 @@ fn assert_cross_mode_identical(name: &str) {
     let base_curve: Vec<(f64, f64)> = base.infection_curve.iter().collect();
 
     for threads in [2, 4, 64] {
-        let (other, tally) = run_with_threads(name, threads);
+        let (other, tally) = run_spec_with_threads(spec, threads);
         assert_eq!(
             base.infections, other.infections,
             "{name}: infection logs diverge at {threads} threads"
@@ -166,6 +176,19 @@ fn blackhole_faults_are_thread_invariant() {
     // extra Bernoulli from each probe's RNG stream, the alignment most
     // at risk of diverging between the scalar and batch paths.
     assert_cross_mode_identical("xmode-blackhole");
+}
+
+#[test]
+fn zipf_population_is_thread_invariant() {
+    let mut spec = find_preset("bench-million")
+        .expect("registered preset")
+        .spec(Scale::Quick);
+    let Some(PopSpec::Zipf { size, .. }) = &mut spec.population else {
+        panic!("bench-million must carry a zipf population");
+    };
+    *size = 30_000;
+    spec.sim.max_time = 10.0;
+    assert_spec_cross_mode_identical(&spec, "bench-million@30k");
 }
 
 #[test]

@@ -81,13 +81,17 @@ fn atomic_write(path: &Path, bytes: &str) -> Result<(), HotspotsError> {
 impl ResultStore {
     /// Opens (or initializes) the store rooted at `dir`, replaying the
     /// manifest if one exists. Manifest entries whose directory, or
-    /// either file in it, has vanished are dropped silently; `max_entries` is enforced on the
-    /// next insert, not retroactively at open.
+    /// either file in it, has vanished are dropped silently; entry
+    /// directories the store does not adopt (what a crashed insert or
+    /// eviction leaves) are removed, and every other file under `dir`
+    /// is left alone. `max_entries` is enforced on the next insert, not
+    /// retroactively at open.
     ///
     /// # Errors
     ///
-    /// I/O failure creating the root or reading the manifest, or a
-    /// manifest whose version line this build does not understand.
+    /// I/O failure creating the root, reading the manifest or sweeping
+    /// a leftover entry directory, or a manifest whose version line
+    /// this build does not understand.
     pub fn open(dir: &Path, max_entries: usize) -> Result<ResultStore, HotspotsError> {
         fs::create_dir_all(dir).map_err(|e| io_err(format!("creating {}", dir.display()), e))?;
         let mut store = ResultStore {
@@ -100,7 +104,7 @@ impl ResultStore {
         let manifest = store.manifest_path();
         let text = match fs::read_to_string(&manifest) {
             Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(store),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return store.swept(),
             Err(e) => return Err(io_err(format!("reading {}", manifest.display()), e)),
         };
         let context = || format!("parsing {}", manifest.display());
@@ -152,7 +156,27 @@ impl ResultStore {
                 store.entries.insert(hash, Entry { name, last_used });
             }
         }
-        Ok(store)
+        store.swept()
+    }
+
+    /// Removes every directory under the root that is named by a hash
+    /// (as [`format_hash`] writes it) but holds no adopted entry, and
+    /// hands the store back.
+    fn swept(self) -> Result<ResultStore, HotspotsError> {
+        let listing = |e| io_err(format!("listing {}", self.dir.display()), e);
+        for item in fs::read_dir(&self.dir).map_err(listing)? {
+            let path = item.map_err(listing)?.path();
+            let name = path
+                .file_name()
+                .and_then(|n| n.to_str())
+                .unwrap_or_default();
+            let hash = parse_hash(name).filter(|&h| format_hash(h) == name);
+            if hash.is_some_and(|h| !self.entries.contains_key(&h)) && path.is_dir() {
+                fs::remove_dir_all(&path)
+                    .map_err(|e| io_err(format!("sweeping {}", path.display()), e))?;
+            }
+        }
+        Ok(self)
     }
 
     /// The cache root this store writes under.
@@ -413,6 +437,35 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    #[test]
+    fn open_sweeps_only_unadopted_entry_dirs() {
+        let (dir, mut store) = temp_store("sweep", 4);
+        store.insert(1, "a", "a", "ra").expect("insert");
+        drop(store);
+        let stray = format_hash(2);
+        fs::create_dir_all(dir.join(&stray)).expect("mkdir");
+        fs::write(dir.join(&stray).join("spec.tmp"), "half").expect("write");
+        // not entry dirs: a non-hash dir, a hash-named file, a note, and
+        // a dir whose name parses as a hash but is not written as one
+        fs::create_dir_all(dir.join("keep")).expect("mkdir");
+        fs::write(dir.join(format_hash(3)), "file").expect("write");
+        fs::write(dir.join("notes.txt"), "note").expect("write");
+        fs::create_dir_all(dir.join("+000000000000002")).expect("mkdir");
+        let store = ResultStore::open(&dir, 4).expect("reopen");
+        assert!(store.contains(1));
+        let mut kept = vec![
+            format_hash(1),
+            format_hash(3),
+            "+000000000000002".to_owned(),
+            "keep".to_owned(),
+            "manifest.jsonl".to_owned(),
+            "notes.txt".to_owned(),
+        ];
+        kept.sort();
+        assert_eq!(listing(&dir), kept);
+        fs::remove_dir_all(&dir).ok();
+    }
+
     /// A spec that runs in milliseconds, for entries `check` re-runs.
     const TINY_SPEC: &str = "[meta]\nname = \"store-crash\"\n\n[worm]\nkind = \"uniform\"\n\n\
         [population]\nkind = \"range\"\nbase = \"10.0.0.0\"\ncount = 64\nstride = 1\n\n\
@@ -510,6 +563,16 @@ mod tests {
             crash(&root, &entry, &canonical, &report);
 
             let mut store = ResultStore::open(&root, 4).unwrap_or_else(|e| panic!("{state}: {e}"));
+            // no entry dir outlives `open` unless the store adopted it
+            let hashes: Vec<String> = store
+                .hashes()
+                .iter()
+                .map(|&(h, _)| format_hash(h))
+                .collect();
+            for name in listing(&root) {
+                let unlisted = parse_hash(&name).is_some() && !hashes.contains(&name);
+                assert!(!unlisted, "{state}: {name} survived open");
+            }
             match store.get(hash) {
                 Ok(None) => {}
                 Ok(Some(stored)) => assert_eq!(stored, report, "{state}"),

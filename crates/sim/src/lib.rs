@@ -60,7 +60,7 @@ pub use engine::{Engine, EngineTelemetry, SimConfig, SimResult};
 pub use observers::{BucketHits, FieldObserver, NullObserver, SimObserver};
 pub use outbreak::Outbreak;
 pub use population::{
-    apply_nat, apply_nat_shared, canonical_parts, occupied_slash16s, paper_codered_population,
+    apply_nat, apply_nat_shared, occupied_slash16s, paper_codered_population,
     synthetic_codered_population, zipf_slash8_population, Population, PopulationError,
     PAPER_CODERED_HOSTS, PAPER_CODERED_SLASH8S,
 };

@@ -17,8 +17,8 @@
 #
 # The report-vs-golden diff for these presets rides in
 # scripts/check_goldens.sh with every other preset, and the
-# dense/compressed bit-identity suite lives in
-# crates/scenario/tests/cross_store.rs; CI runs both next to this
+# thread-invariance suite for the Zipf population lives in
+# crates/scenario/tests/cross_mode.rs; CI runs both next to this
 # script.
 #
 # Usage:

@@ -6,25 +6,33 @@ use hotspots_ipspace::Ip;
 use hotspots_netmodel::{Environment, Locus, LossModel, Service};
 use hotspots_scenario::{fold_sim_result, ReportBuilder};
 use hotspots_sim::{
-    apply_nat, Engine, FieldObserver, NullObserver, Population, SimConfig, SimResult,
+    apply_nat_shared, Engine, FieldObserver, NullObserver, Population, SimConfig, SimResult,
 };
 use hotspots_telescope::DetectorField;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// A small deterministic outbreak: half the hosts NATed (local
-/// deliveries + unroutable private scans), 20% packet loss, CodeRedII
-/// locality so both public and private infections occur. Returns the
-/// engine and each host's locus, by host id.
+/// The fixture's initially infected hosts.
+const SEEDS: usize = 8;
+
+/// A small deterministic outbreak: half the hosts NATed into one
+/// shared realm (local deliveries + unroutable private scans), 20%
+/// packet loss, CodeRedII locality so both public and private
+/// infections occur. Returns the engine and each host's locus, by host
+/// id.
 fn lossy_nat_engine_with(trace: bool) -> (Engine, Vec<Locus>) {
     let mut env = Environment::new();
     env.set_loss(LossModel::new(0.2).unwrap());
     let mut nat_rng = StdRng::seed_from_u64(11);
     let publics: Vec<Ip> = (0..200u32).map(|i| Ip::new(0x0d0d_0000 + i)).collect();
-    let loci = apply_nat(&mut env, &publics, 0.5, &mut nat_rng).expect("public addresses");
+    let loci = apply_nat_shared(&mut env, &publics, 0.5, &mut nat_rng).expect("realm capacity");
+    let population = Population::from_loci(loci);
+    let loci = (0..population.len())
+        .map(|id| population.locus(id))
+        .collect();
     let config = SimConfig {
         scan_rate: 20.0,
-        seeds: 4,
+        seeds: SEEDS,
         dt: 1.0,
         max_time: 150.0,
         stop_at_fraction: None,
@@ -34,7 +42,7 @@ fn lossy_nat_engine_with(trace: bool) -> (Engine, Vec<Locus>) {
     };
     let engine = Engine::new(
         config,
-        Population::from_loci(loci.clone()),
+        population,
         env,
         Box::new(hotspots_sim::CodeRed2Worm),
     );
@@ -63,15 +71,15 @@ fn sim_result_ledger_accounts_every_verdict() {
     assert!(ledger.dropped_total() > 0, "loss + unroutable drops");
 
     // every infection is in the log, once, including those hidden
-    // behind NATs
+    // behind NATs; the log opens with the seeds
     let infected: std::collections::BTreeSet<usize> =
         result.infections.iter().map(|&(id, _)| id).collect();
     assert_eq!(infected.len(), result.infected);
     assert_eq!(result.infections.len(), result.infected);
     assert!(
-        infected
+        result.infections[SEEDS..]
             .iter()
-            .any(|&id| matches!(loci[id], Locus::Private { .. })),
+            .any(|&(id, _)| matches!(loci[id], Locus::Private { .. })),
         "CodeRedII spreads inside NATs"
     );
 
